@@ -26,7 +26,7 @@ from .constants import (
     lambda_max,
 )
 from .lattice import make_lattice
-from .solver import gaussian_bump_forcing, run
+from .solver import gaussian_bump_forcing, json_float, run
 from .supersolution import (
     SearchExhausted,
     certified_forcing,
@@ -57,15 +57,11 @@ BAND_EDGE_MARGIN = 1e-3
 def _fmt(x: float) -> str:
     if x is None:
         return ""
-    if isinstance(x, float) and not math.isfinite(x):
-        return "inf" if x > 0 else "-inf"
-    return f"{x:.12g}"
+    x = json_float(x)
+    return x if isinstance(x, str) else f"{x:.12g}"
 
 
 def cmd_constants(args) -> int:
-    if not 0.0 < args.lambda_frac < 1.0:
-        print("error: --lambda-frac must lie strictly in (0, 1)", file=sys.stderr)
-        return 2
     lam = args.lambda_frac * lambda_max(args.N, args.s)
     bundle = exponents_from(args.N, args.s, lam)
     for key, val in bundle.to_dict().items():
@@ -80,9 +76,6 @@ def cmd_constants(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = VerifierConfig(seed=args.seed)
-    if args.check is not None and args.check not in CHECKS:
-        print(f"error: unknown check {args.check!r}; known: {sorted(CHECKS)}", file=sys.stderr)
-        return 2
     ids = [args.check] if args.check else None
     reports = run_suite(ids, cfg, parallel=args.parallel)
     for r in reports:
@@ -361,8 +354,31 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _validate_args(args) -> None:
+    """Raise ValueError for arguments no computation should start with.
+
+    Only construction-time checks live here: the coupling fraction, the
+    (N, s) domain, and for `solve` the problem instance and the lattice.
+    """
+    if getattr(args, "check", None) is not None and args.check not in CHECKS:
+        raise ValueError(f"unknown check {args.check!r}; known: {sorted(CHECKS)}")
+    if not hasattr(args, "lambda_frac"):
+        return
+    if not 0.0 < args.lambda_frac < 1.0:
+        raise ValueError("--lambda-frac must lie strictly in (0, 1)")
+    lam = args.lambda_frac * lambda_max(args.N, args.s)
+    if args.command == "solve":
+        ProblemSpec(args.N, args.s, lam, args.p)
+        make_lattice(args.N, args.L, args.M, 0.0, args.T, args.K)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        _validate_args(args)
+    except ValueError as exc:  # LatticeError included
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return args.func(args)
 
 

@@ -227,16 +227,21 @@ def transform(fld: Field, direction: str) -> Field:
     raise ValueError(f"unknown direction {direction!r}")
 
 
-def weighted_integral(fld: Field, weight_exponent: float, power: float, t_index: int) -> float:
-    """Riemann sum of |x|^a * field^p over one spatial slice."""
+def weighted_integral(
+    fld: Field, weight_exponent: float, power: float, t_index: Optional[int] = None
+):
+    """Riemann sum of |x|^a * field^p over one spatial slice (a float), or
+    over every slice at once when t_index is None (an array of K sums)."""
     if fld.side != PHYSICAL:
         raise ValueError("weighted_integral needs a physical-side field")
     lat = fld.lattice
-    vals = fld.values[t_index]
+    vals = fld.values if t_index is None else fld.values[t_index]
     if power != int(power) and np.any(vals < 0):
         raise ValueError("negative values with fractional power")
-    w = lat.spatial_power(weight_exponent)
-    return float(np.sum(w * vals ** power) * lat.cell_volume)
+    integrand = np.asarray(vals, dtype=float) ** power
+    integrand *= lat.spatial_power(weight_exponent)
+    sums = integrand.reshape(-1, lat.M ** lat.dim).sum(axis=1) * lat.cell_volume
+    return sums if t_index is None else float(sums[0])
 
 
 @dataclass(frozen=True)

@@ -88,13 +88,12 @@ class IterationState:
     m_curve: np.ndarray
     sup_diff: float
     monotone: bool
+    mu: float  # singularity exponent of the spec, solved once in initial_state
 
 
 def blowup_functional(w: Field, mu: float, p: float) -> np.ndarray:
     """Per-slice weighted norm: integral of |x|^(-mu) w^p over space."""
-    return np.array(
-        [weighted_integral(w, -mu, p, k) for k in range(w.lattice.K)]
-    )
+    return weighted_integral(w, -mu, p)
 
 
 def iterate(
@@ -117,11 +116,15 @@ def iterate(
     drop = float(np.min(w_next.values - state.w.values))
     if drop < -mono_slack * scale:
         raise MonotonicityError(f"iterate decreased by {drop:.3e} (scale {scale:.3e})")
-    mu = exponents(spec).mu
-    m_curve = blowup_functional(w_next, mu, spec.p)
+    m_curve = blowup_functional(w_next, state.mu, spec.p)
     sup_diff = float(np.max(np.abs(w_next.values - state.w.values)))
     return IterationState(
-        n=n_next, w=w_next, m_curve=m_curve, sup_diff=sup_diff, monotone=drop >= -mono_slack * scale
+        n=n_next,
+        w=w_next,
+        m_curve=m_curve,
+        sup_diff=sup_diff,
+        monotone=drop >= -mono_slack * scale,
+        mu=state.mu,
     )
 
 
@@ -137,6 +140,7 @@ def initial_state(f: Field, spec: ProblemSpec) -> IterationState:
         m_curve=blowup_functional(w0, mu, spec.p),
         sup_diff=float(np.max(np.abs(w0.values))),
         monotone=True,
+        mu=mu,
     )
 
 
@@ -159,9 +163,25 @@ class TrajectoryReport:
     params: dict
 
     def to_json(self) -> str:
-        d = dict(self.__dict__)
-        d["m_curve"] = [[t, m] for t, m in self.m_curve]
-        return json.dumps(d, sort_keys=True)
+        """Strict JSON: non-finite floats (an infinite growth factor, say)
+        are written as the strings of json_float."""
+        return json.dumps(_strict_json(self.__dict__), sort_keys=True, allow_nan=False)
+
+
+def json_float(x):
+    """x itself if it is a finite float (or not a float), else "inf", "-inf"
+    or "nan": the spelling shared by TrajectoryReport.to_json and the CLI."""
+    if isinstance(x, float) and not math.isfinite(x):
+        return "nan" if math.isnan(x) else ("inf" if x > 0 else "-inf")
+    return x
+
+
+def _strict_json(obj):
+    if isinstance(obj, dict):
+        return {k: _strict_json(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict_json(v) for v in obj]
+    return json_float(obj)
 
 
 def _growth(m: np.ndarray, lat: Lattice) -> Tuple[float, Optional[float]]:

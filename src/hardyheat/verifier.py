@@ -69,6 +69,14 @@ class CheckReport:
     sample_count: int
     params: dict
 
+    def __post_init__(self):
+        # checks compute in numpy; the report keeps plain Python scalars so
+        # it serialises as JSON
+        self.passed = bool(self.passed)
+        self.worst_margin = float(self.worst_margin)
+        self.tolerance = float(self.tolerance)
+        self.sample_count = int(self.sample_count)
+
     def to_dict(self) -> dict:
         return asdict(self)
 

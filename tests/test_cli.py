@@ -2,6 +2,7 @@ import csv
 import json
 import pytest
 
+from hardyheat import cli
 from hardyheat.cli import SWEEP_COLUMNS, SweepConfig, main, sweep_rows
 from hardyheat.constants import ExponentBundle, lambda_max
 
@@ -138,3 +139,46 @@ def test_usage_exit_codes():
     with pytest.raises(SystemExit) as exc:
         main(["nonsense"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("cid", ["hardy", "picone"])
+def test_verify_json_round_trips(tmp_path, capsys, cid):
+    # these checks compute their margin in numpy
+    assert main(["verify", "--check", cid]) == 0
+    table = capsys.readouterr().out
+    out = tmp_path / "rep.json"
+    assert main(["verify", "--check", cid, "--json", str(out)]) == 0
+    assert capsys.readouterr().out == table + f"wrote {out}\n"
+    rep = json.loads(out.read_text())
+    assert rep[0]["check_id"] == cid and rep[0]["passed"] is True
+    assert table.startswith(f"{cid:16s} pass  margin={rep[0]['worst_margin']:.3e}")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--lambda-frac", "1.5", "-p", "2.0"],
+        ["solve", "-M", "33", "-p", "2.0"],
+        ["solve", "-p", "0.9"],
+        ["supersol", "--lambda-frac", "2"],
+        ["constants", "-N", "1", "-s", "0.5", "--lambda-frac", "0.5"],
+    ],
+)
+def test_invalid_parameters_exit_2_before_computing(argv, capsys, monkeypatch):
+    def computing(*args, **kwargs):
+        raise AssertionError("computation started on invalid parameters")
+
+    for name in ("run", "find_certificate", "exponents_from"):
+        monkeypatch.setattr(cli, name, computing)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_runtime_value_error_in_solve_surfaces(monkeypatch):
+    def failing(*args, **kwargs):
+        raise ValueError("raised inside the solve")
+
+    monkeypatch.setattr(cli, "run", failing)
+    with pytest.raises(ValueError, match="inside the solve"):
+        main(["solve", "-p", "2.0", "-M", "16", "-K", "16"])

@@ -8,11 +8,13 @@ from hardyheat.kernels import (
     AliasingError,
     LsQuadrature,
     NonCausalInput,
+    _js_spectrum,
     apply_Hs_spectral,
     apply_Js,
     apply_Ls,
     frac_laplacian_constant,
     ground_state_residual,
+    heat_positive,
     heat_symbol,
     hs_pointwise_oracle,
     radial_identity_error,
@@ -156,6 +158,97 @@ def test_js_semigroup(lat):
     j_split = apply_Js(apply_Js(g, 0.2), 0.3)
     err = np.max(np.abs(j_split.values - j_direct.values)) / np.max(np.abs(j_direct.values))
     assert err <= 1e-2
+
+
+def _volterra_direct(g: np.ndarray, lat, s: float, refine: int) -> np.ndarray:
+    """O(K^2) product-integration sum, slab by slab in physical space.
+
+    Slab [j ht, (j+1) ht] contributes its endpoint weights at lags j and
+    j + 1, lag m smoothing with the one-slab positive kernel applied m times.
+    The first slab is replaced by `refine` sub-slabs acting on the source
+    interpolated linearly between lags 0 and 1.
+    """
+    K, ht = lat.K, lat.ht
+
+    def endpoint_weights(a, b):
+        m0 = (b ** s - a ** s) / s
+        m1 = (b ** (s + 1.0) - a ** (s + 1.0)) / (s + 1.0)
+        return (b * m0 - m1) / (b - a) / gamma_fn(s), (m1 - a * m0) / (b - a) / gamma_fn(s)
+
+    smoothed = [g]  # smoothed[m] = (one-slab smoothing)^m applied to every slice
+    for _ in range(K):
+        smoothed.append(heat_positive(smoothed[-1], lat, ht))
+    out = np.zeros_like(g)
+    for k in range(K):
+        for j in range(1, K):
+            w_left, w_right = endpoint_weights(j * ht, (j + 1) * ht)
+            if k - j >= 0:
+                out[k] += w_left * smoothed[j][k - j]
+            if k - j - 1 >= 0:
+                out[k] += w_right * smoothed[j + 1][k - j - 1]
+        previous = g[k - 1] if k >= 1 else np.zeros_like(g[k])
+        for r in range(refine):
+            a, b = r * ht / refine, (r + 1) * ht / refine
+            for tau, wgt in zip((a, b), endpoint_weights(a, b)):
+                src = (1.0 - tau / ht) * g[k] + (tau / ht) * previous
+                out[k] += wgt * (heat_positive(src, lat, tau) if tau > 0 else src)
+    out[~lat.causal_mask()] = 0.0
+    return out
+
+
+@pytest.mark.parametrize("s,refine", [(0.5, 4), (0.3, 1), (0.8, 3)])
+def test_js_matches_direct_volterra_sum(s, refine):
+    lat = make_lattice(2, 4.0, 16, 1.2, 3.0, 14)
+    rng = np.random.default_rng(3)
+    g = rng.random(lat.shape) * lat.causal_mask()[:, None, None]
+    got = apply_Js(Field(lat, g), s, first_slab_refine=refine).values
+    want = _volterra_direct(g, lat, s, refine)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_js_spectrum_cached_per_key():
+    lat = make_lattice(2, 3.7, 16, 0.5, 2.0, 12)
+    g = Field(lat, np.ones(lat.shape) * lat.causal_mask()[:, None, None])
+    assert _js_spectrum.cache_parameters()["maxsize"] == 4
+    before = _js_spectrum.cache_info()
+    first = apply_Js(g, 0.45).values
+    after_first = _js_spectrum.cache_info()
+    assert after_first.misses == before.misses + 1
+    second = apply_Js(g, 0.45).values
+    assert _js_spectrum.cache_info().hits == after_first.hits + 1
+    assert np.array_equal(first, second)
+    # every other key gets an entry of its own
+    other_lat = make_lattice(2, 3.7, 16, 0.5, 2.0, 16)
+    g_other = Field(other_lat, np.ones(other_lat.shape) * other_lat.causal_mask()[:, None, None])
+    for call in (
+        lambda: apply_Js(g, 0.55),
+        lambda: apply_Js(g, 0.45, first_slab_refine=2),
+        lambda: apply_Js(g_other, 0.45),
+    ):
+        misses = _js_spectrum.cache_info().misses
+        call()
+        assert _js_spectrum.cache_info().misses == misses + 1
+
+
+def test_js_spectrum_read_only_and_sized():
+    lat = make_lattice(3, 4.0, 8, 0.0, 2.0, 10)
+    spec = _js_spectrum(lat, 0.5, 4)
+    assert spec.shape == (2 * lat.K, lat.M, lat.M, lat.M // 2 + 1)
+    assert spec.dtype == np.complex128
+    assert not spec.flags.writeable
+    with pytest.raises(ValueError):
+        spec[0, 0, 0, 0] = 1.0
+
+
+def test_js_output_exactly_zero_on_past():
+    lat = make_lattice(3, 4.0, 8, 1.0, 2.0, 12)
+    rng = np.random.default_rng(5)
+    past = ~lat.causal_mask()
+    g = rng.random(lat.shape)
+    g[past] *= 1e-10  # below causal_tol: accepted, then zeroed
+    out = apply_Js(Field(lat, g), 0.6).values
+    assert past.any() and np.all(out[past] == 0.0)
+    assert np.all(out[~past] > 0.0)
 
 
 def test_symbol_of_kernel_closed_form_substitution():

@@ -1,6 +1,10 @@
+import json
+import math
+
 import numpy as np
 import pytest
 
+from hardyheat.cli import _fmt
 from hardyheat.constants import ProblemSpec, exponents, lambda_max, mu_from_lambda
 from hardyheat.lattice import Field, make_lattice, sample, zero_field
 from hardyheat.solver import (
@@ -11,6 +15,7 @@ from hardyheat.solver import (
     gaussian_bump_forcing,
     initial_state,
     iterate,
+    json_float,
     rhs_truncated,
     run,
     singularity_profile,
@@ -203,3 +208,22 @@ def test_singularity_profile_of_converged_iterate():
         st = iterate(st, f, spec)
     slope, _ = singularity_profile(st.w, (int(0.3 * lat.K), int(0.7 * lat.K)))
     assert slope <= -mu + 0.1
+
+
+def test_report_json_is_strict_with_infinite_growth():
+    # the mid-horizon slice sits at t <= 0, where every iterate vanishes
+    # exactly, so the growth factor across the second half is infinite
+    lat = make_lattice(2, 4.0, 16, 5.0, 3.0, 16)
+    assert lat.t_axis()[lat.K // 2] < 0.0
+    spec = ProblemSpec(2, 0.5, 0.5 * lambda_max(2, 0.5), 2.0)
+    rep = run(spec, gaussian_bump_forcing(lat, 1.0), max_n=3)
+    assert rep.m_curve[lat.K // 2][1] == 0.0
+    assert rep.growth_factor == math.inf and rep.verdict == VERDICT_ESCAPE
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    d = json.loads(rep.to_json(), parse_constant=reject)
+    assert d["growth_factor"] == "inf" == _fmt(rep.growth_factor)
+    assert d["n_final"] == rep.n_final and d["escape_time"] is None
+    assert [json_float(x) for x in (-math.inf, math.nan, 2.5)] == ["-inf", "nan", 2.5]
