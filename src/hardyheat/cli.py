@@ -61,8 +61,16 @@ def _fmt(x: float) -> str:
     return x if isinstance(x, str) else f"{x:.12g}"
 
 
+def _coupling(args) -> float:
+    """The coupling lambda from --lambda-frac; ValueError outside (0, 1)
+    or outside the (N, s) domain."""
+    if not 0.0 < args.lambda_frac < 1.0:
+        raise ValueError("--lambda-frac must lie strictly in (0, 1)")
+    return args.lambda_frac * lambda_max(args.N, args.s)
+
+
 def cmd_constants(args) -> int:
-    lam = args.lambda_frac * lambda_max(args.N, args.s)
+    lam = _coupling(args)
     bundle = exponents_from(args.N, args.s, lam)
     for key, val in bundle.to_dict().items():
         print(f"{key:14s} = {_fmt(val) if isinstance(val, float) else val}")
@@ -98,10 +106,14 @@ def _lattice_from(cfgd: dict):
     )
 
 
+def _solve_inputs(args):
+    """(spec, lattice) of a `solve` invocation; ValueError if invalid."""
+    spec = ProblemSpec(args.N, args.s, _coupling(args), args.p)
+    return spec, make_lattice(args.N, args.L, args.M, 0.0, args.T, args.K)
+
+
 def cmd_solve(args) -> int:
-    lam = args.lambda_frac * lambda_max(args.N, args.s)
-    spec = ProblemSpec(args.N, args.s, lam, args.p)
-    lat = make_lattice(args.N, args.L, args.M, 0.0, args.T, args.K)
+    spec, lat = _solve_inputs(args)
     f = gaussian_bump_forcing(lat, args.amplitude)
     rep = run(
         spec,
@@ -122,7 +134,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_supersol(args) -> int:
-    lam = args.lambda_frac * lambda_max(args.N, args.s)
+    lam = _coupling(args)
     bundle = exponents_from(args.N, args.s, lam)
     p = args.p if args.p is not None else 0.5 * (bundle.fujita_F + bundle.p_plus)
     try:
@@ -357,19 +369,16 @@ def build_parser() -> argparse.ArgumentParser:
 def _validate_args(args) -> None:
     """Raise ValueError for arguments no computation should start with.
 
-    Only construction-time checks live here: the coupling fraction, the
-    (N, s) domain, and for `solve` the problem instance and the lattice.
+    Only construction-time checks live here, through the same helpers the
+    commands build their inputs with: the coupling fraction, the (N, s)
+    domain, and for `solve` the problem instance and the lattice.
     """
     if getattr(args, "check", None) is not None and args.check not in CHECKS:
         raise ValueError(f"unknown check {args.check!r}; known: {sorted(CHECKS)}")
-    if not hasattr(args, "lambda_frac"):
-        return
-    if not 0.0 < args.lambda_frac < 1.0:
-        raise ValueError("--lambda-frac must lie strictly in (0, 1)")
-    lam = args.lambda_frac * lambda_max(args.N, args.s)
     if args.command == "solve":
-        ProblemSpec(args.N, args.s, lam, args.p)
-        make_lattice(args.N, args.L, args.M, 0.0, args.T, args.K)
+        _solve_inputs(args)
+    elif hasattr(args, "lambda_frac"):
+        _coupling(args)
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -88,7 +88,6 @@ class IterationState:
     m_curve: np.ndarray
     sup_diff: float
     monotone: bool
-    mu: float  # singularity exponent of the spec, solved once in initial_state
 
 
 def blowup_functional(w: Field, mu: float, p: float) -> np.ndarray:
@@ -101,10 +100,16 @@ def iterate(
     f: Field,
     spec: ProblemSpec,
     mono_slack: float = 1e-12,
+    mu: Optional[float] = None,
 ) -> IterationState:
     """One step of the scheme: invert the operator on the stage-n right-hand
     side built from the current iterate. Monotonicity is asserted, not
-    assumed: a violation beyond slack means the quadrature broke."""
+    assumed: a violation beyond slack means the quadrature broke.
+
+    mu is the singularity exponent of spec; run() passes it in so that the
+    exponent bundle is solved once per run, not once per step."""
+    if mu is None:
+        mu = exponents(spec).mu
     n_next = state.n + 1
     rhs = rhs_truncated(state.w, f, spec, n_next)
     w_next = apply_Js(rhs, spec.s)
@@ -116,7 +121,7 @@ def iterate(
     drop = float(np.min(w_next.values - state.w.values))
     if drop < -mono_slack * scale:
         raise MonotonicityError(f"iterate decreased by {drop:.3e} (scale {scale:.3e})")
-    m_curve = blowup_functional(w_next, state.mu, spec.p)
+    m_curve = blowup_functional(w_next, mu, spec.p)
     sup_diff = float(np.max(np.abs(w_next.values - state.w.values)))
     return IterationState(
         n=n_next,
@@ -124,23 +129,26 @@ def iterate(
         m_curve=m_curve,
         sup_diff=sup_diff,
         monotone=drop >= -mono_slack * scale,
-        mu=state.mu,
     )
 
 
-def initial_state(f: Field, spec: ProblemSpec) -> IterationState:
+def initial_state(
+    f: Field, spec: ProblemSpec, mu: Optional[float] = None
+) -> IterationState:
+    """Stage 0: the inverse operator applied to the saturated forcing. mu
+    is the singularity exponent of spec, solved here if not given."""
+    if mu is None:
+        mu = exponents(spec).mu
     w0 = apply_Js(rhs_truncated(zero_field(f.lattice), f, spec, 0), spec.s)
     vals = w0.values.copy()
     vals[vals < 0.0] = 0.0  # rounding guard, as in iterate()
     w0 = Field(f.lattice, vals)
-    mu = exponents(spec).mu
     return IterationState(
         n=0,
         w=w0,
         m_curve=blowup_functional(w0, mu, spec.p),
         sup_diff=float(np.max(np.abs(w0.values))),
         monotone=True,
-        mu=mu,
     )
 
 
@@ -222,7 +230,8 @@ def run(
     A dominator field (e.g. a certified ceiling) is checked against every
     iterate; violations are counted, never silently clipped.
     """
-    state = initial_state(f, spec)
+    mu = exponents(spec).mu
+    state = initial_state(f, spec, mu=mu)
     if callback:
         callback(state)
     m_first = max(float(np.max(state.m_curve)), 1e-300)
@@ -246,7 +255,7 @@ def run(
     verdict = VERDICT_STALLED
     cap_hit = False
     while state.n < max_n:
-        state = iterate(state, f, spec, mono_slack=mono_slack)
+        state = iterate(state, f, spec, mono_slack=mono_slack, mu=mu)
         if callback:
             callback(state)
         check_dominator(state)

@@ -227,3 +227,17 @@ def test_report_json_is_strict_with_infinite_growth():
     assert d["growth_factor"] == "inf" == _fmt(rep.growth_factor)
     assert d["n_final"] == rep.n_final and d["escape_time"] is None
     assert [json_float(x) for x in (-math.inf, math.nan, 2.5)] == ["-inf", "nan", 2.5]
+
+
+def test_run_follows_the_spec_exponent(lat, spec):
+    # run() hands mu to each step; stepping by hand, where each step solves
+    # mu from the spec, gives the same weighted norms
+    f = gaussian_bump_forcing(lat, 0.5)
+    rep = run(spec, f, max_n=2, sup_tol=0.0)
+    st = iterate(iterate(initial_state(f, spec), f, spec), f, spec)
+    assert rep.n_final == st.n == 2
+    assert [m for _, m in rep.m_curve] == st.m_curve.tolist()
+    mu = exponents(spec).mu
+    np.testing.assert_array_equal(st.m_curve, blowup_functional(st.w, mu, spec.p))
+    other = iterate(initial_state(f, spec), f, spec, mu=0.5 * mu)
+    assert not np.array_equal(other.m_curve, blowup_functional(other.w, mu, spec.p))
