@@ -26,7 +26,7 @@ from .constants import (
     lambda_max,
 )
 from .lattice import make_lattice
-from .solver import gaussian_bump_forcing, json_float, run
+from .solver import gaussian_bump_forcing, json_float, run, strict_json
 from .supersolution import (
     SearchExhausted,
     certified_forcing,
@@ -76,7 +76,7 @@ def cmd_constants(args) -> int:
         print(f"{key:14s} = {_fmt(val) if isinstance(val, float) else val}")
     if args.json:
         Path(args.json).write_text(
-            json.dumps(bundle.to_dict(), sort_keys=True, indent=2, default=_fmt)
+            json.dumps(strict_json(bundle.to_dict()), sort_keys=True, indent=2, allow_nan=False)
         )
         print(f"wrote {args.json}")
     return 0
@@ -182,6 +182,13 @@ class SweepConfig:
             raise ValueError("config lists must be nonempty")
         if any(not 0.0 < fr < 1.0 for fr in cfg.lambda_fracs):
             raise ValueError("lambda fractions must lie in (0, 1)")
+        # the same constructors _sweep_row uses, so a bad value is a usage
+        # error here and not a traceback in the middle of the sweep
+        _lattice_from(dict(cfg.lattice or {}, dim=cfg.dim))
+        for s in cfg.s_values:
+            if not 0.0 < s < 1.0:  # ProblemSpec's range; lambda_max admits s = 1
+                raise ValueError(f"s values must lie in (0, 1), got {s}")
+            lambda_max(cfg.dim, s)
         return cfg
 
 
@@ -285,7 +292,9 @@ def write_sweep_outputs(rows: List[dict], out_dir: str) -> tuple:
         ],
     }
     json_path = out / "sweep_summary.json"
-    json_path.write_text(json.dumps(summary, sort_keys=True, indent=2, default=_fmt))
+    json_path.write_text(
+        json.dumps(strict_json(summary), sort_keys=True, indent=2, allow_nan=False)
+    )
     return csv_path, json_path, mismatches
 
 

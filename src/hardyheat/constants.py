@@ -9,7 +9,7 @@ exponent mu comes from inverting the strictly decreasing Gamma-quotient
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Optional
 
@@ -27,9 +27,7 @@ def lambda_max(dim: int, s: float) -> float:
         raise ValueError(f"need 0 < s <= 1, got s={s}")
     if not dim > 2.0 * s:
         raise ValueError(f"need dim > 2s, got dim={dim}, s={s}")
-    num = gamma_fn((dim + 2.0 * s) / 4.0)
-    den = gamma_fn((dim - 2.0 * s) / 4.0)
-    return 2.0 ** (2.0 * s) * (num / den) ** 2
+    return upsilon(0.0, dim, s)
 
 
 def upsilon(alpha: float, dim: int, s: float) -> float:
@@ -45,6 +43,19 @@ def upsilon(alpha: float, dim: int, s: float) -> float:
     num = gamma_fn((dim + 2.0 * s + a2) / 4.0) * gamma_fn((dim + 2.0 * s - a2) / 4.0)
     den = gamma_fn((dim - 2.0 * s - a2) / 4.0) * gamma_fn((dim - 2.0 * s + a2) / 4.0)
     return 2.0 ** (2.0 * s) * num / den
+
+
+def frac_laplacian_constant(dim: int, s: float) -> float:
+    """Normalisation of the pointwise singular-integral form of (-Lap)^s."""
+    return 4.0 ** s * gamma_fn(dim / 2.0 + s) / (
+        math.pi ** (dim / 2.0) * gamma_abs_neg(s)
+    )
+
+
+def extension_constant(s: float) -> float:
+    """kappa_s = Gamma(1-s) / (2^(2s-1) Gamma(s)), s in (0, 1): the weighted
+    Neumann derivative of the extension is kappa_s times the operator."""
+    return gamma_fn(1.0 - s) / (2.0 ** (2.0 * s - 1.0) * gamma_fn(s))
 
 
 _BISECT_STEPS = 200
@@ -137,24 +148,12 @@ class ExponentBundle:
             raise ValueError(f"exponent ordering violated: {order}")
 
     def to_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "s": self.s,
-            "lam": self.lam,
-            "lambda_max": self.lambda_max,
-            "alpha": self.alpha,
-            "mu": self.mu,
-            "p_plus": self.p_plus,
-            "fujita_F": self.fujita_F,
-            "fujita_F_tilde": self.fujita_F_tilde,
-            "fujita_F0": self.fujita_F0,
-            "kappa_s": self.kappa_s,
-            "a_Ns": self.a_Ns,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExponentBundle":
-        return cls(**d)
+        # strict JSON spells a non-finite float as "inf", "-inf" or "nan"
+        return cls(**{k: float(v) if isinstance(v, str) else v for k, v in d.items()})
 
 
 def exponents_from(dim: int, s: float, lam: float) -> ExponentBundle:
@@ -173,13 +172,8 @@ def exponents_from(dim: int, s: float, lam: float) -> ExponentBundle:
     fujita_F_tilde = 1.0 + 2.0 * s / (dim - mu)
     fujita_F0 = 1.0 + 2.0 * s / (dim + 2.0 - 2.0 * s)
     if s < 1.0:
-        kappa_s = gamma_fn(1.0 - s) / (2.0 ** (2.0 * s - 1.0) * gamma_fn(s))
-        a_ns = (
-            2.0 ** (2.0 * s - 1.0)
-            * math.pi ** (-dim / 2.0)
-            * gamma_fn((dim + 2.0 * s) / 2.0)
-            / gamma_abs_neg(s)
-        )
+        kappa_s = extension_constant(s)
+        a_ns = frac_laplacian_constant(dim, s) / 2.0
     else:
         kappa_s = math.inf
         a_ns = 0.0

@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .constants import mu_from_lambda, upsilon
+from .constants import frac_laplacian_constant, mu_from_lambda, upsilon
 from .lattice import Field, Lattice, PHYSICAL
 from .special import (
     gamma_abs_neg,
@@ -90,6 +90,15 @@ def apply_Hs_spectral(
     return Field(lat, out.real.copy())
 
 
+def _spatial_multiply(values: np.ndarray, lat: Lattice, multiplier: np.ndarray) -> np.ndarray:
+    """Apply a spatial Fourier multiplier over the last lat.dim axes."""
+    axes = tuple(range(values.ndim - lat.dim, values.ndim))
+    spec = np.fft.fftn(values, axes=axes)
+    spec *= multiplier
+    out = np.fft.ifftn(spec, axes=axes)
+    return out.real if np.isrealobj(values) else out
+
+
 def heat_semigroup(values: np.ndarray, lat: Lattice, tau: float) -> np.ndarray:
     """Spatial heat smoothing exp(tau * Laplacian), batched over leading axes.
 
@@ -97,11 +106,7 @@ def heat_semigroup(values: np.ndarray, lat: Lattice, tau: float) -> np.ndarray:
     for tau below the grid scale; paths with a positivity contract use
     heat_kernel_multiplier instead.
     """
-    axes = tuple(range(values.ndim - lat.dim, values.ndim))
-    spec = np.fft.fftn(values, axes=axes)
-    spec *= np.exp(-tau * lat.xi_squared())
-    out = np.fft.ifftn(spec, axes=axes)
-    return out.real if np.isrealobj(values) else out
+    return _spatial_multiply(values, lat, np.exp(-tau * lat.xi_squared()))
 
 
 def _heat_kernel_multiplier_1d(M: int, hx: float, L: float, tau: float) -> np.ndarray:
@@ -133,11 +138,7 @@ def heat_kernel_multiplier(lat: Lattice, tau: float) -> np.ndarray:
 def heat_positive(values: np.ndarray, lat: Lattice, tau: float) -> np.ndarray:
     """Heat smoothing through the sampled positive kernel (monotone exactly,
     spectrally a touch less accurate than heat_semigroup)."""
-    axes = tuple(range(values.ndim - lat.dim, values.ndim))
-    spec = np.fft.fftn(values, axes=axes)
-    spec *= heat_kernel_multiplier(lat, tau)
-    out = np.fft.ifftn(spec, axes=axes)
-    return out.real if np.isrealobj(values) else out
+    return _spatial_multiply(values, lat, heat_kernel_multiplier(lat, tau))
 
 
 # ---------------------------------------------------------------------------
@@ -368,11 +369,11 @@ def symbol_of_kernel_check(
 class LsQuadrature:
     """Knobs for the singular quadrature behind the ground-state operator.
 
-    profile="grid" computes the smoothed weight on the lattice instead of in
-    closed form, and time_interp="linear" keeps every interpolation a convex
-    combination; together they make the discrete operator preserve the
-    pointwise inequalities of its integrand exactly (used by the inequality
-    checks). The defaults favour accuracy instead.
+    order_preserving=True smooths the weight on the lattice with the
+    positive kernel instead of using its closed form, and shifts in time by
+    linear (convex) interpolation instead of 3-point Lagrange; the discrete
+    operator then preserves the pointwise inequalities of its integrand
+    exactly (used by the inequality checks). The default favours accuracy.
     """
 
     tau1: Optional[float] = None
@@ -381,8 +382,7 @@ class LsQuadrature:
     slab_ratio: float = 1.6
     gauss_pts: int = 4
     tau_huge: float = 4000.0
-    profile: str = "analytic"  # "analytic" uses the closed-form smoothed weight
-    time_interp: str = "quadratic"
+    order_preserving: bool = False
 
 
 def _time_shift(vals: np.ndarray, steps: float) -> np.ndarray:
@@ -437,8 +437,9 @@ def apply_Ls(
     is phi(x,t) * S_tau[w](x) - S_tau[w * phi(., t - tau)](x) with w the
     |x|^(-mu) weight and S_tau the heat semigroup; the difference vanishes at
     tau = 0, so the tau^(-1-s) singularity is product-integrated over the
-    first slab. The weight smoothing is available in closed form ("analytic")
-    or via the grid ("grid", which preserves operator inequalities exactly).
+    first slab. The weight smoothing is in closed form, or on the grid when
+    quad.order_preserving is set (which preserves operator inequalities
+    exactly).
     """
     if phi.side != PHYSICAL:
         raise ValueError("apply_Ls needs a physical-side field")
@@ -451,15 +452,15 @@ def apply_Ls(
     tau1 = quad.tau1 if quad.tau1 is not None else lat.hx ** 2
     span = lat.T + lat.T_neg
 
-    grid_mode = quad.profile == "grid"
-    smoother = heat_positive if grid_mode else heat_semigroup
+    if quad.order_preserving:
+        smoother, shift = heat_positive, _time_shift
+    else:
+        smoother, shift = heat_semigroup, _time_shift_quadratic
 
     def weight_profile(tau):
-        if grid_mode:
+        if quad.order_preserving:
             return smoother(w, lat, tau)
         return smoothed_power(r, tau, lat.dim, mu)
-
-    shift = _time_shift if quad.time_interp == "linear" else _time_shift_quadratic
 
     def h_at(tau):
         term1 = vals * weight_profile(tau)
@@ -585,13 +586,6 @@ def truncated_power_field(lat: Lattice, mu: float, blend: tuple = (0.65, 0.8)) -
     cut = 1.0 - smooth_step((r - lo) / (hi - lo))
     slab = r ** (-mu) * cut
     return Field(lat, np.broadcast_to(slab, lat.shape).copy())
-
-
-def frac_laplacian_constant(dim: int, s: float) -> float:
-    """Normalisation of the pointwise singular-integral form of (-Lap)^s."""
-    return 4.0 ** s * gamma_fn(dim / 2.0 + s) / (
-        math.pi ** (dim / 2.0) * gamma_abs_neg(s)
-    )
 
 
 def _cutoff_tail_term(

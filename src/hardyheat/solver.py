@@ -27,30 +27,20 @@ class MonotonicityError(RuntimeError):
     """An iterate decreased somewhere beyond slack: quadrature failure."""
 
 
-@dataclass(frozen=True)
-class CutoffFamily:
-    """Smooth space-time cutoffs: stage n is 1 on the ball of radius n over
+def cutoff(lat: Lattice, n: int) -> np.ndarray:
+    """Smooth space-time cutoff of stage n: 1 on the ball of radius n over
     the time band (1/(n+1), n+1), and 0 outside the ball of radius n+2 and
     the band (1/(n+2), n+2), with quintic blends between."""
-
-    lattice: Lattice
-
-    def values(self, n: int) -> np.ndarray:
-        lat = self.lattice
-        r = lat.spatial_radius()
-        # radial blend over one unit; zero from radius n+1 on, inside the
-        # allowed n+2 envelope, which keeps consecutive stages nested
-        sp = 1.0 - smooth_step(r - n)
-        t = lat.t_axis()
-        lo_in, lo_out = 1.0 / (n + 1.0), 1.0 / (n + 2.0)
-        ramp_up = smooth_step((t - lo_out) / (lo_in - lo_out))
-        ramp_down = 1.0 - smooth_step(t - (n + 1.0))
-        tim = ramp_up * ramp_down
-        return sp[None, ...] * tim.reshape((lat.K,) + (1,) * lat.dim)
-
-
-def cutoff_eta(lat: Lattice, n: int) -> Field:
-    return Field(lat, CutoffFamily(lat).values(n))
+    r = lat.spatial_radius()
+    # radial blend over one unit; zero from radius n+1 on, inside the
+    # allowed n+2 envelope, which keeps consecutive stages nested
+    sp = 1.0 - smooth_step(r - n)
+    t = lat.t_axis()
+    lo_in, lo_out = 1.0 / (n + 1.0), 1.0 / (n + 2.0)
+    ramp_up = smooth_step((t - lo_out) / (lo_in - lo_out))
+    ramp_down = 1.0 - smooth_step(t - (n + 1.0))
+    tim = ramp_up * ramp_down
+    return sp[None, ...] * tim.reshape((lat.K,) + (1,) * lat.dim)
 
 
 def rhs_truncated(w: Field, f: Field, spec: ProblemSpec, n: int) -> Field:
@@ -66,7 +56,7 @@ def rhs_truncated(w: Field, f: Field, spec: ProblemSpec, n: int) -> Field:
         raise ValueError("negative iterate passed to rhs_truncated")
     if np.min(f.values) < 0.0:
         raise ValueError("forcing must be non-negative")
-    eta = CutoffFamily(lat).values(n)
+    eta = cutoff(lat, n)
     if n == 0:
         return Field(lat, eta * f.values / (1.0 + f.values))
     wv = np.maximum(w.values, 0.0)
@@ -87,7 +77,12 @@ class IterationState:
     w: Field
     m_curve: np.ndarray
     sup_diff: float
-    monotone: bool
+
+
+def _invert(rhs: Field, s: float) -> Field:
+    """The inverse operator on a stage right-hand side, with rounding
+    negatives clamped to zero: the exact operator preserves non-negativity."""
+    return Field(rhs.lattice, np.maximum(apply_Js(rhs, s).values, 0.0))
 
 
 def blowup_functional(w: Field, mu: float, p: float) -> np.ndarray:
@@ -111,24 +106,16 @@ def iterate(
     if mu is None:
         mu = exponents(spec).mu
     n_next = state.n + 1
-    rhs = rhs_truncated(state.w, f, spec, n_next)
-    w_next = apply_Js(rhs, spec.s)
-    # rounding guard: the exact operator preserves non-negativity
-    vals = w_next.values.copy()
-    vals[vals < 0.0] = 0.0
-    w_next = Field(state.w.lattice, vals)
-    scale = max(float(np.max(vals)), 1e-300)
+    w_next = _invert(rhs_truncated(state.w, f, spec, n_next), spec.s)
+    scale = max(float(np.max(w_next.values)), 1e-300)
     drop = float(np.min(w_next.values - state.w.values))
     if drop < -mono_slack * scale:
         raise MonotonicityError(f"iterate decreased by {drop:.3e} (scale {scale:.3e})")
-    m_curve = blowup_functional(w_next, mu, spec.p)
-    sup_diff = float(np.max(np.abs(w_next.values - state.w.values)))
     return IterationState(
         n=n_next,
         w=w_next,
-        m_curve=m_curve,
-        sup_diff=sup_diff,
-        monotone=drop >= -mono_slack * scale,
+        m_curve=blowup_functional(w_next, mu, spec.p),
+        sup_diff=float(np.max(np.abs(w_next.values - state.w.values))),
     )
 
 
@@ -139,16 +126,12 @@ def initial_state(
     is the singularity exponent of spec, solved here if not given."""
     if mu is None:
         mu = exponents(spec).mu
-    w0 = apply_Js(rhs_truncated(zero_field(f.lattice), f, spec, 0), spec.s)
-    vals = w0.values.copy()
-    vals[vals < 0.0] = 0.0  # rounding guard, as in iterate()
-    w0 = Field(f.lattice, vals)
+    w0 = _invert(rhs_truncated(zero_field(f.lattice), f, spec, 0), spec.s)
     return IterationState(
         n=0,
         w=w0,
         m_curve=blowup_functional(w0, mu, spec.p),
         sup_diff=float(np.max(np.abs(w0.values))),
-        monotone=True,
     )
 
 
@@ -173,7 +156,7 @@ class TrajectoryReport:
     def to_json(self) -> str:
         """Strict JSON: non-finite floats (an infinite growth factor, say)
         are written as the strings of json_float."""
-        return json.dumps(_strict_json(self.__dict__), sort_keys=True, allow_nan=False)
+        return json.dumps(strict_json(self.__dict__), sort_keys=True, allow_nan=False)
 
 
 def json_float(x):
@@ -184,11 +167,13 @@ def json_float(x):
     return x
 
 
-def _strict_json(obj):
+def strict_json(obj):
+    """obj with every non-finite float spelled by json_float, so that
+    json.dumps(..., allow_nan=False) accepts it."""
     if isinstance(obj, dict):
-        return {k: _strict_json(v) for k, v in obj.items()}
+        return {k: strict_json(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_strict_json(v) for v in obj]
+        return [strict_json(v) for v in obj]
     return json_float(obj)
 
 

@@ -16,36 +16,12 @@ class GammaPole(ValueError):
     """Gamma evaluated at a non-positive integer."""
 
 
-# Lanczos approximation, g = 7, 9 coefficients; ~13 significant digits on the
-# real line, reflection below 1/2.
-_LANCZOS_G = 7.0
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
 def gamma_fn(x: float) -> float:
-    """Gamma function for real arguments away from the poles."""
+    """Gamma function for real arguments away from the poles (math.gamma)."""
     x = float(x)
     if x <= 0.0 and x == math.floor(x):
         raise GammaPole(f"gamma pole at x={x}")
-    if x < 0.5:
-        # reflection keeps the Lanczos series on its accurate half-line
-        return math.pi / (math.sin(math.pi * x) * gamma_fn(1.0 - x))
-    z = x - 1.0
-    acc = _LANCZOS[0]
-    for i, c in enumerate(_LANCZOS[1:], start=1):
-        acc += c / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
+    return math.gamma(x)
 
 
 def gamma_abs_neg(s: float) -> float:

@@ -13,11 +13,16 @@ from typing import Optional
 
 import numpy as np
 
-from .constants import ProblemSpec, exponents_from, lambda_max, mu_from_lambda
+from .constants import (
+    ProblemSpec,
+    exponents_from,
+    extension_constant,
+    lambda_max,
+    mu_from_lambda,
+)
 from .extension import PhiProfile, phi_profile
 from .kernels import apply_Js
 from .lattice import Field, Lattice
-from .special import gamma_fn
 
 
 class SearchExhausted(RuntimeError):
@@ -61,14 +66,21 @@ class SupersolutionCertificate:
         return self._profile
 
     def validate(self) -> None:
-        mu1 = self.mu1
-        want_theta = self.s / (self.p - 1.0) - mu1 / 2.0
+        """Recompute theta and both certifying margins from the parameters;
+        ValueError unless they match the stored values and certify."""
+        want_theta = self.s / (self.p - 1.0) - self.mu1 / 2.0
         if abs(self.theta - want_theta) > 1e-12 * max(1.0, abs(want_theta)):
             raise ValueError("theta inconsistent with (s, p, lambda1)")
-        want_margin = -self.theta - mu1 + 0.5 * (self.dim + 2.0 - 2.0 * self.s)
-        if abs(self.interior_margin - want_margin) > 1e-10 * max(1.0, abs(want_margin)):
+        margin = interior_sign_margin(self.dim, self.s, self.p, self.lambda1)
+        if abs(self.interior_margin - margin) > 1e-10 * max(1.0, abs(margin)):
             raise ValueError("interior margin inconsistent")
-        if self.interior_margin <= 0.0 or self.boundary_min_gap <= 0.0:
+        gap, div0, dinf = boundary_gap(
+            self.dim, self.s, self.lam, self.p, self.lambda1, self.eps,
+            self.xi_lo, self.xi_hi, self.xi_points,
+        )
+        if abs(self.boundary_min_gap - gap) > 1e-10 * max(1.0, abs(gap)):
+            raise ValueError("boundary gap inconsistent")
+        if margin <= 0.0 or gap <= 0.0 or not (div0 and dinf):
             raise ValueError("certificate margins must be positive")
         if not self.lam < self.lambda1 < lambda_max(self.dim, self.s):
             raise ValueError("lambda1 must sit strictly between lam and the max")
@@ -95,29 +107,27 @@ def supersol_value(cert: SupersolutionCertificate, x_radius, y, t):
     return cert.eps * (1.0 + t) ** (-cert.theta) * prof * np.exp(-z2 / (4.0 * (t + 1.0)))
 
 
-def trace_value(cert: SupersolutionCertificate, x_radius, t):
-    """Base trace: eps (1+t)^(-theta) |x|^(-mu1) exp(-|x|^2 / 4(t+1))."""
+def _self_similar(cert: SupersolutionCertificate, amplitude, radial_power, x_radius, t):
+    """amplitude (1+t)^(-theta) |x|^(-radial_power) exp(-|x|^2 / 4(1+t))."""
     r = np.asarray(x_radius, dtype=float)
     t = np.asarray(t, dtype=float)
     return (
-        cert.eps
+        amplitude
         * (1.0 + t) ** (-cert.theta)
-        * r ** (-cert.mu1)
-        * np.exp(-r * r / (4.0 * (t + 1.0)))
+        * r ** (-radial_power)
+        * np.exp(-r * r / (4.0 * (1.0 + t)))
     )
+
+
+def trace_value(cert: SupersolutionCertificate, x_radius, t):
+    """Base trace: eps (1+t)^(-theta) |x|^(-mu1) exp(-|x|^2 / 4(t+1))."""
+    return _self_similar(cert, cert.eps, cert.mu1, x_radius, t)
 
 
 def forcing_envelope(cert: SupersolutionCertificate, x_radius, t):
     """Admissible forcing ceiling:
     delta1 (1+t)^(-theta) |x|^(-mu1-2s) exp(-|x|^2 / 4(1+t))."""
-    r = np.asarray(x_radius, dtype=float)
-    t = np.asarray(t, dtype=float)
-    return (
-        cert.delta1
-        * (1.0 + t) ** (-cert.theta)
-        * r ** (-cert.mu1 - 2.0 * cert.s)
-        * np.exp(-r * r / (4.0 * (1.0 + t)))
-    )
+    return _self_similar(cert, cert.delta1, cert.mu1 + 2.0 * cert.s, x_radius, t)
 
 
 def interior_sign_margin(dim: int, s: float, p: float, lambda1: float) -> float:
@@ -126,10 +136,6 @@ def interior_sign_margin(dim: int, s: float, p: float, lambda1: float) -> float:
     mu1 = mu_from_lambda(lambda1, dim, s)
     theta = s / (p - 1.0) - mu1 / 2.0
     return -theta - mu1 + 0.5 * (dim + 2.0 - 2.0 * s)
-
-
-def interior_sign_check(cert: SupersolutionCertificate) -> float:
-    return interior_sign_margin(cert.dim, cert.s, cert.p, cert.lambda1)
 
 
 def boundary_gap(
@@ -157,21 +163,6 @@ def boundary_gap(
     diverges_at_zero = expo < 0.0 and lambda1 > lam
     decays_at_inf = p > 1.0
     return gap, diverges_at_zero, decays_at_inf
-
-
-def boundary_gap_check(cert: SupersolutionCertificate) -> float:
-    gap, _, _ = boundary_gap(
-        cert.dim,
-        cert.s,
-        cert.lam,
-        cert.p,
-        cert.lambda1,
-        cert.eps,
-        cert.xi_lo,
-        cert.xi_hi,
-        cert.xi_points,
-    )
-    return gap
 
 
 def _bounded_factor_max(dim, s, p, lambda1) -> float:
@@ -257,20 +248,21 @@ def find_certificate(
     )
 
 
+def _on_causal_slices(cert: SupersolutionCertificate, lat: Lattice, fn) -> np.ndarray:
+    """fn(cert, |x|, t) on every slice with t > 0 at once; zero elsewhere."""
+    causal = lat.causal_mask()
+    t = lat.t_axis()[causal].reshape((-1,) + (1,) * lat.dim)
+    vals = np.zeros(lat.shape)
+    vals[causal] = fn(cert, lat.spatial_radius(), t)
+    return vals
+
+
 def data_bound(cert: SupersolutionCertificate, f: Field) -> bool:
     """Pointwise check of the forcing against its admissible ceiling."""
-    lat = f.lattice
-    r = lat.spatial_radius()
-    t = lat.t_axis()
-    causal = lat.causal_mask()
     vals = f.values
-    if np.any(vals[~causal] != 0.0):
+    if np.any(vals[~f.lattice.causal_mask()] != 0.0):
         return False
-    for k in np.nonzero(causal)[0]:
-        ceiling = forcing_envelope(cert, r, t[k])
-        if np.any(vals[k] > ceiling):
-            return False
-    return True
+    return not np.any(vals > _on_causal_slices(cert, f.lattice, forcing_envelope))
 
 
 def certified_forcing(
@@ -279,22 +271,14 @@ def certified_forcing(
     """A forcing sitting at the given fraction of the admissible ceiling."""
     if not 0.0 < fraction <= 1.0:
         raise ValueError("fraction must lie in (0, 1]")
-    r = lat.spatial_radius()
-    t = lat.t_axis()
-    vals = np.zeros(lat.shape)
-    for k in np.nonzero(lat.causal_mask())[0]:
-        vals[k] = fraction * forcing_envelope(cert, r, t[k])
+    vals = _on_causal_slices(cert, lat, forcing_envelope)
+    vals *= fraction
     return Field(lat, vals)
 
 
 def dominating_trace(cert: SupersolutionCertificate, lat: Lattice) -> Field:
     """The supersolution's base trace sampled on the lattice (zero at t <= 0)."""
-    r = lat.spatial_radius()
-    t = lat.t_axis()
-    vals = np.zeros(lat.shape)
-    for k in np.nonzero(lat.causal_mask())[0]:
-        vals[k] = trace_value(cert, r, t[k])
-    return Field(lat, vals)
+    return Field(lat, _on_causal_slices(cert, lat, trace_value))
 
 
 def build_w_supersol(
@@ -318,7 +302,7 @@ def build_w_supersol(
         raise ValueError("forcing exceeds the admissible ceiling")
     lat = f.lattice
     s = cert.s
-    kappa = gamma_fn(1.0 - s) / (2.0 ** (2.0 * s - 1.0) * gamma_fn(s))
+    kappa = extension_constant(s)
     u = dominating_trace(cert, lat)
     r = lat.spatial_radius()
     hardy = cert.lam * r ** (-2.0 * s)

@@ -17,7 +17,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .constants import exponents_from, lambda_max, mu_from_lambda
+from .constants import extension_constant, lambda_max, mu_from_lambda
 from .extension import extension_checks, phi_profile
 from .kernels import (
     LsQuadrature,
@@ -244,12 +244,13 @@ def _fd_grad_sq(fn, y, xs, h=1e-5):
     return total
 
 
-def _check_hardy_extended(cfg: VerifierConfig) -> CheckReport:
-    """Weighted-gradient Hardy form on the half space."""
-    rng = cfg.rng("hardy_extended")
+def _halfspace_energy_margin(cfg: VerifierConfig, check_id: str, coupling: float) -> float:
+    """Worst (boundary - energy) / energy over the check's half-space bumps:
+    boundary is kappa_s * coupling times the Hardy term of the base trace,
+    energy the y^(1-2s)-weighted gradient energy."""
+    rng = cfg.rng(check_id)
     dim, s = cfg.dim, cfg.s
-    lmax = lambda_max(dim, s)
-    b = exponents_from(dim, s, cfg.lam)
+    kappa = extension_constant(s)
     rad = 2.0
     grids, hx, hy = _halfspace_grid(dim, rad)
     xs, y = grids[:-1], grids[-1]
@@ -257,22 +258,28 @@ def _check_hardy_extended(cfg: VerifierConfig) -> CheckReport:
     weight = y ** (1.0 - 2.0 * s)
     worst = -math.inf
     for fn in halfspace_bumps(rng, dim, cfg.n_samples, radius=rad):
-        rhs = np.sum(weight * _fd_grad_sq(fn, y, list(xs))) * hx ** dim * hy
+        energy = np.sum(weight * _fd_grad_sq(fn, y, list(xs))) * hx ** dim * hy
         base = fn(0.0, *[x[..., 0] for x in xs])
-        lhs = b.kappa_s * lmax * np.sum(base * base * rx2[..., 0] ** (-s)) * hx ** dim
-        worst = max(worst, (lhs - rhs) / rhs)
+        boundary = kappa * coupling * np.sum(base * base * rx2[..., 0] ** (-s)) * hx ** dim
+        worst = max(worst, (boundary - energy) / energy)
+    return worst
+
+
+def _check_hardy_extended(cfg: VerifierConfig) -> CheckReport:
+    """Weighted-gradient Hardy form on the half space."""
+    worst = _halfspace_energy_margin(cfg, "hardy_extended", lambda_max(cfg.dim, cfg.s))
     tol = 1e-3
     return CheckReport("hardy_extended", worst <= tol, worst, tol, cfg.n_samples,
-                       {"dim": dim, "s": s})
+                       {"dim": cfg.dim, "s": cfg.s})
 
 
 def _check_kato(cfg: VerifierConfig) -> CheckReport:
     """Order-preserving power rule for the ground-state operator; with the
-    grid profile and convex interpolation the discrete inequality is exact,
-    so the slack is pure rounding."""
+    order-preserving quadrature the discrete inequality is exact, so the
+    slack is pure rounding."""
     rng = cfg.rng("kato")
     lat = cfg.lattice(M=32, K=32)
-    quad = LsQuadrature(profile="grid", time_interp="linear")
+    quad = LsQuadrature(order_preserving=True)
     worst = -math.inf
     scale_ref = 0.0
     ms = [1.5, 2.0, 3.0]
@@ -458,8 +465,7 @@ def _check_extension(cfg: VerifierConfig) -> CheckReport:
         lambda t, *xs: np.exp(-sum(x * x for x in xs) / 2.5 - (t - 1.6) ** 2 / 0.4),
         lat,
     )
-    b = exponents_from(cfg.dim, cfg.s, cfg.lam)
-    trace_err, neumann_err = extension_checks(w, cfg.s, b.kappa_s)
+    trace_err, neumann_err = extension_checks(w, cfg.s, extension_constant(cfg.s))
     worst = max(trace_err - 2e-2, neumann_err - 5e-2)
     tol = 0.0
     return CheckReport("extension", worst <= tol, worst, tol, 1,
@@ -519,25 +525,10 @@ def _check_picone(cfg: VerifierConfig) -> CheckReport:
     """Energy lower bound with the singular profile as the divisor: the
     weighted gradient energy dominates the Hardy boundary term at coupling
     lam < lambda_max."""
-    rng = cfg.rng("picone")
-    dim, s = cfg.dim, cfg.s
-    b = exponents_from(dim, s, cfg.lam)
-    rad = 2.0
-    grids, hx, hy = _halfspace_grid(dim, rad)
-    xs, y = grids[:-1], grids[-1]
-    rx2 = sum(x * x for x in xs)
-    weight = y ** (1.0 - 2.0 * s)
-    worst = -math.inf
-    for fn in halfspace_bumps(rng, dim, cfg.n_samples, radius=rad):
-        energy = np.sum(weight * _fd_grad_sq(fn, y, list(xs))) * hx ** dim * hy
-        base = fn(0.0, *[x[..., 0] for x in xs])
-        boundary = (
-            b.kappa_s * cfg.lam * np.sum(base * base * rx2[..., 0] ** (-s)) * hx ** dim
-        )
-        worst = max(worst, (boundary - energy) / energy)
+    worst = _halfspace_energy_margin(cfg, "picone", cfg.lam)
     tol = 1e-3
     return CheckReport("picone", worst <= tol, worst, tol, cfg.n_samples,
-                       {"dim": dim, "s": s, "lam": cfg.lam})
+                       {"dim": cfg.dim, "s": cfg.s, "lam": cfg.lam})
 
 
 def _check_ls_bound(cfg: VerifierConfig) -> CheckReport:

@@ -5,6 +5,7 @@ are frozen here; nothing is deferred to later calibration.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,15 +17,7 @@ from hardyheat.constants import (
     upsilon,
     upsilon_inv,
 )
-from hardyheat.extension import extension_checks
-from hardyheat.kernels import (
-    apply_Hs_spectral,
-    apply_Js,
-    ground_state_residual,
-    radial_identity_error,
-    symbol_of_kernel_check,
-)
-from hardyheat.lattice import make_lattice, sample
+from hardyheat.lattice import make_lattice
 from hardyheat.solver import (
     VERDICT_CONVERGED,
     VERDICT_ESCAPE,
@@ -33,9 +26,8 @@ from hardyheat.solver import (
     iterate,
     run,
 )
-from hardyheat.special import smooth_step
 from hardyheat.supersolution import certified_forcing, dominating_trace, find_certificate
-from hardyheat.verifier import VerifierConfig, run_suite
+from hardyheat.verifier import VerifierConfig, run_check, run_suite
 
 
 def _report(num, name, ok, detail):
@@ -63,9 +55,16 @@ def test_criterion_01_exponent_engine():
             f"round-trip {worst_rt:.2e}, ordering {ordering}, {elapsed:.2f}s")
 
 
+# Criteria 2-5 and 7 run the verifier checks of the same name on these
+# pinned inputs; the tolerances stay pinned here, against the checks' margins.
+PINNED = VerifierConfig(dim=2, s=0.5, lam_frac=0.5, L=8.0, M=64, T_neg=1.5, T=4.5, K=48)
+
+
 def test_criterion_02_symbol_identity():
     t0 = time.monotonic()
-    worst = max(symbol_of_kernel_check(s, dim=2) for s in (0.3, 0.5, 0.7))
+    worst = max(
+        run_check("symbol", replace(PINNED, s=s)).worst_margin for s in (0.3, 0.5, 0.7)
+    )
     elapsed = time.monotonic() - t0
     ok = worst <= 1e-3 and elapsed < 60.0
     _report(2, "kernel symbol identity", ok, f"worst rel err {worst:.2e}, {elapsed:.1f}s")
@@ -73,24 +72,8 @@ def test_criterion_02_symbol_identity():
 
 def test_criterion_03_inversion_and_semigroup():
     t0 = time.monotonic()
-    lat = make_lattice(2, 8.0, 64, 1.5, 4.5, 64)
-    phi = sample(
-        lambda t, x, y: np.exp(-(x * x + y * y) / 1.5 - (t - 1.5) ** 2 / 0.35), lat
-    )
-    s = 0.5
-    h = apply_Hs_spectral(phi, s, pad_space=2, pad_time=2)
-    j = apply_Js(h, s, causal_tol=0.05)
-    inv_err = float(np.max(np.abs(j.values - phi.values)) / np.max(np.abs(phi.values)))
-    g = sample(
-        lambda t, x, y: smooth_step((t - 0.25) / 0.5)
-        * (1.0 - smooth_step((t - 1.25) / 0.5))
-        * np.exp(-(x * x + y * y)),
-        lat,
-    )
-    semi_err = float(
-        np.max(np.abs(apply_Js(apply_Js(g, 0.2), 0.3).values - apply_Js(g, 0.5).values))
-        / np.max(np.abs(apply_Js(g, 0.5).values))
-    )
+    inv_err = run_check("inversion", PINNED).worst_margin  # on a 64^2 x 64 lattice
+    semi_err = run_check("semigroup", PINNED).worst_margin
     elapsed = time.monotonic() - t0
     ok = inv_err <= 1e-2 and semi_err <= 1e-2 and elapsed < 120.0
     _report(3, "inversion and semigroup", ok,
@@ -98,23 +81,14 @@ def test_criterion_03_inversion_and_semigroup():
 
 
 def test_criterion_04_ground_state_identity():
-    lam = 0.5 * lambda_max(2, 0.5)
-    res = {}
-    for M in (64, 128):
-        lat = make_lattice(2, 8.0, M, 1.5, 4.5, 48)
-        phi = sample(
-            lambda t, x, y: np.exp(-(x * x + y * y) / 1.5 - (t - 1.5) ** 2 / 0.35), lat
-        )
-        res[M] = ground_state_residual(phi, lam, 0.5)
+    res = {M: run_check("ground_state", replace(PINNED, M=M)).worst_margin for M in (64, 128)}
     ok = res[128] <= 5e-2 and res[128] < res[64]
     _report(4, "ground-state identity", ok,
             f"residual M=128: {res[128]:.3f}, M=64: {res[64]:.3f}")
 
 
 def test_criterion_05_elliptic_radial_identity():
-    lat = make_lattice(2, 12.0, 128, 0.5, 0.5, 8)
-    lam = 0.5 * lambda_max(2, 0.5)
-    err = radial_identity_error(lat, lam, 0.5, pad_space=4)
+    err = run_check("radial_flap", PINNED).worst_margin  # 128^2 x 8, L = 12
     ok = err <= 5e-2
     _report(5, "elliptic radial identity", ok, f"annulus rel err {err:.3f}")
 
@@ -141,12 +115,8 @@ def test_criterion_06_verifier_suite():
 
 
 def test_criterion_07_extension():
-    lat = make_lattice(2, 8.0, 64, 1.5, 4.5, 48)
-    w = sample(
-        lambda t, x, y: np.exp(-(x * x + y * y) / 2.5 - (t - 1.6) ** 2 / 0.4), lat
-    )
-    b = exponents_from(2, 0.5, 0.5 * lambda_max(2, 0.5))
-    trace_err, neumann_err = extension_checks(w, 0.5, b.kappa_s, y_trace=1e-2)
+    rep = run_check("extension", PINNED)
+    trace_err, neumann_err = rep.params["trace_err"], rep.params["neumann_err"]
     ok = trace_err <= 2e-2 and neumann_err <= 5e-2
     _report(7, "parabolic extension", ok,
             f"trace {trace_err:.3f} (<=0.02), neumann {neumann_err:.3f} (<=0.05)")

@@ -1,9 +1,11 @@
 import csv
 import json
+import math
+
 import pytest
 
 from hardyheat import cli
-from hardyheat.cli import SWEEP_COLUMNS, SweepConfig, main, sweep_rows
+from hardyheat.cli import SWEEP_COLUMNS, SweepConfig, main, sweep_rows, write_sweep_outputs
 from hardyheat.constants import ExponentBundle, lambda_max
 
 
@@ -21,6 +23,29 @@ def test_constants_prints_and_json(tmp_path, capsys):
     assert rc == 0
     again = ExponentBundle.from_dict(json.loads(out.read_text()))
     again.validate()
+
+
+def _strict_loads(text):
+    def reject(name):
+        raise ValueError(f"non-strict JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_constants_json_is_strict_at_s_one(tmp_path):
+    out = tmp_path / "bundle.json"
+    rc = main(["constants", "-N", "4", "-s", "1", "--lambda-frac", "0.5", "--json", str(out)])
+    assert rc == 0
+    loaded = _strict_loads(out.read_text())
+    assert loaded["kappa_s"] == "inf"
+    assert ExponentBundle.from_dict(loaded).kappa_s == math.inf
+
+
+def test_sweep_summary_is_strict(tmp_path):
+    row = dict.fromkeys(SWEEP_COLUMNS, 1.0)
+    row.update(predicted="BlowUp", observed="ConvergedBelowCap", p=math.inf)
+    _, json_path, _ = write_sweep_outputs([row], str(tmp_path))
+    assert _strict_loads(json_path.read_text())["mismatches"][0]["p"] == "inf"
 
 
 def test_constants_usage_error():
@@ -133,6 +158,18 @@ def test_sweep_config_errors(tmp_path):
     bad3 = tmp_path / "bad3.json"
     bad3.write_text(json.dumps({"no_such_key": 1}))
     assert main(["sweep", str(bad3)]) == 2
+
+
+@pytest.mark.parametrize(
+    "override",
+    [{"lattice": {"M": 30}}, {"s_values": [1.5]}, {"dim": 3, "s_values": [1.0]}],
+)
+def test_sweep_config_bad_values_exit_2(tmp_path, capsys, override):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(SWEEP_CFG, **override)))
+    assert main(["sweep", str(cfg_path), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_usage_exit_codes():

@@ -8,10 +8,10 @@ from hardyheat.cli import _fmt
 from hardyheat.constants import ProblemSpec, exponents, lambda_max, mu_from_lambda
 from hardyheat.lattice import Field, make_lattice, sample, zero_field
 from hardyheat.solver import (
-    CutoffFamily,
     VERDICT_CONVERGED,
     VERDICT_ESCAPE,
     blowup_functional,
+    cutoff,
     gaussian_bump_forcing,
     initial_state,
     iterate,
@@ -34,9 +34,8 @@ def spec():
 
 
 def test_cutoff_family_nesting(lat):
-    fam = CutoffFamily(lat)
-    e1 = fam.values(1)
-    e2 = fam.values(2)
+    e1 = cutoff(lat, 1)
+    e2 = cutoff(lat, 2)
     assert np.all(e1 >= 0.0) and np.all(e1 <= 1.0)
     assert np.all(e2 - e1 >= -1e-14)
     r = lat.spatial_radius()
@@ -95,7 +94,6 @@ def test_iterates_monotone_and_causal(lat, spec):
     prev = st
     for _ in range(5):
         st = iterate(st, f, spec)
-        assert st.monotone
         assert np.min(st.w.values - prev.w.values) >= -1e-12 * max(np.max(st.w.values), 1e-300)
         assert np.all(st.w.values[~lat.causal_mask()] == 0.0)
         prev = st

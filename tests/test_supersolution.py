@@ -170,3 +170,13 @@ def test_trace_value_matches_envelope_shape(cert):
     # same time decay and Gaussian factor; radial powers differ by 2s
     ratio = (u / env) * (cert.delta1 / cert.eps)
     assert np.allclose(ratio, r ** (2 * cert.s), rtol=1e-12)
+
+
+@pytest.mark.parametrize("key,factor", [("eps", 1e3), ("boundary_min_gap", 2.0)])
+def test_from_json_recomputes_the_margins(cert, key, factor):
+    # a stored margin that is positive but no longer what the parameters
+    # give must not load
+    d = json.loads(cert.to_json())
+    d[key] *= factor
+    with pytest.raises(ValueError):
+        SupersolutionCertificate.from_json(json.dumps(d))
