@@ -150,6 +150,39 @@ def cmd_supersol(args) -> int:
     return 0
 
 
+# sweep config keys that hold counts or sizes; the other numeric keys take
+# any JSON number
+_SWEEP_INT_KEYS = ("dim", "p_per_band", "max_n", "workers", "M", "K")
+
+
+def _is_number(val, integral: bool) -> bool:
+    """A JSON number (not a bool), and an integer when integral."""
+    return not isinstance(val, bool) and isinstance(val, int if integral else (int, float))
+
+
+def _check_sweep_value(key: str, val) -> None:
+    """ValueError unless val has the JSON type of sweep config key: a string
+    for out_dir, a list of numbers for s_values and lambda_fracs, an object
+    of numbers (or null) for lattice, and a number for every other key.
+    Counts and sizes must be integers."""
+    if key == "out_dir":
+        ok, want = isinstance(val, str), "a string"
+    elif key in ("s_values", "lambda_fracs"):
+        ok = isinstance(val, list) and all(_is_number(v, False) for v in val)
+        want = "a list of numbers"
+    elif key == "lattice":
+        ok = val is None or (
+            isinstance(val, dict)
+            and all(_is_number(v, k in _SWEEP_INT_KEYS) for k, v in val.items())
+        )
+        want = "an object of numbers, with integer M and K"
+    else:
+        integral = key in _SWEEP_INT_KEYS
+        ok, want = _is_number(val, integral), "an integer" if integral else "a number"
+    if not ok:
+        raise ValueError(f"config value of {key!r} must be {want}, got {val!r}")
+
+
 @dataclass
 class SweepConfig:
     dim: int = 2
@@ -177,6 +210,7 @@ class SweepConfig:
         for key, val in raw.items():
             if not hasattr(cfg, key):
                 raise ValueError(f"config parse error in {path}: unknown key {key!r}")
+            _check_sweep_value(key, val)
             setattr(cfg, key, tuple(val) if isinstance(val, list) else val)
         if not cfg.s_values or not cfg.lambda_fracs:
             raise ValueError("config lists must be nonempty")

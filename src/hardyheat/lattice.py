@@ -113,7 +113,13 @@ SPECTRAL = "spectral"
 
 @dataclass(frozen=True)
 class Field:
-    """Sampled scalar field on a lattice; immutable after construction."""
+    """Sampled scalar field on a lattice; immutable after construction.
+
+    values is always read-only. An array that is already read-only and owns
+    its data is adopted as it is, without a copy: whoever froze it gives up
+    writing to it. Any other input (a writable array, a view, a list) is
+    copied first.
+    """
 
     lattice: Lattice
     values: np.ndarray
@@ -125,8 +131,9 @@ class Field:
         v = np.asarray(self.values)
         if v.shape != self.lattice.shape:
             raise ValueError(f"values shape {v.shape} != lattice shape {self.lattice.shape}")
-        v = v.copy()
-        v.setflags(write=False)
+        if v.flags.writeable or not v.flags.owndata:
+            v = v.copy()
+            v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
     def with_values(self, values: np.ndarray, side: Optional[str] = None) -> "Field":

@@ -162,7 +162,14 @@ def test_sweep_config_errors(tmp_path):
 
 @pytest.mark.parametrize(
     "override",
-    [{"lattice": {"M": 30}}, {"s_values": [1.5]}, {"dim": 3, "s_values": [1.0]}],
+    [
+        {"lattice": {"M": 30}},
+        {"s_values": [1.5]},
+        {"dim": 3, "s_values": [1.0]},
+        {"lattice": {"M": "32"}},
+        {"s_values": ["0.5"]},
+        {"max_n": "4"},
+    ],
 )
 def test_sweep_config_bad_values_exit_2(tmp_path, capsys, override):
     cfg_path = tmp_path / "cfg.json"

@@ -245,9 +245,12 @@ def test_js_output_exactly_zero_on_past():
     past = ~lat.causal_mask()
     g = rng.random(lat.shape)
     g[past] *= 1e-10  # below causal_tol: accepted, then zeroed
-    out = apply_Js(Field(lat, g), 0.6).values
+    fld = Field(lat, g)
+    out = apply_Js(fld, 0.6).values
     assert past.any() and np.all(out[past] == 0.0)
     assert np.all(out[~past] > 0.0)
+    # the zeroing happens on a copy: the input keeps its leak
+    assert np.array_equal(fld.values, g)
 
 
 def test_symbol_of_kernel_closed_form_substitution():

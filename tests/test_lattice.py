@@ -68,6 +68,24 @@ def test_field_immutable(lat):
         f.values[0, 0, 0] = 1.0
 
 
+def test_field_adopts_only_frozen_owned_arrays(lat):
+    writable = np.ones(lat.shape)
+    frozen = np.ones(lat.shape)
+    frozen.setflags(write=False)
+    big = np.ones((lat.K + 1,) + lat.shape[1:])
+    big.setflags(write=False)
+    view = big[1:]  # read-only, but a view into another array
+    assert not view.flags.writeable and not view.flags.owndata
+    fields = [Field(lat, a) for a in (writable, frozen, view)]
+    assert not np.shares_memory(fields[0].values, writable)
+    assert np.shares_memory(fields[1].values, frozen)
+    assert not np.shares_memory(fields[2].values, big)
+    writable[0, 0, 0] = 7.0  # the source stays the caller's to write
+    assert fields[0].values[0, 0, 0] == 1.0
+    for fld in fields + [Field(lat, fields[1].values), zero_field(lat)]:
+        assert not fld.values.flags.writeable
+
+
 def test_transform_round_trip_and_plancherel(lat):
     rng = np.random.default_rng(7)
     f = Field(lat, rng.standard_normal(lat.shape))

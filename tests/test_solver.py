@@ -4,12 +4,14 @@ import math
 import numpy as np
 import pytest
 
+from hardyheat import solver
 from hardyheat.cli import _fmt
 from hardyheat.constants import ProblemSpec, exponents, lambda_max, mu_from_lambda
 from hardyheat.lattice import Field, make_lattice, sample, zero_field
 from hardyheat.solver import (
     VERDICT_CONVERGED,
     VERDICT_ESCAPE,
+    MonotonicityError,
     blowup_functional,
     cutoff,
     gaussian_bump_forcing,
@@ -85,6 +87,86 @@ def test_rhs_truncated_limit(lat, spec):
     core = np.broadcast_to((r[None] < 2.0) & (t > 0.5) & (t < 3.0), lat.shape)
     err = np.max(np.abs((big - raw))[core]) / np.max(raw[core])
     assert err <= 2e-2
+
+
+def _rhs_closed_form(w, f, spec, n):
+    """The stage-n right-hand side as a literal transcription of its
+    formula, with the full space-time cutoff array."""
+    eta = cutoff(w.lattice, n)
+    if n == 0:
+        return eta * f.values / (1.0 + f.values)
+    wv = np.maximum(w.values, 0.0)
+    hardy = (w.lattice.spatial_radius() + 1.0 / n) ** (-2.0 * spec.s)
+    wp = wv ** spec.p
+    total = (
+        spec.lam * wv / (1.0 + wv / n) * hardy
+        + wp / (1.0 + wp / n)
+        + f.values / (1.0 + f.values / n)
+    )
+    return eta * total
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_rhs_truncated_matches_closed_form(dim):
+    lat = make_lattice(dim, 6.0, 16, 0.0, 6.0, 24)
+    spec = ProblemSpec(dim, 0.5, 0.5 * lambda_max(dim, 0.5), 1.7)
+    rng = np.random.default_rng(dim)
+    causal = lat.causal_mask().reshape((lat.K,) + (1,) * dim)
+    # spans the saturation caps of every stage below
+    w = Field(lat, 20.0 * rng.random(lat.shape) ** 3 * causal)
+    f = gaussian_bump_forcing(lat, 3.0)
+    for n in (0, 1, 3, 7):
+        got = rhs_truncated(w, f, spec, n).values
+        want = _rhs_closed_form(w, f, spec, n)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(want)
+
+
+def test_sup_diff_is_the_sup_of_the_step(lat, spec):
+    f = gaussian_bump_forcing(lat, 0.5)
+    st = initial_state(f, spec)
+    assert st.sup_diff == np.max(np.abs(st.w.values))
+    for _ in range(3):
+        nxt = iterate(st, f, spec)
+        assert nxt.sup_diff == np.max(np.abs(nxt.w.values - st.w.values))
+        st = nxt
+
+
+def _negative_slab(depth):
+    """A stand-in for apply_Js whose output dips to -depth times its peak on
+    one time slab."""
+    real = solver.apply_Js
+
+    def fake(g, s):
+        out = real(g, s).values.copy()
+        out[g.lattice.K // 2] = -depth * np.max(out)
+        return Field(g.lattice, out)
+
+    return fake
+
+
+def test_negative_operator_output_raises_beyond_slack(lat, spec, monkeypatch):
+    f = gaussian_bump_forcing(lat, 0.5)
+    st = initial_state(f, spec)
+    monkeypatch.setattr(solver, "apply_Js", _negative_slab(1e-6))
+    with pytest.raises(MonotonicityError):
+        initial_state(f, spec)
+    with pytest.raises(MonotonicityError):
+        iterate(st, f, spec)
+    # rounding-size negatives are clamped to zero, as before
+    monkeypatch.setattr(solver, "apply_Js", _negative_slab(1e-15))
+    w0 = initial_state(f, spec).w.values
+    assert np.all(w0[lat.K // 2] == 0.0) and np.max(w0) > 0.0
+
+
+def test_dominator_violations_are_counted(lat, spec):
+    f = gaussian_bump_forcing(lat, 0.5)
+    states = []
+    dominator = Field(lat, 0.5 * initial_state(f, spec).w.values)
+    rep = run(spec, f, max_n=3, sup_tol=0.0, dominator=dominator, callback=states.append)
+    slack = 1e-9 * np.max(dominator.values)
+    gaps = [st.w.values - dominator.values for st in states]
+    assert rep.dominator_violations == sum(int(np.sum(g > slack)) for g in gaps) > 0
+    assert rep.dominator_max_excess == max(float(np.max(g)) for g in gaps)
 
 
 def test_iterates_monotone_and_causal(lat, spec):
