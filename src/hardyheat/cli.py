@@ -95,9 +95,11 @@ def cmd_verify(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-def _lattice_from(cfgd: dict):
+def _lattice_from(dim: int, lattice: Optional[dict]):
+    """The sweep lattice: the config's lattice object over the defaults."""
+    cfgd = lattice or {}
     return make_lattice(
-        cfgd.get("dim", 2),
+        dim,
         cfgd.get("L", 6.0),
         cfgd.get("M", 32),
         cfgd.get("T_neg", 0.0),
@@ -154,6 +156,9 @@ def cmd_supersol(args) -> int:
 # any JSON number
 _SWEEP_INT_KEYS = ("dim", "p_per_band", "max_n", "workers", "M", "K")
 
+# the keys a sweep config's lattice object may hold; dim is the top-level one
+_LATTICE_KEYS = ("L", "M", "T_neg", "T", "K")
+
 
 def _is_number(val, integral: bool) -> bool:
     """A JSON number (not a bool), and an integer when integral."""
@@ -163,8 +168,8 @@ def _is_number(val, integral: bool) -> bool:
 def _check_sweep_value(key: str, val) -> None:
     """ValueError unless val has the JSON type of sweep config key: a string
     for out_dir, a list of numbers for s_values and lambda_fracs, an object
-    of numbers (or null) for lattice, and a number for every other key.
-    Counts and sizes must be integers."""
+    of numbers keyed by _LATTICE_KEYS (or null) for lattice, and a number for
+    every other key. Counts and sizes must be integers."""
     if key == "out_dir":
         ok, want = isinstance(val, str), "a string"
     elif key in ("s_values", "lambda_fracs"):
@@ -173,9 +178,10 @@ def _check_sweep_value(key: str, val) -> None:
     elif key == "lattice":
         ok = val is None or (
             isinstance(val, dict)
+            and set(val) <= set(_LATTICE_KEYS)
             and all(_is_number(v, k in _SWEEP_INT_KEYS) for k, v in val.items())
         )
-        want = "an object of numbers, with integer M and K"
+        want = f"an object of numbers keyed by {', '.join(_LATTICE_KEYS)}, with integer M and K"
     else:
         integral = key in _SWEEP_INT_KEYS
         ok, want = _is_number(val, integral), "an integer" if integral else "a number"
@@ -218,7 +224,7 @@ class SweepConfig:
             raise ValueError("lambda fractions must lie in (0, 1)")
         # the same constructors _sweep_row uses, so a bad value is a usage
         # error here and not a traceback in the middle of the sweep
-        _lattice_from(dict(cfg.lattice or {}, dim=cfg.dim))
+        _lattice_from(cfg.dim, cfg.lattice)
         for s in cfg.s_values:
             if not 0.0 < s < 1.0:  # ProblemSpec's range; lambda_max admits s = 1
                 raise ValueError(f"s values must lie in (0, 1), got {s}")
@@ -248,7 +254,7 @@ def _sweep_row(cfg: SweepConfig, s: float, frac: float, p: float) -> dict:
     bundle = exponents_from(cfg.dim, s, lam)
     predicted = classify_regime(p, bundle)
     spec = ProblemSpec(cfg.dim, s, lam, p)
-    lat = _lattice_from(dict(cfg.lattice or {}, dim=cfg.dim))
+    lat = _lattice_from(cfg.dim, cfg.lattice)
     dominator = None
     if predicted is Regime.CONDITIONAL_GLOBAL:
         cert = find_certificate(spec)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from enum import Enum
-from typing import Optional
 
 from .special import gamma_fn, gamma_abs_neg
 
@@ -102,7 +101,6 @@ class ProblemSpec:
     s: float
     lam: float
     p: float
-    forcing: Optional[dict] = None
 
     def __post_init__(self):
         if self.dim < 2 or self.dim != int(self.dim):
@@ -207,18 +205,18 @@ class Regime(str, Enum):
     CRITICAL_OPEN = "CriticalOpen"
 
 
-def classify_regime(p: float, bundle: ExponentBundle, rel_tol: float = 1e-12) -> Regime:
+def classify_regime(p: float, bundle: ExponentBundle) -> Regime:
     """Place p among the analytic bands.
 
     The band boundaries: p <= fujita_F is the finite-time blow-up range
     (inclusive), p > p_plus admits no non-trivial non-negative supersolution,
     and the strip in between carries small-data global solutions. Exactly
-    critical p = p_plus (within rel_tol) stays an open case and is labelled,
+    critical p = p_plus (within 1e-12 relative) stays an open case and is labelled,
     never claimed.
     """
     if not p > 1.0:
         raise ValueError(f"need p > 1, got {p}")
-    if math.isfinite(bundle.p_plus) and abs(p - bundle.p_plus) <= rel_tol * bundle.p_plus:
+    if math.isfinite(bundle.p_plus) and abs(p - bundle.p_plus) <= 1e-12 * bundle.p_plus:
         return Regime.CRITICAL_OPEN
     if p > bundle.p_plus:
         return Regime.NON_EXISTENCE

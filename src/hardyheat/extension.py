@@ -17,7 +17,7 @@ import numpy as np
 
 from .constants import mu_from_lambda
 from .kernels import _time_shift_quadratic, apply_Hs_spectral, heat_semigroup
-from .lattice import Field, PHYSICAL
+from .lattice import Field
 from .special import (
     gamma_fn,
     gauss_legendre_panels,
@@ -26,21 +26,13 @@ from .special import (
 )
 
 
-def extend_parabolic(
-    w: Field,
-    s: float,
-    y_levels: Sequence[float],
-    slab_ratio: float = 1.4,
-    gauss_pts: int = 6,
-) -> Dict[float, np.ndarray]:
+def extend_parabolic(w: Field, s: float, y_levels: Sequence[float]) -> Dict[float, np.ndarray]:
     """Evaluate the extension of a causal bounded field at the given heights.
 
     At height y the extension is a tau-integral of heat-smoothed, time-shifted
     copies of the field against the weight y^(2s) tau^(-1-s) exp(-y^2/4tau)
     (unit total mass). Causality truncates the integral at the window span.
     """
-    if w.side != PHYSICAL:
-        raise ValueError("extend_parabolic needs a physical-side field")
     lat = w.lattice
     span = lat.T + lat.T_neg
     out: Dict[float, np.ndarray] = {}
@@ -49,7 +41,7 @@ def extend_parabolic(
             raise ValueError(f"levels must be positive, got {y}")
         tau_lo = y * y / 160.0  # exp(-40) below this
         nodes, wts = gauss_legendre_panels(
-            geometric_edges(tau_lo, span, slab_ratio), gauss_pts
+            geometric_edges(tau_lo, span, 1.4), 6
         )
         pref = y ** (2.0 * s) / (4.0 ** s * gamma_fn(s))
         acc = np.zeros(lat.shape)
@@ -78,34 +70,25 @@ def neumann_estimate(
     return -2.0 * s * (w_high - w_low) / (y_high ** (2.0 * s) - y_low ** (2.0 * s))
 
 
-def extension_checks(
-    w: Field,
-    s: float,
-    kappa_s: float,
-    y_trace: float = 1e-2,
-    y_pair: tuple = (1e-2, 2e-2),
-    interior_fraction: float = 0.5,
-    pad_space: int = 2,
-    pad_time: int = 4,
-) -> tuple:
+def extension_checks(w: Field, s: float, kappa_s: float) -> tuple:
     """(trace error, weighted-Neumann error), both sup-relative.
 
-    Trace: the extension at the smallest height recovers the field.
-    Neumann: the one-sided weighted derivative matches kappa_s times the
-    operator applied to the field, compared on interior nodes over causal
-    slices.
+    Trace: the extension at height 0.01 recovers the field.
+    Neumann: the one-sided weighted derivative between heights 0.01 and
+    0.02 matches kappa_s times the operator applied to the field, compared
+    on the nodes with |x| <= L/2 over causal slices.
     """
     lat = w.lattice
-    levels = sorted({y_trace, *y_pair})
-    ext = extend_parabolic(w, s, levels)
+    y_lo, y_hi = 1e-2, 2e-2
+    ext = extend_parabolic(w, s, [y_lo, y_hi])
     causal = lat.causal_mask()
     scale = float(np.max(np.abs(w.values[causal])))
-    trace_err = float(np.max(np.abs(ext[y_trace][causal] - w.values[causal]))) / scale
+    trace_err = float(np.max(np.abs(ext[y_lo][causal] - w.values[causal]))) / scale
 
-    est = neumann_estimate(ext[y_pair[0]], ext[y_pair[1]], y_pair[0], y_pair[1], s)
-    target = kappa_s * apply_Hs_spectral(w, s, pad_space=pad_space, pad_time=pad_time).values
+    est = neumann_estimate(ext[y_lo], ext[y_hi], y_lo, y_hi, s)
+    target = kappa_s * apply_Hs_spectral(w, s).values
     r = lat.spatial_radius()
-    interior = r <= interior_fraction * lat.L
+    interior = r <= 0.5 * lat.L
     k_lo, k_hi = int(0.25 * lat.K), int(0.85 * lat.K)
     sel = np.zeros(lat.shape, dtype=bool)
     sel[k_lo:k_hi] = interior
@@ -127,9 +110,6 @@ class PhiProfile:
     dim: int
     s: float
     mu: float = field(init=False)
-    slab_ratio: float = 1.35
-    gauss_pts: int = 8
-    tau_span: float = 1e5
 
     def __post_init__(self):
         self.mu = mu_from_lambda(self.lam, self.dim, self.s)
@@ -154,10 +134,8 @@ class PhiProfile:
     def _bulk(self, r, y):
         z2 = r * r + y * y
         tau_lo = float(np.min(y * y)) / 200.0
-        tau_hi = float(np.max(z2)) * self.tau_span
-        nodes, wts = gauss_legendre_panels(
-            geometric_edges(tau_lo, tau_hi, self.slab_ratio), self.gauss_pts
-        )
+        tau_hi = float(np.max(z2)) * 1e5
+        nodes, wts = gauss_legendre_panels(geometric_edges(tau_lo, tau_hi, 1.35), 8)
         pref = y ** (2.0 * self.s) / (4.0 ** self.s * gamma_fn(self.s))
         acc = np.zeros_like(r)
         for tq, wq in zip(nodes, wts):
@@ -194,8 +172,3 @@ class PhiProfile:
         radial = (up - dn) / (2.0 * h)
         target = -self.mu * self.value(r, y)
         return float(np.max(np.abs(radial - target) / np.abs(target)))
-
-
-def phi_profile(lam: float, dim: int, s: float) -> PhiProfile:
-    """Profile for the given coupling; trace |x|^(-mu(lam)) at the base."""
-    return PhiProfile(lam=lam, dim=dim, s=s)

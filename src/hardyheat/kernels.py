@@ -8,12 +8,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .constants import frac_laplacian_constant, mu_from_lambda, upsilon
-from .lattice import Field, Lattice, PHYSICAL
+from .lattice import Field, Lattice
 from .special import (
     gamma_abs_neg,
     gamma_fn,
@@ -63,21 +63,13 @@ def _pad_embed(lat: Lattice, values: np.ndarray, pad_space: int, pad_time: int):
     return big, sl
 
 
-def apply_Hs_spectral(
-    fld: Field,
-    s: float,
-    pad_space: int = 2,
-    pad_time: int = 4,
-    imag_tol: float = 1e-10,
-) -> Field:
+def apply_Hs_spectral(fld: Field, s: float, pad_space: int = 2, pad_time: int = 4) -> Field:
     """Apply the order-s fractional heat operator as a Fourier multiplier.
 
     Works on the padded torus; the imaginary residue after inverse transform
-    is checked against imag_tol (a broken branch or severe aliasing shows up
-    there) and then discarded.
+    must stay within 1e-10 of the real part (a broken branch or severe
+    aliasing shows up there) and is then discarded.
     """
-    if fld.side != PHYSICAL:
-        raise ValueError("apply_Hs_spectral needs a physical-side field")
     lat = fld.lattice
     big, sl = _pad_embed(lat, fld.values.astype(np.complex128), pad_space, pad_time)
     spec = np.fft.fftn(big)
@@ -85,7 +77,7 @@ def apply_Hs_spectral(
     out = np.fft.ifftn(spec)[sl]
     scale = max(float(np.max(np.abs(out.real))), 1e-300)
     resid = float(np.max(np.abs(out.imag)))
-    if resid > imag_tol * scale:
+    if resid > 1e-10 * scale:
         raise AliasingError(f"imaginary residue {resid:.3e} vs scale {scale:.3e}")
     return Field(lat, out.real.copy())
 
@@ -243,8 +235,6 @@ def apply_Js(
     costs a real FFT over space, a complex FFT over time zero-padded to 2K,
     one multiply and the inverse transforms.
     """
-    if g.side != PHYSICAL:
-        raise ValueError("apply_Js needs a physical-side field")
     lat = g.lattice
     past = ~lat.causal_mask()
     if past.any():
@@ -285,11 +275,7 @@ def apply_Js(
 def symbol_of_kernel_check(
     s: float,
     dim: int = 2,
-    freq_pairs: Optional[Sequence] = None,
-    tau_min: float = 1e-8,
     tau_max: float = 80.0,
-    slab_ratio: float = 1.35,
-    gauss_pts: int = 8,
     u_half: float = 12.0,
     u_pts: int = 2048,
 ) -> float:
@@ -300,24 +286,24 @@ def symbol_of_kernel_check(
     integrals are trapezoid sums in the self-similar variable u = z/sqrt(tau);
     the tau integral is panel Gauss plus analytic corrections at both ends.
     """
-    if freq_pairs is None:
-        xis = [
-            (0.5,) + (0.0,) * (dim - 1),
-            (1.0,) + (0.0,) * (dim - 1),
-            (2.0,) + (0.0,) * (dim - 1),
-            (4.0,) + (0.0,) * (dim - 1),
-            (0.0,) * dim,
-        ]
-        if dim >= 2:
-            xis.insert(3, (2.0 / math.sqrt(2.0), 2.0 / math.sqrt(2.0)) + (0.0,) * (dim - 2))
-        thetas = [-4.0, -1.0, 0.0, 0.5, 1.0, 2.0, 4.0]
-        # at xi = 0 the tau tail is only oscillatory-damped; keep |theta| >= 0.5
-        freq_pairs = [
-            (xi, th)
-            for xi in xis
-            for th in thetas
-            if not (all(v == 0.0 for v in xi) and abs(th) < 0.5)
-        ]
+    xis = [
+        (0.5,) + (0.0,) * (dim - 1),
+        (1.0,) + (0.0,) * (dim - 1),
+        (2.0,) + (0.0,) * (dim - 1),
+        (4.0,) + (0.0,) * (dim - 1),
+        (0.0,) * dim,
+    ]
+    if dim >= 2:
+        xis.insert(3, (2.0 / math.sqrt(2.0), 2.0 / math.sqrt(2.0)) + (0.0,) * (dim - 2))
+    thetas = [-4.0, -1.0, 0.0, 0.5, 1.0, 2.0, 4.0]
+    # at xi = 0 the tau tail is only oscillatory-damped; keep |theta| >= 0.5
+    freq_pairs = [
+        (xi, th)
+        for xi in xis
+        for th in thetas
+        if not (all(v == 0.0 for v in xi) and abs(th) < 0.5)
+    ]
+    tau_min = 1e-8
 
     theta_max = max(abs(th) for _, th in freq_pairs)
     # geometric panels through the singular end, then width-capped panels so
@@ -325,12 +311,12 @@ def symbol_of_kernel_check(
     osc_width = 2.0 * math.pi / (3.0 * max(theta_max, 1.0))
     edges = np.concatenate(
         [
-            geometric_edges(tau_min, 1.0, slab_ratio),
+            geometric_edges(tau_min, 1.0, 1.35),
             np.arange(1.0 + osc_width, tau_max, osc_width),
             [tau_max],
         ]
     )
-    nodes, wts = gauss_legendre_panels(edges, gauss_pts)
+    nodes, wts = gauss_legendre_panels(edges, 8)
     u = np.linspace(-u_half, u_half, u_pts)
     du = u[1] - u[0]
     gauss_u = np.exp(-0.25 * u * u)
@@ -373,26 +359,6 @@ def symbol_of_kernel_check(
 # ground-state operator
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LsQuadrature:
-    """Knobs for the singular quadrature behind the ground-state operator.
-
-    order_preserving=True smooths the weight on the lattice with the
-    positive kernel instead of using its closed form, and shifts in time by
-    linear (convex) interpolation instead of 3-point Lagrange; the discrete
-    operator then preserves the pointwise inequalities of its integrand
-    exactly (used by the inequality checks). The default favours accuracy.
-    """
-
-    tau1: Optional[float] = None
-    first_slab_levels: int = 5
-    first_slab_grading: float = 4.0
-    slab_ratio: float = 1.6
-    gauss_pts: int = 4
-    tau_huge: float = 4000.0
-    order_preserving: bool = False
-
-
 def _time_shift(vals: np.ndarray, steps: float) -> np.ndarray:
     """values(., t - tau) by linear interpolation along axis 0; slices shifted
     out of the window on the past side are treated as zero."""
@@ -433,40 +399,38 @@ def _time_shift_quadratic(vals: np.ndarray, steps: float) -> np.ndarray:
     return out
 
 
-def apply_Ls(
-    phi: Field,
-    lam: float,
-    s: float,
-    quad: Optional[LsQuadrature] = None,
-) -> Field:
+def apply_Ls(phi: Field, lam: float, s: float, order_preserving: bool = False) -> Field:
     """Ground-state commutator operator.
 
     Uses the semigroup split of the kernel: the integrand at memory depth tau
     is phi(x,t) * S_tau[w](x) - S_tau[w * phi(., t - tau)](x) with w the
     |x|^(-mu) weight and S_tau the heat semigroup; the difference vanishes at
     tau = 0, so the tau^(-1-s) singularity is product-integrated over the
-    first slab. The weight smoothing is in closed form, or on the grid when
-    quad.order_preserving is set (which preserves operator inequalities
-    exactly).
+    first slab [0, hx^2].
+
+    The default favours accuracy: the smoothed weight in closed form and a
+    3-point Lagrange time shift. order_preserving=True smooths the weight on
+    the lattice with the positive kernel and shifts in time by linear
+    (convex) interpolation; the discrete operator then preserves the
+    pointwise inequalities of its integrand exactly (used by the inequality
+    checks).
     """
-    if phi.side != PHYSICAL:
-        raise ValueError("apply_Ls needs a physical-side field")
-    quad = quad or LsQuadrature()
     lat = phi.lattice
     mu = mu_from_lambda(lam, lat.dim, s)
     r = lat.spatial_radius()
     w = r ** (-mu)
     vals = phi.values
-    tau1 = quad.tau1 if quad.tau1 is not None else lat.hx ** 2
+    tau1 = lat.hx ** 2
     span = lat.T + lat.T_neg
+    tau_huge = 4000.0
 
-    if quad.order_preserving:
+    if order_preserving:
         smoother, shift = heat_positive, _time_shift
     else:
         smoother, shift = heat_semigroup, _time_shift_quadratic
 
     def weight_profile(tau):
-        if quad.order_preserving:
+        if order_preserving:
             return smoother(w, lat, tau)
         return smoothed_power(r, tau, lat.dim, mu)
 
@@ -477,7 +441,7 @@ def apply_Ls(
 
     # first slab [0, tau1], geometrically graded toward 0 where the kernel
     # concentrates; h(0) = 0 anchors the innermost product-linear rule
-    grading = quad.first_slab_grading ** np.arange(quad.first_slab_levels, -1.0, -1.0)
+    grading = 4.0 ** np.arange(5, -1.0, -1.0)
     sub_edges = tau1 / grading
     acc = h_at(sub_edges[0]) * sub_edges[0] ** (-s) / (1.0 - s)
     innermost = float(np.max(np.abs(acc)))
@@ -489,34 +453,26 @@ def apply_Ls(
     # refinement budget: the unresolved innermost piece must be a small
     # fraction of the assembled first slab, else the grading was too shallow
     first_slab_scale = float(np.max(np.abs(acc)))
-    if (
-        quad.first_slab_levels >= 2
-        and first_slab_scale > 0.0
-        and innermost > 0.25 * first_slab_scale
-    ):
+    if first_slab_scale > 0.0 and innermost > 0.25 * first_slab_scale:
         raise QuadratureError(
             f"first-slab refinement did not settle: innermost piece "
             f"{innermost:.3e} vs slab total {first_slab_scale:.3e}"
         )
 
-    nodes, wts = gauss_legendre_panels(
-        geometric_edges(tau1, span, quad.slab_ratio), quad.gauss_pts
-    )
+    nodes, wts = gauss_legendre_panels(geometric_edges(tau1, span, 1.6), 4)
     for tq, wq in zip(nodes, wts):
         acc += wq * tq ** (-1.0 - s) * h_at(tq)
 
     # beyond the window the shifted field is zero; only the weight term is
     # left and its closed-form profile integrates out to tau_huge + tail
-    nodes2, wts2 = gauss_legendre_panels(
-        geometric_edges(span, quad.tau_huge, quad.slab_ratio), quad.gauss_pts
-    )
+    nodes2, wts2 = gauss_legendre_panels(geometric_edges(span, tau_huge, 1.6), 4)
     radial = np.zeros_like(r)
     for tq, wq in zip(nodes2, wts2):
         radial += wq * tq ** (-1.0 - s) * smoothed_power(r, tq, lat.dim, mu)
     # power-law tail: the smoothed weight decays like tau^(-mu/2)
     radial += (
-        smoothed_power(r, quad.tau_huge, lat.dim, mu)
-        * quad.tau_huge ** (-s)
+        smoothed_power(r, tau_huge, lat.dim, mu)
+        * tau_huge ** (-s)
         / (s + mu / 2.0)
     )
     acc += vals * radial
@@ -524,17 +480,9 @@ def apply_Ls(
     return Field(lat, acc / gamma_abs_neg(s))
 
 
-def ground_state_residual(
-    phi: Field,
-    lam: float,
-    s: float,
-    annulus: tuple = (0.5, 2.0),
-    t_indices: Optional[Sequence[int]] = None,
-    quad: Optional[LsQuadrature] = None,
-    pad_space: int = 2,
-    pad_time: int = 4,
-) -> float:
-    """Relative residual of the ground-state identity on an annulus.
+def ground_state_residual(phi: Field, lam: float, s: float) -> float:
+    """Relative residual of the ground-state identity on the annulus
+    0.5 <= |x| <= 2, over a few slices in the middle of the window.
 
     Left side: spectral operator minus the Hardy term; right side: the
     ground-state operator applied to the |x|^mu-conjugated field. Both sides
@@ -544,16 +492,15 @@ def ground_state_residual(
     mu = mu_from_lambda(lam, lat.dim, s)
     r = lat.spatial_radius()
     lhs = (
-        apply_Hs_spectral(phi, s, pad_space=pad_space, pad_time=pad_time).values
+        apply_Hs_spectral(phi, s).values
         - lam * r ** (-2.0 * s) * phi.values
     )
     conj = Field(lat, phi.values * r ** mu)
-    rhs = apply_Ls(conj, lam, s, quad=quad).values
-    if t_indices is None:
-        lo = int(0.45 * lat.K)
-        hi = int(0.7 * lat.K)
-        t_indices = list(range(lo, hi, max(1, (hi - lo) // 4)))
-    mask = (r >= annulus[0]) & (r <= annulus[1])
+    rhs = apply_Ls(conj, lam, s).values
+    lo = int(0.45 * lat.K)
+    hi = int(0.7 * lat.K)
+    t_indices = range(lo, hi, max(1, (hi - lo) // 4))
+    mask = (r >= 0.5) & (r <= 2.0)
     num = 0.0
     den = 0.0
     for k in t_indices:
@@ -586,34 +533,32 @@ def radial_power_flap(mu: float, dim: int, s: float) -> RadialFlap:
     return RadialFlap(lam=upsilon(half - mu, dim, s), mu=mu, s=s)
 
 
-def truncated_power_field(lat: Lattice, mu: float, blend: tuple = (0.65, 0.8)) -> Field:
+# the truncated power is cut off by a quintic blend between these fractions
+# of the half-width L; the tail term adds back exactly what the blend removes
+_BLEND = (0.65, 0.8)
+
+
+def truncated_power_field(lat: Lattice, mu: float) -> Field:
     """Time-constant |x|^(-mu), blended smoothly to zero near the box edge
-    (quintic blend between blend[0]*L and blend[1]*L)."""
+    (quintic blend over _BLEND of the half-width)."""
     r = lat.spatial_radius()
-    lo, hi = blend[0] * lat.L, blend[1] * lat.L
+    lo, hi = _BLEND[0] * lat.L, _BLEND[1] * lat.L
     cut = 1.0 - smooth_step((r - lo) / (hi - lo))
     slab = r ** (-mu) * cut
     return Field(lat, np.broadcast_to(slab, lat.shape).copy())
 
 
-def _cutoff_tail_term(
-    radii: np.ndarray,
-    lat: Lattice,
-    mu: float,
-    s: float,
-    blend: tuple,
-    r_far: float = 200.0,
-    n_rho: int = 400,
-    n_angle: int = 512,
-) -> np.ndarray:
+def _cutoff_tail_term(radii: np.ndarray, lat: Lattice, mu: float, s: float) -> np.ndarray:
     """Contribution of the removed far field of |x|^(-mu) to the operator at
     the given radii (negative). The integrand is smooth there, so plain
     panel quadrature plus a power-law tail beyond r_far suffices."""
     dim = lat.dim
-    lo = blend[0] * lat.L
+    r_far = 200.0
+    n_angle = 512
+    lo = _BLEND[0] * lat.L
     c_ns = frac_laplacian_constant(dim, s)
     rho_n, rho_w = gauss_legendre_panels(geometric_edges(lo, r_far, 1.2), 8)
-    hi = blend[1] * lat.L
+    hi = _BLEND[1] * lat.L
     comp = smooth_step((rho_n - lo) / (hi - lo))  # 1 - cutoff
     if dim == 2:
         th = np.linspace(0.0, 2.0 * np.pi, n_angle, endpoint=False)
@@ -638,30 +583,25 @@ def _cutoff_tail_term(
     return -c_ns * out
 
 
-def radial_identity_error(
-    lat: Lattice,
-    lam: float,
-    s: float,
-    annulus: tuple = (0.5, 2.0),
-    blend: tuple = (0.65, 0.8),
-    pad_space: int = 2,
-) -> float:
-    """Worst pointwise relative error of the elliptic radial identity:
-    spectral application on the truncated power versus the closed form.
+def radial_identity_error(lat: Lattice, lam: float, s: float, pad_space: int = 2) -> float:
+    """Worst pointwise relative error of the elliptic radial identity on the
+    annulus 0.5 <= |x| <= 2: spectral application on the truncated power
+    versus the closed form.
 
     The weight decays too slowly for the cut far field to be ignorable, so
     its exact contribution (a smooth independent quadrature) is added back
     before comparing against the Gamma-quotient closed form.
     """
     mu = mu_from_lambda(lam, lat.dim, s)
-    fld = truncated_power_field(lat, mu, blend)
+    fld = truncated_power_field(lat, mu)
     # time-constant input: the multiplier acts slice-wise at theta = 0
     applied = apply_Hs_spectral(fld, s, pad_space=pad_space, pad_time=1)
     flap = radial_power_flap(mu, lat.dim, s)
     r = lat.spatial_radius()
-    mask = (r >= annulus[0]) & (r <= annulus[1])
-    r_grid = np.linspace(annulus[0] * 0.99, annulus[1] * 1.01, 64)
-    tail_grid = _cutoff_tail_term(r_grid, lat, mu, s, blend)
+    lo, hi = 0.5, 2.0
+    mask = (r >= lo) & (r <= hi)
+    r_grid = np.linspace(lo * 0.99, hi * 1.01, 64)
+    tail_grid = _cutoff_tail_term(r_grid, lat, mu, s)
     tail = np.interp(r[mask], r_grid, tail_grid)
     got = applied.values[lat.K // 2][mask] + tail
     want = flap(r[mask])
@@ -672,27 +612,17 @@ def radial_identity_error(
 # pointwise quadrature oracle (spot checks only)
 # ---------------------------------------------------------------------------
 
-def hs_pointwise_oracle(
-    fn,
-    points: Sequence,
-    s: float,
-    dim: int,
-    tau_min: float = 1e-7,
-    tau_max: float = 200.0,
-    slab_ratio: float = 1.5,
-    gauss_pts: int = 6,
-    u_half: float = 10.0,
-    u_pts: int = 64,
-) -> np.ndarray:
+def hs_pointwise_oracle(fn, points: Sequence, s: float, dim: int) -> np.ndarray:
     """Direct quadrature of the semigroup form of the operator at a handful
     of points; fn(t, x1, .., xd) is a closed-form sample. Quadratic cost, so
     only intended for <= ~100 points.
     """
-    u1 = np.linspace(-u_half, u_half, u_pts)
+    tau_min = 1e-7
+    u1 = np.linspace(-10.0, 10.0, 64)
     du = u1[1] - u1[0]
     grids = np.meshgrid(*([u1] * dim), indexing="ij")
     gweight = np.exp(-0.25 * sum(g * g for g in grids)) * du ** dim / (4.0 * math.pi) ** (dim / 2.0)
-    nodes, wts = gauss_legendre_panels(geometric_edges(tau_min, tau_max, slab_ratio), gauss_pts)
+    nodes, wts = gauss_legendre_panels(geometric_edges(tau_min, 200.0, 1.5), 6)
     out = []
     for pt in points:
         t0, xs0 = pt[0], np.asarray(pt[1:], dtype=float)

@@ -107,10 +107,6 @@ def make_lattice(dim: int, L: float, M: int, T_neg: float, T: float, K: int) -> 
     return Lattice(dim=dim, L=float(L), M=int(M), T_neg=float(T_neg), T=float(T), K=int(K))
 
 
-PHYSICAL = "physical"
-SPECTRAL = "spectral"
-
-
 @dataclass(frozen=True)
 class Field:
     """Sampled scalar field on a lattice; immutable after construction.
@@ -123,11 +119,8 @@ class Field:
 
     lattice: Lattice
     values: np.ndarray
-    side: str = PHYSICAL
 
     def __post_init__(self):
-        if self.side not in (PHYSICAL, SPECTRAL):
-            raise ValueError(f"unknown side {self.side!r}")
         v = np.asarray(self.values)
         if v.shape != self.lattice.shape:
             raise ValueError(f"values shape {v.shape} != lattice shape {self.lattice.shape}")
@@ -136,34 +129,18 @@ class Field:
             v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
-    def with_values(self, values: np.ndarray, side: Optional[str] = None) -> "Field":
-        return Field(self.lattice, values, side or self.side)
+    def with_values(self, values: np.ndarray) -> "Field":
+        return Field(self.lattice, values)
 
     def l2(self) -> float:
-        """L2 norm with the natural measure of the current side.
-
-        Physical and spectral norms agree (discrete Plancherel).
-        """
+        """L2 norm with the space-time cell measure."""
         lat = self.lattice
-        if self.side == PHYSICAL:
-            meas = lat.cell_volume * lat.ht
-        else:
-            dxi = 2.0 * np.pi / (lat.M * lat.hx)
-            dth = 2.0 * np.pi / (lat.K * lat.ht)
-            meas = dxi ** lat.dim * dth / (2.0 * np.pi) ** (lat.dim + 1)
+        meas = lat.cell_volume * lat.ht
         return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * meas))
 
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
-    def is_causal(self, rel_tol: float = 0.0) -> bool:
-        past = ~self.lattice.causal_mask()
-        if not past.any():
-            return True
-        scale = self.max_abs()
-        if scale == 0.0:
-            return True
-        return float(np.max(np.abs(self.values[past]))) <= rel_tol * scale
+    def is_causal(self) -> bool:
+        """True when every slice with t <= 0 is exactly zero."""
+        return not np.any(self.values[~self.lattice.causal_mask()])
 
 
 def zero_field(lat: Lattice) -> Field:
@@ -190,10 +167,6 @@ def sample(fn: Callable, lat: Lattice) -> Field:
     return Field(lat, vals)
 
 
-FORWARD = "forward"
-INVERSE = "inverse"
-
-
 def _stagger_phase(lat: Lattice) -> np.ndarray:
     """Product of per-axis phases aligning the DFT with the continuous
     transform about the origin (the grid is offset by half a cell)."""
@@ -207,31 +180,28 @@ def _stagger_phase(lat: Lattice) -> np.ndarray:
     return phase
 
 
-def transform(fld: Field, direction: str) -> Field:
-    """Unitary-normalised discrete space-time Fourier transform.
+def transform(fld: Field) -> np.ndarray:
+    """Unitary-normalised discrete space-time Fourier transform: the
+    spectrum on the (theta, xi) grid of theta_axis and xi_axis.
 
-    Forward approximates the continuous transform (including half-cell phase
-    corrections), inverse is its exact algebraic inverse; the round trip is
-    the identity to rounding.
+    It approximates the continuous transform, half-cell phase corrections
+    included; inverse_transform is its exact algebraic inverse, so the
+    round trip is the identity to rounding.
     """
     lat = fld.lattice
+    return lat.cell_volume * lat.ht * _stagger_phase(lat) * np.fft.fftn(fld.values)
+
+
+def inverse_transform(lat: Lattice, spectrum: np.ndarray) -> Field:
+    """The field whose transform is spectrum: real unless the imaginary
+    residue exceeds 1e-8 of the real part."""
     scale = lat.cell_volume * lat.ht
-    phase = _stagger_phase(lat)
-    if direction == FORWARD:
-        if fld.side != PHYSICAL:
-            raise ValueError("forward transform needs a physical-side field")
-        out = scale * phase * np.fft.fftn(fld.values)
-        return Field(lat, out, SPECTRAL)
-    if direction == INVERSE:
-        if fld.side != SPECTRAL:
-            raise ValueError("inverse transform needs a spectral-side field")
-        out = np.fft.ifftn(fld.values * np.conj(phase) / scale)
-        resid = float(np.max(np.abs(out.imag)))
-        ref = max(float(np.max(np.abs(out.real))), 1e-300)
-        if resid > 1e-8 * ref:
-            return Field(lat, out, PHYSICAL)
-        return Field(lat, out.real, PHYSICAL)
-    raise ValueError(f"unknown direction {direction!r}")
+    out = np.fft.ifftn(spectrum * np.conj(_stagger_phase(lat)) / scale)
+    resid = float(np.max(np.abs(out.imag)))
+    ref = max(float(np.max(np.abs(out.real))), 1e-300)
+    if resid > 1e-8 * ref:
+        return Field(lat, out)
+    return Field(lat, out.real)
 
 
 def weighted_integral(
@@ -239,8 +209,6 @@ def weighted_integral(
 ):
     """Riemann sum of |x|^a * field^p over one spatial slice (a float), or
     over every slice at once when t_index is None (an array of K sums)."""
-    if fld.side != PHYSICAL:
-        raise ValueError("weighted_integral needs a physical-side field")
     lat = fld.lattice
     vals = fld.values if t_index is None else fld.values[t_index]
     if power != int(power) and np.any(vals < 0):
@@ -259,15 +227,13 @@ class GraphNorm:
 
 def graph_norm(fld: Field, s: float) -> GraphNorm:
     """L2 norm plus the order-s multiplier energy |i theta + |xi|^2|^s."""
-    if fld.side != PHYSICAL:
-        raise ValueError("graph_norm needs a physical-side field")
     lat = fld.lattice
-    spec = transform(fld, FORWARD)
+    spec = transform(fld)
     theta = lat.theta_axis().reshape((lat.K,) + (1,) * lat.dim)
     sym = (theta * theta + lat.xi_squared() ** 2) ** (s / 2.0)
     dxi = 2.0 * np.pi / (lat.M * lat.hx)
     dth = 2.0 * np.pi / (lat.K * lat.ht)
-    sem = float(np.sum(sym * np.abs(spec.values) ** 2) * dxi ** lat.dim * dth)
+    sem = float(np.sum(sym * np.abs(spec) ** 2) * dxi ** lat.dim * dth)
     return GraphNorm(l2=fld.l2(), multiplier_seminorm=sem)
 
 

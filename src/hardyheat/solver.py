@@ -19,12 +19,17 @@ import numpy as np
 
 from .constants import ProblemSpec, exponents
 from .kernels import apply_Js
-from .lattice import Field, Lattice, weighted_integral, zero_field
+from .lattice import Field, Lattice, sample, weighted_integral, zero_field
 from .special import smooth_step
 
 
 class MonotonicityError(RuntimeError):
     """An iterate decreased somewhere beyond slack: quadrature failure."""
+
+
+# relative slack, against the peak, for rounding below zero: in the step
+# from one iterate to the next and in the inverse operator's output
+MONO_SLACK = 1e-12
 
 
 def _cutoff_factors(lat: Lattice, n: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -117,16 +122,16 @@ class IterationState:
     sup_diff: float
 
 
-def _invert(rhs: Field, s: float, mono_slack: float) -> Field:
+def _invert(rhs: Field, s: float) -> Field:
     """The inverse operator on a stage right-hand side. The exact operator
     preserves non-negativity, so negative output is rounding: clamped to
-    zero within mono_slack of the peak, a MonotonicityError beyond it."""
+    zero within MONO_SLACK of the peak, a MonotonicityError beyond it."""
     out = apply_Js(rhs, s)
     low = float(np.min(out.values))
     if low >= 0.0:
         return out
     scale = max(float(np.max(out.values)), 1e-300)
-    if low < -mono_slack * scale:
+    if low < -MONO_SLACK * scale:
         raise MonotonicityError(
             f"inverse operator output reaches {low:.3e} (scale {scale:.3e})"
         )
@@ -141,27 +146,23 @@ def blowup_functional(w: Field, mu: float, p: float) -> np.ndarray:
 
 
 def iterate(
-    state: IterationState,
-    f: Field,
-    spec: ProblemSpec,
-    mono_slack: float = 1e-12,
-    mu: Optional[float] = None,
+    state: IterationState, f: Field, spec: ProblemSpec, mu: Optional[float] = None
 ) -> IterationState:
     """One step of the scheme: invert the operator on the stage-n right-hand
     side built from the current iterate. Monotonicity is asserted, not
-    assumed: a violation beyond slack means the quadrature broke. The same
-    slack bounds the negative rounding of the operator output.
+    assumed: a violation beyond MONO_SLACK means the quadrature broke. The
+    same slack bounds the negative rounding of the operator output.
 
     mu is the singularity exponent of spec; run() passes it in so that the
     exponent bundle is solved once per run, not once per step."""
     if mu is None:
         mu = exponents(spec).mu
     n_next = state.n + 1
-    w_next = _invert(rhs_truncated(state.w, f, spec, n_next), spec.s, mono_slack)
+    w_next = _invert(rhs_truncated(state.w, f, spec, n_next), spec.s)
     diff = w_next.values - state.w.values
     drop = float(np.min(diff))
     scale = max(float(np.max(w_next.values)), 1e-300)
-    if drop < -mono_slack * scale:
+    if drop < -MONO_SLACK * scale:
         raise MonotonicityError(f"iterate decreased by {drop:.3e} (scale {scale:.3e})")
     return IterationState(
         n=n_next,
@@ -171,19 +172,12 @@ def iterate(
     )
 
 
-def initial_state(
-    f: Field,
-    spec: ProblemSpec,
-    mu: Optional[float] = None,
-    mono_slack: float = 1e-12,
-) -> IterationState:
+def initial_state(f: Field, spec: ProblemSpec, mu: Optional[float] = None) -> IterationState:
     """Stage 0: the inverse operator applied to the saturated forcing. mu
-    is the singularity exponent of spec, solved here if not given;
-    mono_slack bounds the negative rounding of the operator, as in
-    iterate."""
+    is the singularity exponent of spec, solved here if not given."""
     if mu is None:
         mu = exponents(spec).mu
-    w0 = _invert(rhs_truncated(zero_field(f.lattice), f, spec, 0), spec.s, mono_slack)
+    w0 = _invert(rhs_truncated(zero_field(f.lattice), f, spec, 0), spec.s)
     return IterationState(
         n=0,
         w=w0,
@@ -258,8 +252,6 @@ def run(
     cap_factor: float = 1e6,
     sup_tol: float = 1e-6,
     dominator: Optional[Field] = None,
-    dominator_slack: float = 1e-9,
-    mono_slack: float = 1e-12,
     callback: Optional[Callable[[IterationState], None]] = None,
 ) -> TrajectoryReport:
     """Drive the scheme to a verdict.
@@ -270,10 +262,11 @@ def run(
     the second half of the horizon. Stalled: neither within max_n stages.
 
     A dominator field (e.g. a certified ceiling) is checked against every
-    iterate; violations are counted, never silently clipped.
+    iterate, with a slack of 1e-9 of its peak; violations are counted, never
+    silently clipped.
     """
     mu = exponents(spec).mu
-    state = initial_state(f, spec, mu=mu, mono_slack=mono_slack)
+    state = initial_state(f, spec, mu=mu)
     if callback:
         callback(state)
     m_first = max(float(np.max(state.m_curve)), 1e-300)
@@ -282,7 +275,7 @@ def run(
     excess = 0.0
     lat = f.lattice
     if dominator is not None:
-        slack = dominator_slack * max(float(np.max(dominator.values)), 1e-300)
+        slack = 1e-9 * max(float(np.max(dominator.values)), 1e-300)
 
     def check_dominator(st: IterationState):
         nonlocal viol, excess
@@ -298,7 +291,7 @@ def run(
     verdict = VERDICT_STALLED
     cap_hit = False
     while state.n < max_n:
-        state = iterate(state, f, spec, mono_slack=mono_slack, mu=mu)
+        state = iterate(state, f, spec, mu=mu)
         if callback:
             callback(state)
         check_dominator(state)
@@ -339,20 +332,14 @@ def run(
     )
 
 
-def singularity_profile(
-    w: Field,
-    t_window: Tuple[int, int],
-    r_range: Optional[Tuple[float, float]] = None,
-    n_bins: int = 12,
-) -> Tuple[float, float]:
-    """Least-squares slope of log(field) vs log|x| on small shells, averaged
-    over the time window; returns (slope, half-width of the 95% band)."""
+def singularity_profile(w: Field, t_window: Tuple[int, int]) -> Tuple[float, float]:
+    """Least-squares slope of log(field) vs log|x| on 12 geometric shells
+    between radii 2 hx and L/4, averaged over the time window; returns
+    (slope, half-width of the 95% band)."""
     lat = w.lattice
-    if r_range is None:
-        r_range = (2.0 * lat.hx, 0.25 * lat.L)
     r = lat.spatial_radius()
     avg = np.mean(w.values[t_window[0]: t_window[1]], axis=0)
-    edges = np.geomspace(r_range[0], r_range[1], n_bins + 1)
+    edges = np.geomspace(2.0 * lat.hx, 0.25 * lat.L, 13)
     logs_r, logs_w = [], []
     for a, b in zip(edges[:-1], edges[1:]):
         m = (r >= a) & (r < b)
@@ -377,23 +364,15 @@ def singularity_profile(
     return float(coef[0]), band
 
 
-def gaussian_bump_forcing(
-    lat: Lattice,
-    amplitude: float,
-    x_width: float = 1.0,
-    t_on: float = 0.25,
-    t_off: float = 1.25,
-    ramp: float = 0.25,
-) -> Field:
-    """Non-negative forcing: spatial Gaussian under a quintic time window.
+def gaussian_bump_forcing(lat: Lattice, amplitude: float, x_width: float = 1.0) -> Field:
+    """Non-negative forcing: spatial Gaussian under a quintic time window
+    that rises over [0.25, 0.5] and falls over [1.25, 1.5].
 
-    Exactly zero before t_on, so causality holds node-wise.
+    Exactly zero before t = 0.25, so causality holds node-wise.
     """
 
     def fn(t, *xs):
-        win = smooth_step((t - t_on) / ramp) * (1.0 - smooth_step((t - t_off) / ramp))
+        win = smooth_step((t - 0.25) / 0.25) * (1.0 - smooth_step((t - 1.25) / 0.25))
         return amplitude * win * np.exp(-sum(x * x for x in xs) / (x_width * x_width))
-
-    from .lattice import sample
 
     return sample(fn, lat)

@@ -131,7 +131,7 @@ def test_criterion_08_monotone_scheme():
     causal_ok = bool(np.all(st.w.values[~lat.causal_mask()] == 0.0))
     for _ in range(5):
         prev = st
-        st = iterate(st, f, spec, mono_slack=1e-12)
+        st = iterate(st, f, spec)
         scale = max(float(np.max(st.w.values)), 1e-300)
         worst_drop = max(worst_drop, -float(np.min(st.w.values - prev.w.values)) / scale)
         causal_ok &= bool(np.all(st.w.values[~lat.causal_mask()] == 0.0))

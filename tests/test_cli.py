@@ -169,6 +169,8 @@ def test_sweep_config_errors(tmp_path):
         {"lattice": {"M": "32"}},
         {"s_values": ["0.5"]},
         {"max_n": "4"},
+        {"lattice": {"m": 64, "KK": 3}},
+        {"dim": 2, "lattice": {"dim": 3, "M": 16}},
     ],
 )
 def test_sweep_config_bad_values_exit_2(tmp_path, capsys, override):

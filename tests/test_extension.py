@@ -3,10 +3,10 @@ import pytest
 
 from hardyheat.constants import exponents_from, lambda_max
 from hardyheat.extension import (
+    PhiProfile,
     extend_parabolic,
     extension_checks,
     neumann_estimate,
-    phi_profile,
 )
 from hardyheat.lattice import make_lattice, sample, zero_field
 
@@ -56,7 +56,7 @@ def test_neumann_estimate_exact_on_pure_power():
 
 def test_profile_trace_homogeneity_euler():
     lam = 0.5 * lambda_max(2, 0.5)
-    prof = phi_profile(lam, 2, 0.5)
+    prof = PhiProfile(lam, 2, 0.5)
     rng = np.random.default_rng(3)
     r = rng.uniform(0.2, 3.0, 8)
     assert np.allclose(prof.value(r, np.zeros_like(r)), r ** (-prof.mu))
@@ -70,7 +70,7 @@ def test_profile_trace_homogeneity_euler():
 
 def test_profile_two_sided_power_bounds():
     lam = 0.7 * lambda_max(2, 0.5)
-    prof = phi_profile(lam, 2, 0.5)
+    prof = PhiProfile(lam, 2, 0.5)
     rng = np.random.default_rng(5)
     r = rng.uniform(0.1, 4.0, 30)
     y = rng.uniform(0.01, 4.0, 30)

@@ -6,7 +6,6 @@ import pytest
 from hardyheat.constants import frac_laplacian_constant, lambda_max, mu_from_lambda, upsilon
 from hardyheat.kernels import (
     AliasingError,
-    LsQuadrature,
     NonCausalInput,
     _js_spectrum,
     apply_Hs_spectral,
@@ -278,8 +277,7 @@ def test_ls_negative_outside_support():
         * np.exp(-(t - 1.5) ** 2 / 0.3),
         lat,
     )
-    quad = LsQuadrature(order_preserving=True)
-    out = apply_Ls(bump, lam, 0.5, quad=quad)
+    out = apply_Ls(bump, lam, 0.5, order_preserving=True)
     r = lat.spatial_radius()
     far = r > 3.0
     k = lat.K // 2

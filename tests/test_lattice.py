@@ -6,12 +6,11 @@ import pytest
 
 from hardyheat.lattice import (
     Field,
-    FORWARD,
-    INVERSE,
     LatticeError,
     SampleError,
     export_field_csv,
     graph_norm,
+    inverse_transform,
     make_lattice,
     sample,
     transform,
@@ -89,35 +88,33 @@ def test_field_adopts_only_frozen_owned_arrays(lat):
 def test_transform_round_trip_and_plancherel(lat):
     rng = np.random.default_rng(7)
     f = Field(lat, rng.standard_normal(lat.shape))
-    g = transform(f, FORWARD)
-    back = transform(g, INVERSE)
+    g = transform(f)
+    back = inverse_transform(lat, g)
+    assert not np.iscomplexobj(back.values)
     assert np.max(np.abs(back.values - f.values)) <= 1e-12 * np.max(np.abs(f.values))
-    assert abs(f.l2() - g.l2()) <= 1e-12 * f.l2()
+    # discrete Plancherel: the spectral measure is dxi^N dtheta / (2 pi)^(N+1)
+    dxi = 2.0 * np.pi / (lat.M * lat.hx)
+    dth = 2.0 * np.pi / (lat.K * lat.ht)
+    meas = dxi ** lat.dim * dth / (2.0 * np.pi) ** (lat.dim + 1)
+    spectral_l2 = math.sqrt(float(np.sum(np.abs(g) ** 2)) * meas)
+    assert abs(f.l2() - spectral_l2) <= 1e-12 * f.l2()
 
 
 def test_transform_even_field_real_spectrum(lat):
     f = sample(lambda t, x, y: np.exp(-(x * x + y * y + t * t) / 3.0), lat)
-    g = transform(f, FORWARD)
-    assert np.max(np.abs(g.values.imag)) <= 1e-12 * np.max(np.abs(g.values.real))
+    g = transform(f)
+    assert np.max(np.abs(g.imag)) <= 1e-12 * np.max(np.abs(g.real))
 
 
 def test_transform_gaussian_pair(lat):
     f = sample(lambda t, x, y: np.exp(-x * x - y * y - t * t), lat)
-    g = transform(f, FORWARD)
+    g = transform(f)
     th = lat.theta_axis().reshape(-1, 1, 1)
     xi = lat.xi_axis()
     closed = math.pi ** 1.5 * np.exp(
         -(xi.reshape(1, -1, 1) ** 2 + xi.reshape(1, 1, -1) ** 2 + th ** 2) / 4.0
     )
-    assert np.max(np.abs(g.values - closed)) <= 1e-12 * np.max(closed)
-
-
-def test_transform_side_mismatch(lat):
-    f = zero_field(lat)
-    with pytest.raises(ValueError):
-        transform(f, INVERSE)
-    with pytest.raises(ValueError):
-        transform(transform(f, FORWARD), FORWARD)
+    assert np.max(np.abs(g - closed)) <= 1e-12 * np.max(closed)
 
 
 def test_weighted_integral_basics():

@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from hardyheat import supersolution
 from hardyheat.constants import ProblemSpec, exponents_from, lambda_max, mu_from_lambda
 from hardyheat.lattice import Field, make_lattice, zero_field
 from hardyheat.supersolution import (
+    ComparisonError,
     SearchExhausted,
     SupersolutionCertificate,
     boundary_gap,
@@ -160,6 +162,33 @@ def test_build_w_supersol(cert):
     assert np.min(w_full.values - w_half.values) >= -1e-12 * np.max(w_full.values)
     with pytest.raises(ValueError):
         build_w_supersol(cert, Field(lat, 3.0 * f_full.values))
+
+
+def test_build_w_supersol_checks_every_node(cert, monkeypatch):
+    # the very-weak inequality broken at one node only: the inverse applied
+    # to the field's own right-hand side (the second inverse call) is raised
+    # there, at a node that a 1000-node random spot check seeded with 0
+    # would not draw
+    lat = make_lattice(3, 6.0, 16, 0.0, 6.0, 24)
+    size = int(np.prod(lat.shape))
+    drawn = set(np.random.default_rng(0).integers(0, size, 1000).tolist())
+    node = next(i for i in range(size - 1, -1, -1) if i not in drawn)
+    real_js = supersolution.apply_Js
+    calls = []
+
+    def js_raised_on_second_call(g, s):
+        out = real_js(g, s)
+        calls.append(g)
+        if len(calls) < 2:
+            return out
+        vals = out.values.copy()
+        vals.reshape(-1)[node] += np.max(vals)
+        return Field(lat, vals)
+
+    monkeypatch.setattr(supersolution, "apply_Js", js_raised_on_second_call)
+    with pytest.raises(ComparisonError, match="very-weak"):
+        build_w_supersol(cert, zero_field(lat))
+    assert len(calls) == 2
 
 
 def test_trace_value_matches_envelope_shape(cert):

@@ -1,9 +1,12 @@
 import json
+import math
 
 import pytest
 
+from hardyheat import verifier
 from hardyheat.verifier import (
     CHECKS,
+    CheckReport,
     UnknownCheck,
     VerifierConfig,
     run_check,
@@ -74,6 +77,23 @@ def test_report_round_trips_as_json():
     assert d["check_id"] == "algebra_ab"
     assert d["passed"] is True
     assert "worst_margin" in d and "tolerance" in d and "sample_count" in d
+
+
+def test_check_report_passed_is_derived():
+    assert CheckReport("c", 0.5, 1.0, 1, {}).passed is True
+    assert CheckReport("c", 1.0, 1.0, 1, {}).passed is True
+    assert CheckReport("c", 1.5, 1.0, 1, {}).passed is False
+    assert CheckReport("c", math.nan, 1.0, 1, {}).passed is False
+    assert CheckReport("c", math.inf, 1e3, 1, {}).passed is False
+
+
+@pytest.mark.parametrize("factor,passes", [(1.0, True), (2.5, False)])
+def test_hardy_fails_on_an_inflated_constant(monkeypatch, factor, passes):
+    # the Hardy form against the (-Lap)^s energy: a coupling 2.5 times the
+    # maximal one must break the inequality on the seed-0 bumps
+    true_max = verifier.lambda_max
+    monkeypatch.setattr(verifier, "lambda_max", lambda dim, s: factor * true_max(dim, s))
+    assert run_check("hardy", VerifierConfig(seed=0)).passed is passes
 
 
 def test_hardy_and_kato_pass():
