@@ -108,8 +108,43 @@ def _lattice_from(dim: int, lattice: Optional[dict]):
     )
 
 
+_NON_NEGATIVE = (lambda v: v >= 0, ">= 0")
+_COUNT = (lambda v: v >= 1, ">= 1")
+# the growth factor is >= 1 by construction, so a factor <= 1 escapes at once
+_FACTOR = (lambda v: v > 1, "> 1")
+
+# the range of each run setting, by its name in the sweep config and in
+# the command line (where `_` is `-`)
+_RANGES = {
+    "seed": _NON_NEGATIVE,
+    "amplitude": _NON_NEGATIVE,
+    "blowup_amplitude": _NON_NEGATIVE,
+    "nonexistence_amplitude": _NON_NEGATIVE,
+    "max_n": _COUNT,
+    "p_per_band": _COUNT,
+    "workers": _COUNT,
+    "escape_factor": _FACTOR,
+    "cap_factor": _FACTOR,
+    "sup_tol": (lambda v: v > 0, "> 0"),
+    "conditional_fraction": (lambda v: 0 < v <= 1, "in (0, 1]"),
+}
+
+
+def _check_range(label: str, key: str, val) -> None:
+    """ValueError unless val lies in the range of run setting key."""
+    ok, want = _RANGES[key]
+    if not ok(val):
+        raise ValueError(f"{label} must be {want}, got {val!r}")
+
+
+def _check_flags(args, keys) -> None:
+    for key in keys:
+        _check_range("--" + key.replace("_", "-"), key, getattr(args, key))
+
+
 def _solve_inputs(args):
     """(spec, lattice) of a `solve` invocation; ValueError if invalid."""
+    _check_flags(args, ("amplitude", "max_n", "escape_factor", "cap_factor"))
     spec = ProblemSpec(args.N, args.s, _coupling(args), args.p)
     return spec, make_lattice(args.N, args.L, args.M, 0.0, args.T, args.K)
 
@@ -222,6 +257,9 @@ class SweepConfig:
             raise ValueError("config lists must be nonempty")
         if any(not 0.0 < fr < 1.0 for fr in cfg.lambda_fracs):
             raise ValueError("lambda fractions must lie in (0, 1)")
+        for key, val in vars(cfg).items():
+            if key in _RANGES:
+                _check_range(f"config value of {key!r}", key, val)
         # the same constructors _sweep_row uses, so a bad value is a usage
         # error here and not a traceback in the middle of the sweep
         _lattice_from(cfg.dim, cfg.lattice)
@@ -420,11 +458,16 @@ def _validate_args(args) -> None:
 
     Only construction-time checks live here, through the same helpers the
     commands build their inputs with: the coupling fraction, the (N, s)
-    domain, and for `solve` the problem instance and the lattice.
+    domain, the ranges of the run settings, and for `solve` the problem
+    instance and the lattice.
     """
     if getattr(args, "check", None) is not None and args.check not in CHECKS:
         raise ValueError(f"unknown check {args.check!r}; known: {sorted(CHECKS)}")
-    if args.command == "solve":
+    if args.command == "verify":
+        _check_flags(args, ("seed",))
+    elif args.command == "sweep" and args.workers is not None:
+        _check_flags(args, ("workers",))
+    elif args.command == "solve":
         _solve_inputs(args)
     elif hasattr(args, "lambda_frac"):
         _coupling(args)

@@ -41,54 +41,53 @@ class QuadratureError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 def heat_symbol(lat: Lattice, s: float, pad_space: int = 1, pad_time: int = 1) -> np.ndarray:
-    """(i theta + |xi|^2)^s on the (padded) frequency grid, principal branch.
+    """(i theta + |xi|^2)^s on the half of the (padded) frequency grid that
+    rfftn keeps: space first, time last with theta index 0..pad_time*K/2.
 
     The base has non-negative real part, so numpy's principal power is the
-    branch with |arg| <= pi/2 and Hermitian symmetry in (xi, theta).
+    branch with |arg| <= pi/2 and Hermitian symmetry in (xi, theta), except
+    on the time-Nyquist plane, which fftfreq gives the one frequency -pi/ht.
     """
-    theta = lat.theta_axis(pad_time).reshape((pad_time * lat.K,) + (1,) * lat.dim)
-    xi2 = lat.xi_squared(pad_space)
-    return (1j * theta + xi2) ** s
-
-
-def _pad_embed(lat: Lattice, values: np.ndarray, pad_space: int, pad_time: int):
-    """Zero-embed values into the padded array. Space is centred (tails decay
-    both ways), time pads the future only: the operator kernel is causal, so
-    wrap-around contamination comes from late-time tails re-entering early."""
-    shape = (pad_time * lat.K,) + (pad_space * lat.M,) * lat.dim
-    big = np.zeros(shape, dtype=values.dtype)
-    off = [(pad_space - 1) * lat.M // 2] * lat.dim
-    sl = (slice(0, lat.K),) + tuple(slice(o, o + lat.M) for o in off)
-    big[sl] = values
-    return big, sl
+    theta = lat.theta_axis(pad_time)[: pad_time * lat.K // 2 + 1]
+    return (1j * theta + lat.xi_squared(pad_space)[..., None]) ** s
 
 
 def apply_Hs_spectral(fld: Field, s: float, pad_space: int = 2, pad_time: int = 4) -> Field:
     """Apply the order-s fractional heat operator as a Fourier multiplier.
 
-    Works on the padded torus; the imaginary residue after inverse transform
-    must stay within 1e-10 of the real part (a broken branch or severe
-    aliasing shows up there) and is then discarded.
+    Works on the padded torus with real FFTs, time last and halved. Off the
+    time-Nyquist plane the symbol is Hermitian; that plane's Im(symbol) term
+    is the imaginary residue a complex transform would leave, and it must
+    stay within 1e-10 of the real part (a broken branch or severe aliasing).
     """
     lat = fld.lattice
-    big, sl = _pad_embed(lat, fld.values.astype(np.complex128), pad_space, pad_time)
-    spec = np.fft.fftn(big)
-    spec *= heat_symbol(lat, s, pad_space, pad_time)
-    out = np.fft.ifftn(spec)[sl]
-    scale = max(float(np.max(np.abs(out.real))), 1e-300)
-    resid = float(np.max(np.abs(out.imag)))
+    # space is centred (tails decay both ways), time pads the future only:
+    # the operator kernel is causal, so wrap-around contamination comes from
+    # late-time tails re-entering early
+    big = np.zeros((pad_space * lat.M,) * lat.dim + (pad_time * lat.K,))
+    off = (pad_space - 1) * lat.M // 2
+    sl = (slice(off, off + lat.M),) * lat.dim + (slice(0, lat.K),)
+    big[sl] = np.moveaxis(fld.values, 0, -1)
+    spec = np.fft.rfftn(big)
+    sym = heat_symbol(lat, s, pad_space, pad_time)
+    space = tuple(range(lat.dim))
+    resid_plane = np.fft.ifftn(spec[..., -1] * sym[..., -1].imag, axes=space)[sl[:-1]]
+    spec *= sym
+    out = np.fft.irfftn(spec, s=big.shape, axes=space + (lat.dim,))[sl]
+    scale = max(float(np.max(np.abs(out))), 1e-300)
+    resid = float(np.max(np.abs(resid_plane))) / big.shape[-1]
     if resid > 1e-10 * scale:
-        raise AliasingError(f"imaginary residue {resid:.3e} vs scale {scale:.3e}")
-    return Field(lat, out.real.copy())
+        raise AliasingError(f"imaginary residue {resid:.9e} vs scale {scale:.3e}")
+    return Field(lat, np.moveaxis(out, -1, 0))
 
 
 def _spatial_multiply(values: np.ndarray, lat: Lattice, multiplier: np.ndarray) -> np.ndarray:
-    """Apply a spatial Fourier multiplier over the last lat.dim axes."""
+    """Apply a real, even spatial Fourier multiplier over the last lat.dim
+    axes of real values, on the rfftn half-spectrum of the last axis."""
     axes = tuple(range(values.ndim - lat.dim, values.ndim))
-    spec = np.fft.fftn(values, axes=axes)
-    spec *= multiplier
-    out = np.fft.ifftn(spec, axes=axes)
-    return out.real if np.isrealobj(values) else out
+    spec = np.fft.rfftn(values, axes=axes)
+    spec *= multiplier[..., : lat.M // 2 + 1]
+    return np.fft.irfftn(spec, s=(lat.M,) * lat.dim, axes=axes)
 
 
 def heat_semigroup(values: np.ndarray, lat: Lattice, tau: float) -> np.ndarray:

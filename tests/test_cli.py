@@ -171,6 +171,16 @@ def test_sweep_config_errors(tmp_path):
         {"max_n": "4"},
         {"lattice": {"m": 64, "KK": 3}},
         {"dim": 2, "lattice": {"dim": 3, "M": 16}},
+        {"blowup_amplitude": -1.0},
+        {"nonexistence_amplitude": -0.5},
+        {"max_n": -2},
+        {"p_per_band": 0},
+        {"workers": 0},
+        {"conditional_fraction": 0.0},
+        {"conditional_fraction": 1.5},
+        {"sup_tol": 0.0},
+        {"escape_factor": 1.0},
+        {"cap_factor": -1.0},
     ],
 )
 def test_sweep_config_bad_values_exit_2(tmp_path, capsys, override):
@@ -208,13 +218,21 @@ def test_verify_json_round_trips(tmp_path, capsys, cid):
         ["solve", "-p", "0.9"],
         ["supersol", "--lambda-frac", "2"],
         ["constants", "-N", "1", "-s", "0.5", "--lambda-frac", "0.5"],
+        ["verify", "--seed", "-1"],
+        ["solve", "-p", "2.0", "--amplitude", "-1"],
+        ["solve", "-p", "2.0", "--max-n", "-3"],
+        ["solve", "-p", "2.0", "--max-n", "0"],
+        ["solve", "-p", "2.0", "--escape-factor", "-1"],
+        ["solve", "-p", "2.0", "--escape-factor", "1"],
+        ["solve", "-p", "2.0", "--cap-factor", "0.5"],
+        ["sweep", "cfg.json", "--workers", "0"],
     ],
 )
 def test_invalid_parameters_exit_2_before_computing(argv, capsys, monkeypatch):
     def computing(*args, **kwargs):
         raise AssertionError("computation started on invalid parameters")
 
-    for name in ("run", "find_certificate", "exponents_from"):
+    for name in ("run", "run_suite", "find_certificate", "exponents_from"):
         monkeypatch.setattr(cli, name, computing)
     assert main(argv) == 2
     err = capsys.readouterr().err

@@ -12,7 +12,9 @@ from hardyheat.kernels import (
     apply_Js,
     apply_Ls,
     ground_state_residual,
+    heat_kernel_multiplier,
     heat_positive,
+    heat_semigroup,
     heat_symbol,
     hs_pointwise_oracle,
     radial_identity_error,
@@ -39,10 +41,12 @@ def gaussian(lat):
 def test_symbol_branch():
     lat = make_lattice(2, 4.0, 16, 1.0, 1.0, 16)
     sym = heat_symbol(lat, 0.5)
+    # the rfftn half grid: space first, time last with theta index 0..K/2
+    assert sym.shape == (lat.M, lat.M, lat.K // 2 + 1)
     assert np.all(sym.real >= -1e-14)
     mod = np.abs(sym)
-    th = lat.theta_axis().reshape(-1, 1, 1)
-    want = (th ** 2 + lat.xi_squared() ** 2) ** 0.25
+    th = lat.theta_axis()[: lat.K // 2 + 1]
+    want = (th ** 2 + lat.xi_squared()[..., None] ** 2) ** 0.25
     assert np.max(np.abs(mod - want)) <= 1e-12 * np.max(want)
 
 
@@ -102,6 +106,72 @@ def test_hs_aliasing_guard(lat):
     rough = sample(lambda t, x, y: np.exp(-0.01 * (x * x + y * y) - 0.01 * t * t), lat)
     with pytest.raises(AliasingError):
         apply_Hs_spectral(rough, 0.5, pad_space=1, pad_time=1)
+
+
+def _hs_complex(values, lat, s, pad_space, pad_time):
+    """The operator through complex FFTs on the full grid, time first:
+    (real part, max |imaginary part|) on the window."""
+    big = np.zeros((pad_time * lat.K,) + (pad_space * lat.M,) * lat.dim, dtype=complex)
+    off = (pad_space - 1) * lat.M // 2
+    window = (slice(0, lat.K),) + (slice(off, off + lat.M),) * lat.dim
+    big[window] = values
+    theta = lat.theta_axis(pad_time).reshape((-1,) + (1,) * lat.dim)
+    symbol = (1j * theta + lat.xi_squared(pad_space)) ** s
+    out = np.fft.ifftn(np.fft.fftn(big) * symbol)[window]
+    return out.real, float(np.max(np.abs(out.imag)))
+
+
+def _off_node_bump(lat):
+    # the time centre sits off the grid's symmetry points, so the data has
+    # a time-Nyquist part (about 1e-11 of the output) that a wrong half
+    # spectrum would mishandle
+    return sample(
+        lambda t, *xs: (1.0 + 0.3 * xs[0]) * np.exp(-sum(x * x for x in xs) - (t - 1.3) ** 2 / 0.3),
+        lat,
+    )
+
+
+@pytest.mark.parametrize("dim,M", [(2, 32), (3, 8)])
+@pytest.mark.parametrize("pads", [(2, 4), (1, 2), (1, 1)])
+def test_hs_matches_complex_fft_reference(dim, M, pads):
+    lat = make_lattice(dim, 6.0, M, 1.5, 4.5, 32)
+    fld = _off_node_bump(lat)
+    want, resid = _hs_complex(fld.values, lat, 0.5, *pads)
+    assert 1e-13 * np.max(np.abs(want)) < resid < 1e-10 * np.max(np.abs(want))
+    got = apply_Hs_spectral(fld, 0.5, *pads).values
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("pad_time", [1, 2])
+def test_hs_aliasing_residue_matches_complex(lat, pad_time):
+    rough = sample(lambda t, x, y: np.exp(-0.01 * (x * x + y * y) - 0.01 * t * t), lat)
+    _, want = _hs_complex(rough.values, lat, 0.5, 1, pad_time)
+    with pytest.raises(AliasingError) as exc:
+        apply_Hs_spectral(rough, 0.5, pad_space=1, pad_time=pad_time)
+    got = float(str(exc.value).split()[2])
+    assert got == pytest.approx(want, rel=1e-9)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize(
+    "smoother,multiplier",
+    [
+        (heat_semigroup, lambda lat, tau: np.exp(-tau * lat.xi_squared())),
+        (heat_positive, heat_kernel_multiplier),
+    ],
+)
+def test_smoothers_match_complex_fft_reference(dim, smoother, multiplier):
+    lat = make_lattice(dim, 4.0, 16, 1.0, 3.0, 8)
+    rng = np.random.default_rng(7)
+    tau = 0.3 * lat.hx ** 2
+    # batched as extend_parabolic calls them, and one bare slice as apply_Ls
+    for values in (rng.standard_normal((2,) + lat.shape), rng.standard_normal((lat.M,) * dim)):
+        axes = tuple(range(values.ndim - dim, values.ndim))
+        spec = np.fft.fftn(values, axes=axes) * multiplier(lat, tau)
+        want = np.fft.ifftn(spec, axes=axes).real
+        got = smoother(values, lat, tau)
+        assert got.shape == values.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_js_zero_and_step_oracle():
