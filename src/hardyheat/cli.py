@@ -245,8 +245,12 @@ class SweepConfig:
     def from_file(cls, path: str) -> "SweepConfig":
         try:
             raw = json.loads(Path(path).read_text())
+        except OSError as exc:  # missing, a directory, unreadable
+            raise ValueError(f"cannot read config {path}: {exc.strerror or exc}")
         except json.JSONDecodeError as exc:
             raise ValueError(f"config parse error in {path}: line {exc.lineno}: {exc.msg}")
+        if not isinstance(raw, dict):
+            raise ValueError(f"config parse error in {path}: not a JSON object")
         cfg = cls()
         for key, val in raw.items():
             if not hasattr(cfg, key):

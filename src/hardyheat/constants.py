@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from enum import Enum
+from functools import lru_cache
 
 from .special import gamma_fn, gamma_abs_neg
 
@@ -60,6 +61,9 @@ def extension_constant(s: float) -> float:
 _BISECT_STEPS = 200
 
 
+# the only iterative solve, memoised per process (a sweep sees a handful of
+# triples); a test that patches upsilon or lambda_max must cache_clear() it
+@lru_cache(maxsize=None)
 def upsilon_inv(lam: float, dim: int, s: float) -> float:
     """Invert upsilon by bisection: returns alpha with upsilon(alpha) = lam.
 

@@ -154,10 +154,14 @@ def _js_lag_weights(s: float, ht: float, n_lags: int) -> np.ndarray:
     return alpha / gamma_fn(s)
 
 
+# sub-slabs of the first time slab, where the memory kernel concentrates
+_FIRST_SLAB_REFINE = 4
+
+
 # a few entries: the verifier uses three values of s on one lattice, and one
 # 64^3 x 48 entry is already 207 MB
 @lru_cache(maxsize=4)
-def _js_spectrum(lat: Lattice, s: float, first_slab_refine: int) -> np.ndarray:
+def _js_spectrum(lat: Lattice, s: float) -> np.ndarray:
     """Time spectrum of the lag kernel on the rfft half-spectrum in space.
 
     Shape (2K, M, ..., M, M//2 + 1), complex128, read-only: the causal
@@ -173,7 +177,7 @@ def _js_spectrum(lat: Lattice, s: float, first_slab_refine: int) -> np.ndarray:
     # first-slab pieces to be replaced by the refined rule
     left0 = (ht ** s / s - ht ** s / (s + 1.0)) / gs
     right0 = ht ** s / (s + 1.0) / gs
-    R = first_slab_refine
+    R = _FIRST_SLAB_REFINE
     edges = ht * np.arange(R + 1) / R
     sub = []  # (tau, weight) endpoint rules per sub-slab
     for r in range(R):
@@ -213,26 +217,21 @@ def _js_spectrum(lat: Lattice, s: float, first_slab_refine: int) -> np.ndarray:
     return spec
 
 
-def apply_Js(
-    g: Field,
-    s: float,
-    causal_tol: float = 1e-8,
-    first_slab_refine: int = 4,
-) -> Field:
+def apply_Js(g: Field, s: float, causal_tol: float = 1e-8) -> Field:
     """Causal inverse of the fractional heat operator.
 
     A Volterra convolution in time: each output slice combines heat-smoothed
     earlier slices with weights from exact moments of the tau^(s-1) memory
     kernel. The first slab, where the memory kernel concentrates, is
-    sub-divided `first_slab_refine` times against a time-interpolated source.
+    sub-divided _FIRST_SLAB_REFINE times against a time-interpolated source.
     Every weight is non-negative: the discrete operator maps non-negative
     causal data to non-negative causal output and is monotone. Output
     vanishes identically on t <= 0.
 
-    The lag kernel depends only on (lattice, s, first_slab_refine); its
-    spectrum is built on first use and cached (see _js_spectrum). A call
-    costs a real FFT over space, a complex FFT over time zero-padded to 2K,
-    one multiply and the inverse transforms.
+    The lag kernel depends only on (lattice, s); its spectrum is built on
+    first use and cached (see _js_spectrum). A call costs a real FFT over
+    space, a complex FFT over time zero-padded to 2K, one multiply and the
+    inverse transforms.
     """
     lat = g.lattice
     past = ~lat.causal_mask()
@@ -249,7 +248,7 @@ def apply_Js(
         # nothing at t <= 0 to check or zero, and the transform only reads
         vals = np.asarray(g.values, dtype=float)
 
-    kern_hat = _js_spectrum(lat, float(s), max(1, int(first_slab_refine)))
+    kern_hat = _js_spectrum(lat, float(s))
     space = tuple(range(1, 1 + lat.dim))
     # the zero-padded time axis is filled in place: no separate padded copy
     conv = np.zeros(kern_hat.shape, dtype=complex)

@@ -204,19 +204,15 @@ def inverse_transform(lat: Lattice, spectrum: np.ndarray) -> Field:
     return Field(lat, out.real)
 
 
-def weighted_integral(
-    fld: Field, weight_exponent: float, power: float, t_index: Optional[int] = None
-):
-    """Riemann sum of |x|^a * field^p over one spatial slice (a float), or
-    over every slice at once when t_index is None (an array of K sums)."""
+def weighted_integral(fld: Field, weight_exponent: float, power: float) -> np.ndarray:
+    """Riemann sums of |x|^a * field^p over space, one per time slice (an
+    array of K sums)."""
     lat = fld.lattice
-    vals = fld.values if t_index is None else fld.values[t_index]
-    if power != int(power) and np.any(vals < 0):
+    if power != int(power) and np.any(fld.values < 0):
         raise ValueError("negative values with fractional power")
-    integrand = np.asarray(vals, dtype=float) ** power
+    integrand = np.asarray(fld.values, dtype=float) ** power
     integrand *= lat.spatial_power(weight_exponent)
-    sums = integrand.reshape(-1, lat.M ** lat.dim).sum(axis=1) * lat.cell_volume
-    return sums if t_index is None else float(sums[0])
+    return integrand.reshape(lat.K, -1).sum(axis=1) * lat.cell_volume
 
 
 @dataclass(frozen=True)

@@ -145,45 +145,34 @@ def blowup_functional(w: Field, mu: float, p: float) -> np.ndarray:
     return weighted_integral(w, -mu, p)
 
 
-def iterate(
-    state: IterationState, f: Field, spec: ProblemSpec, mu: Optional[float] = None
-) -> IterationState:
-    """One step of the scheme: invert the operator on the stage-n right-hand
-    side built from the current iterate. Monotonicity is asserted, not
-    assumed: a violation beyond MONO_SLACK means the quadrature broke. The
-    same slack bounds the negative rounding of the operator output.
-
-    mu is the singularity exponent of spec; run() passes it in so that the
-    exponent bundle is solved once per run, not once per step."""
-    if mu is None:
-        mu = exponents(spec).mu
-    n_next = state.n + 1
-    w_next = _invert(rhs_truncated(state.w, f, spec, n_next), spec.s)
-    diff = w_next.values - state.w.values
+def _step(w: Field, f: Field, spec: ProblemSpec, n: int) -> IterationState:
+    """Stage n of the scheme from the iterate w: invert the operator on the
+    stage-n right-hand side. Monotonicity is asserted, not assumed: a drop
+    below w beyond MONO_SLACK means the quadrature broke. The same slack
+    bounds the negative rounding of the operator output."""
+    w_next = _invert(rhs_truncated(w, f, spec, n), spec.s)
+    diff = w_next.values - w.values
     drop = float(np.min(diff))
     scale = max(float(np.max(w_next.values)), 1e-300)
     if drop < -MONO_SLACK * scale:
         raise MonotonicityError(f"iterate decreased by {drop:.3e} (scale {scale:.3e})")
     return IterationState(
-        n=n_next,
+        n=n,
         w=w_next,
-        m_curve=blowup_functional(w_next, mu, spec.p),
+        m_curve=blowup_functional(w_next, exponents(spec).mu, spec.p),
         sup_diff=max(float(np.max(diff)), -drop),  # max |w_next - w|
     )
 
 
-def initial_state(f: Field, spec: ProblemSpec, mu: Optional[float] = None) -> IterationState:
-    """Stage 0: the inverse operator applied to the saturated forcing. mu
-    is the singularity exponent of spec, solved here if not given."""
-    if mu is None:
-        mu = exponents(spec).mu
-    w0 = _invert(rhs_truncated(zero_field(f.lattice), f, spec, 0), spec.s)
-    return IterationState(
-        n=0,
-        w=w0,
-        m_curve=blowup_functional(w0, mu, spec.p),
-        sup_diff=float(np.max(w0.values)),  # w0 >= 0: its sup norm
-    )
+def initial_state(f: Field, spec: ProblemSpec) -> IterationState:
+    """Stage 0: the inverse operator applied to the saturated forcing, a step
+    from the zero field (so sup_diff is the sup norm of the iterate)."""
+    return _step(zero_field(f.lattice), f, spec, 0)
+
+
+def iterate(state: IterationState, f: Field, spec: ProblemSpec) -> IterationState:
+    """The next stage of the scheme from state."""
+    return _step(state.w, f, spec, state.n + 1)
 
 
 VERDICT_CONVERGED = "ConvergedBelowCap"
@@ -265,8 +254,7 @@ def run(
     iterate, with a slack of 1e-9 of its peak; violations are counted, never
     silently clipped.
     """
-    mu = exponents(spec).mu
-    state = initial_state(f, spec, mu=mu)
+    state = initial_state(f, spec)
     if callback:
         callback(state)
     m_first = max(float(np.max(state.m_curve)), 1e-300)
@@ -291,7 +279,7 @@ def run(
     verdict = VERDICT_STALLED
     cap_hit = False
     while state.n < max_n:
-        state = iterate(state, f, spec, mu=mu)
+        state = iterate(state, f, spec)
         if callback:
             callback(state)
         check_dominator(state)

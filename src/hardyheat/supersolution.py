@@ -8,8 +8,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,7 +44,7 @@ XI_POINTS = 400
 class SupersolutionCertificate:
     """Parameters (eps, lambda1) plus the decay rate theta and the two
     certifying margins. delta1 is the admissible forcing amplitude.
-    Immutable once issued; the profile object is a lazily built cache."""
+    Immutable once issued."""
 
     dim: int
     s: float
@@ -61,46 +60,49 @@ class SupersolutionCertificate:
     xi_hi: float
     xi_points: int
     phi_bound: float
-    _profile: Optional[PhiProfile] = field(default=None, repr=False, compare=False)
 
     @property
     def mu1(self) -> float:
         return mu_from_lambda(self.lambda1, self.dim, self.s)
 
-    def profile(self) -> PhiProfile:
-        if self._profile is None:
-            object.__setattr__(self, "_profile", PhiProfile(self.lambda1, self.dim, self.s))
-        return self._profile
-
     def validate(self) -> None:
-        """Recompute theta and both certifying margins from the parameters;
-        ValueError unless they match the stored values and certify."""
-        want_theta = self.s / (self.p - 1.0) - self.mu1 / 2.0
-        if abs(self.theta - want_theta) > 1e-12 * max(1.0, abs(want_theta)):
-            raise ValueError("theta inconsistent with (s, p, lambda1)")
+        """Recompute theta, delta1, phi_bound and both certifying margins
+        from the parameters; ValueError unless they match the stored values
+        and certify. Every comparison is written so that a NaN fails it."""
+        ProblemSpec(self.dim, self.s, self.lam, self.p)  # ValueError unless valid
+        if not self.lam < self.lambda1 < lambda_max(self.dim, self.s):
+            raise ValueError("lambda1 must sit strictly between lam and the max")
+        if not (math.isfinite(self.eps) and self.eps > 0.0):
+            raise ValueError(f"eps must be finite and positive, got {self.eps}")
+        _match("theta", self.theta, self.s / (self.p - 1.0) - self.mu1 / 2.0, 1e-12)
         margin = interior_sign_margin(self.dim, self.s, self.p, self.lambda1)
-        if abs(self.interior_margin - margin) > 1e-10 * max(1.0, abs(margin)):
-            raise ValueError("interior margin inconsistent")
+        _match("interior margin", self.interior_margin, margin, 1e-10)
         gap, div0, dinf = boundary_gap(
             self.dim, self.s, self.lam, self.p, self.lambda1, self.eps,
             self.xi_lo, self.xi_hi, self.xi_points,
         )
-        if abs(self.boundary_min_gap - gap) > 1e-10 * max(1.0, abs(gap)):
-            raise ValueError("boundary gap inconsistent")
-        if margin <= 0.0 or gap <= 0.0 or not (div0 and dinf):
+        _match("boundary gap", self.boundary_min_gap, gap, 1e-10)
+        _match("delta1", self.delta1, (self.lambda1 - self.lam) / 2.0, 1e-10)
+        _match("phi_bound", self.phi_bound,
+               _bounded_factor_max(self.dim, self.s, self.p, self.lambda1), 1e-10)
+        if not (margin > 0.0 and gap > 0.0 and div0 and dinf):
             raise ValueError("certificate margins must be positive")
-        if not self.lam < self.lambda1 < lambda_max(self.dim, self.s):
-            raise ValueError("lambda1 must sit strictly between lam and the max")
 
     def to_json(self) -> str:
-        d = {k: v for k, v in self.__dict__.items() if not k.startswith("_")}
-        return json.dumps(d, sort_keys=True)
+        return json.dumps(vars(self), sort_keys=True, allow_nan=False)
 
     @classmethod
     def from_json(cls, text: str) -> "SupersolutionCertificate":
         cert = cls(**json.loads(text))
         cert.validate()
         return cert
+
+
+def _match(name: str, stored: float, want: float, rel: float) -> None:
+    """ValueError unless stored is within rel of want (relative, floored at
+    an absolute rel); a NaN on either side fails."""
+    if not abs(stored - want) <= rel * max(1.0, abs(want)):
+        raise ValueError(f"{name} inconsistent: stored {stored!r}, recomputed {want!r}")
 
 
 def supersol_value(cert: SupersolutionCertificate, x_radius, y, t):
@@ -110,7 +112,7 @@ def supersol_value(cert: SupersolutionCertificate, x_radius, y, t):
     y = np.asarray(y, dtype=float)
     t = np.asarray(t, dtype=float)
     z2 = r * r + y * y
-    prof = cert.profile().value(r, y)
+    prof = PhiProfile(cert.lambda1, cert.dim, cert.s).value(r, y)
     return cert.eps * (1.0 + t) ** (-cert.theta) * prof * np.exp(-z2 / (4.0 * (t + 1.0)))
 
 

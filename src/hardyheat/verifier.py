@@ -33,6 +33,7 @@ from .kernels import (
     symbol_of_kernel_check,
 )
 from .lattice import Field, make_lattice, sample
+from .solver import strict_json
 from .special import gauss_legendre_panels, geometric_edges, smooth_step
 
 
@@ -611,4 +612,6 @@ def run_suite(
 
 
 def suite_to_json(reports: Sequence[CheckReport]) -> str:
-    return json.dumps([r.to_dict() for r in reports], sort_keys=True, indent=2)
+    """Strict JSON, non-finite floats spelled by json_float (radial_K's margin is inf by design)."""
+    body = strict_json([r.to_dict() for r in reports])
+    return json.dumps(body, sort_keys=True, indent=2, allow_nan=False)

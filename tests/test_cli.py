@@ -1,6 +1,10 @@
 import csv
+import importlib.util
 import json
 import math
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -148,16 +152,20 @@ def test_sweep_rows_reproducible(tmp_path):
     assert rows_a == rows_b
 
 
-def test_sweep_config_errors(tmp_path):
-    bad = tmp_path / "bad.json"
-    bad.write_text("{ not json")
-    assert main(["sweep", str(bad)]) == 2
-    bad2 = tmp_path / "bad2.json"
-    bad2.write_text(json.dumps({"lambda_fracs": [1.5]}))
-    assert main(["sweep", str(bad2)]) == 2
-    bad3 = tmp_path / "bad3.json"
-    bad3.write_text(json.dumps({"no_such_key": 1}))
-    assert main(["sweep", str(bad3)]) == 2
+def test_sweep_config_errors(tmp_path, capsys):
+    paths = []
+    for i, text in enumerate(
+        ["{ not json", json.dumps({"lambda_fracs": [1.5]}), json.dumps({"no_such_key": 1}),
+         json.dumps([1, 2]), json.dumps("sweep")]
+    ):
+        paths.append(tmp_path / f"bad{i}.json")
+        paths[-1].write_text(text)
+    # a missing file and a directory are usage errors too
+    paths += [tmp_path / "missing.json", tmp_path]
+    for path in paths:
+        assert main(["sweep", str(path)]) == 2, path
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize(
@@ -246,3 +254,34 @@ def test_runtime_value_error_in_solve_surfaces(monkeypatch):
     monkeypatch.setattr(cli, "run", failing)
     with pytest.raises(ValueError, match="inside the solve"):
         main(["solve", "-p", "2.0", "-M", "16", "-K", "16"])
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _readme_blocks(lang: str) -> list:
+    """The bodies of README's fenced code blocks tagged lang ("" untagged)."""
+    text = (ROOT / "README.md").read_text()
+    return [body for tag, body in re.findall(r"^```(\w*)\n(.*?)^```", text, re.S | re.M)
+            if tag == lang]
+
+
+def test_readme_sweep_config_and_commands(tmp_path):
+    # README's sweep config is the benchmark's sweep2d config and a valid
+    # config, and every command it shows parses and validates
+    (block,) = _readme_blocks("json")
+    passrun_py = ROOT / "perfbench" / "passrun.py"
+    spec = importlib.util.spec_from_file_location("perfbench_passrun", passrun_py)
+    passrun = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(passrun)
+    assert json.loads(block) == passrun.README_SWEEP
+    path = tmp_path / "sweep.json"
+    path.write_text(block)
+    SweepConfig.from_file(str(path))
+    (commands,) = [b for b in _readme_blocks("") if b.startswith("hardyheat ")]
+    lines = commands.splitlines()
+    assert len(lines) == 5
+    for line in lines:
+        argv = shlex.split(line, comments=True)
+        assert argv[0] == "hardyheat", line
+        cli._validate_args(cli.build_parser().parse_args(argv[1:]))

@@ -6,7 +6,13 @@ import pytest
 
 from hardyheat import solver
 from hardyheat.cli import _fmt
-from hardyheat.constants import ProblemSpec, exponents, lambda_max, mu_from_lambda
+from hardyheat.constants import (
+    ProblemSpec,
+    exponents,
+    lambda_max,
+    mu_from_lambda,
+    upsilon_inv,
+)
 from hardyheat.lattice import Field, make_lattice, sample, zero_field
 from hardyheat.solver import (
     VERDICT_CONVERGED,
@@ -260,6 +266,13 @@ def test_initial_state_is_saturated_forcing_inverse(lat, spec):
 
     direct = apply_Js(rhs_truncated(zero_field(lat), f, spec, 0), spec.s)
     assert np.max(np.abs(st.w.values - np.maximum(direct.values, 0.0))) == 0.0
+    # stage 0 is the one step body taken from the zero field: its drop test
+    # is vacuous and its sup_diff is the sup norm of the iterate
+    step0 = solver._step(zero_field(lat), f, spec, 0)
+    assert step0.n == st.n == 0
+    np.testing.assert_array_equal(step0.w.values, st.w.values)
+    np.testing.assert_array_equal(step0.m_curve, st.m_curve)
+    assert step0.sup_diff == st.sup_diff == float(np.max(st.w.values))
 
 
 def test_vanishing_coupling_reduces_to_plain_threshold(lat):
@@ -310,8 +323,8 @@ def test_report_json_is_strict_with_infinite_growth():
 
 
 def test_run_follows_the_spec_exponent(lat, spec):
-    # run() hands mu to each step; stepping by hand, where each step solves
-    # mu from the spec, gives the same weighted norms
+    # run() and stepping by hand give the same weighted norms, both with the
+    # singularity exponent of the spec
     f = gaussian_bump_forcing(lat, 0.5)
     rep = run(spec, f, max_n=2, sup_tol=0.0)
     st = iterate(iterate(initial_state(f, spec), f, spec), f, spec)
@@ -319,5 +332,14 @@ def test_run_follows_the_spec_exponent(lat, spec):
     assert [m for _, m in rep.m_curve] == st.m_curve.tolist()
     mu = exponents(spec).mu
     np.testing.assert_array_equal(st.m_curve, blowup_functional(st.w, mu, spec.p))
-    other = iterate(initial_state(f, spec), f, spec, mu=0.5 * mu)
-    assert not np.array_equal(other.m_curve, blowup_functional(other.w, mu, spec.p))
+
+
+def test_run_solves_mu_once(lat, spec):
+    # the bisection behind mu runs once per distinct (lam, dim, s); every
+    # further stage of the run reads the memo
+    upsilon_inv.cache_clear()
+    rep = run(spec, gaussian_bump_forcing(lat, 0.5), max_n=3, sup_tol=0.0)
+    info = upsilon_inv.cache_info()
+    assert rep.n_final == 3
+    assert info.misses == info.currsize == 1
+    assert info.hits == rep.n_final  # stages 1..n; stage 0 solved it

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -6,6 +7,7 @@ import pytest
 
 from hardyheat import supersolution
 from hardyheat.constants import ProblemSpec, exponents_from, lambda_max, mu_from_lambda
+from hardyheat.extension import PhiProfile
 from hardyheat.lattice import Field, make_lattice, zero_field
 from hardyheat.supersolution import (
     ComparisonError,
@@ -113,9 +115,7 @@ def test_supersol_value_shape(cert):
     want = cert.eps * r ** (-cert.mu1) * np.exp(-r * r / 4.0)
     assert np.allclose(v1, want, rtol=1e-10)
     # linear in the amplitude
-    import dataclasses
-
-    cert2 = dataclasses.replace(cert, eps=2 * cert.eps, _profile=None)
+    cert2 = dataclasses.replace(cert, eps=2 * cert.eps)
     assert np.allclose(supersol_value(cert2, r, 0.3, 1.0), 2 * supersol_value(cert, r, 0.3, 1.0))
     # decay at infinity
     assert float(supersol_value(cert, 40.0, 0.0, 1.0)) < 1e-10 * float(
@@ -209,3 +209,40 @@ def test_from_json_recomputes_the_margins(cert, key, factor):
     d[key] *= factor
     with pytest.raises(ValueError):
         SupersolutionCertificate.from_json(json.dumps(d))
+
+
+def test_supersol_value_follows_lambda1(cert):
+    # evaluated once first, so that a profile memoised on the certificate
+    # would be stale in the copy
+    r = np.array([0.5, 1.0, 2.0])
+    supersol_value(cert, r, 0.3, 1.0)
+    moved = dataclasses.replace(cert, lambda1=0.5 * (cert.lam + cert.lambda1))
+    fresh = PhiProfile(moved.lambda1, moved.dim, moved.s).value(r, 0.3)
+    want = moved.eps * 2.0 ** (-moved.theta) * fresh * np.exp(-(r * r + 0.09) / 8.0)
+    np.testing.assert_allclose(supersol_value(moved, r, 0.3, 1.0), want, rtol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("eps", math.nan),
+        ("eps", -0.5),
+        ("theta", math.nan),
+        ("interior_margin", math.nan),
+        ("boundary_min_gap", math.nan),
+        ("delta1", math.nan),
+        ("delta1", 1e9),
+        ("phi_bound", 0.0),
+        ("p", 1.0),
+    ],
+)
+def test_from_json_rejects_bad_stored_values(cert, key, value):
+    # a NaN must fail every comparison, and delta1 (which scales the
+    # certified forcing) and phi_bound are recomputed like the margins
+    d = json.loads(cert.to_json())
+    d[key] = value
+    with pytest.raises(ValueError):
+        SupersolutionCertificate.from_json(json.dumps(d))
+    if not math.isfinite(value):  # and the certificate's own JSON is strict
+        with pytest.raises(ValueError):
+            dataclasses.replace(cert, **{key: value}).to_json()

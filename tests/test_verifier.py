@@ -79,6 +79,23 @@ def test_report_round_trips_as_json():
     assert "worst_margin" in d and "tolerance" in d and "sample_count" in d
 
 
+def test_suite_json_is_strict_with_non_finite_margins():
+    # radial_K reports an infinite margin (and a None sup) when its sphere
+    # integral is not finite
+    reports = [
+        CheckReport("a", math.inf, 1.0, 1, {"sup": None}),
+        CheckReport("b", math.nan, 1.0, 1, {"x": -math.inf}),
+    ]
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    a, b = json.loads(suite_to_json(reports), parse_constant=reject)
+    assert a["worst_margin"] == "inf" and a["params"]["sup"] is None
+    assert b["worst_margin"] == "nan" and b["params"]["x"] == "-inf"
+    assert a["passed"] is False and b["passed"] is False
+
+
 def test_check_report_passed_is_derived():
     assert CheckReport("c", 0.5, 1.0, 1, {}).passed is True
     assert CheckReport("c", 1.0, 1.0, 1, {}).passed is True
