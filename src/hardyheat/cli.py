@@ -26,7 +26,7 @@ from .constants import (
     lambda_max,
 )
 from .lattice import make_lattice
-from .solver import gaussian_bump_forcing, json_float, run, strict_json
+from .solver import gaussian_bump_forcing, is_json_number, json_float, run, strict_json
 from .supersolution import (
     SearchExhausted,
     certified_forcing,
@@ -85,7 +85,7 @@ def cmd_constants(args) -> int:
 def cmd_verify(args) -> int:
     cfg = VerifierConfig(seed=args.seed)
     ids = [args.check] if args.check else None
-    reports = run_suite(ids, cfg, parallel=args.parallel)
+    reports = run_suite(ids, cfg)
     for r in reports:
         status = "pass" if r.passed else "FAIL"
         print(f"{r.check_id:16s} {status}  margin={r.worst_margin:.3e} tol={r.tolerance:.1e}")
@@ -195,11 +195,6 @@ _SWEEP_INT_KEYS = ("dim", "p_per_band", "max_n", "workers", "M", "K")
 _LATTICE_KEYS = ("L", "M", "T_neg", "T", "K")
 
 
-def _is_number(val, integral: bool) -> bool:
-    """A JSON number (not a bool), and an integer when integral."""
-    return not isinstance(val, bool) and isinstance(val, int if integral else (int, float))
-
-
 def _check_sweep_value(key: str, val) -> None:
     """ValueError unless val has the JSON type of sweep config key: a string
     for out_dir, a list of numbers for s_values and lambda_fracs, an object
@@ -208,18 +203,18 @@ def _check_sweep_value(key: str, val) -> None:
     if key == "out_dir":
         ok, want = isinstance(val, str), "a string"
     elif key in ("s_values", "lambda_fracs"):
-        ok = isinstance(val, list) and all(_is_number(v, False) for v in val)
+        ok = isinstance(val, list) and all(is_json_number(v, False) for v in val)
         want = "a list of numbers"
     elif key == "lattice":
         ok = val is None or (
             isinstance(val, dict)
             and set(val) <= set(_LATTICE_KEYS)
-            and all(_is_number(v, k in _SWEEP_INT_KEYS) for k, v in val.items())
+            and all(is_json_number(v, k in _SWEEP_INT_KEYS) for k, v in val.items())
         )
         want = f"an object of numbers keyed by {', '.join(_LATTICE_KEYS)}, with integer M and K"
     else:
         integral = key in _SWEEP_INT_KEYS
-        ok, want = _is_number(val, integral), "an integer" if integral else "a number"
+        ok, want = is_json_number(val, integral), "an integer" if integral else "a number"
     if not ok:
         raise ValueError(f"config value of {key!r} must be {want}, got {val!r}")
 
@@ -420,7 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run the check battery")
     v.add_argument("--check", help="single check id (default: whole suite)")
     v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--parallel", action="store_true")
     v.add_argument("--json", help="write the reports as JSON")
     v.set_defaults(func=cmd_verify)
 
@@ -462,8 +456,9 @@ def _validate_args(args) -> None:
 
     Only construction-time checks live here, through the same helpers the
     commands build their inputs with: the coupling fraction, the (N, s)
-    domain, the ranges of the run settings, and for `solve` the problem
-    instance and the lattice.
+    domain, the ranges of the run settings, for `solve` the problem
+    instance and the lattice, and for `supersol` the problem instance when
+    `-p` is given (a p outside the admissible band is still a refusal).
     """
     if getattr(args, "check", None) is not None and args.check not in CHECKS:
         raise ValueError(f"unknown check {args.check!r}; known: {sorted(CHECKS)}")
@@ -473,6 +468,8 @@ def _validate_args(args) -> None:
         _check_flags(args, ("workers",))
     elif args.command == "solve":
         _solve_inputs(args)
+    elif args.command == "supersol" and args.p is not None:
+        ProblemSpec(args.N, args.s, _coupling(args), args.p)
     elif hasattr(args, "lambda_frac"):
         _coupling(args)
 

@@ -10,6 +10,7 @@ causal fields (zero for t <= 0) are representable exactly.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
@@ -102,8 +103,9 @@ def make_lattice(dim: int, L: float, M: int, T_neg: float, T: float, K: int) -> 
         raise LatticeError(f"M must be a power of two >= 8, got {M}")
     if K < 8:
         raise LatticeError(f"K must be >= 8, got {K}")
-    if L <= 0 or T <= 0 or T_neg < 0:
-        raise LatticeError(f"bad extents L={L}, T_neg={T_neg}, T={T}")
+    if not (0 < L < math.inf and 0 < T < math.inf and 0 <= T_neg < math.inf):  # NaN fails
+        raise LatticeError(f"bad extents L={L}, T_neg={T_neg}, T={T}: "
+                           "need finite L > 0, T > 0 and T_neg >= 0")
     return Lattice(dim=dim, L=float(L), M=int(M), T_neg=float(T_neg), T=float(T), K=int(K))
 
 

@@ -207,6 +207,11 @@ def json_float(x):
     return x
 
 
+def is_json_number(val, integral: bool) -> bool:
+    """A JSON number (not a bool), and an integer when integral."""
+    return not isinstance(val, bool) and isinstance(val, int if integral else (int, float))
+
+
 def strict_json(obj):
     """obj with every non-finite float spelled by json_float, so that
     json.dumps(..., allow_nan=False) accepts it."""

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .constants import (
 from .extension import PhiProfile
 from .kernels import apply_Js
 from .lattice import Field, Lattice
+from .solver import is_json_number
 
 
 class SearchExhausted(RuntimeError):
@@ -93,7 +94,16 @@ class SupersolutionCertificate:
 
     @classmethod
     def from_json(cls, text: str) -> "SupersolutionCertificate":
-        cert = cls(**json.loads(text))
+        """ValueError unless text is a JSON object of exactly the certificate's
+        keys (integer dim and xi_points, numbers elsewhere) that validates."""
+        raw = json.loads(text)
+        keys = sorted(f.name for f in fields(cls))
+        if not isinstance(raw, dict) or sorted(raw) != keys:
+            raise ValueError(f"a certificate is a JSON object with exactly the keys {keys}")
+        for key, val in raw.items():
+            if not is_json_number(val, key in ("dim", "xi_points")):
+                raise ValueError(f"certificate value of {key!r} has the wrong type: {val!r}")
+        cert = cls(**raw)
         cert.validate()
         return cert
 

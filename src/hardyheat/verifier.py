@@ -1,5 +1,6 @@
 """A named battery of numeric checks, one per inequality or identity the
-operators are supposed to satisfy, runnable individually or as a suite.
+operators are supposed to satisfy, runnable individually or as a suite, at
+one pinned instance (the constants below); VerifierConfig holds the rest.
 
 Conventions: every check reports a worst margin with the orientation
 "violation is positive", and CheckReport derives passed == (worst_margin <=
@@ -11,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -41,25 +41,31 @@ class UnknownCheck(KeyError):
     pass
 
 
+# the pinned instance: N, lam / lambda_max, and the space-time window
+DIM = 2
+LAM_FRAC = 0.5
+L = 8.0
+T_NEG = 1.5
+T = 4.5
+K = 48
+# support radii of the spatial and the half-space test bumps
+BUMP_RADIUS = 6.0
+HALF_BALL_RADIUS = 2.0
+
+
 @dataclass(frozen=True)
 class VerifierConfig:
     seed: int = 0
     n_samples: int = 20
-    dim: int = 2
     s: float = 0.5
-    lam_frac: float = 0.5
-    L: float = 8.0
     M: int = 64
-    T_neg: float = 1.5
-    T: float = 4.5
-    K: int = 48
 
     @property
     def lam(self) -> float:
-        return self.lam_frac * lambda_max(self.dim, self.s)
+        return LAM_FRAC * lambda_max(DIM, self.s)
 
-    def lattice(self, M: Optional[int] = None, K: Optional[int] = None):
-        return make_lattice(self.dim, self.L, M or self.M, self.T_neg, self.T, K or self.K)
+    def lattice(self):
+        return make_lattice(DIM, L, self.M, T_NEG, T, K)
 
     def rng(self, check_id: str) -> np.random.Generator:
         return np.random.default_rng([self.seed, zlib.crc32(check_id.encode())])
@@ -84,9 +90,6 @@ class CheckReport:
         self.tolerance = float(self.tolerance)
         self.sample_count = int(self.sample_count)
         self.passed = self.worst_margin <= self.tolerance
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -158,11 +161,12 @@ def positive_spacetime_fields(rng, lat, n) -> List[Field]:
     return fields
 
 
-def spatial_bumps(rng, dim, n, radius=6.0):
-    """Closed-form compact spatial bumps with support inside |x| < radius."""
+def spatial_bumps(rng, n):
+    """Closed-form compact spatial bumps with support inside |x| < BUMP_RADIUS."""
+    radius = BUMP_RADIUS
     out = []
     for _ in range(n):
-        cx = rng.uniform(-0.25 * radius, 0.25 * radius, dim)
+        cx = rng.uniform(-0.25 * radius, 0.25 * radius, DIM)
         wd = rng.uniform(0.5, 1.5)
         amp = rng.uniform(0.5, 2.0)
 
@@ -176,12 +180,13 @@ def spatial_bumps(rng, dim, n, radius=6.0):
     return out
 
 
-def halfspace_bumps(rng, dim, n, radius=2.0):
+def halfspace_bumps(rng, n):
     """Smooth bumps on the upper half space, compact inside the half ball of
-    the given radius, not vanishing at the base."""
+    radius HALF_BALL_RADIUS, not vanishing at the base."""
+    radius = HALF_BALL_RADIUS
     out = []
     for _ in range(n):
-        cx = rng.uniform(-0.3 * radius, 0.3 * radius, dim)
+        cx = rng.uniform(-0.3 * radius, 0.3 * radius, DIM)
         cy = rng.uniform(0.0, 0.3 * radius)
         wd = rng.uniform(0.15, 0.5) * radius
         amp = rng.uniform(0.5, 2.0)
@@ -205,9 +210,9 @@ def _check_hardy(cfg: VerifierConfig) -> CheckReport:
     Gagliardo double integral times half the normaliser of (-Lap)^s
     (quadrature under-counts the singular diagonal, which is conservative)."""
     rng = cfg.rng("hardy")
-    dim, s = cfg.dim, cfg.s
+    dim, s = DIM, cfg.s
     lmax = lambda_max(dim, s)
-    rad = 6.0
+    rad = BUMP_RADIUS
     n_grid = 48
     ax = -rad + (np.arange(n_grid) + 0.5) * (2 * rad / n_grid)
     h = ax[1] - ax[0]
@@ -220,7 +225,7 @@ def _check_hardy(cfg: VerifierConfig) -> CheckReport:
     np.fill_diagonal(kern, 0.0)
     energy_const = frac_laplacian_constant(dim, s) / 2.0
     worst = -math.inf
-    for fn in spatial_bumps(rng, dim, cfg.n_samples, radius=rad):
+    for fn in spatial_bumps(rng, cfg.n_samples):
         phi = fn(*[pts[:, d] for d in range(dim)])
         lhs = lmax * np.sum(phi * phi * r2 ** (-s)) * h ** dim
         rhs = energy_const * np.sum((phi[:, None] - phi[None, :]) ** 2 * kern) * h ** (2 * dim)
@@ -230,16 +235,8 @@ def _check_hardy(cfg: VerifierConfig) -> CheckReport:
                        {"dim": dim, "s": s, "n_grid": n_grid})
 
 
-def _halfspace_grid(dim, radius, n_x=40, n_y=24):
-    ax = -radius + (np.arange(n_x) + 0.5) * (2 * radius / n_x)
-    ay = (np.arange(n_y) + 0.5) * (radius / n_y)
-    hx = ax[1] - ax[0]
-    hy = ay[1] - ay[0]
-    grids = np.meshgrid(*([ax] * dim + [ay]), indexing="ij")
-    return grids, hx, hy
-
-
-def _fd_grad_sq(fn, y, xs, h=1e-5):
+def _fd_grad_sq(fn, y, xs):
+    h = 1e-5
     total = 0.0
     for d in range(len(xs)):
         bumped = list(xs)
@@ -259,28 +256,32 @@ def _halfspace_energy_margin(cfg: VerifierConfig, check_id: str, coupling: float
     boundary is kappa_s * coupling times the Hardy term of the base trace,
     energy the y^(1-2s)-weighted gradient energy."""
     rng = cfg.rng(check_id)
-    dim, s = cfg.dim, cfg.s
+    s = cfg.s
     kappa = extension_constant(s)
-    rad = 2.0
-    grids, hx, hy = _halfspace_grid(dim, rad)
-    xs, y = grids[:-1], grids[-1]
+    rad = HALF_BALL_RADIUS
+    n_x, n_y = 40, 24
+    ax = -rad + (np.arange(n_x) + 0.5) * (2 * rad / n_x)
+    ay = (np.arange(n_y) + 0.5) * (rad / n_y)
+    hx = ax[1] - ax[0]
+    hy = ay[1] - ay[0]
+    *xs, y = np.meshgrid(*([ax] * DIM + [ay]), indexing="ij")
     rx2 = sum(x * x for x in xs)
     weight = y ** (1.0 - 2.0 * s)
     worst = -math.inf
-    for fn in halfspace_bumps(rng, dim, cfg.n_samples, radius=rad):
-        energy = np.sum(weight * _fd_grad_sq(fn, y, list(xs))) * hx ** dim * hy
+    for fn in halfspace_bumps(rng, cfg.n_samples):
+        energy = np.sum(weight * _fd_grad_sq(fn, y, xs)) * hx ** DIM * hy
         base = fn(0.0, *[x[..., 0] for x in xs])
-        boundary = kappa * coupling * np.sum(base * base * rx2[..., 0] ** (-s)) * hx ** dim
+        boundary = kappa * coupling * np.sum(base * base * rx2[..., 0] ** (-s)) * hx ** DIM
         worst = max(worst, (boundary - energy) / energy)
     return worst
 
 
 def _check_hardy_extended(cfg: VerifierConfig) -> CheckReport:
     """Weighted-gradient Hardy form on the half space."""
-    worst = _halfspace_energy_margin(cfg, "hardy_extended", lambda_max(cfg.dim, cfg.s))
+    worst = _halfspace_energy_margin(cfg, "hardy_extended", lambda_max(DIM, cfg.s))
     tol = 1e-3
     return CheckReport("hardy_extended", worst, tol, cfg.n_samples,
-                       {"dim": cfg.dim, "s": cfg.s})
+                       {"dim": DIM, "s": cfg.s})
 
 
 def _check_kato(cfg: VerifierConfig) -> CheckReport:
@@ -288,9 +289,8 @@ def _check_kato(cfg: VerifierConfig) -> CheckReport:
     order-preserving quadrature the discrete inequality is exact, so the
     slack is pure rounding."""
     rng = cfg.rng("kato")
-    lat = cfg.lattice(M=32, K=32)
+    lat = make_lattice(DIM, L, 32, T_NEG, T, 32)
     worst = -math.inf
-    scale_ref = 0.0
     ms = [1.5, 2.0, 3.0]
     for i, phi in enumerate(positive_spacetime_fields(rng, lat, cfg.n_samples)):
         m = ms[i % len(ms)]
@@ -300,11 +300,10 @@ def _check_kato(cfg: VerifierConfig) -> CheckReport:
         rhs = m * phi.values ** (m - 1.0) * ls_phi.values
         gap = ls_phim.values - rhs
         scale = float(np.max(np.abs(ls_phim.values)))
-        scale_ref = max(scale_ref, scale)
         worst = max(worst, float(np.max(gap)) / max(scale, 1e-300))
     tol = 1e-10
     return CheckReport("kato", worst, tol, cfg.n_samples,
-                       {"dim": cfg.dim, "s": cfg.s, "lam": cfg.lam, "powers": ms})
+                       {"dim": DIM, "s": cfg.s, "lam": cfg.lam, "powers": ms})
 
 
 def _check_algebra_ab(cfg: VerifierConfig) -> CheckReport:
@@ -339,24 +338,23 @@ def _check_algebra_abs(cfg: VerifierConfig) -> CheckReport:
                        {"s": s, "C": c_const})
 
 
-def _sphere_kernel(sigma: float, mu: float, dim: int) -> float:
-    """Integral over the unit sphere of |x' - sigma y'|^(-mu); graded panels
-    resolve the touching case sigma = 1 where the integrand peaks at angle 0."""
+def _sphere_kernel(sigma: float, mu: float) -> float:
+    """Integral over the unit circle (N = 2) of |x' - sigma y'|^(-mu); graded
+    panels resolve the touching case sigma = 1 where the integrand peaks at
+    angle 0."""
     pans, wts = gauss_legendre_panels(
         np.concatenate([[1e-9], geometric_edges(1e-9, math.pi, 1.25)]), 8
     )
     d2 = 1.0 - 2.0 * sigma * np.cos(pans) + sigma * sigma
     d2 = np.maximum(d2, 1e-300)
-    if dim == 2:
-        return 2.0 * float(np.sum(wts * d2 ** (-mu / 2.0)))
-    return 2.0 * math.pi * float(np.sum(wts * np.sin(pans) * d2 ** (-mu / 2.0)))
+    return 2.0 * float(np.sum(wts * d2 ** (-mu / 2.0)))
 
 
-def _sphere_kernel_rotated(sigma: float, mu: float, beta: float, n: int = 200001) -> float:
-    """Same surface integral for dim 2, but from the raw definition with the
-    reference direction rotated by beta and a plain uniform angular grid
-    (resolvable away from sigma = 1)."""
-    th = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+def _sphere_kernel_rotated(sigma: float, mu: float, beta: float) -> float:
+    """Same circle integral, but from the raw definition with the reference
+    direction rotated by beta and a plain uniform angular grid (resolvable
+    away from sigma = 1)."""
+    th = np.linspace(0.0, 2.0 * math.pi, 200001, endpoint=False)
     d2 = 1.0 - 2.0 * sigma * np.cos(th - beta) + sigma * sigma
     return float(np.mean(d2 ** (-mu / 2.0)) * 2.0 * math.pi)
 
@@ -365,51 +363,43 @@ def _check_radial_K(cfg: VerifierConfig) -> CheckReport:
     """The sphere average of the shifted power is finite across the scale
     ratio (including the touching case) and independent of the reference
     direction."""
-    mu = mu_from_lambda(cfg.lam, cfg.dim, cfg.s)
+    mu = mu_from_lambda(cfg.lam, DIM, cfg.s)
     sigmas = [0.0, 0.25, 0.5, 0.9, 1.0, 1.1, 2.0, 4.0]
-    vals = [_sphere_kernel(sg, mu, cfg.dim) for sg in sigmas]
+    vals = {sg: _sphere_kernel(sg, mu) for sg in sigmas}
     worst_dir = 0.0
-    if cfg.dim == 2:
-        for sg in (0.5, 2.0):
-            ref = _sphere_kernel(sg, mu, cfg.dim)
-            for beta in (0.0, 1.1, 2.6):
-                rot = _sphere_kernel_rotated(sg, mu, beta)
-                worst_dir = max(worst_dir, abs(rot - ref) / ref)
-    finite = all(math.isfinite(v) for v in vals)
+    for sg in (0.5, 2.0):
+        for beta in (0.0, 1.1, 2.6):
+            rot = _sphere_kernel_rotated(sg, mu, beta)
+            worst_dir = max(worst_dir, abs(rot - vals[sg]) / vals[sg])
+    finite = all(math.isfinite(v) for v in vals.values())
     worst = worst_dir if finite else math.inf
     tol = 1e-6
     return CheckReport("radial_K", worst, tol, len(sigmas),
-                       {"mu": mu, "sup": max(vals) if finite else None})
+                       {"mu": mu, "sup": max(vals.values()) if finite else None})
 
 
 def _check_symbol(cfg: VerifierConfig) -> CheckReport:
-    worst = symbol_of_kernel_check(cfg.s, dim=cfg.dim)
+    worst = symbol_of_kernel_check(cfg.s, dim=DIM)
     tol = 1e-3
     return CheckReport("symbol", worst, tol, 1,
-                       {"dim": cfg.dim, "s": cfg.s})
-
-
-def _inversion_setup(cfg: VerifierConfig):
-    lat = make_lattice(cfg.dim, 8.0, 64, 1.5, 4.5, 64)
-    phi = sample(
-        lambda t, *xs: np.exp(-sum(x * x for x in xs) / 1.5 - (t - 1.5) ** 2 / 0.35),
-        lat,
-    )
-    return lat, phi
+                       {"dim": DIM, "s": cfg.s})
 
 
 def _check_inversion(cfg: VerifierConfig) -> CheckReport:
-    lat, phi = _inversion_setup(cfg)
+    phi = sample(
+        lambda t, *xs: np.exp(-sum(x * x for x in xs) / 1.5 - (t - 1.5) ** 2 / 0.35),
+        make_lattice(DIM, L, 64, T_NEG, T, 64),
+    )
     h = apply_Hs_spectral(phi, cfg.s, pad_space=2, pad_time=2)
     j = apply_Js(h, cfg.s, causal_tol=0.05)
     worst = float(np.max(np.abs(j.values - phi.values)) / np.max(np.abs(phi.values)))
     tol = 1e-2
     return CheckReport("inversion", worst, tol, 1,
-                       {"dim": cfg.dim, "s": cfg.s, "lattice": "64^dim x 64"})
+                       {"dim": DIM, "s": cfg.s, "lattice": "64^dim x 64"})
 
 
 def _check_semigroup(cfg: VerifierConfig) -> CheckReport:
-    lat, _ = _inversion_setup(cfg)
+    lat = make_lattice(DIM, L, 64, T_NEG, T, 64)
     g = sample(
         lambda t, *xs: smooth_step((t - 0.25) / 0.5)
         * (1.0 - smooth_step((t - 1.25) / 0.5))
@@ -429,7 +419,7 @@ def _check_adjoint(cfg: VerifierConfig) -> CheckReport:
     reflection. Index reversal realises the reflection exactly only on a
     window symmetric about the origin, so the check builds its own."""
     rng = cfg.rng("adjoint")
-    lat = make_lattice(cfg.dim, cfg.L, cfg.M, 4.0, 4.0, 48)
+    lat = make_lattice(DIM, L, cfg.M, 4.0, 4.0, 48)
     worst = -math.inf
     fields = spacetime_fields(rng, lat, cfg.n_samples)
     vol = lat.cell_volume * lat.ht
@@ -445,7 +435,7 @@ def _check_adjoint(cfg: VerifierConfig) -> CheckReport:
         worst = max(worst, abs(lhs - rhs) / scale)
     tol = 1e-8
     return CheckReport("adjoint", worst, tol, cfg.n_samples,
-                       {"dim": cfg.dim, "s": cfg.s})
+                       {"dim": DIM, "s": cfg.s})
 
 
 def _check_ground_state(cfg: VerifierConfig) -> CheckReport:
@@ -457,15 +447,15 @@ def _check_ground_state(cfg: VerifierConfig) -> CheckReport:
     worst = ground_state_residual(phi, cfg.lam, cfg.s)
     tol = 5e-2
     return CheckReport("ground_state", worst, tol, 1,
-                       {"dim": cfg.dim, "s": cfg.s, "lam": cfg.lam, "M": cfg.M})
+                       {"dim": DIM, "s": cfg.s, "lam": cfg.lam, "M": cfg.M})
 
 
 def _check_radial_flap(cfg: VerifierConfig) -> CheckReport:
-    lat = make_lattice(cfg.dim, 12.0, 128, 0.5, 0.5, 8)
+    lat = make_lattice(DIM, 12.0, 128, 0.5, 0.5, 8)
     worst = radial_identity_error(lat, cfg.lam, cfg.s, pad_space=4)
     tol = 5e-2
     return CheckReport("radial_flap", worst, tol, 1,
-                       {"dim": cfg.dim, "s": cfg.s, "lam": cfg.lam})
+                       {"dim": DIM, "s": cfg.s, "lam": cfg.lam})
 
 
 def _check_extension(cfg: VerifierConfig) -> CheckReport:
@@ -481,32 +471,28 @@ def _check_extension(cfg: VerifierConfig) -> CheckReport:
                        {"trace_err": trace_err, "neumann_err": neumann_err})
 
 
-def _angular_profile_table(profile, dim):
-    """Honest profile values on the upper unit hemisphere, with the polar
-    angle graded toward the base where the degenerate |y| powers live.
-    Returns (y_unit, x_unit, surface weights, profile values)."""
+def _angular_profile_table(profile):
+    """Honest profile values on the upper unit hemisphere of R^(N+1), N = 2,
+    with the polar angle graded toward the base where the degenerate |y|
+    powers live. Returns (y_unit, surface weights, profile values)."""
     gap_n, gap_w = gauss_legendre_panels(
         np.concatenate([[1e-6], geometric_edges(1e-6, math.pi / 2.0, 1.35)]), 6
     )
-    phi_ang = math.pi / 2.0 - gap_n  # angle from the pole
     y_unit = np.sin(gap_n)
     x_unit = np.cos(gap_n)
-    if dim == 2:
-        ring = 2.0 * math.pi * x_unit
-    else:
-        raise ValueError("hemisphere table implemented for dim = 2")
+    ring = 2.0 * math.pi * x_unit
     vals = profile.value(x_unit, y_unit)
     return y_unit, ring * gap_w, vals
 
 
-def _ball_integral_factored(y_unit, surf_w, prof_vals, mu, r, dim, s, sign, rad_cut=1e-4):
+def _ball_integral_factored(y_unit, surf_w, prof_vals, mu, r, s, sign):
     """Integral over the ball of radius r (both half spaces) of
     |y|^(sign(1-2s)) profile^(2 sign), with the profile factored radially as
     rho^(-mu) x (angular value); homogeneity of the profile is verified by
     its own invariant tests."""
     e = sign * (1.0 - 2.0 * s)
-    rad_n, rad_w = gauss_legendre_panels(geometric_edges(rad_cut * r, r, 1.6), 6)
-    radial = float(np.sum(rad_w * rad_n ** (dim + e - 2.0 * sign * mu)))
+    rad_n, rad_w = gauss_legendre_panels(geometric_edges(1e-4 * r, r, 1.6), 6)
+    radial = float(np.sum(rad_w * rad_n ** (DIM + e - 2.0 * sign * mu)))
     angular = float(np.sum(surf_w * y_unit ** e * prof_vals ** (2.0 * sign)))
     return 2.0 * radial * angular
 
@@ -515,19 +501,19 @@ def _check_muckenhoupt(cfg: VerifierConfig) -> CheckReport:
     """Doubling-weight product over a dyadic radius sweep: for the reflected
     squared profile with the degenerate |y| power, the normalised product
     must stay level across scales."""
-    prof = PhiProfile(cfg.lam, cfg.dim, cfg.s)
-    y_unit, surf_w, vals = _angular_profile_table(prof, cfg.dim)
+    prof = PhiProfile(cfg.lam, DIM, cfg.s)
+    y_unit, surf_w, vals = _angular_profile_table(prof)
     radii = [2.0 ** k for k in range(-4, 5)]
     prods = []
     for r in radii:
-        a = _ball_integral_factored(y_unit, surf_w, vals, prof.mu, r, cfg.dim, cfg.s, +1)
-        b = _ball_integral_factored(y_unit, surf_w, vals, prof.mu, r, cfg.dim, cfg.s, -1)
+        a = _ball_integral_factored(y_unit, surf_w, vals, prof.mu, r, cfg.s, +1)
+        b = _ball_integral_factored(y_unit, surf_w, vals, prof.mu, r, cfg.s, -1)
         # doubling normalisation in the ambient dimension dim + 1
-        prods.append(r ** (-2.0 * (cfg.dim + 1.0)) * a * b)
+        prods.append(r ** (-2.0 * (DIM + 1.0)) * a * b)
     worst = max(prods) / min(prods) - 1.0
     tol = 0.5
     return CheckReport("muckenhoupt", worst, tol, len(radii),
-                       {"sup_product": max(prods), "dim": cfg.dim + 1})
+                       {"sup_product": max(prods), "dim": DIM + 1})
 
 
 def _check_picone(cfg: VerifierConfig) -> CheckReport:
@@ -537,15 +523,15 @@ def _check_picone(cfg: VerifierConfig) -> CheckReport:
     worst = _halfspace_energy_margin(cfg, "picone", cfg.lam)
     tol = 1e-3
     return CheckReport("picone", worst, tol, cfg.n_samples,
-                       {"dim": cfg.dim, "s": cfg.s, "lam": cfg.lam})
+                       {"dim": DIM, "s": cfg.s, "lam": cfg.lam})
 
 
 def _check_ls_bound(cfg: VerifierConfig) -> CheckReport:
     """|x|^mu |L^s phi| stays bounded by the field's C^2-type norms times a
     finite constant; the check asserts finiteness of the sampled sup."""
     rng = cfg.rng("ls_bound")
-    lat = cfg.lattice(M=32, K=32)
-    mu = mu_from_lambda(cfg.lam, cfg.dim, cfg.s)
+    lat = make_lattice(DIM, L, 32, T_NEG, T, 32)
+    mu = mu_from_lambda(cfg.lam, DIM, cfg.s)
     r = lat.spatial_radius()
     mask = (r >= 0.5) & (r <= 0.5 * lat.L)
     worst = 0.0
@@ -564,7 +550,7 @@ def _check_ls_bound(cfg: VerifierConfig) -> CheckReport:
         worst = max(worst, ratio)
     tol = 1e3  # finiteness guard; the constant itself is not pinned
     return CheckReport("ls_bound", worst, tol,
-                       cfg.n_samples, {"dim": cfg.dim, "s": cfg.s, "lam": cfg.lam})
+                       cfg.n_samples, {"dim": DIM, "s": cfg.s, "lam": cfg.lam})
 
 
 CHECKS: Dict[str, Callable[[VerifierConfig], CheckReport]] = {
@@ -596,22 +582,17 @@ def run_check(check_id: str, config: Optional[VerifierConfig] = None) -> CheckRe
 def run_suite(
     check_ids: Optional[Sequence[str]] = None,
     config: Optional[VerifierConfig] = None,
-    parallel: bool = False,
 ) -> List[CheckReport]:
+    """The named checks (default: all), run serially, in check-id order."""
     config = config or VerifierConfig()
     ids = list(check_ids) if check_ids else sorted(CHECKS)
     for cid in ids:
         if cid not in CHECKS:
             raise UnknownCheck(cid)
-    if parallel:
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            reports = list(pool.map(lambda c: CHECKS[c](config), ids))
-    else:
-        reports = [CHECKS[c](config) for c in ids]
-    return sorted(reports, key=lambda r: r.check_id)
+    return sorted((CHECKS[c](config) for c in ids), key=lambda r: r.check_id)
 
 
 def suite_to_json(reports: Sequence[CheckReport]) -> str:
     """Strict JSON, non-finite floats spelled by json_float (radial_K's margin is inf by design)."""
-    body = strict_json([r.to_dict() for r in reports])
+    body = strict_json([asdict(r) for r in reports])
     return json.dumps(body, sort_keys=True, indent=2, allow_nan=False)

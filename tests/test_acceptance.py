@@ -57,7 +57,7 @@ def test_criterion_01_exponent_engine():
 
 # Criteria 2-5 and 7 run the verifier checks of the same name on these
 # pinned inputs; the tolerances stay pinned here, against the checks' margins.
-PINNED = VerifierConfig(dim=2, s=0.5, lam_frac=0.5, L=8.0, M=64, T_neg=1.5, T=4.5, K=48)
+PINNED = VerifierConfig()
 
 
 def test_criterion_02_symbol_identity():

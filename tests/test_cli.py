@@ -189,6 +189,10 @@ def test_sweep_config_errors(tmp_path, capsys):
         {"sup_tol": 0.0},
         {"escape_factor": 1.0},
         {"cap_factor": -1.0},
+        # json.loads reads NaN and Infinity; a lattice extent must be finite
+        {"lattice": {"L": math.nan}},
+        {"lattice": {"T": math.inf}},
+        {"lattice": {"T_neg": math.inf}},
     ],
 )
 def test_sweep_config_bad_values_exit_2(tmp_path, capsys, override):
@@ -202,6 +206,10 @@ def test_sweep_config_bad_values_exit_2(tmp_path, capsys, override):
 def test_usage_exit_codes():
     with pytest.raises(SystemExit) as exc:
         main(["nonsense"])
+    assert exc.value.code == 2
+    # the battery runs serially, through one path
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--parallel"])
     assert exc.value.code == 2
 
 
@@ -234,6 +242,9 @@ def test_verify_json_round_trips(tmp_path, capsys, cid):
         ["solve", "-p", "2.0", "--escape-factor", "1"],
         ["solve", "-p", "2.0", "--cap-factor", "0.5"],
         ["sweep", "cfg.json", "--workers", "0"],
+        ["solve", "-p", "1.2", "-T", "inf", "--max-n", "2"],
+        ["solve", "-p", "2.0", "-L", "nan"],
+        ["supersol", "-p", "0.5"],
     ],
 )
 def test_invalid_parameters_exit_2_before_computing(argv, capsys, monkeypatch):

@@ -222,6 +222,10 @@ def test_supersol_value_follows_lambda1(cert):
     np.testing.assert_allclose(supersol_value(moved, r, 0.3, 1.0), want, rtol=1e-14)
 
 
+# a key the certificate JSON lacks
+MISSING = object()
+
+
 @pytest.mark.parametrize(
     "key,value",
     [
@@ -234,15 +238,26 @@ def test_supersol_value_follows_lambda1(cert):
         ("delta1", 1e9),
         ("phi_bound", 0.0),
         ("p", 1.0),
+        ("xi_points", 1.5),
+        pytest.param("extra", 1.0, id="unknown-key"),
+        pytest.param("eps", MISSING, id="missing-key"),
+        pytest.param(None, [1], id="not-an-object"),
     ],
 )
 def test_from_json_rejects_bad_stored_values(cert, key, value):
     # a NaN must fail every comparison, and delta1 (which scales the
-    # certified forcing) and phi_bound are recomputed like the margins
+    # certified forcing) and phi_bound are recomputed like the margins;
+    # text that is not a certificate's object is a ValueError too
     d = json.loads(cert.to_json())
-    d[key] = value
+    if key is None:
+        d = value
+    elif value is MISSING:
+        del d[key]
+    else:
+        d[key] = value
     with pytest.raises(ValueError):
         SupersolutionCertificate.from_json(json.dumps(d))
-    if not math.isfinite(value):  # and the certificate's own JSON is strict
+    # and the certificate's own JSON is strict
+    if isinstance(value, float) and not math.isfinite(value):
         with pytest.raises(ValueError):
             dataclasses.replace(cert, **{key: value}).to_json()
