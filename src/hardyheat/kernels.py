@@ -5,6 +5,7 @@ closed-form radial identities tying them together.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -158,17 +159,12 @@ def _js_lag_weights(s: float, ht: float, n_lags: int) -> np.ndarray:
 _FIRST_SLAB_REFINE = 4
 
 
-# a few entries: the verifier uses three values of s on one lattice, and one
-# 64^3 x 48 entry is already 207 MB
-@lru_cache(maxsize=4)
-def _js_spectrum(lat: Lattice, s: float) -> np.ndarray:
-    """Time spectrum of the lag kernel on the rfft half-spectrum in space.
+def _js_lag_kernel(lat: Lattice, s: float, modes: tuple) -> np.ndarray:
+    """The lag kernel on the spatial modes `modes` of heat_kernel_multiplier.
 
-    Shape (2K, M, ..., M, M//2 + 1), complex128, read-only: the causal
-    kernel zero-padded to 2K lags so the product with a padded input
-    spectrum is a linear (not circular) convolution over the first K lags.
-    The heat multiplier is real and even in every axis, so restricting it
-    to the half-spectrum of the last axis loses nothing.
+    Shape (K,) + the shape of those modes, real: entry m is the weight of
+    lag m, the alpha weights times the m-th power of the one-slab
+    multiplier, with the first two lags replaced by the refined first slab.
     """
     K = lat.K
     ht = lat.ht
@@ -187,18 +183,16 @@ def _js_spectrum(lat: Lattice, s: float) -> np.ndarray:
         sub.append((a, ((b * mm0 - mm1) / (b - a)) / gs))
         sub.append((b, ((mm1 - a * mm0) / (b - a)) / gs))
 
-    half = (Ellipsis, slice(0, lat.M // 2 + 1))
-
     def multiplier(tau):
         if tau <= 0:
             return 1.0
-        return heat_kernel_multiplier(lat, tau)[half].reshape(-1)
+        return heat_kernel_multiplier(lat, tau)[modes]
 
     # positive-kernel multipliers: lag m smooths with the m-fold composition
     # of the one-slab kernel, so non-negativity is preserved exactly
     dec = multiplier(ht)
-    kern = np.empty((K, dec.size))
-    pw = np.ones(dec.size)
+    kern = np.empty((K,) + dec.shape)
+    pw = np.ones(dec.shape)
     for m in range(K):
         kern[m] = alpha[m] * pw
         pw *= dec
@@ -210,11 +204,136 @@ def _js_spectrum(lat: Lattice, s: float) -> np.ndarray:
         ef = multiplier(tau)
         kern[0] += wgt * (1.0 - fr) * ef
         kern[1] += wgt * fr * ef
-    spec = np.zeros((2 * K,) + (lat.M,) * (lat.dim - 1) + (lat.M // 2 + 1,), dtype=complex)
-    spec[:K] = kern.reshape((K,) + spec.shape[1:])
+    return kern
+
+
+# a few entries: the verifier uses three values of s on one lattice, and one
+# 64^3 x 48 entry is already 207 MB
+@lru_cache(maxsize=4)
+def _js_spectrum(lat: Lattice, s: float) -> np.ndarray:
+    """Time spectrum of the lag kernel on the rfft half-spectrum in space.
+
+    Shape (2K, M, ..., M, M//2 + 1), complex128, read-only: the causal
+    kernel zero-padded to 2K lags so the product with a padded input
+    spectrum is a linear (not circular) convolution over the first K lags.
+    The heat multiplier is real and even in every axis, so restricting it
+    to the half-spectrum of the last axis loses nothing.
+    """
+    kern = _js_lag_kernel(lat, s, (Ellipsis, slice(0, lat.M // 2 + 1)))
+    spec = np.zeros((2 * lat.K,) + kern.shape[1:], dtype=complex)
+    spec[: lat.K] = kern
     np.fft.fft(spec, axis=0, out=spec)
     spec.setflags(write=False)
     return spec
+
+
+# an entry is 2^N times smaller than _js_spectrum's (25.7 MB at 64^3 x 48)
+@lru_cache(maxsize=4)
+def _js_orthant_spectrum(lat: Lattice, s: float) -> np.ndarray:
+    """Time spectrum of the lag kernel on the DCT-II modes of one orthant.
+
+    Shape (K + 1, M//2, ..., M//2), complex128, read-only: the rfft over 2K
+    zero-padded lags of the kernel on the first M//2 entries per axis of
+    the heat multiplier. An even field's DFT is its orthant's DCT-II times
+    a phase, so those entries are the multiplier the DCT modes see.
+    """
+    kern = _js_lag_kernel(lat, s, (slice(0, lat.M // 2),) * lat.dim)
+    spec = np.fft.rfft(kern, n=2 * lat.K, axis=0)
+    spec.setflags(write=False)
+    return spec
+
+
+@lru_cache(maxsize=8)
+def _makhoul(n: int):
+    """Makhoul's length-n reordering (even samples, then odd ones reversed),
+    its inverse, the twiddle t_k = 2 exp(-i pi k / 2n), k = 0..n/2, and 1/t_k."""
+    order = np.concatenate([np.arange(0, n, 2), np.arange(n - 1, 0, -2)])
+    twiddle = 2.0 * np.exp(-0.5j * np.pi * np.arange(n // 2 + 1) / n)
+    return order, np.argsort(order), twiddle, 1.0 / twiddle
+
+
+def _dct2(x: np.ndarray, axis: int) -> np.ndarray:
+    """Unnormalised DCT-II along axis, y_k = 2 sum_j x_j cos(pi k (2j+1) / 2n),
+    through one length-n rfft of the reordered samples (Makhoul, IEEE Trans.
+    ASSP 28 (1980)): y_k = Re(t_k V_k) and y_(n-k) = -Im(t_k V_k)."""
+    n = x.shape[axis]
+    h = n // 2
+    order, _, twiddle, _ = _makhoul(n)
+    z = np.fft.rfft(np.moveaxis(x, axis, -1)[..., order], axis=-1)
+    z *= twiddle
+    y = np.empty(z.shape[:-1] + (n,))
+    y[..., : h + 1] = z.real
+    y[..., h + 1:] = -z.imag[..., h - 1: 0: -1]
+    return np.moveaxis(y, -1, axis)
+
+
+def _idct2(y: np.ndarray, axis: int) -> np.ndarray:
+    """The inverse of _dct2 along axis, through one length-n irfft:
+    V_k = (y_k - i y_(n-k)) / t_k, then Makhoul's order undone."""
+    n = y.shape[axis]
+    h = n // 2
+    _, unorder, _, inverse_twiddle = _makhoul(n)
+    yl = np.moveaxis(y, axis, -1)
+    z = np.empty(yl.shape[:-1] + (h + 1,), dtype=complex)
+    z.real = yl[..., : h + 1]
+    z.imag[..., 0] = 0.0
+    z.imag[..., 1:] = -yl[..., : h - 1: -1]
+    z *= inverse_twiddle
+    v = np.fft.irfft(z, n=n, axis=-1)
+    return np.moveaxis(v[..., unorder], -1, axis)
+
+
+def _even_orthant(vals: np.ndarray, dim: int):
+    """The positive orthant of vals (time first, then dim spatial axes) if
+    vals is exactly even in every spatial axis, else None. Each axis
+    compares the mirrored halves of what the axes before it kept."""
+    for ax in range(1, dim + 1):
+        neg, pos = np.split(vals, 2, axis=ax)
+        if not np.array_equal(np.flip(neg, ax), pos):
+            return None
+        vals = pos
+    return vals
+
+
+def _js_on_orthant(orthant: np.ndarray, lat: Lattice, s: float) -> np.ndarray:
+    """The Volterra convolution of an even field from its positive orthant:
+    DCT-II per spatial axis, the real time convolution, the inverse DCT,
+    then the orthant mirrored into the full, exactly even output."""
+    space = range(1, 1 + lat.dim)
+    c = orthant
+    for ax in space:
+        c = _dct2(c, ax)
+    c = np.fft.rfft(c, n=2 * lat.K, axis=0)
+    c *= _js_orthant_spectrum(lat, s)
+    c = np.fft.irfft(c, n=2 * lat.K, axis=0)[: lat.K]
+    for ax in space:
+        c = _idct2(c, ax)
+    # each orthant of the output is c, flipped along its negative axes; no
+    # block overlaps c, so no copy is staged
+    half = lat.M // 2
+    out = np.empty(lat.shape)
+    for positive in itertools.product((False, True), repeat=lat.dim):
+        block = (slice(None),) + tuple(slice(half, None) if p else slice(None, half) for p in positive)
+        out[block] = np.flip(c, [ax for ax, p in zip(space, positive) if not p])
+    return out
+
+
+def _js_full(vals: np.ndarray, lat: Lattice, s: float) -> np.ndarray:
+    """The Volterra convolution on the full grid: real FFT over space,
+    complex FFT over time zero-padded to 2K."""
+    kern_hat = _js_spectrum(lat, s)
+    space = tuple(range(1, 1 + lat.dim))
+    # the zero-padded time axis is filled in place: no separate padded copy
+    conv = np.zeros(kern_hat.shape, dtype=complex)
+    head = conv[: lat.K]
+    np.fft.rfftn(vals, axes=space, out=head)
+    np.fft.fft(conv, axis=0, out=conv)
+    conv *= kern_hat
+    np.fft.ifft(conv, axis=0, out=conv)
+    # irfftn's steps, with the complex ones in place on the padded buffer
+    for ax in space[:-1]:
+        np.fft.ifft(head, axis=ax, out=head)
+    return np.fft.irfft(head, n=lat.M, axis=space[-1])
 
 
 def apply_Js(g: Field, s: float, causal_tol: float = 1e-8) -> Field:
@@ -229,9 +348,12 @@ def apply_Js(g: Field, s: float, causal_tol: float = 1e-8) -> Field:
     vanishes identically on t <= 0.
 
     The lag kernel depends only on (lattice, s); its spectrum is built on
-    first use and cached (see _js_spectrum). A call costs a real FFT over
-    space, a complex FFT over time zero-padded to 2K, one multiply and the
-    inverse transforms.
+    first use and cached. An input exactly even in every spatial axis (every
+    solver input is) is convolved on its positive orthant, 2^N times fewer
+    nodes, through a DCT-II per axis and a real FFT over time zero-padded to
+    2K (see _js_on_orthant); its output is exactly even. Any other input
+    takes the full grid: a real FFT over space, a complex FFT over time
+    zero-padded to 2K, one multiply and the inverse transforms.
     """
     lat = g.lattice
     past = ~lat.causal_mask()
@@ -248,19 +370,11 @@ def apply_Js(g: Field, s: float, causal_tol: float = 1e-8) -> Field:
         # nothing at t <= 0 to check or zero, and the transform only reads
         vals = np.asarray(g.values, dtype=float)
 
-    kern_hat = _js_spectrum(lat, float(s))
-    space = tuple(range(1, 1 + lat.dim))
-    # the zero-padded time axis is filled in place: no separate padded copy
-    conv = np.zeros(kern_hat.shape, dtype=complex)
-    head = conv[: lat.K]
-    np.fft.rfftn(vals, axes=space, out=head)
-    np.fft.fft(conv, axis=0, out=conv)
-    conv *= kern_hat
-    np.fft.ifft(conv, axis=0, out=conv)
-    # irfftn's steps, with the complex ones in place on the padded buffer
-    for ax in space[:-1]:
-        np.fft.ifft(head, axis=ax, out=head)
-    out = np.fft.irfft(head, n=lat.M, axis=space[-1])
+    orthant = _even_orthant(vals, lat.dim)
+    if orthant is None:
+        out = _js_full(vals, lat, float(s))
+    else:
+        out = _js_on_orthant(orthant, lat, float(s))
     out[past] = 0.0
     out.setflags(write=False)  # handed to Field without a copy
     return Field(lat, out)

@@ -206,15 +206,28 @@ def inverse_transform(lat: Lattice, spectrum: np.ndarray) -> Field:
     return Field(lat, out.real)
 
 
-def weighted_integral(fld: Field, weight_exponent: float, power: float) -> np.ndarray:
+# bytes of the time slices weighted_integral multiplies at once: a block
+# stays in cache, and no full-size integrand is built
+_SUM_BLOCK_BYTES = 1 << 18
+
+
+def weighted_integral(
+    fld: Field, weight_exponent: float, power: float, powered: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Riemann sums of |x|^a * field^p over space, one per time slice (an
-    array of K sums)."""
+    array of K sums). powered, if given, is field^p already computed; it is
+    only read."""
     lat = fld.lattice
-    if power != int(power) and np.any(fld.values < 0):
+    if powered is None and power != int(power) and np.any(fld.values < 0):
         raise ValueError("negative values with fractional power")
-    integrand = np.asarray(fld.values, dtype=float) ** power
-    integrand *= lat.spatial_power(weight_exponent)
-    return integrand.reshape(lat.K, -1).sum(axis=1) * lat.cell_volume
+    weight = lat.spatial_power(weight_exponent)
+    step = max(1, _SUM_BLOCK_BYTES // (8 * weight.size))
+    sums = np.empty(lat.K)
+    for k in range(0, lat.K, step):
+        blk = slice(k, k + step)
+        slab = np.asarray(fld.values[blk], dtype=float) ** power if powered is None else powered[blk]
+        sums[blk] = (slab * weight).reshape(slab.shape[0], -1).sum(axis=1)
+    return sums * lat.cell_volume
 
 
 @dataclass(frozen=True)

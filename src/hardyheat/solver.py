@@ -68,7 +68,9 @@ def _saturate(x: np.ndarray, n: float, out: np.ndarray) -> np.ndarray:
 _BLOCK_BYTES = 1 << 18
 
 
-def rhs_truncated(w: Field, f: Field, spec: ProblemSpec, n: int) -> Field:
+def rhs_truncated(
+    w: Field, f: Field, spec: ProblemSpec, n: int, w_pow: Optional[np.ndarray] = None
+) -> Field:
     """Saturated right-hand side at stage n.
 
     Stage 0 keeps only the bounded forcing term; stages n >= 1 add the
@@ -80,6 +82,8 @@ def rhs_truncated(w: Field, f: Field, spec: ProblemSpec, n: int) -> Field:
     Hardy weight as one spatial factor: no full-size cutoff or weight array
     is built. The slices where the ramp vanishes stay zero; the others are
     computed block by block of time slices, a few in-place passes each.
+    w_pow, if given, is w ** spec.p of a non-negative w, already computed
+    (the scheme carries it from the previous stage); it is only read.
     """
     lat = w.lattice
     if np.min(w.values) < -1e-12 * max(np.max(w.values), 1.0):
@@ -105,8 +109,8 @@ def rhs_truncated(w: Field, f: Field, spec: ProblemSpec, n: int) -> Field:
             np.maximum(w.values[blk], 0.0, out=a)
             _saturate(a, n, o)
             o *= hardy
-            np.power(a, spec.p, out=a)
-            o += _saturate(a, n, b)
+            powered = np.power(a, spec.p, out=a) if w_pow is None else w_pow[blk]
+            o += _saturate(powered, n, b)
             o += _saturate(f.values[blk], n, b)
         o *= sp
         o *= tim[blk].reshape((m,) + (1,) * lat.dim)
@@ -120,6 +124,8 @@ class IterationState:
     w: Field
     m_curve: np.ndarray
     sup_diff: float
+    # w ** p, read-only: the next stage's right-hand side reads it
+    w_pow: Optional[np.ndarray] = None
 
 
 def _invert(rhs: Field, s: float) -> Field:
@@ -127,6 +133,8 @@ def _invert(rhs: Field, s: float) -> Field:
     preserves non-negativity, so negative output is rounding: clamped to
     zero within MONO_SLACK of the peak, a MonotonicityError beyond it."""
     out = apply_Js(rhs, s)
+    # the right-hand side is spent: let it go before a clamped copy is made
+    del rhs
     low = float(np.min(out.values))
     if low >= 0.0:
         return out
@@ -137,30 +145,43 @@ def _invert(rhs: Field, s: float) -> Field:
         )
     clamped = np.maximum(out.values, 0.0)
     clamped.setflags(write=False)
-    return Field(rhs.lattice, clamped)
+    return Field(out.lattice, clamped)
 
 
-def blowup_functional(w: Field, mu: float, p: float) -> np.ndarray:
-    """Per-slice weighted norm: integral of |x|^(-mu) w^p over space."""
-    return weighted_integral(w, -mu, p)
+def blowup_functional(
+    w: Field, mu: float, p: float, w_pow: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Per-slice weighted norm: integral of |x|^(-mu) w^p over space (w_pow,
+    if given, is w^p already computed)."""
+    return weighted_integral(w, -mu, p, w_pow)
 
 
-def _step(w: Field, f: Field, spec: ProblemSpec, n: int) -> IterationState:
-    """Stage n of the scheme from the iterate w: invert the operator on the
-    stage-n right-hand side. Monotonicity is asserted, not assumed: a drop
-    below w beyond MONO_SLACK means the quadrature broke. The same slack
-    bounds the negative rounding of the operator output."""
-    w_next = _invert(rhs_truncated(w, f, spec, n), spec.s)
+def _step(
+    w: Field, f: Field, spec: ProblemSpec, n: int, w_pow: Optional[np.ndarray] = None
+) -> IterationState:
+    """Stage n of the scheme from the iterate w (and w ** p, if known):
+    invert the operator on the stage-n right-hand side. Monotonicity is
+    asserted, not assumed: a drop below w beyond MONO_SLACK means the
+    quadrature broke. The same slack bounds the negative rounding of the
+    operator output. w_next ** p is computed once, for the weighted norm
+    and the next stage's right-hand side."""
+    w_next = _invert(rhs_truncated(w, f, spec, n, w_pow), spec.s)
     diff = w_next.values - w.values
     drop = float(np.min(diff))
+    sup_diff = max(float(np.max(diff)), -drop)  # max |w_next - w|
     scale = max(float(np.max(w_next.values)), 1e-300)
     if drop < -MONO_SLACK * scale:
         raise MonotonicityError(f"iterate decreased by {drop:.3e} (scale {scale:.3e})")
+    # w_next >= 0 (see _invert), so this is bitwise the max(w, 0) ** p of
+    # rhs_truncated; it reuses diff's buffer
+    next_pow = np.power(w_next.values, spec.p, out=diff)
+    next_pow.setflags(write=False)
     return IterationState(
         n=n,
         w=w_next,
-        m_curve=blowup_functional(w_next, exponents(spec).mu, spec.p),
-        sup_diff=max(float(np.max(diff)), -drop),  # max |w_next - w|
+        m_curve=blowup_functional(w_next, exponents(spec).mu, spec.p, next_pow),
+        sup_diff=sup_diff,
+        w_pow=next_pow,
     )
 
 
@@ -172,7 +193,7 @@ def initial_state(f: Field, spec: ProblemSpec) -> IterationState:
 
 def iterate(state: IterationState, f: Field, spec: ProblemSpec) -> IterationState:
     """The next stage of the scheme from state."""
-    return _step(state.w, f, spec, state.n + 1)
+    return _step(state.w, f, spec, state.n + 1, state.w_pow)
 
 
 VERDICT_CONVERGED = "ConvergedBelowCap"

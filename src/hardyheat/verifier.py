@@ -60,6 +60,12 @@ class VerifierConfig:
     s: float = 0.5
     M: int = 64
 
+    def __post_init__(self):
+        # the sampled checks take a worst margin over the samples (adjoint
+        # over pairs of them): fewer than two would pass without testing
+        if self.n_samples < 2:
+            raise ValueError(f"n_samples must be >= 2, got {self.n_samples}")
+
     @property
     def lam(self) -> float:
         return LAM_FRAC * lambda_max(DIM, self.s)

@@ -3,10 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from hardyheat import kernels
 from hardyheat.constants import frac_laplacian_constant, lambda_max, mu_from_lambda, upsilon
 from hardyheat.kernels import (
     AliasingError,
     NonCausalInput,
+    _dct2,
+    _idct2,
+    _js_full,
+    _js_orthant_spectrum,
     _js_spectrum,
     apply_Hs_spectral,
     apply_Js,
@@ -264,47 +269,123 @@ def _volterra_direct(g: np.ndarray, lat, s: float, refine: int) -> np.ndarray:
     return out
 
 
+def _mirrored(orthant: np.ndarray, dim: int) -> np.ndarray:
+    """The field exactly even in every spatial axis whose positive orthant
+    (time first) is orthant."""
+    for ax in range(1, dim + 1):
+        orthant = np.concatenate([np.flip(orthant, ax), orthant], axis=ax)
+    return orthant
+
+
 @pytest.mark.parametrize("s", [0.5, 0.3, 0.8])
 def test_js_matches_direct_volterra_sum(s):
+    # a random input takes the full grid, an exactly even one the orthant
     lat = make_lattice(2, 4.0, 16, 1.2, 3.0, 14)
     rng = np.random.default_rng(3)
-    g = rng.random(lat.shape) * lat.causal_mask()[:, None, None]
-    got = apply_Js(Field(lat, g), s).values
-    want = _volterra_direct(g, lat, s, 4)
-    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    causal = lat.causal_mask()[:, None, None]
+    half = lat.M // 2
+    for g in (rng.random(lat.shape), _mirrored(rng.random((lat.K, half, half)), lat.dim)):
+        g *= causal
+        got = apply_Js(Field(lat, g), s).values
+        want = _volterra_direct(g, lat, s, 4)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_dct2_pair_matches_cosine_sum():
+    rng = np.random.default_rng(8)
+    for n in (4, 8, 32):
+        x = rng.standard_normal((3, n, 5))
+        j = np.arange(n)
+        cosines = 2.0 * np.cos(np.pi * np.outer(j, 2 * j + 1) / (2 * n))
+        want = np.einsum("kj,ajb->akb", cosines, x)
+        got = _dct2(x, 1)
+        assert np.max(np.abs(got - want)) <= 1e-14 * n * np.max(np.abs(want))
+        assert np.max(np.abs(_idct2(got, 1) - x)) <= 1e-14 * n
+
+
+@pytest.fixture
+def js_paths(monkeypatch):
+    """The names of the convolution paths apply_Js takes, in call order."""
+    taken = []
+    for name in ("_js_full", "_js_on_orthant"):
+        def spy(*args, _fn=getattr(kernels, name), _name=name):
+            taken.append(_name)
+            return _fn(*args)
+
+        monkeypatch.setattr(kernels, name, spy)
+    return taken
+
+
+@pytest.mark.parametrize("dim,M,T_neg", [(2, 16, 0.0), (2, 16, 1.0), (3, 8, 1.0)])
+def test_js_even_input_takes_the_orthant(js_paths, dim, M, T_neg):
+    lat = make_lattice(dim, 4.0, M, T_neg, 3.0, 12)
+    past = ~lat.causal_mask()
+    rng = np.random.default_rng(21)
+    g = _mirrored(rng.random((lat.K,) + (M // 2,) * dim), dim)
+    g[past] *= 1e-10  # below causal_tol: accepted, then zeroed
+    s = 0.4
+    out = apply_Js(Field(lat, g), s).values
+    assert js_paths == ["_js_on_orthant"]
+    for ax in range(1, dim + 1):
+        assert np.array_equal(out, np.flip(out, ax))
+    assert np.all(out[past] == 0.0)
+    causal = g.copy()
+    causal[past] = 0.0
+    want = _js_full(causal, lat, s)
+    want[past] = 0.0
+    assert np.max(np.abs(out - want)) <= 1e-14 * np.max(np.abs(want))
+    # one node one ulp off evenness: the full grid
+    node = (-1,) + (0,) * dim
+    g[node] = np.nextafter(g[node], 2.0)
+    apply_Js(Field(lat, g), s)
+    assert js_paths == ["_js_on_orthant", "_js_full"]
 
 
 def test_js_spectrum_cached_per_key():
+    # each path reads its own spectrum, built once per (lattice, s): an
+    # even input the orthant's, an input one node off evenness the full one
+    def causal_input(lat, even):
+        g = np.ones(lat.shape) * lat.causal_mask()[:, None, None]
+        if not even:
+            g[-1, 0, 0] = 2.0
+        return Field(lat, g)
+
     lat = make_lattice(2, 3.7, 16, 0.5, 2.0, 12)
-    g = Field(lat, np.ones(lat.shape) * lat.causal_mask()[:, None, None])
-    assert _js_spectrum.cache_parameters()["maxsize"] == 4
-    before = _js_spectrum.cache_info()
-    first = apply_Js(g, 0.45).values
-    after_first = _js_spectrum.cache_info()
-    assert after_first.misses == before.misses + 1
-    second = apply_Js(g, 0.45).values
-    assert _js_spectrum.cache_info().hits == after_first.hits + 1
-    assert np.array_equal(first, second)
-    # every other key gets an entry of its own
     other_lat = make_lattice(2, 3.7, 16, 0.5, 2.0, 16)
-    g_other = Field(other_lat, np.ones(other_lat.shape) * other_lat.causal_mask()[:, None, None])
-    for call in (
-        lambda: apply_Js(g, 0.55),
-        lambda: apply_Js(g_other, 0.45),
-    ):
-        misses = _js_spectrum.cache_info().misses
-        call()
-        assert _js_spectrum.cache_info().misses == misses + 1
+    for cache, even in ((_js_spectrum, False), (_js_orthant_spectrum, True)):
+        g = causal_input(lat, even)
+        assert cache.cache_parameters()["maxsize"] == 4
+        before = cache.cache_info()
+        first = apply_Js(g, 0.45).values
+        after_first = cache.cache_info()
+        assert after_first.misses == before.misses + 1
+        second = apply_Js(g, 0.45).values
+        assert cache.cache_info().hits == after_first.hits + 1
+        assert np.array_equal(first, second)
+        # every other key gets an entry of its own
+        g_other = causal_input(other_lat, even)
+        for call in (
+            lambda: apply_Js(g, 0.55),
+            lambda: apply_Js(g_other, 0.45),
+        ):
+            misses = cache.cache_info().misses
+            call()
+            assert cache.cache_info().misses == misses + 1
 
 
 def test_js_spectrum_read_only_and_sized():
     lat = make_lattice(3, 4.0, 8, 0.0, 2.0, 10)
-    spec = _js_spectrum(lat, 0.5)
-    assert spec.shape == (2 * lat.K, lat.M, lat.M, lat.M // 2 + 1)
-    assert spec.dtype == np.complex128
-    assert not spec.flags.writeable
-    with pytest.raises(ValueError):
-        spec[0, 0, 0, 0] = 1.0
+    half = lat.M // 2
+    full = _js_spectrum(lat, 0.5)
+    assert full.shape == (2 * lat.K, lat.M, lat.M, half + 1)
+    # the rfft over 2K lags on the DCT modes of one orthant
+    orthant = _js_orthant_spectrum(lat, 0.5)
+    assert orthant.shape == (lat.K + 1, half, half, half)
+    for spec in (full, orthant):
+        assert spec.dtype == np.complex128
+        assert not spec.flags.writeable
+        with pytest.raises(ValueError):
+            spec[0, 0, 0, 0] = 1.0
 
 
 def test_js_output_exactly_zero_on_past():

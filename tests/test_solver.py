@@ -137,6 +137,22 @@ def test_sup_diff_is_the_sup_of_the_step(lat, spec):
         st = nxt
 
 
+def test_stage_power_is_computed_once_and_carried(lat):
+    # each stage raises its iterate to the power p once; the next stage's
+    # right-hand side reads that array and agrees bit for bit with one that
+    # computes the power itself
+    spec = ProblemSpec(2, 0.5, 0.5 * lambda_max(2, 0.5), 1.7)
+    f = gaussian_bump_forcing(lat, 0.5)
+    st = iterate(initial_state(f, spec), f, spec)
+    assert np.array_equal(st.w_pow, st.w.values ** spec.p)
+    assert not st.w_pow.flags.writeable
+    n = st.n + 1
+    carried = rhs_truncated(st.w, f, spec, n, st.w_pow).values
+    assert np.array_equal(carried, rhs_truncated(st.w, f, spec, n).values)
+    mu = exponents(spec).mu
+    assert np.array_equal(st.m_curve, blowup_functional(st.w, mu, spec.p))
+
+
 def _negative_slab(depth):
     """A stand-in for apply_Js whose output dips to -depth times its peak on
     one time slab."""

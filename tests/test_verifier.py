@@ -111,3 +111,9 @@ def test_hardy_and_kato_pass():
     cfg = VerifierConfig(seed=2, n_samples=8)
     assert run_check("hardy", cfg).passed
     assert run_check("kato", cfg).passed
+
+
+@pytest.mark.parametrize("n_samples", [0, 1, -1])
+def test_config_rejects_fewer_than_two_samples(n_samples):
+    with pytest.raises(ValueError, match="n_samples"):
+        VerifierConfig(n_samples=n_samples)
