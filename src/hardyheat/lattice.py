@@ -206,27 +206,31 @@ def inverse_transform(lat: Lattice, spectrum: np.ndarray) -> Field:
     return Field(lat, out.real)
 
 
-# bytes of the time slices weighted_integral multiplies at once: a block
-# stays in cache, and no full-size integrand is built
-_SUM_BLOCK_BYTES = 1 << 18
+# bytes of one block of time slices in the blockwise passes over a field
+# (weighted_integral here, solver.rhs_truncated): small enough that a block
+# and its scratch buffers stay in a core's L2 cache
+_BLOCK_BYTES = 1 << 18
 
 
-def weighted_integral(
-    fld: Field, weight_exponent: float, power: float, powered: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """Riemann sums of |x|^a * field^p over space, one per time slice (an
-    array of K sums). powered, if given, is field^p already computed; it is
-    only read."""
+def block_slices(slab_size: int) -> int:
+    """Time slices per block of a blockwise pass over slabs of slab_size
+    float64 nodes each (at least one)."""
+    return max(1, _BLOCK_BYTES // (8 * slab_size))
+
+
+def weighted_integral(fld: Field, weight_exponent: float) -> np.ndarray:
+    """Riemann sums of |x|^a * fld over space, one per time slice (an array
+    of K sums). fld is the integrand, a power w^p of a non-negative field,
+    so a negative value is an error."""
     lat = fld.lattice
-    if powered is None and power != int(power) and np.any(fld.values < 0):
-        raise ValueError("negative values with fractional power")
     weight = lat.spatial_power(weight_exponent)
-    step = max(1, _SUM_BLOCK_BYTES // (8 * weight.size))
+    step = block_slices(weight.size)
     sums = np.empty(lat.K)
     for k in range(0, lat.K, step):
-        blk = slice(k, k + step)
-        slab = np.asarray(fld.values[blk], dtype=float) ** power if powered is None else powered[blk]
-        sums[blk] = (slab * weight).reshape(slab.shape[0], -1).sum(axis=1)
+        slab = fld.values[k : k + step]
+        if np.min(slab) < 0.0:
+            raise ValueError("negative integrand in weighted_integral")
+        sums[k : k + step] = (slab * weight).reshape(slab.shape[0], -1).sum(axis=1)
     return sums * lat.cell_volume
 
 

@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 from .constants import ProblemSpec, exponents
 from .kernels import apply_Js
-from .lattice import Field, Lattice, sample, weighted_integral, zero_field
+from .lattice import Field, Lattice, block_slices, sample, weighted_integral, zero_field
 from .special import smooth_step
 
 
@@ -63,14 +63,7 @@ def _saturate(x: np.ndarray, n: float, out: np.ndarray) -> np.ndarray:
     return out
 
 
-# bytes of one block of time slices in rhs_truncated: small enough that the
-# block and its two scratch buffers stay in a core's L2 cache
-_BLOCK_BYTES = 1 << 18
-
-
-def rhs_truncated(
-    w: Field, f: Field, spec: ProblemSpec, n: int, w_pow: Optional[np.ndarray] = None
-) -> Field:
+def rhs_truncated(w: Field, w_pow: Field, f: Field, spec: ProblemSpec, n: int) -> Field:
     """Saturated right-hand side at stage n.
 
     Stage 0 keeps only the bounded forcing term; stages n >= 1 add the
@@ -82,10 +75,12 @@ def rhs_truncated(
     Hardy weight as one spatial factor: no full-size cutoff or weight array
     is built. The slices where the ramp vanishes stay zero; the others are
     computed block by block of time slices, a few in-place passes each.
-    w_pow, if given, is w ** spec.p of a non-negative w, already computed
-    (the scheme carries it from the previous stage); it is only read.
+    w_pow is max(w, 0) ** spec.p, computed once by the caller (the scheme
+    carries it from the previous stage); stages n >= 1 read it.
     """
     lat = w.lattice
+    if w_pow.lattice != lat:
+        raise ValueError("w_pow lies on another lattice than w")
     if np.min(w.values) < -1e-12 * max(np.max(w.values), 1.0):
         raise ValueError("negative iterate passed to rhs_truncated")
     if np.min(f.values) < 0.0:
@@ -96,7 +91,7 @@ def rhs_truncated(
     out = np.zeros(lat.shape)
     live = np.nonzero(tim)[0]  # one run of slices: the ramp is a bump
     k0, k1 = (live[0], live[-1] + 1) if live.size else (0, 0)
-    step = max(1, _BLOCK_BYTES // (8 * sp.size))
+    step = block_slices(sp.size)
     scratch = np.empty((2, step) + sp.shape)
     for k in range(k0, k1, step):
         blk = slice(k, min(k + step, k1))
@@ -109,8 +104,7 @@ def rhs_truncated(
             np.maximum(w.values[blk], 0.0, out=a)
             _saturate(a, n, o)
             o *= hardy
-            powered = np.power(a, spec.p, out=a) if w_pow is None else w_pow[blk]
-            o += _saturate(powered, n, b)
+            o += _saturate(w_pow.values[blk], n, b)
             o += _saturate(f.values[blk], n, b)
         o *= sp
         o *= tim[blk].reshape((m,) + (1,) * lat.dim)
@@ -118,23 +112,22 @@ def rhs_truncated(
     return Field(lat, out)
 
 
-@dataclass
+@dataclass(frozen=True)
 class IterationState:
     n: int
     w: Field
     m_curve: np.ndarray
     sup_diff: float
-    # w ** p, read-only: the next stage's right-hand side reads it
-    w_pow: Optional[np.ndarray] = None
+    # w ** p for the next stage's right-hand side, set by _step alone: the
+    # state is frozen, and a copy with another w has none (cannot iterate)
+    w_pow: Field = field(init=False, repr=False, compare=False)
 
 
-def _invert(rhs: Field, s: float) -> Field:
-    """The inverse operator on a stage right-hand side. The exact operator
-    preserves non-negativity, so negative output is rounding: clamped to
-    zero within MONO_SLACK of the peak, a MonotonicityError beyond it."""
-    out = apply_Js(rhs, s)
-    # the right-hand side is spent: let it go before a clamped copy is made
-    del rhs
+def _clamp_rounding(out: Field) -> Field:
+    """The inverse operator's output on a stage right-hand side. The exact
+    operator preserves non-negativity, so negative output is rounding:
+    clamped to zero within MONO_SLACK of the peak, a MonotonicityError
+    beyond it."""
     low = float(np.min(out.values))
     if low >= 0.0:
         return out
@@ -148,52 +141,53 @@ def _invert(rhs: Field, s: float) -> Field:
     return Field(out.lattice, clamped)
 
 
-def blowup_functional(
-    w: Field, mu: float, p: float, w_pow: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """Per-slice weighted norm: integral of |x|^(-mu) w^p over space (w_pow,
-    if given, is w^p already computed)."""
-    return weighted_integral(w, -mu, p, w_pow)
+def blowup_functional(w_pow: Field, mu: float) -> np.ndarray:
+    """Per-slice weighted norm: integral of |x|^(-mu) w^p over space, from
+    the field w_pow = w^p."""
+    return weighted_integral(w_pow, -mu)
 
 
-def _step(
-    w: Field, f: Field, spec: ProblemSpec, n: int, w_pow: Optional[np.ndarray] = None
-) -> IterationState:
-    """Stage n of the scheme from the iterate w (and w ** p, if known):
-    invert the operator on the stage-n right-hand side. Monotonicity is
-    asserted, not assumed: a drop below w beyond MONO_SLACK means the
-    quadrature broke. The same slack bounds the negative rounding of the
-    operator output. w_next ** p is computed once, for the weighted norm
-    and the next stage's right-hand side."""
-    w_next = _invert(rhs_truncated(w, f, spec, n, w_pow), spec.s)
+def _step(w: Field, w_pow: Field, f: Field, spec: ProblemSpec, n: int) -> IterationState:
+    """Stage n of the scheme from the iterate w and w_pow = w ** p: invert
+    the operator on the stage-n right-hand side. Monotonicity is asserted,
+    not assumed: a drop below w beyond MONO_SLACK means the quadrature
+    broke. The same slack bounds the negative rounding of the operator
+    output. w_next ** p is computed once, for the weighted norm and the
+    next stage's right-hand side."""
+    # one expression: the right-hand side is released when apply_Js
+    # returns, before _clamp_rounding may make a clamped copy
+    w_next = _clamp_rounding(apply_Js(rhs_truncated(w, w_pow, f, spec, n), spec.s))
     diff = w_next.values - w.values
     drop = float(np.min(diff))
     sup_diff = max(float(np.max(diff)), -drop)  # max |w_next - w|
     scale = max(float(np.max(w_next.values)), 1e-300)
     if drop < -MONO_SLACK * scale:
         raise MonotonicityError(f"iterate decreased by {drop:.3e} (scale {scale:.3e})")
-    # w_next >= 0 (see _invert), so this is bitwise the max(w, 0) ** p of
-    # rhs_truncated; it reuses diff's buffer
+    # w_next >= 0 (see _clamp_rounding), so this is max(w_next, 0) ** p;
+    # it reuses diff's buffer, which the frozen Field adopts without a copy
     next_pow = np.power(w_next.values, spec.p, out=diff)
     next_pow.setflags(write=False)
-    return IterationState(
+    next_pow = Field(w_next.lattice, next_pow)
+    state = IterationState(
         n=n,
         w=w_next,
-        m_curve=blowup_functional(w_next, exponents(spec).mu, spec.p, next_pow),
+        m_curve=blowup_functional(next_pow, exponents(spec).mu),
         sup_diff=sup_diff,
-        w_pow=next_pow,
     )
+    object.__setattr__(state, "w_pow", next_pow)
+    return state
 
 
 def initial_state(f: Field, spec: ProblemSpec) -> IterationState:
     """Stage 0: the inverse operator applied to the saturated forcing, a step
     from the zero field (so sup_diff is the sup norm of the iterate)."""
-    return _step(zero_field(f.lattice), f, spec, 0)
+    zero = zero_field(f.lattice)
+    return _step(zero, zero, f, spec, 0)
 
 
 def iterate(state: IterationState, f: Field, spec: ProblemSpec) -> IterationState:
     """The next stage of the scheme from state."""
-    return _step(state.w, f, spec, state.n + 1, state.w_pow)
+    return _step(state.w, state.w_pow, f, spec, state.n + 1)
 
 
 VERDICT_CONVERGED = "ConvergedBelowCap"

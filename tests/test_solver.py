@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -41,6 +43,11 @@ def spec():
     return ProblemSpec(2, 0.5, 0.5 * lambda_max(2, 0.5), 2.0)
 
 
+def _pow(w, p):
+    """The field max(w, 0) ** p, as the scheme carries it."""
+    return Field(w.lattice, np.maximum(w.values, 0.0) ** p)
+
+
 def test_cutoff_family_nesting(lat):
     e1 = cutoff(lat, 1)
     e2 = cutoff(lat, 2)
@@ -56,23 +63,29 @@ def test_cutoff_family_nesting(lat):
 
 def test_rhs_truncated_zero_and_bounds(lat, spec):
     z = zero_field(lat)
-    assert np.all(rhs_truncated(z, z, spec, 3).values == 0.0)
+    assert np.all(rhs_truncated(z, z, z, spec, 3).values == 0.0)
     f = gaussian_bump_forcing(lat, 2.0)
     w = Field(lat, np.abs(np.sin(lat.spatial_radius()))[None] * np.ones(lat.shape))
-    out = rhs_truncated(w, f, spec, 4)
+    wp = _pow(w, spec.p)
+    out = rhs_truncated(w, wp, f, spec, 4)
     assert np.all(out.values >= 0.0)
     assert np.all(np.isfinite(out.values))
     with pytest.raises(ValueError):
-        rhs_truncated(w, Field(lat, -f.values), spec, 2)
+        rhs_truncated(w, wp, Field(lat, -f.values), spec, 2)
+    # a carried power from another lattice is refused, not misread
+    other = make_lattice(2, 6.0, 32, 0.0, 6.0, 24)
+    with pytest.raises(ValueError, match="another lattice"):
+        rhs_truncated(w, zero_field(other), f, spec, 2)
 
 
 def test_rhs_truncated_monotone_in_stage(lat, spec):
     rng = np.random.default_rng(2)
     w = Field(lat, np.abs(rng.standard_normal(lat.shape)) * lat.causal_mask()[:, None, None])
+    wp = _pow(w, spec.p)
     f = gaussian_bump_forcing(lat, 1.0)
-    prev = rhs_truncated(w, f, spec, 1).values
+    prev = rhs_truncated(w, wp, f, spec, 1).values
     for n in (2, 3, 5, 9):
-        cur = rhs_truncated(w, f, spec, n).values
+        cur = rhs_truncated(w, wp, f, spec, n).values
         assert np.min(cur - prev) >= -1e-14
         prev = cur
 
@@ -82,7 +95,7 @@ def test_rhs_truncated_limit(lat, spec):
     # up to the raw right-hand side
     w = sample(lambda t, x, y: (t > 0) * np.exp(-(x * x + y * y)), lat)
     f = gaussian_bump_forcing(lat, 1.0)
-    big = rhs_truncated(w, f, spec, 400).values
+    big = rhs_truncated(w, _pow(w, spec.p), f, spec, 400).values
     r = lat.spatial_radius()
     raw = (
         spec.lam * w.values * r ** (-2 * spec.s)
@@ -121,8 +134,9 @@ def test_rhs_truncated_matches_closed_form(dim):
     # spans the saturation caps of every stage below
     w = Field(lat, 20.0 * rng.random(lat.shape) ** 3 * causal)
     f = gaussian_bump_forcing(lat, 3.0)
+    wp = _pow(w, spec.p)
     for n in (0, 1, 3, 7):
-        got = rhs_truncated(w, f, spec, n).values
+        got = rhs_truncated(w, wp, f, spec, n).values
         want = _rhs_closed_form(w, f, spec, n)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(want)
 
@@ -138,19 +152,50 @@ def test_sup_diff_is_the_sup_of_the_step(lat, spec):
 
 
 def test_stage_power_is_computed_once_and_carried(lat):
-    # each stage raises its iterate to the power p once; the next stage's
-    # right-hand side reads that array and agrees bit for bit with one that
-    # computes the power itself
+    # each stage raises its iterate to the power p once, bitwise equal to
+    # max(w, 0) ** p; the weighted norm and the next stage read that field
     spec = ProblemSpec(2, 0.5, 0.5 * lambda_max(2, 0.5), 1.7)
     f = gaussian_bump_forcing(lat, 0.5)
     st = iterate(initial_state(f, spec), f, spec)
-    assert np.array_equal(st.w_pow, st.w.values ** spec.p)
-    assert not st.w_pow.flags.writeable
-    n = st.n + 1
-    carried = rhs_truncated(st.w, f, spec, n, st.w_pow).values
-    assert np.array_equal(carried, rhs_truncated(st.w, f, spec, n).values)
+    assert np.array_equal(st.w_pow.values, _pow(st.w, spec.p).values)
+    assert not st.w_pow.values.flags.writeable
     mu = exponents(spec).mu
-    assert np.array_equal(st.m_curve, blowup_functional(st.w, mu, spec.p))
+    assert np.array_equal(st.m_curve, blowup_functional(_pow(st.w, spec.p), mu))
+    nxt = solver._step(st.w, _pow(st.w, spec.p), f, spec, st.n + 1)
+    assert np.array_equal(iterate(st, f, spec).w.values, nxt.w.values)
+
+
+def test_state_with_another_iterate_has_no_carried_power(lat, spec):
+    # the carried power belongs to the iterate _step made it from: the
+    # state is frozen, and a copy with another w has none, so iterate
+    # cannot read a stale one
+    f = gaussian_bump_forcing(lat, 0.5)
+    st = initial_state(f, spec)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        st.w = Field(lat, 2.0 * st.w.values)
+    moved = dataclasses.replace(st, w=Field(lat, 2.0 * st.w.values))
+    with pytest.raises(AttributeError, match="w_pow"):
+        iterate(moved, f, spec)
+
+
+def test_spent_rhs_is_released_before_the_clamp(lat, spec, monkeypatch):
+    # the stage right-hand side is dropped when the operator returns, so
+    # it is never alive beside the clamped copy of the operator output
+    seen = {}
+    real_js, real_clamp = solver.apply_Js, solver._clamp_rounding
+
+    def js(rhs, s):
+        seen["rhs"] = weakref.ref(rhs.values)
+        return real_js(rhs, s)
+
+    def clamp(out):
+        seen["alive"] = seen["rhs"]() is not None
+        return real_clamp(out)
+
+    monkeypatch.setattr(solver, "apply_Js", js)
+    monkeypatch.setattr(solver, "_clamp_rounding", clamp)
+    initial_state(gaussian_bump_forcing(lat, 0.5), spec)
+    assert seen["alive"] is False
 
 
 def _negative_slab(depth):
@@ -224,19 +269,19 @@ def test_run_report_json_round_trip(lat, spec):
 def test_blowup_functional_separable_and_monotone(lat):
     mu, p = 0.25, 1.6
     z = zero_field(lat)
-    assert np.all(blowup_functional(z, mu, p) == 0.0)
+    assert np.all(blowup_functional(_pow(z, p), mu) == 0.0)
     bump_t = smooth_step((lat.t_axis() - 0.5) / 0.5) * (
         1.0 - smooth_step((lat.t_axis() - 3.0) / 1.0)
     )
     r = lat.spatial_radius()
     prof = np.where(r < 2.0, r ** (-mu), 0.0)
     w = Field(lat, bump_t[:, None, None] * prof[None])
-    m = blowup_functional(w, mu, p)
+    m = blowup_functional(_pow(w, p), mu)
     on = bump_t > 1e-3
     ratios = m[on] / bump_t[on] ** p
     assert np.max(ratios) / np.min(ratios) == pytest.approx(1.0, rel=1e-10)
     w2 = Field(lat, 2.0 * w.values)
-    assert np.all(blowup_functional(w2, mu, p)[on] >= m[on])
+    assert np.all(blowup_functional(_pow(w2, p), mu)[on] >= m[on])
 
 
 def test_blowup_band_escapes(lat):
@@ -280,11 +325,12 @@ def test_initial_state_is_saturated_forcing_inverse(lat, spec):
     st = initial_state(f, spec)
     from hardyheat.kernels import apply_Js
 
-    direct = apply_Js(rhs_truncated(zero_field(lat), f, spec, 0), spec.s)
+    z = zero_field(lat)
+    direct = apply_Js(rhs_truncated(z, z, f, spec, 0), spec.s)
     assert np.max(np.abs(st.w.values - np.maximum(direct.values, 0.0))) == 0.0
     # stage 0 is the one step body taken from the zero field: its drop test
     # is vacuous and its sup_diff is the sup norm of the iterate
-    step0 = solver._step(zero_field(lat), f, spec, 0)
+    step0 = solver._step(z, z, f, spec, 0)
     assert step0.n == st.n == 0
     np.testing.assert_array_equal(step0.w.values, st.w.values)
     np.testing.assert_array_equal(step0.m_curve, st.m_curve)
@@ -347,7 +393,7 @@ def test_run_follows_the_spec_exponent(lat, spec):
     assert rep.n_final == st.n == 2
     assert [m for _, m in rep.m_curve] == st.m_curve.tolist()
     mu = exponents(spec).mu
-    np.testing.assert_array_equal(st.m_curve, blowup_functional(st.w, mu, spec.p))
+    np.testing.assert_array_equal(st.m_curve, blowup_functional(_pow(st.w, spec.p), mu))
 
 
 def test_run_solves_mu_once(lat, spec):
