@@ -338,12 +338,9 @@ def sweep_rows(cfg: SweepConfig) -> List[dict]:
                 + _band_samples(b.p_plus, 1.6 * b.p_plus, cfg.p_per_band)
             )
             points.extend((s, frac, p) for p in ps)
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            rows = list(pool.map(lambda pt: _sweep_row(cfg, *pt), points))
-    else:
-        rows = [_sweep_row(cfg, *pt) for pt in points]
-    return rows
+    # map keeps the order of the points, whatever the worker count
+    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+        return list(pool.map(lambda pt: _sweep_row(cfg, *pt), points))
 
 
 def write_sweep_outputs(rows: List[dict], out_dir: str) -> tuple:

@@ -89,9 +89,13 @@ def upsilon_inv(lam: float, dim: int, s: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def _mu_from_alpha(alpha: float, dim: int, s: float) -> float:
+    return (dim - 2.0 * s) / 2.0 - alpha
+
+
 def mu_from_lambda(lam: float, dim: int, s: float) -> float:
     """Singularity exponent of positive supersolutions near the origin."""
-    return (dim - 2.0 * s) / 2.0 - upsilon_inv(lam, dim, s)
+    return _mu_from_alpha(upsilon_inv(lam, dim, s), dim, s)
 
 
 @dataclass(frozen=True)
@@ -168,7 +172,7 @@ def exponents_from(dim: int, s: float, lam: float) -> ExponentBundle:
     if not 0.0 < lam <= lmax:
         raise ValueError(f"need 0 < lam <= lambda_max={lmax}, got {lam}")
     alpha = upsilon_inv(lam, dim, s)
-    mu = (dim - 2.0 * s) / 2.0 - alpha
+    mu = _mu_from_alpha(alpha, dim, s)
     p_plus = 1.0 + 2.0 * s / mu if mu > 0 else math.inf
     fujita_F = 1.0 + 2.0 * s / (dim + 2.0 - 2.0 * s - mu)
     fujita_F_tilde = 1.0 + 2.0 * s / (dim - mu)

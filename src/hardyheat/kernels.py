@@ -137,108 +137,65 @@ def heat_positive(values: np.ndarray, lat: Lattice, tau: float) -> np.ndarray:
 # causal inverse: Volterra convolution in time
 # ---------------------------------------------------------------------------
 
-def _js_lag_weights(s: float, ht: float, n_lags: int) -> np.ndarray:
-    """Product-integration weights for the weakly singular memory tau^(s-1).
-
-    The smooth factor is linear on each time slab; weights come from the
-    exact first two moments of tau^(s-1) per slab. All weights are
-    non-negative, so the discrete operator is monotone.
-    """
-    j = np.arange(n_lags, dtype=float)
-    m0 = ht ** s * ((j + 1.0) ** s - j ** s) / s
-    m1h = ht ** s * ((j + 1.0) ** (s + 1.0) - j ** (s + 1.0)) / (s + 1.0)
-    left = (j + 1.0) * m0 - m1h
-    right = m1h - j * m0
-    alpha = np.zeros(n_lags)
-    alpha[0] = left[0]
-    alpha[1:] = right[:-1] + left[1:]
-    return alpha / gamma_fn(s)
+def _linear_weights(a, b, q: float):
+    """Product-linear weights for the weakly singular weight tau^(q-1) on
+    [a, b]: (left, right) such that left g(a) + right g(b) is the exact
+    integral of tau^(q-1) g(tau) over [a, b] for every linear g, from the
+    first two moments of tau^(q-1). Both are non-negative. a may be 0 when
+    q > 0; a and b may be arrays of slabs."""
+    m0 = (b ** q - a ** q) / q
+    m1 = (b ** (q + 1.0) - a ** (q + 1.0)) / (q + 1.0)
+    return (b * m0 - m1) / (b - a), (m1 - a * m0) / (b - a)
 
 
 # sub-slabs of the first time slab, where the memory kernel concentrates
 _FIRST_SLAB_REFINE = 4
 
 
-def _js_lag_kernel(lat: Lattice, s: float, modes: tuple) -> np.ndarray:
-    """The lag kernel on the spatial modes `modes` of heat_kernel_multiplier.
-
-    Shape (K,) + the shape of those modes, real: entry m is the weight of
-    lag m, the alpha weights times the m-th power of the one-slab
-    multiplier, with the first two lags replaced by the refined first slab.
-    """
-    K = lat.K
-    ht = lat.ht
-    gs = gamma_fn(s)
-    alpha = _js_lag_weights(s, ht, K)
-    # first-slab pieces to be replaced by the refined rule
-    left0 = (ht ** s / s - ht ** s / (s + 1.0)) / gs
-    right0 = ht ** s / (s + 1.0) / gs
-    R = _FIRST_SLAB_REFINE
-    edges = ht * np.arange(R + 1) / R
-    sub = []  # (tau, weight) endpoint rules per sub-slab
-    for r in range(R):
-        a, b = edges[r], edges[r + 1]
-        mm0 = (b ** s - a ** s) / s
-        mm1 = (b ** (s + 1.0) - a ** (s + 1.0)) / (s + 1.0)
-        sub.append((a, ((b * mm0 - mm1) / (b - a)) / gs))
-        sub.append((b, ((mm1 - a * mm0) / (b - a)) / gs))
-
-    def multiplier(tau):
-        if tau <= 0:
-            return 1.0
-        return heat_kernel_multiplier(lat, tau)[modes]
-
-    # positive-kernel multipliers: lag m smooths with the m-fold composition
-    # of the one-slab kernel, so non-negativity is preserved exactly
-    dec = multiplier(ht)
-    kern = np.empty((K,) + dec.shape)
-    pw = np.ones(dec.shape)
-    for m in range(K):
-        kern[m] = alpha[m] * pw
-        pw *= dec
-    kern[0] -= left0
-    kern[1] -= right0 * dec
-    # refined first slab: source linearly interpolated between lag 0 and 1
-    for tau, wgt in sub:
-        fr = tau / ht
-        ef = multiplier(tau)
-        kern[0] += wgt * (1.0 - fr) * ef
-        kern[1] += wgt * fr * ef
-    return kern
-
-
 # a few entries: the verifier uses three values of s on one lattice, and one
-# 64^3 x 48 entry is already 207 MB
+# 64^3 x 48 entry is 28.2 MB
 @lru_cache(maxsize=4)
 def _js_spectrum(lat: Lattice, s: float) -> np.ndarray:
-    """Time spectrum of the lag kernel on the rfft half-spectrum in space.
+    """Time spectrum of the lag kernel on the heat multiplier's modes
+    0..M/2 in every spatial axis.
 
-    Shape (2K, M, ..., M, M//2 + 1), complex128, read-only: the causal
-    kernel zero-padded to 2K lags so the product with a padded input
-    spectrum is a linear (not circular) convolution over the first K lags.
-    The heat multiplier is real and even in every axis, so restricting it
-    to the half-spectrum of the last axis loses nothing.
+    Shape (K + 1, M//2 + 1, ..., M//2 + 1), complex128, read-only: the rfft
+    over 2K zero-padded lags, so the product with a padded input spectrum
+    is a linear (not circular) convolution over the first K lags. Lag m
+    weighs the source with the m-fold power of the one-slab positive
+    kernel, so non-negativity is preserved exactly. Slab [j ht, (j+1) ht]
+    puts its product-linear weights on lags j and j + 1; the first slab is
+    split into _FIRST_SLAB_REFINE sub-slabs against the source interpolated
+    linearly between lags 0 and 1. The heat multiplier is real and even in
+    every axis, so these modes determine it (see _js_full).
     """
-    kern = _js_lag_kernel(lat, s, (Ellipsis, slice(0, lat.M // 2 + 1)))
-    spec = np.zeros((2 * lat.K,) + kern.shape[1:], dtype=complex)
-    spec[: lat.K] = kern
-    np.fft.fft(spec, axis=0, out=spec)
-    spec.setflags(write=False)
-    return spec
+    K, ht = lat.K, lat.ht
+    modes = (slice(0, lat.M // 2 + 1),) * lat.dim
 
+    def multiplier(tau):
+        return heat_kernel_multiplier(lat, tau)[modes] if tau > 0 else 1.0
 
-# an entry is 2^N times smaller than _js_spectrum's (25.7 MB at 64^3 x 48)
-@lru_cache(maxsize=4)
-def _js_orthant_spectrum(lat: Lattice, s: float) -> np.ndarray:
-    """Time spectrum of the lag kernel on the DCT-II modes of one orthant.
-
-    Shape (K + 1, M//2, ..., M//2), complex128, read-only: the rfft over 2K
-    zero-padded lags of the kernel on the first M//2 entries per axis of
-    the heat multiplier. An even field's DFT is its orthant's DCT-II times
-    a phase, so those entries are the multiplier the DCT modes see.
-    """
-    kern = _js_lag_kernel(lat, s, (slice(0, lat.M // 2),) * lat.dim)
-    spec = np.fft.rfft(kern, n=2 * lat.K, axis=0)
+    kern = np.zeros((K,) + (lat.M // 2 + 1,) * lat.dim)
+    edges = ht * np.arange(_FIRST_SLAB_REFINE + 1) / _FIRST_SLAB_REFINE
+    for a, b in zip(edges[:-1], edges[1:]):
+        for tau, wgt in zip((a, b), _linear_weights(a, b, s)):
+            ef = wgt * multiplier(tau)
+            kern[0] += (1.0 - tau / ht) * ef
+            kern[1] += tau / ht * ef
+    # the weight is homogeneous: slab j's weights are ht^s times those on [j, j+1]
+    j = np.arange(1.0, K)
+    left, right = _linear_weights(j, j + 1.0, s)
+    alpha = np.zeros(K)
+    alpha[1:] += left
+    alpha[2:] += right[:-1]
+    alpha *= ht ** s
+    dec = multiplier(ht)
+    pw = dec.copy()
+    for m in range(1, K):
+        kern[m] += alpha[m] * pw
+        pw *= dec
+    kern /= gamma_fn(s)
+    spec = np.fft.rfft(kern, n=2 * K, axis=0)
     spec.setflags(write=False)
     return spec
 
@@ -304,7 +261,7 @@ def _js_on_orthant(orthant: np.ndarray, lat: Lattice, s: float) -> np.ndarray:
     for ax in space:
         c = _dct2(c, ax)
     c = np.fft.rfft(c, n=2 * lat.K, axis=0)
-    c *= _js_orthant_spectrum(lat, s)
+    c *= _js_spectrum(lat, s)[(slice(None),) + (slice(0, lat.M // 2),) * lat.dim]
     c = np.fft.irfft(c, n=2 * lat.K, axis=0)[: lat.K]
     for ax in space:
         c = _idct2(c, ax)
@@ -320,20 +277,21 @@ def _js_on_orthant(orthant: np.ndarray, lat: Lattice, s: float) -> np.ndarray:
 
 def _js_full(vals: np.ndarray, lat: Lattice, s: float) -> np.ndarray:
     """The Volterra convolution on the full grid: real FFT over space,
-    complex FFT over time zero-padded to 2K."""
-    kern_hat = _js_spectrum(lat, s)
+    complex FFT over time zero-padded to 2K.
+
+    The table is unfolded per call, in one gather: in time by Hermitian
+    extension (the lag kernel is real), in space by the fold 0..M/2,
+    M/2-1..1 on every axis but the last (mode M-k of the even multiplier
+    has mode k's value)."""
+    K, half = lat.K, lat.M // 2
+    lags = np.r_[0: K + 1, K - 1: 0: -1]
+    fold = np.r_[0: half + 1, half - 1: 0: -1]
+    spec = _js_spectrum(lat, s)[np.ix_(lags, *(fold,) * (lat.dim - 1))]
+    np.conjugate(spec[K + 1:], out=spec[K + 1:])
     space = tuple(range(1, 1 + lat.dim))
-    # the zero-padded time axis is filled in place: no separate padded copy
-    conv = np.zeros(kern_hat.shape, dtype=complex)
-    head = conv[: lat.K]
-    np.fft.rfftn(vals, axes=space, out=head)
-    np.fft.fft(conv, axis=0, out=conv)
-    conv *= kern_hat
-    np.fft.ifft(conv, axis=0, out=conv)
-    # irfftn's steps, with the complex ones in place on the padded buffer
-    for ax in space[:-1]:
-        np.fft.ifft(head, axis=ax, out=head)
-    return np.fft.irfft(head, n=lat.M, axis=space[-1])
+    conv = np.fft.fft(np.fft.rfftn(vals, axes=space), n=2 * K, axis=0)
+    conv *= spec
+    return np.fft.irfftn(np.fft.ifft(conv, axis=0)[:K], s=(lat.M,) * lat.dim, axes=space)
 
 
 def apply_Js(g: Field, s: float, causal_tol: float = 1e-8) -> Field:
@@ -347,8 +305,9 @@ def apply_Js(g: Field, s: float, causal_tol: float = 1e-8) -> Field:
     causal data to non-negative causal output and is monotone. Output
     vanishes identically on t <= 0.
 
-    The lag kernel depends only on (lattice, s); its spectrum is built on
-    first use and cached. An input exactly even in every spatial axis (every
+    The lag kernel depends only on (lattice, s); its spectrum, one table
+    for both paths (see _js_spectrum), is built on first use and cached. An
+    input exactly even in every spatial axis (every
     solver input is) is convolved on its positive orthant, 2^N times fewer
     nodes, through a DCT-II per axis and a real FFT over time zero-padded to
     2K (see _js_on_orthant); its output is exactly even. Any other input
@@ -558,10 +517,9 @@ def apply_Ls(phi: Field, lam: float, s: float, order_preserving: bool = False) -
     acc = h_at(sub_edges[0]) * sub_edges[0] ** (-s) / (1.0 - s)
     innermost = float(np.max(np.abs(acc)))
     for a, b in zip(sub_edges[:-1], sub_edges[1:]):
-        mm0 = (a ** (-s) - b ** (-s)) / s
-        mm1 = (b ** (1.0 - s) - a ** (1.0 - s)) / (1.0 - s)
-        acc += h_at(a) * (b * mm0 - mm1) / (b - a)
-        acc += h_at(b) * (mm1 - a * mm0) / (b - a)
+        left, right = _linear_weights(a, b, -s)
+        acc += h_at(a) * left
+        acc += h_at(b) * right
     # refinement budget: the unresolved innermost piece must be a small
     # fraction of the assembled first slab, else the grading was too shallow
     first_slab_scale = float(np.max(np.abs(acc)))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
@@ -34,6 +35,20 @@ class Lattice:
     T_neg: float
     T: float
     K: int
+
+    def __post_init__(self):
+        if not all(isinstance(n, int) for n in (self.dim, self.M, self.K)):
+            raise LatticeError(f"dim, M and K must be ints, got {self.dim!r}, {self.M!r}, {self.K!r}")
+        if self.dim < 1:
+            raise LatticeError(f"dim must be >= 1, got {self.dim}")
+        # the orthant path of the causal inverse needs an even M/2
+        if self.M < 8 or (self.M & (self.M - 1)) != 0:
+            raise LatticeError(f"M must be a power of two >= 8, got {self.M}")
+        if self.K < 8:
+            raise LatticeError(f"K must be >= 8, got {self.K}")
+        if not (0 < self.L < math.inf and 0 < self.T < math.inf and 0 <= self.T_neg < math.inf):  # NaN fails
+            raise LatticeError(f"bad extents L={self.L}, T_neg={self.T_neg}, T={self.T}: "
+                               "need finite L > 0, T > 0 and T_neg >= 0")
 
     @property
     def hx(self) -> float:
@@ -97,16 +112,10 @@ def _xi_squared(lat: Lattice, pad: int) -> np.ndarray:
 
 
 def make_lattice(dim: int, L: float, M: int, T_neg: float, T: float, K: int) -> Lattice:
-    if dim < 1:
-        raise LatticeError(f"dim must be >= 1, got {dim}")
-    if M < 8 or (M & (M - 1)) != 0:
-        raise LatticeError(f"M must be a power of two >= 8, got {M}")
-    if K < 8:
-        raise LatticeError(f"K must be >= 8, got {K}")
-    if not (0 < L < math.inf and 0 < T < math.inf and 0 <= T_neg < math.inf):  # NaN fails
-        raise LatticeError(f"bad extents L={L}, T_neg={T_neg}, T={T}: "
-                           "need finite L > 0, T > 0 and T_neg >= 0")
-    return Lattice(dim=dim, L=float(L), M=int(M), T_neg=float(T_neg), T=float(T), K=int(K))
+    """A Lattice from any integer and real types (numpy scalars, ints for the
+    extents); Lattice itself checks the values."""
+    return Lattice(dim=operator.index(dim), L=float(L), M=operator.index(M),
+                   T_neg=float(T_neg), T=float(T), K=operator.index(K))
 
 
 @dataclass(frozen=True)

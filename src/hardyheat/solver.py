@@ -79,8 +79,8 @@ def rhs_truncated(w: Field, w_pow: Field, f: Field, spec: ProblemSpec, n: int) -
     carries it from the previous stage); stages n >= 1 read it.
     """
     lat = w.lattice
-    if w_pow.lattice != lat:
-        raise ValueError("w_pow lies on another lattice than w")
+    if w_pow.lattice != lat or f.lattice != lat:
+        raise ValueError("w_pow or f lies on another lattice than w")
     if np.min(w.values) < -1e-12 * max(np.max(w.values), 1.0):
         raise ValueError("negative iterate passed to rhs_truncated")
     if np.min(f.values) < 0.0:
@@ -274,6 +274,11 @@ def run(
     iterate, with a slack of 1e-9 of its peak; violations are counted, never
     silently clipped.
     """
+    lat = f.lattice
+    if dominator is not None:
+        if dominator.lattice != lat:
+            raise ValueError("the dominator lies on another lattice than f")
+        slack = 1e-9 * max(float(np.max(dominator.values)), 1e-300)
     state = initial_state(f, spec)
     if callback:
         callback(state)
@@ -281,9 +286,6 @@ def run(
     cap = cap_factor * m_first
     viol = 0
     excess = 0.0
-    lat = f.lattice
-    if dominator is not None:
-        slack = 1e-9 * max(float(np.max(dominator.values)), 1e-300)
 
     def check_dominator(st: IterationState):
         nonlocal viol, excess

@@ -41,6 +41,16 @@ XI_HI = 50.0
 XI_POINTS = 400
 
 
+def _decay_rate(s: float, p: float, mu1: float) -> float:
+    """theta = s/(p-1) - mu1/2, the time decay rate of the profile family."""
+    return s / (p - 1.0) - mu1 / 2.0
+
+
+def _forcing_amplitude(lam: float, lambda1: float) -> float:
+    """delta1 = (lambda1 - lam)/2, the admissible forcing amplitude."""
+    return (lambda1 - lam) / 2.0
+
+
 @dataclass(frozen=True)
 class SupersolutionCertificate:
     """Parameters (eps, lambda1) plus the decay rate theta and the two
@@ -75,7 +85,7 @@ class SupersolutionCertificate:
             raise ValueError("lambda1 must sit strictly between lam and the max")
         if not (math.isfinite(self.eps) and self.eps > 0.0):
             raise ValueError(f"eps must be finite and positive, got {self.eps}")
-        _match("theta", self.theta, self.s / (self.p - 1.0) - self.mu1 / 2.0, 1e-12)
+        _match("theta", self.theta, _decay_rate(self.s, self.p, self.mu1), 1e-12)
         margin = interior_sign_margin(self.dim, self.s, self.p, self.lambda1)
         _match("interior margin", self.interior_margin, margin, 1e-10)
         gap, div0, dinf = boundary_gap(
@@ -83,7 +93,7 @@ class SupersolutionCertificate:
             self.xi_lo, self.xi_hi, self.xi_points,
         )
         _match("boundary gap", self.boundary_min_gap, gap, 1e-10)
-        _match("delta1", self.delta1, (self.lambda1 - self.lam) / 2.0, 1e-10)
+        _match("delta1", self.delta1, _forcing_amplitude(self.lam, self.lambda1), 1e-10)
         _match("phi_bound", self.phi_bound,
                _bounded_factor_max(self.dim, self.s, self.p, self.lambda1), 1e-10)
         if not (margin > 0.0 and gap > 0.0 and div0 and dinf):
@@ -153,8 +163,7 @@ def interior_sign_margin(dim: int, s: float, p: float, lambda1: float) -> float:
     """Bulk drift bracket of the profile family; positive exactly when p
     exceeds the conditional-band lower exponent at lambda1."""
     mu1 = mu_from_lambda(lambda1, dim, s)
-    theta = s / (p - 1.0) - mu1 / 2.0
-    return -theta - mu1 + 0.5 * (dim + 2.0 - 2.0 * s)
+    return -_decay_rate(s, p, mu1) - mu1 + 0.5 * (dim + 2.0 - 2.0 * s)
 
 
 def boundary_gap(
@@ -234,7 +243,6 @@ def find_certificate(
                 raise ComparisonError("boundary gap failed to grow as eps shrank")
             prev_gap = gap
             if gap > 0.0 and div0 and dinf:
-                mu1 = b1.mu
                 cert = SupersolutionCertificate(
                     dim=dim,
                     s=s,
@@ -242,8 +250,8 @@ def find_certificate(
                     p=p,
                     eps=eps,
                     lambda1=lambda1,
-                    theta=s / (p - 1.0) - mu1 / 2.0,
-                    delta1=(lambda1 - lam) / 2.0,
+                    theta=_decay_rate(s, p, b1.mu),
+                    delta1=_forcing_amplitude(lam, lambda1),
                     interior_margin=margin,
                     boundary_min_gap=gap,
                     xi_lo=XI_LO,

@@ -11,8 +11,8 @@ from hardyheat.kernels import (
     _dct2,
     _idct2,
     _js_full,
-    _js_orthant_spectrum,
     _js_spectrum,
+    _linear_weights,
     apply_Hs_spectral,
     apply_Js,
     apply_Ls,
@@ -341,51 +341,73 @@ def test_js_even_input_takes_the_orthant(js_paths, dim, M, T_neg):
     assert js_paths == ["_js_on_orthant", "_js_full"]
 
 
-def test_js_spectrum_cached_per_key():
-    # each path reads its own spectrum, built once per (lattice, s): an
-    # even input the orthant's, an input one node off evenness the full one
-    def causal_input(lat, even):
-        g = np.ones(lat.shape) * lat.causal_mask()[:, None, None]
-        if not even:
-            g[-1, 0, 0] = 2.0
-        return Field(lat, g)
+def _causal_ones(lat, even):
+    """All ones for t > 0; one node off evenness unless even."""
+    g = np.ones(lat.shape) * lat.causal_mask()[:, None, None]
+    if not even:
+        g[-1, 0, 0] = 2.0
+    return Field(lat, g)
 
+
+def test_js_spectrum_cached_per_key():
+    # one table per (lattice, s), whichever path reads it
     lat = make_lattice(2, 3.7, 16, 0.5, 2.0, 12)
     other_lat = make_lattice(2, 3.7, 16, 0.5, 2.0, 16)
-    for cache, even in ((_js_spectrum, False), (_js_orthant_spectrum, True)):
-        g = causal_input(lat, even)
-        assert cache.cache_parameters()["maxsize"] == 4
-        before = cache.cache_info()
+    assert _js_spectrum.cache_parameters()["maxsize"] == 4
+    for even in (False, True):
+        _js_spectrum.cache_clear()
+        g = _causal_ones(lat, even)
         first = apply_Js(g, 0.45).values
-        after_first = cache.cache_info()
-        assert after_first.misses == before.misses + 1
+        after_first = _js_spectrum.cache_info()
+        assert after_first.misses == 1
         second = apply_Js(g, 0.45).values
-        assert cache.cache_info().hits == after_first.hits + 1
+        assert _js_spectrum.cache_info().hits == after_first.hits + 1
         assert np.array_equal(first, second)
         # every other key gets an entry of its own
-        g_other = causal_input(other_lat, even)
+        g_other = _causal_ones(other_lat, even)
         for call in (
             lambda: apply_Js(g, 0.55),
             lambda: apply_Js(g_other, 0.45),
         ):
-            misses = cache.cache_info().misses
+            misses = _js_spectrum.cache_info().misses
             call()
-            assert cache.cache_info().misses == misses + 1
+            assert _js_spectrum.cache_info().misses == misses + 1
+
+
+def test_js_paths_share_one_table(js_paths):
+    lat = make_lattice(2, 3.7, 16, 0.5, 2.0, 12)
+    _js_spectrum.cache_clear()
+    apply_Js(_causal_ones(lat, True), 0.45)
+    apply_Js(_causal_ones(lat, False), 0.45)
+    assert js_paths == ["_js_on_orthant", "_js_full"]
+    info = _js_spectrum.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
 
 
 def test_js_spectrum_read_only_and_sized():
     lat = make_lattice(3, 4.0, 8, 0.0, 2.0, 10)
     half = lat.M // 2
-    full = _js_spectrum(lat, 0.5)
-    assert full.shape == (2 * lat.K, lat.M, lat.M, half + 1)
-    # the rfft over 2K lags on the DCT modes of one orthant
-    orthant = _js_orthant_spectrum(lat, 0.5)
-    assert orthant.shape == (lat.K + 1, half, half, half)
-    for spec in (full, orthant):
-        assert spec.dtype == np.complex128
-        assert not spec.flags.writeable
-        with pytest.raises(ValueError):
-            spec[0, 0, 0, 0] = 1.0
+    spec = _js_spectrum(lat, 0.5)
+    # the rfft over 2K lags on the modes 0..M/2 of every spatial axis
+    assert spec.shape == (lat.K + 1, half + 1, half + 1, half + 1)
+    assert spec.dtype == np.complex128
+    assert not spec.flags.writeable
+    with pytest.raises(ValueError):
+        spec[0, 0, 0, 0] = 1.0
+
+
+@pytest.mark.parametrize("q", [0.3, 0.8, -0.3, -0.8])
+def test_linear_weights_exact_for_linear_integrands(q):
+    # left g(a) + right g(b) = int_a^b tau^(q-1) g(tau) dtau for linear g;
+    # a = 0 is admitted when the weight is integrable there (q > 0)
+    slabs = [(0.5, 0.75), (2.0, 3.5), (1e-3, 4e-3)] + ([(0.0, 0.25)] if q > 0 else [])
+    for a, b in slabs:
+        left, right = _linear_weights(a, b, q)
+        assert left > 0.0 and right > 0.0
+        for c0, c1 in ((1.0, 0.0), (0.0, 1.0), (2.0, -0.7)):
+            want = c0 * (b ** q - a ** q) / q + c1 * (b ** (q + 1.0) - a ** (q + 1.0)) / (q + 1.0)
+            got = left * (c0 + c1 * a) + right * (c0 + c1 * b)
+            assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_js_output_exactly_zero_on_past():

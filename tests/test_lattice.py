@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -44,6 +45,17 @@ def test_make_lattice_rejects_bad_sizes():
         make_lattice(2, 8.0, 64, 0.0, 4.0, 6)
     with pytest.raises(LatticeError):
         make_lattice(2, -1.0, 64, 0.0, 4.0, 64)
+
+
+@pytest.mark.parametrize("change", [{"M": 10}, {"M": 12}, {"M": 30}, {"K": 4},
+                                    {"L": math.nan}, {"K": 16.0}])
+def test_lattice_checks_itself(change):
+    # a copy made without make_lattice is checked too
+    lat = make_lattice(2, 8.0, 16, 0.0, 4.0, 16)
+    with pytest.raises(LatticeError):
+        dataclasses.replace(lat, **change)
+    # numpy integers are accepted and stored as ints
+    assert make_lattice(np.int64(2), 8, np.int64(16), 0, 4, np.int32(16)) == lat
 
 
 def test_sample_and_causality(lat):

@@ -78,6 +78,21 @@ def test_rhs_truncated_zero_and_bounds(lat, spec):
         rhs_truncated(w, zero_field(other), f, spec, 2)
 
 
+def test_fields_on_another_lattice_are_refused(lat, spec):
+    # same shape, another extent: the forcing and the dominator would be
+    # read node by node on the wrong grid
+    other = dataclasses.replace(lat, L=1.5 * lat.L)
+    f = gaussian_bump_forcing(lat, 0.5)
+    f_other = gaussian_bump_forcing(other, 0.5)
+    st = initial_state(f, spec)
+    with pytest.raises(ValueError, match="another lattice"):
+        iterate(st, f_other, spec)
+    with pytest.raises(ValueError, match="another lattice"):
+        rhs_truncated(st.w, st.w_pow, f_other, spec, 1)
+    with pytest.raises(ValueError, match="another lattice"):
+        run(spec, f, max_n=2, dominator=Field(other, 2.0 * st.w.values))
+
+
 def test_rhs_truncated_monotone_in_stage(lat, spec):
     rng = np.random.default_rng(2)
     w = Field(lat, np.abs(rng.standard_normal(lat.shape)) * lat.causal_mask()[:, None, None])
