@@ -166,8 +166,8 @@ def _js_spectrum(lat: Lattice, s: float) -> np.ndarray:
     kernel, so non-negativity is preserved exactly. Slab [j ht, (j+1) ht]
     puts its product-linear weights on lags j and j + 1; the first slab is
     split into _FIRST_SLAB_REFINE sub-slabs against the source interpolated
-    linearly between lags 0 and 1. The heat multiplier is real and even in
-    every axis, so these modes determine it (see _js_full).
+    linearly between lags 0 and 1. An even axis reads modes 0..M/2-1 and
+    an odd one 1..M/2 (see _js_on_orthant).
     """
     K, ht = lat.K, lat.ht
     modes = (slice(0, lat.M // 2 + 1),) * lat.dim
@@ -240,58 +240,44 @@ def _idct2(y: np.ndarray, axis: int) -> np.ndarray:
     return np.moveaxis(v[..., unorder], -1, axis)
 
 
-def _even_orthant(vals: np.ndarray, dim: int):
-    """The positive orthant of vals (time first, then dim spatial axes) if
-    vals is exactly even in every spatial axis, else None. Each axis
-    compares the mirrored halves of what the axes before it kept."""
+def _parity_parts(vals: np.ndarray, dim: int) -> list:
+    """(part, odd) pairs: the parity parts of vals (time first) about the
+    grid centre on the positive orthant, odd[d] True where odd in axis d + 1.
+    An axis whose mirrored halves are equal keeps the positive half alone, so
+    an exactly even input is one part, a view of its own orthant."""
+    parts = [(vals, ())]
     for ax in range(1, dim + 1):
-        neg, pos = np.split(vals, 2, axis=ax)
-        if not np.array_equal(np.flip(neg, ax), pos):
-            return None
-        vals = pos
-    return vals
+        split = []
+        for part, odd in parts:
+            neg, pos = np.split(part, 2, axis=ax)
+            mirror = np.flip(neg, ax)
+            if np.array_equal(mirror, pos):
+                split.append((pos, odd + (False,)))
+            else:
+                split += [(0.5 * (pos + mirror), odd + (False,)), (0.5 * (pos - mirror), odd + (True,))]
+        parts = split
+    return parts
 
 
-def _js_on_orthant(orthant: np.ndarray, lat: Lattice, s: float) -> np.ndarray:
-    """The Volterra convolution of an even field from its positive orthant:
-    DCT-II per spatial axis, the real time convolution, the inverse DCT,
-    then the orthant mirrored into the full, exactly even output."""
-    space = range(1, 1 + lat.dim)
-    c = orthant
-    for ax in space:
-        c = _dct2(c, ax)
-    c = np.fft.rfft(c, n=2 * lat.K, axis=0)
-    c *= _js_spectrum(lat, s)[(slice(None),) + (slice(0, lat.M // 2),) * lat.dim]
-    c = np.fft.irfft(c, n=2 * lat.K, axis=0)[: lat.K]
-    for ax in space:
-        c = _idct2(c, ax)
-    # each orthant of the output is c, flipped along its negative axes; no
-    # block overlaps c, so no copy is staged
+def _js_on_orthant(part: np.ndarray, odd: Sequence[bool], lat: Lattice, table: np.ndarray) -> np.ndarray:
+    """The Volterra convolution of one parity part on the positive orthant:
+    a DCT-II per spatial axis (of the samples times (-1)^j on an odd axis: a
+    DST-II whose position m holds sine mode M/2 - m), the real time
+    convolution against table's modes 0..M/2-1 (even axis) or M/2..1 (odd
+    axis), the inverse transforms, and (-1)^j again on odd axes."""
     half = lat.M // 2
-    out = np.empty(lat.shape)
-    for positive in itertools.product((False, True), repeat=lat.dim):
-        block = (slice(None),) + tuple(slice(half, None) if p else slice(None, half) for p in positive)
-        out[block] = np.flip(c, [ax for ax, p in zip(space, positive) if not p])
-    return out
-
-
-def _js_full(vals: np.ndarray, lat: Lattice, s: float) -> np.ndarray:
-    """The Volterra convolution on the full grid: real FFT over space,
-    complex FFT over time zero-padded to 2K.
-
-    The table is unfolded per call, in one gather: in time by Hermitian
-    extension (the lag kernel is real), in space by the fold 0..M/2,
-    M/2-1..1 on every axis but the last (mode M-k of the even multiplier
-    has mode k's value)."""
-    K, half = lat.K, lat.M // 2
-    lags = np.r_[0: K + 1, K - 1: 0: -1]
-    fold = np.r_[0: half + 1, half - 1: 0: -1]
-    spec = _js_spectrum(lat, s)[np.ix_(lags, *(fold,) * (lat.dim - 1))]
-    np.conjugate(spec[K + 1:], out=spec[K + 1:])
-    space = tuple(range(1, 1 + lat.dim))
-    conv = np.fft.fft(np.fft.rfftn(vals, axes=space), n=2 * K, axis=0)
-    conv *= spec
-    return np.fft.irfftn(np.fft.ifft(conv, axis=0)[:K], s=(lat.M,) * lat.dim, axes=space)
+    signs = [((-1.0) ** np.arange(half)).reshape((-1,) + (1,) * (lat.dim - ax)) for ax in range(1, 1 + lat.dim)]
+    c = part
+    for ax, o in enumerate(odd, 1):
+        c = _dct2(c * signs[ax - 1] if o else c, ax)
+    c = np.fft.rfft(c, n=2 * lat.K, axis=0)
+    c *= table[(slice(None),) + tuple(slice(half, 0, -1) if o else slice(0, half) for o in odd)]
+    c = np.fft.irfft(c, n=2 * lat.K, axis=0)[: lat.K]
+    for ax, o in enumerate(odd, 1):
+        c = _idct2(c, ax)
+        if o:
+            c *= signs[ax - 1]
+    return c
 
 
 def apply_Js(g: Field, s: float, causal_tol: float = 1e-8) -> Field:
@@ -305,14 +291,11 @@ def apply_Js(g: Field, s: float, causal_tol: float = 1e-8) -> Field:
     causal data to non-negative causal output and is monotone. Output
     vanishes identically on t <= 0.
 
-    The lag kernel depends only on (lattice, s); its spectrum, one table
-    for both paths (see _js_spectrum), is built on first use and cached. An
-    input exactly even in every spatial axis (every
-    solver input is) is convolved on its positive orthant, 2^N times fewer
-    nodes, through a DCT-II per axis and a real FFT over time zero-padded to
-    2K (see _js_on_orthant); its output is exactly even. Any other input
-    takes the full grid: a real FFT over space, a complex FFT over time
-    zero-padded to 2K, one multiply and the inverse transforms.
+    The lag kernel's spectrum depends only on (lattice, s) and is cached
+    (see _js_spectrum). Each parity part of the input is convolved on the
+    positive orthant (see _js_on_orthant) and mirrored back. An input
+    exactly even in every spatial axis (every solver input is) is one part,
+    and its output is exactly even.
     """
     lat = g.lattice
     past = ~lat.causal_mask()
@@ -329,11 +312,22 @@ def apply_Js(g: Field, s: float, causal_tol: float = 1e-8) -> Field:
         # nothing at t <= 0 to check or zero, and the transform only reads
         vals = np.asarray(g.values, dtype=float)
 
-    orthant = _even_orthant(vals, lat.dim)
-    if orthant is None:
-        out = _js_full(vals, lat, float(s))
-    else:
-        out = _js_on_orthant(orthant, lat, float(s))
+    half = lat.M // 2
+    out = np.empty(lat.shape)
+    table = _js_spectrum(lat, float(s))
+    for n, (part, odd) in enumerate(_parity_parts(vals, lat.dim)):
+        c = _js_on_orthant(part, odd, lat, table)
+        # each orthant block of the output is c flipped along its negative
+        # axes and negated once per odd one; no block overlaps c
+        for positive in itertools.product((False, True), repeat=lat.dim):
+            block = out[(slice(None),) + tuple(slice(half, None) if p else slice(None, half) for p in positive)]
+            mirrored = np.flip(c, [ax for ax, p in enumerate(positive, 1) if not p])
+            if sum(o and not p for o, p in zip(odd, positive)) % 2:
+                mirrored = -mirrored
+            if n:
+                block += mirrored
+            else:
+                block[...] = mirrored
     out[past] = 0.0
     out.setflags(write=False)  # handed to Field without a copy
     return Field(lat, out)
@@ -511,15 +505,18 @@ def apply_Ls(phi: Field, lam: float, s: float, order_preserving: bool = False) -
         return term1 - term2
 
     # first slab [0, tau1], geometrically graded toward 0 where the kernel
-    # concentrates; h(0) = 0 anchors the innermost product-linear rule
+    # concentrates; h(0) = 0 anchors the innermost product-linear rule, and
+    # each edge carries the merged weights of the sub-slabs it bounds
     grading = 4.0 ** np.arange(5, -1.0, -1.0)
     sub_edges = tau1 / grading
-    acc = h_at(sub_edges[0]) * sub_edges[0] ** (-s) / (1.0 - s)
+    left, right = _linear_weights(sub_edges[:-1], sub_edges[1:], -s)
+    edge_wts = np.r_[left, 0.0] + np.r_[0.0, right]
+    h0 = h_at(sub_edges[0])
+    acc = h0 * sub_edges[0] ** (-s) / (1.0 - s)
     innermost = float(np.max(np.abs(acc)))
-    for a, b in zip(sub_edges[:-1], sub_edges[1:]):
-        left, right = _linear_weights(a, b, -s)
-        acc += h_at(a) * left
-        acc += h_at(b) * right
+    acc += h0 * edge_wts[0]
+    for tau, wgt in zip(sub_edges[1:], edge_wts[1:]):
+        acc += h_at(tau) * wgt
     # refinement budget: the unresolved innermost piece must be a small
     # fraction of the assembled first slab, else the grading was too shallow
     first_slab_scale = float(np.max(np.abs(acc)))

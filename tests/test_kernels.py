@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -10,7 +11,6 @@ from hardyheat.kernels import (
     NonCausalInput,
     _dct2,
     _idct2,
-    _js_full,
     _js_spectrum,
     _linear_weights,
     apply_Hs_spectral,
@@ -277,15 +277,31 @@ def _mirrored(orthant: np.ndarray, dim: int) -> np.ndarray:
     return orthant
 
 
+def _one_odd_axis(lat, rng):
+    """A random field odd in the first spatial axis and even in the others."""
+    even = _mirrored(rng.random((lat.K,) + (lat.M // 2,) * lat.dim), lat.dim)
+    return even * np.sign(lat.x_axis()).reshape((-1,) + (1,) * (lat.dim - 1))
+
+
 @pytest.mark.parametrize("s", [0.5, 0.3, 0.8])
 def test_js_matches_direct_volterra_sum(s):
-    # a random input takes the full grid, an exactly even one the orthant
-    lat = make_lattice(2, 4.0, 16, 1.2, 3.0, 14)
+    # every parity mix: random (2^N parts), exactly even (one part), even x
+    # odd, exactly odd in 1-D, and random in 1-D and 3-D
     rng = np.random.default_rng(3)
-    causal = lat.causal_mask()[:, None, None]
-    half = lat.M // 2
-    for g in (rng.random(lat.shape), _mirrored(rng.random((lat.K, half, half)), lat.dim)):
-        g *= causal
+    lat2 = make_lattice(2, 4.0, 16, 1.2, 3.0, 14)
+    lat1 = make_lattice(1, 4.0, 16, 1.2, 3.0, 14)
+    lat3 = make_lattice(3, 4.0, 8, 1.2, 3.0, 14)
+    half = lat2.M // 2
+    cases = [
+        (lat2, rng.random(lat2.shape)),
+        (lat2, _mirrored(rng.random((lat2.K, half, half)), 2)),
+        (lat2, _one_odd_axis(lat2, rng)),
+        (lat1, _one_odd_axis(lat1, rng)),
+        (lat1, rng.random(lat1.shape)),
+        (lat3, rng.random(lat3.shape)),
+    ]
+    for lat, g in cases:
+        g *= lat.causal_mask().reshape((-1,) + (1,) * lat.dim)
         got = apply_Js(Field(lat, g), s).values
         want = _volterra_direct(g, lat, s, 4)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
@@ -303,16 +319,33 @@ def test_dct2_pair_matches_cosine_sum():
         assert np.max(np.abs(_idct2(got, 1) - x)) <= 1e-14 * n
 
 
+def test_dct2_of_alternated_samples_is_the_sine_sum():
+    # the DCT-II of (-1)^j x is the DST-II of x in reverse: position m holds
+    # sine mode n - m, 2 sum_j x_j sin(pi k (2j+1) / 2n) for k = 1..n
+    rng = np.random.default_rng(9)
+    for n in (4, 8, 32):
+        x = rng.standard_normal((3, n, 5))
+        j = np.arange(n)
+        alternate = ((-1.0) ** j)[:, None]
+        k = n - j
+        sines = 2.0 * np.sin(np.pi * np.outer(k, 2 * j + 1) / (2 * n))
+        want = np.einsum("mj,ajb->amb", sines, x)
+        got = _dct2(x * alternate, 1)
+        assert np.max(np.abs(got - want)) <= 1e-14 * n * np.max(np.abs(want))
+        assert np.max(np.abs(_idct2(got, 1) * alternate - x)) <= 1e-14 * n
+
+
 @pytest.fixture
 def js_paths(monkeypatch):
-    """The names of the convolution paths apply_Js takes, in call order."""
+    """The parities of the parts apply_Js convolves, in call order: one
+    tuple per part, True on the part's odd axes."""
     taken = []
-    for name in ("_js_full", "_js_on_orthant"):
-        def spy(*args, _fn=getattr(kernels, name), _name=name):
-            taken.append(_name)
-            return _fn(*args)
 
-        monkeypatch.setattr(kernels, name, spy)
+    def spy(part, odd, lat, table, _fn=kernels._js_on_orthant):
+        taken.append(tuple(odd))
+        return _fn(part, odd, lat, table)
+
+    monkeypatch.setattr(kernels, "_js_on_orthant", spy)
     return taken
 
 
@@ -325,20 +358,25 @@ def test_js_even_input_takes_the_orthant(js_paths, dim, M, T_neg):
     g[past] *= 1e-10  # below causal_tol: accepted, then zeroed
     s = 0.4
     out = apply_Js(Field(lat, g), s).values
-    assert js_paths == ["_js_on_orthant"]
+    # an exactly even input is one part, the even one
+    assert js_paths == [(False,) * dim]
     for ax in range(1, dim + 1):
         assert np.array_equal(out, np.flip(out, ax))
     assert np.all(out[past] == 0.0)
     causal = g.copy()
     causal[past] = 0.0
-    want = _js_full(causal, lat, s)
-    want[past] = 0.0
-    assert np.max(np.abs(out - want)) <= 1e-14 * np.max(np.abs(want))
-    # one node one ulp off evenness: the full grid
+    want = _volterra_direct(causal, lat, s, 4)
+    assert np.max(np.abs(out - want)) <= 1e-13 * np.max(np.abs(want))
+    # one node 2^N ulps off evenness, the least that the N halvings of the
+    # split all keep: every parity mix, 2^N parts
     node = (-1,) + (0,) * dim
-    g[node] = np.nextafter(g[node], 2.0)
-    apply_Js(Field(lat, g), s)
-    assert js_paths == ["_js_on_orthant", "_js_full"]
+    g[node] += 2 ** dim * np.spacing(g[node])
+    del js_paths[:]
+    off = apply_Js(Field(lat, g), s).values
+    assert sorted(js_paths) == sorted(itertools.product((False, True), repeat=dim))
+    causal[node] = g[node]
+    want = _volterra_direct(causal, lat, s, 4)
+    assert np.max(np.abs(off - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def _causal_ones(lat, even):
@@ -379,7 +417,8 @@ def test_js_paths_share_one_table(js_paths):
     _js_spectrum.cache_clear()
     apply_Js(_causal_ones(lat, True), 0.45)
     apply_Js(_causal_ones(lat, False), 0.45)
-    assert js_paths == ["_js_on_orthant", "_js_full"]
+    # one even part, then the four parts of the non-even input
+    assert len(js_paths) == 1 + 4
     info = _js_spectrum.cache_info()
     assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
 
@@ -493,6 +532,26 @@ def test_ls_oracle_single_point():
     acc += float(smoothed_power(r0, 3000.0, 2, mu)) * 3000.0 ** (-s) / (s + mu / 2) * here
     oracle = acc / gamma_abs_neg(s)
     assert out.values[k, i, j] == pytest.approx(oracle, rel=2e-2)
+
+
+def test_ls_smooths_once_per_first_slab_edge(monkeypatch):
+    # the graded first slab [0, hx^2] has 6 edges, each shared by the two
+    # sub-slabs it bounds: its integrand is smoothed once per edge, and no
+    # tau is smoothed twice in the whole call
+    lat = make_lattice(2, 8.0, 32, 1.0, 2.0, 16)
+    taus = []
+
+    def spy(values, lat_, tau, _fn=kernels.heat_semigroup):
+        taus.append(tau)
+        return _fn(values, lat_, tau)
+
+    monkeypatch.setattr(kernels, "heat_semigroup", spy)
+    phi = sample(lambda t, x, y: np.exp(-(x * x + y * y) - (t - 1.0) ** 2), lat)
+    apply_Ls(phi, 0.5 * lambda_max(2, 0.5), 0.5)
+    assert len(taus) == len(set(taus))
+    tau1 = lat.hx ** 2
+    first_slab = sorted(t for t in taus if t <= tau1)
+    assert first_slab == pytest.approx(tau1 / 4.0 ** np.arange(5, -1, -1), rel=1e-15)
 
 
 def test_ground_state_residual_and_refinement():
