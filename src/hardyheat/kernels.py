@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .constants import frac_laplacian_constant, mu_from_lambda, upsilon
-from .lattice import Field, Lattice
+from .lattice import Field, Lattice, mirror_halves
 from .special import (
     gamma_abs_neg,
     gamma_fn,
@@ -236,23 +236,27 @@ def _idct2(y: np.ndarray, axis: int) -> np.ndarray:
     z.imag[..., 0] = 0.0
     z.imag[..., 1:] = -yl[..., : h - 1: -1]
     z *= inverse_twiddle
-    v = np.fft.irfft(z, n=n, axis=-1)
-    return np.moveaxis(v[..., unorder], -1, axis)
+    v = np.fft.irfft(z, n=n, axis=-1)[..., unorder]
+    # on the last axis v is already in place and owns its data, so the
+    # causal inverse can freeze and hand it on without a copy
+    return v if axis in (-1, v.ndim - 1) else np.moveaxis(v, -1, axis)
 
 
 def _parity_parts(vals: np.ndarray, dim: int) -> list:
     """(part, odd) pairs: the parity parts of vals (time first) about the
     grid centre on the positive orthant, odd[d] True where odd in axis d + 1.
-    An axis whose mirrored halves are equal keeps the positive half alone, so
+    An axis whose mirrored halves are equal keeps the positive half alone
+    as even, and one whose halves are exact negatives keeps it alone as odd:
     an exactly even input is one part, a view of its own orthant."""
     parts = [(vals, ())]
     for ax in range(1, dim + 1):
         split = []
         for part, odd in parts:
-            neg, pos = np.split(part, 2, axis=ax)
-            mirror = np.flip(neg, ax)
+            mirror, pos = mirror_halves(part, ax)
             if np.array_equal(mirror, pos):
                 split.append((pos, odd + (False,)))
+            elif np.array_equal(mirror, -pos):
+                split.append((pos, odd + (True,)))
             else:
                 split += [(0.5 * (pos + mirror), odd + (False,)), (0.5 * (pos - mirror), odd + (True,))]
         parts = split
@@ -294,8 +298,11 @@ def apply_Js(g: Field, s: float, causal_tol: float = 1e-8) -> Field:
     The lag kernel's spectrum depends only on (lattice, s) and is cached
     (see _js_spectrum). Each parity part of the input is convolved on the
     positive orthant (see _js_on_orthant) and mirrored back. An input
-    exactly even in every spatial axis (every solver input is) is one part,
-    and its output is exactly even.
+    exactly even in every spatial axis is one part, and its output is
+    exactly even. An orthant-stored input (every stage of a solver run on
+    even data) is that one part as it is: its output is stored on the
+    orthant too, with no evenness test and no mirror. The output array is
+    fresh on every call.
     """
     lat = g.lattice
     past = ~lat.causal_mask()
@@ -312,25 +319,28 @@ def apply_Js(g: Field, s: float, causal_tol: float = 1e-8) -> Field:
         # nothing at t <= 0 to check or zero, and the transform only reads
         vals = np.asarray(g.values, dtype=float)
 
-    half = lat.M // 2
-    out = np.empty(lat.shape)
     table = _js_spectrum(lat, float(s))
-    for n, (part, odd) in enumerate(_parity_parts(vals, lat.dim)):
-        c = _js_on_orthant(part, odd, lat, table)
-        # each orthant block of the output is c flipped along its negative
-        # axes and negated once per odd one; no block overlaps c
-        for positive in itertools.product((False, True), repeat=lat.dim):
-            block = out[(slice(None),) + tuple(slice(half, None) if p else slice(None, half) for p in positive)]
-            mirrored = np.flip(c, [ax for ax, p in enumerate(positive, 1) if not p])
-            if sum(o and not p for o, p in zip(odd, positive)) % 2:
-                mirrored = -mirrored
-            if n:
-                block += mirrored
-            else:
-                block[...] = mirrored
+    if g.orthant:
+        out = _js_on_orthant(vals, (False,) * lat.dim, lat, table)
+    else:
+        out = np.empty(lat.shape)
+        half = lat.M // 2
+        for n, (part, odd) in enumerate(_parity_parts(vals, lat.dim)):
+            c = _js_on_orthant(part, odd, lat, table)
+            # each orthant block of the output is c flipped along its negative
+            # axes and negated once per odd one; no block overlaps c
+            for positive in itertools.product((False, True), repeat=lat.dim):
+                block = out[(slice(None),) + tuple(slice(half, None) if p else slice(None, half) for p in positive)]
+                mirrored = np.flip(c, [ax for ax, p in enumerate(positive, 1) if not p])
+                if sum(o and not p for o, p in zip(odd, positive)) % 2:
+                    mirrored = -mirrored
+                if n:
+                    block += mirrored
+                else:
+                    block[...] = mirrored
     out[past] = 0.0
     out.setflags(write=False)  # handed to Field without a copy
-    return Field(lat, out)
+    return Field(lat, out, g.orthant)
 
 
 # ---------------------------------------------------------------------------

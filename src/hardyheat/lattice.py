@@ -119,39 +119,115 @@ def make_lattice(dim: int, L: float, M: int, T_neg: float, T: float, K: int) -> 
 
 
 @dataclass(frozen=True)
+class Nodes:
+    """The nodes a field is stored on: every node of its lattice, or the
+    positive orthant (every x_d > 0) of a field exactly even in every
+    spatial axis, where each stored node stands for its 2^N mirror images.
+    A stage of the monotone scheme reads its geometry from here: its
+    spatial factors (functions of the radius) restricted to these nodes,
+    and the spatial measure each node carries (h^N, or 2^N h^N on the
+    orthant); the causal inverse reads orthant from the field."""
+
+    lattice: Lattice
+    orthant: bool = False
+
+    @property
+    def shape(self) -> tuple:
+        lat = self.lattice
+        return (lat.K,) + ((lat.M // 2 if self.orthant else lat.M),) * lat.dim
+
+    @property
+    def copies(self) -> int:
+        """Lattice nodes each stored node stands for."""
+        return 2 ** self.lattice.dim if self.orthant else 1
+
+    @property
+    def measure(self) -> float:
+        return self.copies * self.lattice.cell_volume
+
+    def restrict(self, spatial: np.ndarray) -> np.ndarray:
+        """A spatial array of the lattice (shape (M,)*N) on these nodes: the
+        array itself, or its positive orthant as a contiguous copy. The
+        values are sliced, not recomputed, so they are bitwise the ones of
+        the full grid."""
+        if not self.orthant:
+            return spatial
+        return np.ascontiguousarray(spatial[(slice(self.lattice.M // 2, None),) * self.lattice.dim])
+
+
+@dataclass(frozen=True)
 class Field:
     """Sampled scalar field on a lattice; immutable after construction.
 
     values is always read-only. An array that is already read-only and owns
     its data is adopted as it is, without a copy: whoever froze it gives up
     writing to it. Any other input (a writable array, a view, a list) is
-    copied first.
+    copied first. With orthant set, values holds only the positive orthant
+    of a field exactly even in every spatial axis (see Nodes); full_grid
+    expands it.
     """
 
     lattice: Lattice
     values: np.ndarray
+    orthant: bool = False
 
     def __post_init__(self):
         v = np.asarray(self.values)
-        if v.shape != self.lattice.shape:
-            raise ValueError(f"values shape {v.shape} != lattice shape {self.lattice.shape}")
+        if v.shape != self.nodes.shape:
+            raise ValueError(f"values shape {v.shape} != node set shape {self.nodes.shape}")
         if v.flags.writeable or not v.flags.owndata:
             v = v.copy()
             v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
+    @property
+    def nodes(self) -> Nodes:
+        return Nodes(self.lattice, self.orthant)
+
     def with_values(self, values: np.ndarray) -> "Field":
-        return Field(self.lattice, values)
+        return Field(self.lattice, values, self.orthant)
+
+    def full_grid(self) -> "Field":
+        """The field on every node of its lattice: itself, or an orthant
+        field mirrored into each orthant."""
+        if not self.orthant:
+            return self
+        v = self.values
+        for ax in range(1, self.lattice.dim + 1):
+            v = np.concatenate([np.flip(v, ax), v], axis=ax)
+        v.setflags(write=False)
+        return Field(self.lattice, v)
 
     def l2(self) -> float:
         """L2 norm with the space-time cell measure."""
-        lat = self.lattice
-        meas = lat.cell_volume * lat.ht
+        meas = self.nodes.measure * self.lattice.ht
         return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * meas))
 
     def is_causal(self) -> bool:
         """True when every slice with t <= 0 is exactly zero."""
         return not np.any(self.values[~self.lattice.causal_mask()])
+
+
+def mirror_halves(values: np.ndarray, ax: int):
+    """(mirror, pos): the negative half of values along axis ax flipped onto
+    the positive half, and the positive half (views)."""
+    neg, pos = np.split(values, 2, axis=ax)
+    return np.flip(neg, ax), pos
+
+
+def to_orthant(fld: Field) -> Optional[Field]:
+    """fld stored on the positive orthant if it is exactly even in every
+    spatial axis (its mirrored halves bitwise equal, axis by axis), else
+    None."""
+    if fld.orthant:
+        return fld
+    v = fld.values
+    for ax in range(1, fld.lattice.dim + 1):
+        mirror, pos = mirror_halves(v, ax)
+        if not np.array_equal(mirror, pos):
+            return None
+        v = pos
+    return Field(fld.lattice, v, orthant=True)
 
 
 def zero_field(lat: Lattice) -> Field:
@@ -229,18 +305,29 @@ def block_slices(slab_size: int) -> int:
 
 def weighted_integral(fld: Field, weight_exponent: float) -> np.ndarray:
     """Riemann sums of |x|^a * fld over space, one per time slice (an array
-    of K sums). fld is the integrand, a power w^p of a non-negative field,
-    so a negative value is an error."""
+    of K sums), on the nodes fld is stored on. fld is the integrand, a power
+    w^p of a non-negative field, so a negative value is an error.
+
+    On the full grid each block is folded onto the positive orthant, one
+    axis at a time, before it is summed. On an exactly even integrand each
+    fold doubles exactly, so the sum is bitwise the one of the same field
+    stored on the orthant."""
     lat = fld.lattice
-    weight = lat.spatial_power(weight_exponent)
+    nodes = fld.nodes
+    weight = nodes.restrict(lat.spatial_power(weight_exponent))
     step = block_slices(weight.size)
     sums = np.empty(lat.K)
     for k in range(0, lat.K, step):
         slab = fld.values[k : k + step]
         if np.min(slab) < 0.0:
             raise ValueError("negative integrand in weighted_integral")
-        sums[k : k + step] = (slab * weight).reshape(slab.shape[0], -1).sum(axis=1)
-    return sums * lat.cell_volume
+        prod = slab * weight
+        if not nodes.orthant:
+            for ax in range(1, lat.dim + 1):
+                mirror, pos = mirror_halves(prod, ax)
+                prod = pos + mirror
+        sums[k : k + step] = prod.reshape(slab.shape[0], -1).sum(axis=1)
+    return sums * nodes.measure
 
 
 @dataclass(frozen=True)
@@ -262,7 +349,9 @@ def graph_norm(fld: Field, s: float) -> GraphNorm:
 
 
 def export_field_csv(fld: Field, path: str, t_index: Optional[int] = None) -> None:
-    """Write node rows as CSV: axis indices, coordinates, value."""
+    """Write node rows as CSV: axis indices, coordinates, value, on every
+    node of the lattice (an orthant field is expanded first)."""
+    fld = fld.full_grid()
     lat = fld.lattice
     tax = lat.t_axis()
     xax = lat.x_axis()

@@ -19,7 +19,7 @@ import numpy as np
 
 from .constants import ProblemSpec, exponents
 from .kernels import apply_Js
-from .lattice import Field, Lattice, block_slices, sample, weighted_integral, zero_field
+from .lattice import Field, Lattice, block_slices, sample, to_orthant, weighted_integral
 from .special import smooth_step
 
 
@@ -76,19 +76,24 @@ def rhs_truncated(w: Field, w_pow: Field, f: Field, spec: ProblemSpec, n: int) -
     is built. The slices where the ramp vanishes stay zero; the others are
     computed block by block of time slices, a few in-place passes each.
     w_pow is max(w, 0) ** spec.p, computed once by the caller (the scheme
-    carries it from the previous stage); stages n >= 1 read it.
+    carries it from the previous stage); stages n >= 1 read it. The three
+    fields share one node set, and so does the output (see lattice.Nodes).
     """
     lat = w.lattice
     if w_pow.lattice != lat or f.lattice != lat:
         raise ValueError("w_pow or f lies on another lattice than w")
+    if w_pow.orthant != w.orthant or f.orthant != w.orthant:
+        raise ValueError("w, w_pow and f are stored on different node sets (orthant and full grid)")
     if np.min(w.values) < -1e-12 * max(np.max(w.values), 1.0):
         raise ValueError("negative iterate passed to rhs_truncated")
     if np.min(f.values) < 0.0:
         raise ValueError("forcing must be non-negative")
+    nodes = w.nodes
     sp, tim = _cutoff_factors(lat, n)
+    sp = nodes.restrict(sp)
     if n > 0:
-        hardy = spec.lam * (lat.spatial_radius() + 1.0 / n) ** (-2.0 * spec.s)
-    out = np.zeros(lat.shape)
+        hardy = nodes.restrict(spec.lam * (lat.spatial_radius() + 1.0 / n) ** (-2.0 * spec.s))
+    out = np.zeros(nodes.shape)
     live = np.nonzero(tim)[0]  # one run of slices: the ramp is a bump
     k0, k1 = (live[0], live[-1] + 1) if live.size else (0, 0)
     step = block_slices(sp.size)
@@ -109,7 +114,7 @@ def rhs_truncated(w: Field, w_pow: Field, f: Field, spec: ProblemSpec, n: int) -
         o *= sp
         o *= tim[blk].reshape((m,) + (1,) * lat.dim)
     out.setflags(write=False)  # handed to Field without a copy
-    return Field(lat, out)
+    return Field(lat, out, w.orthant)
 
 
 @dataclass(frozen=True)
@@ -127,18 +132,22 @@ def _clamp_rounding(out: Field) -> Field:
     """The inverse operator's output on a stage right-hand side. The exact
     operator preserves non-negativity, so negative output is rounding:
     clamped to zero within MONO_SLACK of the peak, a MonotonicityError
-    beyond it."""
-    low = float(np.min(out.values))
+    beyond it. The output is fresh and the caller holds its only reference,
+    so it is clamped in place: its array (a Field's values own their data)
+    is made writable for the one pass and frozen again."""
+    vals = out.values
+    low = float(np.min(vals))
     if low >= 0.0:
         return out
-    scale = max(float(np.max(out.values)), 1e-300)
+    scale = max(float(np.max(vals)), 1e-300)
     if low < -MONO_SLACK * scale:
         raise MonotonicityError(
             f"inverse operator output reaches {low:.3e} (scale {scale:.3e})"
         )
-    clamped = np.maximum(out.values, 0.0)
-    clamped.setflags(write=False)
-    return Field(out.lattice, clamped)
+    vals.setflags(write=True)
+    np.maximum(vals, 0.0, out=vals)
+    vals.setflags(write=False)
+    return out
 
 
 def blowup_functional(w_pow: Field, mu: float) -> np.ndarray:
@@ -155,7 +164,7 @@ def _step(w: Field, w_pow: Field, f: Field, spec: ProblemSpec, n: int) -> Iterat
     output. w_next ** p is computed once, for the weighted norm and the
     next stage's right-hand side."""
     # one expression: the right-hand side is released when apply_Js
-    # returns, before _clamp_rounding may make a clamped copy
+    # returns, before _clamp_rounding reads the output
     w_next = _clamp_rounding(apply_Js(rhs_truncated(w, w_pow, f, spec, n), spec.s))
     diff = w_next.values - w.values
     drop = float(np.min(diff))
@@ -167,7 +176,7 @@ def _step(w: Field, w_pow: Field, f: Field, spec: ProblemSpec, n: int) -> Iterat
     # it reuses diff's buffer, which the frozen Field adopts without a copy
     next_pow = np.power(w_next.values, spec.p, out=diff)
     next_pow.setflags(write=False)
-    next_pow = Field(w_next.lattice, next_pow)
+    next_pow = w_next.with_values(next_pow)
     state = IterationState(
         n=n,
         w=w_next,
@@ -180,8 +189,11 @@ def _step(w: Field, w_pow: Field, f: Field, spec: ProblemSpec, n: int) -> Iterat
 
 def initial_state(f: Field, spec: ProblemSpec) -> IterationState:
     """Stage 0: the inverse operator applied to the saturated forcing, a step
-    from the zero field (so sup_diff is the sup norm of the iterate)."""
-    zero = zero_field(f.lattice)
+    from the zero field (so sup_diff is the sup norm of the iterate). The
+    state is stored on f's nodes."""
+    zeros = np.zeros(f.values.shape)
+    zeros.setflags(write=False)  # adopted without a copy
+    zero = f.with_values(zeros)
     return _step(zero, zero, f, spec, 0)
 
 
@@ -253,6 +265,15 @@ def _growth(m: np.ndarray, lat: Lattice) -> Tuple[float, Optional[float]]:
     return factor, esc
 
 
+def _common_nodes(f: Field, dominator: Optional[Field]) -> Tuple[Field, Optional[Field]]:
+    """f and the dominator on the positive orthant when both are exactly
+    even, else both on the full grid."""
+    fields = [f] if dominator is None else [f, dominator]
+    even = [to_orthant(g) for g in fields]
+    fields = even if None not in even else [g.full_grid() for g in fields]
+    return fields[0], (fields[1] if dominator is not None else None)
+
+
 def run(
     spec: ProblemSpec,
     f: Field,
@@ -273,11 +294,20 @@ def run(
     A dominator field (e.g. a certified ceiling) is checked against every
     iterate, with a slack of 1e-9 of its peak; violations are counted, never
     silently clipped.
+
+    When f and the dominator are both exactly even in every spatial axis
+    (see lattice.to_orthant; every forcing and dominator in this package
+    is), every stage is stored and computed on the positive orthant, where
+    each node stands for 2^N equal ones: the violation count is scaled by
+    2^N, and the report is the one of the full grid. Otherwise the run is
+    on the full grid. The callback receives each state on the node set the
+    run chose (state.w.full_grid() expands it).
     """
     lat = f.lattice
+    if dominator is not None and dominator.lattice != lat:
+        raise ValueError("the dominator lies on another lattice than f")
+    f, dominator = _common_nodes(f, dominator)
     if dominator is not None:
-        if dominator.lattice != lat:
-            raise ValueError("the dominator lies on another lattice than f")
         slack = 1e-9 * max(float(np.max(dominator.values)), 1e-300)
     state = initial_state(f, spec)
     if callback:
@@ -294,7 +324,7 @@ def run(
         gap = st.w.values - dominator.values
         top = float(np.max(gap))
         if top > slack:  # count the violating nodes only when there are some
-            viol += int(np.count_nonzero(gap > slack))
+            viol += f.nodes.copies * int(np.count_nonzero(gap > slack))
             excess = max(excess, top)
 
     check_dominator(state)

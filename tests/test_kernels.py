@@ -27,7 +27,7 @@ from hardyheat.kernels import (
     symbol_of_kernel_check,
     truncated_power_field,
 )
-from hardyheat.lattice import Field, make_lattice, sample, zero_field
+from hardyheat.lattice import Field, make_lattice, sample, to_orthant, zero_field
 from hardyheat.special import gamma_fn, smooth_step
 
 
@@ -377,6 +377,37 @@ def test_js_even_input_takes_the_orthant(js_paths, dim, M, T_neg):
     causal[node] = g[node]
     want = _volterra_direct(causal, lat, s, 4)
     assert np.max(np.abs(off - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_js_exactly_odd_input_is_one_part(js_paths):
+    # an exactly odd axis keeps its odd half alone: its even half is zero
+    # and is not convolved
+    lat = make_lattice(1, 4.0, 16, 1.2, 3.0, 14)
+    g = _one_odd_axis(lat, np.random.default_rng(22)) * lat.causal_mask()[:, None]
+    s = 0.4
+    got = apply_Js(Field(lat, g), s).values
+    assert js_paths == [(True,)]
+    want = _volterra_direct(g, lat, s, 4)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("dim,M,T_neg", [(2, 16, 1.0), (3, 8, 0.0)])
+def test_js_on_orthant_field_is_the_even_path(js_paths, monkeypatch, dim, M, T_neg):
+    # an orthant-stored input is convolved as the one even part, with no
+    # evenness test and no mirror: its output is the full-grid output's
+    # positive orthant, bitwise, stored on the orthant
+    lat = make_lattice(dim, 4.0, M, T_neg, 3.0, 12)
+    g = _mirrored(np.random.default_rng(23).random((lat.K,) + (M // 2,) * dim), dim)
+    g *= lat.causal_mask().reshape((-1,) + (1,) * dim)
+    full = apply_Js(Field(lat, g), 0.4)
+    even = to_orthant(Field(lat, g))
+    monkeypatch.setattr(kernels, "_parity_parts", None)  # nothing to split
+    out = apply_Js(even, 0.4)
+    assert js_paths == [(False,) * dim] * 2
+    assert out.orthant and out.values.shape == even.values.shape
+    assert out.values.flags.owndata and not out.values.flags.writeable
+    assert np.array_equal(out.full_grid().values, full.values)
+    assert np.array_equal(to_orthant(full).values, out.values)
 
 
 def _causal_ones(lat, even):

@@ -14,6 +14,7 @@ from hardyheat.lattice import (
     inverse_transform,
     make_lattice,
     sample,
+    to_orthant,
     transform,
     weighted_integral,
     zero_field,
@@ -154,6 +155,31 @@ def test_weighted_integral_monotone_and_errors():
             weighted_integral(Field(lat, neg), 0.0)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_orthant_field_round_trip_and_measure(dim):
+    lat = make_lattice(dim, 3.0, 8, 0.5, 2.0, 8)
+    even = sample(lambda t, *xs: (t + 1.0) * np.exp(-sum(x * x for x in xs)), lat)
+    half = to_orthant(even)
+    assert half.orthant and half.values.shape == (lat.K,) + (lat.M // 2,) * dim
+    assert half.nodes.measure == 2 ** dim * lat.cell_volume
+    assert not half.values.flags.writeable and half.with_values(half.values).orthant
+    assert to_orthant(half) is half and even.full_grid() is even
+    assert np.array_equal(half.full_grid().values, even.values)
+    r = lat.spatial_radius()
+    assert np.array_equal(half.nodes.restrict(r), r[(slice(lat.M // 2, None),) * dim])
+    assert even.nodes.restrict(r) is r
+    assert half.l2() == pytest.approx(even.l2(), rel=1e-13)
+    # the sums over the stored nodes are bitwise those of the full grid
+    for a in (0.0, -0.7):
+        assert np.array_equal(weighted_integral(half, a), weighted_integral(even, a))
+    # one node off evenness, or a wrong shape, is no orthant field
+    off = even.values.copy()
+    off[(-1,) + (0,) * dim] += 1e-12
+    assert to_orthant(Field(lat, off)) is None
+    with pytest.raises(ValueError, match="shape"):
+        Field(lat, even.values, orthant=True)
+
+
 def test_weighted_integral_staggered_weight_bound():
     lat = make_lattice(2, 6.0, 32, 0.0, 4.0, 8)
     a = 1.2
@@ -198,3 +224,9 @@ def test_export_csv(tmp_path):
     assert k == 3
     want = lat.x_axis()[i] + 10 * lat.x_axis()[j] + 100 * lat.t_axis()[k]
     assert float(rows[1][6]) == pytest.approx(want, rel=1e-10)
+    # an orthant field is written on every node, with its coordinates
+    even = sample(lambda t, x, y: x * x + y * y + t, lat)
+    export_field_csv(even, str(path))
+    full = path.read_text()
+    export_field_csv(to_orthant(even), str(path))
+    assert path.read_text() == full

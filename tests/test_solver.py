@@ -15,7 +15,7 @@ from hardyheat.constants import (
     mu_from_lambda,
     upsilon_inv,
 )
-from hardyheat.lattice import Field, make_lattice, sample, zero_field
+from hardyheat.lattice import Field, make_lattice, sample, to_orthant, zero_field
 from hardyheat.solver import (
     VERDICT_CONVERGED,
     VERDICT_ESCAPE,
@@ -45,7 +45,7 @@ def spec():
 
 def _pow(w, p):
     """The field max(w, 0) ** p, as the scheme carries it."""
-    return Field(w.lattice, np.maximum(w.values, 0.0) ** p)
+    return w.with_values(np.maximum(w.values, 0.0) ** p)
 
 
 def test_cutoff_family_nesting(lat):
@@ -246,9 +246,97 @@ def test_dominator_violations_are_counted(lat, spec):
     dominator = Field(lat, 0.5 * initial_state(f, spec).w.values)
     rep = run(spec, f, max_n=3, sup_tol=0.0, dominator=dominator, callback=states.append)
     slack = 1e-9 * np.max(dominator.values)
-    gaps = [st.w.values - dominator.values for st in states]
+    gaps = [st.w.full_grid().values - dominator.values for st in states]
     assert rep.dominator_violations == sum(int(np.sum(g > slack)) for g in gaps) > 0
     assert rep.dominator_max_excess == max(float(np.max(g)) for g in gaps)
+
+
+@pytest.mark.parametrize("dim,M,p", [(2, 32, 2.0), (3, 16, 1.4)])
+def test_orthant_run_matches_the_full_lattice_run(monkeypatch, dim, M, p):
+    # an even forcing and dominator run on the orthant; with the orthant
+    # refused, the same run on the full lattice gives the same report, the
+    # violation count (scaled by 2^N) included
+    lat = make_lattice(dim, 6.0, M, 0.0, 6.0, 24)
+    spec = ProblemSpec(dim, 0.5, 0.5 * lambda_max(dim, 0.5), p)
+    f = gaussian_bump_forcing(lat, 0.5)
+    dominator = Field(lat, 0.5 * initial_state(f, spec).w.values)
+    reports, orthant = [], []
+    for refuse in (False, True):
+        if refuse:
+            monkeypatch.setattr(solver, "to_orthant", lambda fld: None)
+        seen = []
+        rep = run(spec, f, max_n=4, sup_tol=0.0, dominator=dominator,
+                  callback=lambda st: seen.append(st.w.orthant))
+        reports.append(rep)
+        orthant.append(set(seen))
+    assert orthant == [{True}, {False}]
+    a, b = reports
+    assert (a.verdict, a.n_final, a.dominator_violations) == (b.verdict, b.n_final, b.dominator_violations)
+    assert a.dominator_violations > 0 and a.dominator_violations % 2 ** dim == 0
+    for name in ("growth_factor", "final_norm", "escape_time", "sup_diff", "dominator_max_excess"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x == y or abs(x - y) <= 1e-12 * max(abs(x), abs(y)), name
+    ma, mb = np.array(a.m_curve), np.array(b.m_curve)
+    assert np.max(np.abs(ma - mb)) <= 1e-12 * np.max(np.abs(mb))
+
+
+def test_forcing_off_evenness_runs_on_the_full_lattice(lat, spec):
+    # one node off evenness: run stays on the full lattice and agrees with
+    # iterate looped by hand
+    off = gaussian_bump_forcing(lat, 0.5).values.copy()
+    off[lat.K // 2, 0, 0] += 1e-3
+    f = Field(lat, off)
+    assert to_orthant(f) is None
+    states = []
+    rep = run(spec, f, max_n=3, sup_tol=0.0, callback=states.append)
+    assert not any(st.w.orthant for st in states)
+    st = initial_state(f, spec)
+    for want in states[1:]:
+        st = iterate(st, f, spec)
+        np.testing.assert_array_equal(st.w.values, want.w.values)
+    assert rep.n_final == st.n == 3
+    assert [m for _, m in rep.m_curve] == st.m_curve.tolist()
+    assert rep.sup_diff == st.sup_diff
+
+
+def test_rhs_truncated_refuses_mixed_node_sets(lat, spec):
+    f = gaussian_bump_forcing(lat, 0.5)
+    half = to_orthant(f)
+    with pytest.raises(ValueError, match="node sets"):
+        rhs_truncated(half, half, f, spec, 1)
+    with pytest.raises(ValueError, match="node sets"):
+        rhs_truncated(f, half, f, spec, 1)
+    # on one node set it is the full-grid right-hand side, restricted
+    full = rhs_truncated(f, _pow(f, spec.p), f, spec, 2)
+    got = rhs_truncated(half, _pow(half, spec.p), half, spec, 2)
+    assert got.orthant
+    np.testing.assert_array_equal(got.full_grid().values, full.values)
+
+
+def test_run_makes_one_inverse_per_stage(lat, spec, monkeypatch):
+    # the benchmark's tracer counts calls through solver.apply_Js and
+    # solver.iterate, and marks a run whose counts differ from n_final + 1
+    # and n_final incorrect; the inverse receives a field with .values
+    calls = {"apply_Js": 0, "iterate": 0}
+    real_js, real_iterate = solver.apply_Js, solver.iterate
+
+    def js(g, s):
+        assert isinstance(g.values, np.ndarray)
+        calls["apply_Js"] += 1
+        return real_js(g, s)
+
+    def step(*args):
+        calls["iterate"] += 1
+        return real_iterate(*args)
+
+    monkeypatch.setattr(solver, "apply_Js", js)
+    monkeypatch.setattr(solver, "iterate", step)
+    f = gaussian_bump_forcing(lat, 0.5)
+    dominator = Field(lat, 2.0 * initial_state(f, spec).w.values)
+    for kwargs in ({}, {"dominator": dominator}):
+        calls.update(apply_Js=0, iterate=0)
+        rep = run(spec, f, max_n=5, **kwargs)
+        assert calls == {"apply_Js": rep.n_final + 1, "iterate": rep.n_final}
 
 
 def test_iterates_monotone_and_causal(lat, spec):
