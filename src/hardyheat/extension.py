@@ -9,14 +9,13 @@ no grid at all.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, Sequence
 
 import numpy as np
 
 from .constants import mu_from_lambda
-from .kernels import _time_shift_quadratic, apply_Hs_spectral, heat_semigroup
+from .kernels import _lag_table, _memory_integral, apply_Hs_spectral
 from .lattice import Field
 from .special import (
     gamma_fn,
@@ -32,29 +31,26 @@ def extend_parabolic(w: Field, s: float, y_levels: Sequence[float]) -> Dict[floa
     At height y the extension is a tau-integral of heat-smoothed, time-shifted
     copies of the field against the weight y^(2s) tau^(-1-s) exp(-y^2/4tau)
     (unit total mass). Causality truncates the integral at the window span.
+    The integral is linear in the field and the shift acts on time alone, so
+    each level is one lag table (kernels._lag_table: the sharp heat
+    multiplier with the 3-point time shift) applied to the field's one
+    spatial rfft.
     """
+    for y in y_levels:
+        if not y > 0:
+            raise ValueError(f"levels must be positive, got {y}")
     lat = w.lattice
     span = lat.T + lat.T_neg
+    spec = np.fft.rfftn(w.values, axes=tuple(range(1, lat.dim + 1)))
     out: Dict[float, np.ndarray] = {}
     for y in y_levels:
-        if y <= 0:
-            raise ValueError(f"levels must be positive, got {y}")
         tau_lo = y * y / 160.0  # exp(-40) below this
         nodes, wts = gauss_legendre_panels(
             geometric_edges(tau_lo, span, 1.4), 6
         )
         pref = y ** (2.0 * s) / (4.0 ** s * gamma_fn(s))
-        acc = np.zeros(lat.shape)
-        for tq, wq in zip(nodes, wts):
-            shifted = _time_shift_quadratic(np.asarray(w.values), tq / lat.ht)
-            acc += (
-                pref
-                * wq
-                * tq ** (-1.0 - s)
-                * math.exp(-y * y / (4.0 * tq))
-                * heat_semigroup(shifted, lat, tq)
-            )
-        out[y] = acc
+        coefs = pref * wts * nodes ** (-1.0 - s) * np.exp(-y * y / (4.0 * nodes))
+        out[y] = _memory_integral(lat, _lag_table(lat, nodes, coefs, False), spec)
     return out
 
 

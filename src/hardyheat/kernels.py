@@ -83,12 +83,23 @@ def apply_Hs_spectral(fld: Field, s: float, pad_space: int = 2, pad_time: int = 
 
 
 def _spatial_multiply(values: np.ndarray, lat: Lattice, multiplier: np.ndarray) -> np.ndarray:
-    """Apply a real, even spatial Fourier multiplier over the last lat.dim
-    axes of real values, on the rfftn half-spectrum of the last axis."""
+    """Apply a real, even spatial Fourier multiplier, given on the rfftn
+    half-spectrum (see _heat_multiplier), over the last lat.dim axes of real
+    values."""
     axes = tuple(range(values.ndim - lat.dim, values.ndim))
     spec = np.fft.rfftn(values, axes=axes)
-    spec *= multiplier[..., : lat.M // 2 + 1]
+    spec *= multiplier
     return np.fft.irfftn(spec, s=(lat.M,) * lat.dim, axes=axes)
+
+
+def _heat_multiplier(lat: Lattice, tau: float, positive: bool) -> np.ndarray:
+    """The multiplier of exp(tau * Laplacian) on the rfftn half-spectrum of
+    space (last axis 0..M/2): the sharp exp(-tau |xi|^2), or with positive
+    the sampled positive kernel's (heat_kernel_multiplier)."""
+    half = (Ellipsis, slice(0, lat.M // 2 + 1))
+    if positive:
+        return heat_kernel_multiplier(lat, tau)[half]
+    return np.exp(-tau * lat.xi_squared()[half])
 
 
 def heat_semigroup(values: np.ndarray, lat: Lattice, tau: float) -> np.ndarray:
@@ -98,7 +109,7 @@ def heat_semigroup(values: np.ndarray, lat: Lattice, tau: float) -> np.ndarray:
     for tau below the grid scale; paths with a positivity contract use
     heat_kernel_multiplier instead.
     """
-    return _spatial_multiply(values, lat, np.exp(-tau * lat.xi_squared()))
+    return _spatial_multiply(values, lat, _heat_multiplier(lat, tau, False))
 
 
 def _heat_kernel_multiplier_1d(M: int, hx: float, L: float, tau: float) -> np.ndarray:
@@ -130,7 +141,7 @@ def heat_kernel_multiplier(lat: Lattice, tau: float) -> np.ndarray:
 def heat_positive(values: np.ndarray, lat: Lattice, tau: float) -> np.ndarray:
     """Heat smoothing through the sampled positive kernel (monotone exactly,
     spectrally a touch less accurate than heat_semigroup)."""
-    return _spatial_multiply(values, lat, heat_kernel_multiplier(lat, tau))
+    return _spatial_multiply(values, lat, _heat_multiplier(lat, tau, True))
 
 
 # ---------------------------------------------------------------------------
@@ -434,54 +445,147 @@ def symbol_of_kernel_check(
 # ground-state operator
 # ---------------------------------------------------------------------------
 
-def _time_shift(vals: np.ndarray, steps: float) -> np.ndarray:
-    """values(., t - tau) by linear interpolation along axis 0; slices shifted
-    out of the window on the past side are treated as zero."""
-    m = int(math.floor(steps))
-    frac = steps - m
-    out = np.zeros_like(vals)
-    K = vals.shape[0]
-    if m < K:
-        out[m:] = (1.0 - frac) * vals[: K - m]
-    if m + 1 < K:
-        out[m + 1:] += frac * vals[: K - m - 1]
-    return out
-
-
-def _time_shift_quadratic(vals: np.ndarray, steps: float) -> np.ndarray:
-    """values(., t - tau) by 3-point Lagrange interpolation along axis 0.
-
-    Third-order accurate for smooth data; weights are signed, so this variant
-    is reserved for test-function paths with no positivity contract. Out of
-    window (either side) counts as zero.
-    """
-    m = int(math.floor(steps))
+def _shift_weights(steps: float, quadratic: bool) -> tuple:
+    """(lag, weight) pairs of the time shift values(., t - steps * ht) along
+    the slice axis; lag -1 reads the next slice, and a slice outside the
+    window counts as zero. Linear interpolation puts convex weights on lags
+    m and m + 1, m = floor(steps). quadratic asks for 3-point Lagrange on
+    lags m - 1, m and m + 1: third-order accurate for smooth data, but the
+    weights are signed, so it is reserved for paths with no positivity
+    contract. On a whole number of steps both are the one lag m."""
+    m = math.floor(steps)
     f = steps - m
-    if f == 0.0:
-        return _time_shift(vals, steps)
-    K = vals.shape[0]
-    w_next = 0.5 * f * (f - 1.0)   # slice at lag m-1
-    w_mid = 1.0 - f * f            # slice at lag m
-    w_prev = 0.5 * f * (f + 1.0)   # slice at lag m+1
-    out = np.zeros_like(vals)
-    for lag, wgt in ((m - 1, w_next), (m, w_mid), (m + 1, w_prev)):
-        if lag >= K or wgt == 0.0:
-            continue
-        if lag >= 0:
-            out[lag:] += wgt * vals[: K - lag]
+    if not quadratic or f == 0.0:
+        return ((m, 1.0 - f), (m + 1, f))
+    return ((m - 1, 0.5 * f * (f - 1.0)), (m, 1.0 - f * f), (m + 1, 0.5 * f * (f + 1.0)))
+
+
+def _lag_table(lat: Lattice, taus, coefs, order_preserving: bool) -> np.ndarray:
+    """The memory integral sum_q coefs[q] * S_taus[q][v(., t - taus[q])] as
+    one table G(lag, xi) = sum_q coefs[q] * a_q(lag) * m_q(xi), row lag + 1
+    for the lags -1, 0, 1, ... up to the last one in use, on the rfftn
+    half-spectrum of space (applied by _memory_integral).
+
+    a_q is the time shift's weight (_shift_weights) and m_q the heat
+    multiplier (_heat_multiplier): order_preserving pairs the positive
+    kernel with the linear shift, otherwise the sharp multiplier goes with
+    the 3-point shift. A lag >= K shifts the whole window out and is
+    dropped: what precedes the window counts as zero.
+    """
+    rules = [[(lag, wgt) for lag, wgt in _shift_weights(tau / lat.ht, not order_preserving)
+              if lag < lat.K and wgt != 0.0] for tau in taus]
+    rows = 2 + max((lag for rule in rules for lag, _ in rule), default=-1)
+    table = np.zeros((rows,) + (lat.M,) * (lat.dim - 1) + (lat.M // 2 + 1,))
+    for tau, c, rule in zip(taus, coefs, rules):
+        mult = c * _heat_multiplier(lat, tau, order_preserving)
+        for lag, wgt in rule:
+            table[lag + 1] += wgt * mult
+    return table
+
+
+def _memory_integral(lat: Lattice, table: np.ndarray, spec: np.ndarray) -> np.ndarray:
+    """A _lag_table applied to a field, back in physical space. spec is the
+    field's rfftn over space (slices first); slice k of the result sums
+    table[lag + 1] * spec[k - lag] over the lags whose slice k - lag lies in
+    the window: a causal convolution over time, one multiply per lag."""
+    K = spec.shape[0]
+    out = np.zeros_like(spec)
+    for lag in range(-1, min(table.shape[0] - 1, K)):
+        if lag < 0:
+            out[:-1] += table[0] * spec[1:]
         else:
-            out[: K + lag] += wgt * vals[-lag:]
-    return out
+            out[lag:] += table[lag + 1] * spec[: K - lag]
+    return np.fft.irfftn(out, s=(lat.M,) * lat.dim, axes=tuple(range(1, lat.dim + 1)))
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+@dataclass(frozen=True)
+class _MemoryTerm:
+    """Part of the ground-state operator's tau-integral, sum_q c_q h(tau_q):
+    its nodes tau_q, its lag table of c_q-weighted smoothings of the shifted
+    w * phi, and its weight term sum_q c_q * weight_profile(tau_q) (plus,
+    in the tail, the beyond-window integral)."""
+
+    taus: np.ndarray
+    table: np.ndarray
+    profile: np.ndarray
+
+    def __call__(self, lat: Lattice, vals: np.ndarray, spec: np.ndarray) -> np.ndarray:
+        return vals * self.profile - _memory_integral(lat, self.table, spec)
+
+
+@dataclass(frozen=True)
+class _LsPlan:
+    """Everything apply_Ls needs that does not depend on the field."""
+
+    weight: np.ndarray   # w = |x|^(-mu)
+    h0: _MemoryTerm      # the integrand at the innermost first-slab edge
+    first: _MemoryTerm   # the other first-slab edges, with their weights
+    tail: _MemoryTerm    # Gauss panels from the first slab to the window span
+    innermost: float     # h0's weight in the piece [0, innermost edge]
+    h0_weight: float     # h0's whole weight in the first slab
+
+
+# the verifier uses three keys (kato, ls_bound, ground_state); an entry is
+# three lag tables and four spatial arrays, 0.2 MB at 2-D 32^2 x 32 and
+# 1.1 MB at 64^2 x 48
+@lru_cache(maxsize=8)
+def _ls_plan(lat: Lattice, lam: float, s: float, order_preserving: bool) -> _LsPlan:
+    """apply_Ls's quadrature, lag tables and weight terms for one
+    (lattice, lam, s, order_preserving); read-only, built on first use."""
+    mu = mu_from_lambda(lam, lat.dim, s)
+    r = lat.spatial_radius()
+    w = r ** (-mu)
+    tau1 = lat.hx ** 2
+    span = lat.T + lat.T_neg
+    tau_huge = 4000.0
+
+    def term(taus, coefs, beyond=0.0):
+        if order_preserving:
+            mult = sum(c * _heat_multiplier(lat, tau, True) for tau, c in zip(taus, coefs))
+            profile = _spatial_multiply(w, lat, mult)
+        else:
+            profile = sum(c * smoothed_power(r, tau, lat.dim, mu) for tau, c in zip(taus, coefs))
+        table = _lag_table(lat, taus, coefs, order_preserving)
+        return _MemoryTerm(_frozen(np.array(taus, dtype=float)), _frozen(table), _frozen(profile + beyond))
+
+    # first slab [0, tau1], geometrically graded toward 0 where the kernel
+    # concentrates; h(0) = 0 anchors the innermost product-linear rule, and
+    # each edge carries the merged weights of the sub-slabs it bounds
+    sub_edges = tau1 / 4.0 ** np.arange(5, -1.0, -1.0)
+    left, right = _linear_weights(sub_edges[:-1], sub_edges[1:], -s)
+    edge_wts = np.r_[left, 0.0] + np.r_[0.0, right]
+    innermost = sub_edges[0] ** (-s) / (1.0 - s)
+
+    nodes, wts = gauss_legendre_panels(geometric_edges(tau1, span, 1.6), 4)
+    # beyond the window the shifted field is zero; only the weight term is
+    # left and its closed-form profile integrates out to tau_huge + tail
+    nodes2, wts2 = gauss_legendre_panels(geometric_edges(span, tau_huge, 1.6), 4)
+    beyond = sum(wq * tq ** (-1.0 - s) * smoothed_power(r, tq, lat.dim, mu) for tq, wq in zip(nodes2, wts2))
+    # power-law tail: the smoothed weight decays like tau^(-mu/2)
+    beyond += smoothed_power(r, tau_huge, lat.dim, mu) * tau_huge ** (-s) / (s + mu / 2.0)
+    return _LsPlan(
+        weight=_frozen(w),
+        h0=term(sub_edges[:1], [1.0]),
+        first=term(sub_edges[1:], edge_wts[1:]),
+        tail=term(nodes, wts * nodes ** (-1.0 - s), beyond),
+        innermost=innermost,
+        h0_weight=innermost + edge_wts[0],
+    )
 
 
 def apply_Ls(phi: Field, lam: float, s: float, order_preserving: bool = False) -> Field:
     """Ground-state commutator operator.
 
     Uses the semigroup split of the kernel: the integrand at memory depth tau
-    is phi(x,t) * S_tau[w](x) - S_tau[w * phi(., t - tau)](x) with w the
-    |x|^(-mu) weight and S_tau the heat semigroup; the difference vanishes at
-    tau = 0, so the tau^(-1-s) singularity is product-integrated over the
-    first slab [0, hx^2].
+    is h(tau) = phi(x,t) * S_tau[w](x) - S_tau[w * phi(., t - tau)](x) with w
+    the |x|^(-mu) weight and S_tau the heat semigroup; the difference
+    vanishes at tau = 0, so the tau^(-1-s) singularity is product-integrated
+    over the first slab [0, hx^2].
 
     The default favours accuracy: the smoothed weight in closed form and a
     3-point Lagrange time shift. order_preserving=True smooths the weight on
@@ -489,44 +593,22 @@ def apply_Ls(phi: Field, lam: float, s: float, order_preserving: bool = False) -
     (convex) interpolation; the discrete operator then preserves the
     pointwise inequalities of its integrand exactly (used by the inequality
     checks).
+
+    The tau-integral is linear in phi and the shift acts on time alone, so
+    each of its three parts (the innermost first-slab edge, the other
+    first-slab edges, the Gauss tail) is one lag table on the spatial
+    half-spectrum of w * phi plus a weight term phi * sum c S_tau[w]. These
+    depend only on (lattice, lam, s, order_preserving) and are cached
+    (_ls_plan); a call is one forward rfft over space and three inverses.
     """
     lat = phi.lattice
-    mu = mu_from_lambda(lam, lat.dim, s)
-    r = lat.spatial_radius()
-    w = r ** (-mu)
+    plan = _ls_plan(lat, float(lam), float(s), bool(order_preserving))
     vals = phi.values
-    tau1 = lat.hx ** 2
-    span = lat.T + lat.T_neg
-    tau_huge = 4000.0
-
-    if order_preserving:
-        smoother, shift = heat_positive, _time_shift
-    else:
-        smoother, shift = heat_semigroup, _time_shift_quadratic
-
-    def weight_profile(tau):
-        if order_preserving:
-            return smoother(w, lat, tau)
-        return smoothed_power(r, tau, lat.dim, mu)
-
-    def h_at(tau):
-        term1 = vals * weight_profile(tau)
-        term2 = smoother(w * shift(vals, tau / lat.ht), lat, tau)
-        return term1 - term2
-
-    # first slab [0, tau1], geometrically graded toward 0 where the kernel
-    # concentrates; h(0) = 0 anchors the innermost product-linear rule, and
-    # each edge carries the merged weights of the sub-slabs it bounds
-    grading = 4.0 ** np.arange(5, -1.0, -1.0)
-    sub_edges = tau1 / grading
-    left, right = _linear_weights(sub_edges[:-1], sub_edges[1:], -s)
-    edge_wts = np.r_[left, 0.0] + np.r_[0.0, right]
-    h0 = h_at(sub_edges[0])
-    acc = h0 * sub_edges[0] ** (-s) / (1.0 - s)
-    innermost = float(np.max(np.abs(acc)))
-    acc += h0 * edge_wts[0]
-    for tau, wgt in zip(sub_edges[1:], edge_wts[1:]):
-        acc += h_at(tau) * wgt
+    spec = np.fft.rfftn(plan.weight * vals, axes=tuple(range(1, lat.dim + 1)))
+    h0 = plan.h0(lat, vals, spec)
+    innermost = plan.innermost * float(np.max(np.abs(h0)))
+    acc = plan.first(lat, vals, spec)
+    acc += plan.h0_weight * h0
     # refinement budget: the unresolved innermost piece must be a small
     # fraction of the assembled first slab, else the grading was too shallow
     first_slab_scale = float(np.max(np.abs(acc)))
@@ -535,26 +617,9 @@ def apply_Ls(phi: Field, lam: float, s: float, order_preserving: bool = False) -
             f"first-slab refinement did not settle: innermost piece "
             f"{innermost:.3e} vs slab total {first_slab_scale:.3e}"
         )
-
-    nodes, wts = gauss_legendre_panels(geometric_edges(tau1, span, 1.6), 4)
-    for tq, wq in zip(nodes, wts):
-        acc += wq * tq ** (-1.0 - s) * h_at(tq)
-
-    # beyond the window the shifted field is zero; only the weight term is
-    # left and its closed-form profile integrates out to tau_huge + tail
-    nodes2, wts2 = gauss_legendre_panels(geometric_edges(span, tau_huge, 1.6), 4)
-    radial = np.zeros_like(r)
-    for tq, wq in zip(nodes2, wts2):
-        radial += wq * tq ** (-1.0 - s) * smoothed_power(r, tq, lat.dim, mu)
-    # power-law tail: the smoothed weight decays like tau^(-mu/2)
-    radial += (
-        smoothed_power(r, tau_huge, lat.dim, mu)
-        * tau_huge ** (-s)
-        / (s + mu / 2.0)
-    )
-    acc += vals * radial
-
-    return Field(lat, acc / gamma_abs_neg(s))
+    acc += plan.tail(lat, vals, spec)
+    acc /= gamma_abs_neg(s)
+    return Field(lat, _frozen(acc))
 
 
 def ground_state_residual(phi: Field, lam: float, s: float) -> float:

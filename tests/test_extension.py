@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from hardyheat import extension
 from hardyheat.constants import exponents_from, lambda_max
 from hardyheat.extension import (
     PhiProfile,
@@ -8,7 +11,9 @@ from hardyheat.extension import (
     extension_checks,
     neumann_estimate,
 )
-from hardyheat.lattice import make_lattice, sample, zero_field
+from hardyheat.kernels import heat_semigroup
+from hardyheat.lattice import Field, make_lattice, sample, zero_field
+from hardyheat.special import gamma_fn, gauss_legendre_panels, geometric_edges
 
 
 @pytest.fixture(scope="module")
@@ -29,9 +34,60 @@ def test_zero_extends_to_zero(lat):
         assert np.all(vals == 0.0)
 
 
-def test_extension_rejects_bad_level(lat):
-    with pytest.raises(ValueError):
-        extend_parabolic(zero_field(lat), 0.5, [0.0])
+def test_extension_rejects_bad_level(lat, monkeypatch):
+    # every level is checked before the first one is computed
+    def fail(*args):
+        raise AssertionError("a level was computed")
+
+    monkeypatch.setattr(extension, "_lag_table", fail)
+    for levels in ([0.0], [1e-2, 0.0], [1e-2, -1.0], [float("nan")]):
+        with pytest.raises(ValueError, match="levels must be positive"):
+            extend_parabolic(zero_field(lat), 0.5, levels)
+
+
+def _shift_quadratic(vals, steps):
+    """vals(., t - steps * ht) by 3-point Lagrange interpolation slice by
+    slice (the one lag on a whole number of steps); slices outside the
+    window (either side) count as zero."""
+    K = vals.shape[0]
+    m = math.floor(steps)
+    f = steps - m
+    rule = ((m - 1, 0.5 * f * (f - 1.0)), (m, 1.0 - f * f), (m + 1, 0.5 * f * (f + 1.0)))
+    out = np.zeros_like(vals)
+    for lag, wgt in rule:
+        if lag < K and wgt != 0.0:
+            out[max(lag, 0):K + min(lag, 0)] += wgt * vals[max(-lag, 0):K - max(lag, 0)]
+    return out
+
+
+def _extend_per_node(w, s, y_levels):
+    """extend_parabolic written out node by node: each tau shifts the field
+    in time and smooths it in space."""
+    lat = w.lattice
+    span = lat.T + lat.T_neg
+    out = {}
+    for y in y_levels:
+        nodes, wts = gauss_legendre_panels(geometric_edges(y * y / 160.0, span, 1.4), 6)
+        pref = y ** (2.0 * s) / (4.0 ** s * gamma_fn(s))
+        acc = np.zeros(lat.shape)
+        for tq, wq in zip(nodes, wts):
+            smoothed = heat_semigroup(_shift_quadratic(w.values, tq / lat.ht), lat, tq)
+            acc += pref * wq * tq ** (-1.0 - s) * math.exp(-y * y / (4.0 * tq)) * smoothed
+        out[y] = acc
+    return out
+
+
+@pytest.mark.parametrize("dims", [(2, 4.0, 16, 0.5, 1.5, 8), (3, 4.0, 16, 0.5, 1.5, 8)])
+def test_extension_matches_per_node_loop(dims):
+    lat = make_lattice(*dims)
+    rng = np.random.default_rng(23)
+    w = Field(lat, rng.standard_normal(lat.shape))
+    levels = [1e-2, 0.3]
+    got = extend_parabolic(w, 0.4, levels)
+    want = _extend_per_node(w, 0.4, levels)
+    assert list(got) == levels
+    for y in levels:
+        assert np.max(np.abs(got[y] - want[y])) <= 1e-12 * np.max(np.abs(want[y]))
 
 
 def test_trace_and_neumann(datum):

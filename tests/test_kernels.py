@@ -9,9 +9,11 @@ from hardyheat.constants import frac_laplacian_constant, lambda_max, mu_from_lam
 from hardyheat.kernels import (
     AliasingError,
     NonCausalInput,
+    QuadratureError,
     _dct2,
     _idct2,
     _js_spectrum,
+    _lag_table,
     _linear_weights,
     apply_Hs_spectral,
     apply_Js,
@@ -28,7 +30,14 @@ from hardyheat.kernels import (
     truncated_power_field,
 )
 from hardyheat.lattice import Field, make_lattice, sample, to_orthant, zero_field
-from hardyheat.special import gamma_fn, smooth_step
+from hardyheat.special import (
+    gamma_abs_neg,
+    gamma_fn,
+    gauss_legendre_panels,
+    geometric_edges,
+    smooth_step,
+    smoothed_power,
+)
 
 
 @pytest.fixture(scope="module")
@@ -169,7 +178,7 @@ def test_smoothers_match_complex_fft_reference(dim, smoother, multiplier):
     lat = make_lattice(dim, 4.0, 16, 1.0, 3.0, 8)
     rng = np.random.default_rng(7)
     tau = 0.3 * lat.hx ** 2
-    # batched as extend_parabolic calls them, and one bare slice as apply_Ls
+    # batched over slices, and one bare slice
     for values in (rng.standard_normal((2,) + lat.shape), rng.standard_normal((lat.M,) * dim)):
         axes = tuple(range(values.ndim - dim, values.ndim))
         spec = np.fft.fftn(values, axes=axes) * multiplier(lat, tau)
@@ -545,8 +554,6 @@ def test_ls_oracle_single_point():
     k, i, j = 24, 30, 30
     x0, y0, t0 = lat.x_axis()[i], lat.x_axis()[j], lat.t_axis()[k]
 
-    from hardyheat.special import gamma_abs_neg, gauss_legendre_panels, geometric_edges, smoothed_power
-
     u = np.linspace(-12, 12, 400)
     du = u[1] - u[0]
     U1, U2 = np.meshgrid(u, u, indexing="ij")
@@ -565,24 +572,137 @@ def test_ls_oracle_single_point():
     assert out.values[k, i, j] == pytest.approx(oracle, rel=2e-2)
 
 
-def test_ls_smooths_once_per_first_slab_edge(monkeypatch):
-    # the graded first slab [0, hx^2] has 6 edges, each shared by the two
-    # sub-slabs it bounds: its integrand is smoothed once per edge, and no
-    # tau is smoothed twice in the whole call
-    lat = make_lattice(2, 8.0, 32, 1.0, 2.0, 16)
-    taus = []
+def _shift_per_slice(vals, steps, quadratic):
+    """vals(., t - steps * ht) slice by slice: linear interpolation, or
+    3-point Lagrange when quadratic and steps is not a whole number; slices
+    outside the window (either side) count as zero."""
+    K = vals.shape[0]
+    m = math.floor(steps)
+    f = steps - m
+    if quadratic and f != 0.0:
+        rule = ((m - 1, 0.5 * f * (f - 1.0)), (m, 1.0 - f * f), (m + 1, 0.5 * f * (f + 1.0)))
+    else:
+        rule = ((m, 1.0 - f), (m + 1, f))
+    out = np.zeros_like(vals)
+    for lag, wgt in rule:
+        if lag >= K:
+            continue
+        if lag >= 0:
+            out[lag:] += wgt * vals[: K - lag]
+        else:
+            out[: K + lag] += wgt * vals[-lag:]
+    return out
 
-    def spy(values, lat_, tau, _fn=kernels.heat_semigroup):
-        taus.append(tau)
-        return _fn(values, lat_, tau)
 
-    monkeypatch.setattr(kernels, "heat_semigroup", spy)
-    phi = sample(lambda t, x, y: np.exp(-(x * x + y * y) - (t - 1.0) ** 2), lat)
-    apply_Ls(phi, 0.5 * lambda_max(2, 0.5), 0.5)
-    assert len(taus) == len(set(taus))
+def _ls_per_node(phi, lam, s, order_preserving):
+    """apply_Ls written out node by node: each tau shifts the field in time
+    and smooths it in space."""
+    lat = phi.lattice
+    mu = mu_from_lambda(lam, lat.dim, s)
+    r = lat.spatial_radius()
+    w = r ** (-mu)
+    vals = phi.values
+    smoother = heat_positive if order_preserving else heat_semigroup
+
+    def h(tau):
+        profile = smoother(w, lat, tau) if order_preserving else smoothed_power(r, tau, lat.dim, mu)
+        shifted = _shift_per_slice(vals, tau / lat.ht, not order_preserving)
+        return vals * profile - smoother(w * shifted, lat, tau)
+
     tau1 = lat.hx ** 2
-    first_slab = sorted(t for t in taus if t <= tau1)
-    assert first_slab == pytest.approx(tau1 / 4.0 ** np.arange(5, -1, -1), rel=1e-15)
+    span = lat.T + lat.T_neg
+    edges = tau1 / 4.0 ** np.arange(5, -1, -1)
+    left, right = _linear_weights(edges[:-1], edges[1:], -s)
+    acc = h(edges[0]) * edges[0] ** (-s) / (1.0 - s)
+    for tau, wgt in zip(edges, np.r_[left, 0.0] + np.r_[0.0, right]):
+        acc += wgt * h(tau)
+    for tq, wq in zip(*gauss_legendre_panels(geometric_edges(tau1, span, 1.6), 4)):
+        acc += wq * tq ** (-1.0 - s) * h(tq)
+    for tq, wq in zip(*gauss_legendre_panels(geometric_edges(span, 4000.0, 1.6), 4)):
+        acc += vals * wq * tq ** (-1.0 - s) * smoothed_power(r, tq, lat.dim, mu)
+    acc += vals * smoothed_power(r, 4000.0, lat.dim, mu) * 4000.0 ** (-s) / (s + mu / 2.0)
+    return acc / gamma_abs_neg(s)
+
+
+# hx^2 = ht = 1/4 on the first two: the first slab's outer edge shifts by
+# exactly one slice, where the 3-point shift is the one lag
+@pytest.mark.parametrize("dims", [(2, 4.0, 16, 0.5, 1.5, 8), (3, 4.0, 16, 0.5, 1.5, 8), (2, 8.0, 32, 1.0, 2.0, 16)])
+@pytest.mark.parametrize("order_preserving", [False, True])
+def test_ls_matches_per_node_loop(dims, order_preserving):
+    lat = make_lattice(*dims)
+    assert (lat.hx ** 2 / lat.ht == 1.0) == (lat.M == 16)
+    rng = np.random.default_rng(17)
+    phi = Field(lat, rng.standard_normal(lat.shape))
+    lam = 0.5 * lambda_max(lat.dim, 0.5)
+    got = apply_Ls(phi, lam, 0.5, order_preserving=order_preserving).values
+    want = _ls_per_node(phi, lam, 0.5, order_preserving)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_lag_table_rows():
+    lat = make_lattice(2, 4.0, 16, 0.5, 1.5, 8)
+    sharp = np.exp(-0.5 * lat.ht * lat.xi_squared()[..., : lat.M // 2 + 1])
+    # half a slice: the 3-point shift reads the next slice (row 0, lag -1)
+    table = _lag_table(lat, [0.5 * lat.ht], [2.0], False)
+    assert table.shape == (3, lat.M, lat.M // 2 + 1)
+    assert np.allclose(table, 2.0 * np.array([-0.125, 0.75, 0.375])[:, None, None] * sharp, rtol=1e-15, atol=0.0)
+    # the linear shift on the positive kernel does not
+    table = _lag_table(lat, [0.5 * lat.ht], [1.0], True)
+    positive = heat_kernel_multiplier(lat, 0.5 * lat.ht)[..., : lat.M // 2 + 1]
+    assert np.array_equal(table, np.stack([0.0 * positive, 0.5 * positive, 0.5 * positive]))
+    # a whole number of slices is one lag in both pairings; a lag >= K drops
+    for order_preserving in (False, True):
+        table = _lag_table(lat, [2.0 * lat.ht, lat.K * lat.ht], [1.0, 1.0], order_preserving)
+        assert table.shape[0] == 4
+        assert not table[:3].any() and table[3].min() > 0.0
+
+
+def test_ls_smooths_once_per_first_slab_edge():
+    # the graded first slab [0, hx^2] has 6 edges, each shared by the two
+    # sub-slabs it bounds: each enters one table once, at tau1 / 4**k, and
+    # no tau enters two tables
+    lat = make_lattice(2, 8.0, 32, 1.0, 2.0, 16)
+    tau1 = lat.hx ** 2
+    for order_preserving in (False, True):
+        plan = kernels._ls_plan(lat, 0.5 * lambda_max(2, 0.5), 0.5, order_preserving)
+        taus = np.concatenate([plan.h0.taus, plan.first.taus, plan.tail.taus])
+        assert len(set(taus)) == len(taus)
+        assert np.all(plan.tail.taus > tau1)
+        first_slab = np.concatenate([plan.h0.taus, plan.first.taus])
+        assert first_slab == pytest.approx(tau1 / 4.0 ** np.arange(5, -1, -1), rel=1e-15)
+
+
+def test_ls_plan_cache_read_only_one_miss_per_key():
+    lat = make_lattice(2, 8.0, 32, 1.0, 2.0, 16)
+    phi = sample(lambda t, x, y: np.exp(-(x * x + y * y) - (t - 1.0) ** 2), lat)
+    lam = 0.5 * lambda_max(2, 0.5)
+    kernels._ls_plan.cache_clear()
+    for order_preserving in (False, True):
+        first = apply_Ls(phi, lam, 0.5, order_preserving=order_preserving)
+        again = apply_Ls(phi, lam, 0.5, order_preserving=order_preserving)
+        assert np.array_equal(first.values, again.values)
+    info = kernels._ls_plan.cache_info()
+    assert (info.misses, info.hits) == (2, 2)
+    for order_preserving in (False, True):
+        plan = kernels._ls_plan(lat, lam, 0.5, order_preserving)
+        terms = (plan.h0, plan.first, plan.tail)
+        arrays = [plan.weight] + [a for t in terms for a in (t.taus, t.table, t.profile)]
+        assert not any(a.flags.writeable for a in arrays)
+    assert kernels._ls_plan.cache_info().misses == 2
+
+
+def test_ls_first_slab_guard_trips(monkeypatch):
+    # with the first-slab edges weighted zero, the unresolved innermost
+    # piece is the whole first slab
+    lat = make_lattice(2, 8.0, 32, 1.0, 2.0, 16)
+    phi = sample(lambda t, x, y: np.exp(-(x * x + y * y) - (t - 1.0) ** 2), lat)
+    monkeypatch.setattr(kernels, "_linear_weights", lambda a, b, q: (0.0 * a, 0.0 * b))
+    kernels._ls_plan.cache_clear()
+    try:
+        with pytest.raises(QuadratureError, match="first-slab refinement"):
+            apply_Ls(phi, 0.5 * lambda_max(2, 0.5), 0.5)
+    finally:
+        kernels._ls_plan.cache_clear()
 
 
 def test_ground_state_residual_and_refinement():
