@@ -110,8 +110,6 @@ def _lattice_from(dim: int, lattice: Optional[dict]):
 
 _NON_NEGATIVE = (lambda v: v >= 0, ">= 0")
 _COUNT = (lambda v: v >= 1, ">= 1")
-# the growth factor is >= 1 by construction, so a factor <= 1 escapes at once
-_FACTOR = (lambda v: v > 1, "> 1")
 
 # the range of each run setting, by its name in the sweep config and in
 # the command line (where `_` is `-`)
@@ -123,9 +121,6 @@ _RANGES = {
     "max_n": _COUNT,
     "p_per_band": _COUNT,
     "workers": _COUNT,
-    "escape_factor": _FACTOR,
-    "cap_factor": _FACTOR,
-    "sup_tol": (lambda v: v > 0, "> 0"),
     "conditional_fraction": (lambda v: 0 < v <= 1, "in (0, 1]"),
 }
 
@@ -144,7 +139,7 @@ def _check_flags(args, keys) -> None:
 
 def _solve_inputs(args):
     """(spec, lattice) of a `solve` invocation; ValueError if invalid."""
-    _check_flags(args, ("amplitude", "max_n", "escape_factor", "cap_factor"))
+    _check_flags(args, ("amplitude", "max_n"))
     spec = ProblemSpec(args.N, args.s, _coupling(args), args.p)
     return spec, make_lattice(args.N, args.L, args.M, 0.0, args.T, args.K)
 
@@ -152,13 +147,7 @@ def _solve_inputs(args):
 def cmd_solve(args) -> int:
     spec, lat = _solve_inputs(args)
     f = gaussian_bump_forcing(lat, args.amplitude)
-    rep = run(
-        spec,
-        f,
-        max_n=args.max_n,
-        escape_factor=args.escape_factor,
-        cap_factor=args.cap_factor,
-    )
+    rep = run(spec, f, max_n=args.max_n)
     print(f"verdict       = {rep.verdict}")
     print(f"n_final       = {rep.n_final}")
     print(f"growth_factor = {_fmt(rep.growth_factor)}")
@@ -227,9 +216,6 @@ class SweepConfig:
     p_per_band: int = 1
     lattice: dict = None
     max_n: int = 48
-    escape_factor: float = 10.0
-    cap_factor: float = 1e6
-    sup_tol: float = 1e-6
     blowup_amplitude: float = 1.0
     conditional_fraction: float = 0.02
     nonexistence_amplitude: float = 2.0
@@ -301,15 +287,7 @@ def _sweep_row(cfg: SweepConfig, s: float, frac: float, p: float) -> dict:
         f = gaussian_bump_forcing(lat, cfg.blowup_amplitude)
     else:
         f = gaussian_bump_forcing(lat, cfg.nonexistence_amplitude)
-    rep = run(
-        spec,
-        f,
-        max_n=cfg.max_n,
-        escape_factor=cfg.escape_factor,
-        cap_factor=cfg.cap_factor,
-        sup_tol=cfg.sup_tol,
-        dominator=dominator,
-    )
+    rep = run(spec, f, max_n=cfg.max_n, dominator=dominator)
     return {
         "N": cfg.dim,
         "s": s,
@@ -426,8 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
     so.add_argument("-T", type=float, default=6.0)
     so.add_argument("-K", type=int, default=48)
     so.add_argument("--max-n", type=int, default=48)
-    so.add_argument("--escape-factor", type=float, default=10.0)
-    so.add_argument("--cap-factor", type=float, default=1e6)
     so.add_argument("--json")
     so.set_defaults(func=cmd_solve)
 

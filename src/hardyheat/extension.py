@@ -39,6 +39,7 @@ def extend_parabolic(w: Field, s: float, y_levels: Sequence[float]) -> Dict[floa
     for y in y_levels:
         if not y > 0:
             raise ValueError(f"levels must be positive, got {y}")
+    w = w.full_grid()
     lat = w.lattice
     span = lat.T + lat.T_neg
     spec = np.fft.rfftn(w.values, axes=tuple(range(1, lat.dim + 1)))
@@ -74,6 +75,7 @@ def extension_checks(w: Field, s: float, kappa_s: float) -> tuple:
     0.02 matches kappa_s times the operator applied to the field, compared
     on the nodes with |x| <= L/2 over causal slices.
     """
+    w = w.full_grid()
     lat = w.lattice
     y_lo, y_hi = 1e-2, 2e-2
     ext = extend_parabolic(w, s, [y_lo, y_hi])
@@ -92,6 +94,12 @@ def extension_checks(w: Field, s: float, kappa_s: float) -> tuple:
     den = float(np.max(np.abs(target[sel])))
     neumann_err = float(np.max(np.abs((est - target)[sel]))) / den
     return trace_err, neumann_err
+
+
+# samples of PhiProfile's invariant checks; euler_error's relative step
+HOMOGENEITY_SAMPLES = 24
+EULER_SAMPLES = 16
+EULER_STEP = 1e-4
 
 
 @dataclass
@@ -149,20 +157,21 @@ class PhiProfile:
         )
         return pref * acc
 
-    def homogeneity_error(self, rng: np.random.Generator, n: int = 24) -> float:
+    def homogeneity_error(self, rng: np.random.Generator) -> float:
         """Worst relative defect of value(tau z) = tau^(-mu) value(z)."""
-        r = rng.uniform(0.3, 2.0, n)
-        y = rng.uniform(0.05, 2.0, n)
-        scl = rng.uniform(0.5, 4.0, n)
+        r = rng.uniform(0.3, 2.0, HOMOGENEITY_SAMPLES)
+        y = rng.uniform(0.05, 2.0, HOMOGENEITY_SAMPLES)
+        scl = rng.uniform(0.5, 4.0, HOMOGENEITY_SAMPLES)
         a = self.value(scl * r, scl * y)
         b = scl ** (-self.mu) * self.value(r, y)
         return float(np.max(np.abs(a - b) / np.abs(b)))
 
-    def euler_error(self, rng: np.random.Generator, n: int = 16, h: float = 1e-4) -> float:
+    def euler_error(self, rng: np.random.Generator) -> float:
         """Worst relative defect of the radial derivative identity
         grad(profile) . z = -mu * profile, by central differences along rays."""
-        r = rng.uniform(0.3, 2.0, n)
-        y = rng.uniform(0.05, 2.0, n)
+        h = EULER_STEP
+        r = rng.uniform(0.3, 2.0, EULER_SAMPLES)
+        y = rng.uniform(0.05, 2.0, EULER_SAMPLES)
         up = self.value((1 + h) * r, (1 + h) * y)
         dn = self.value((1 - h) * r, (1 - h) * y)
         radial = (up - dn) / (2.0 * h)

@@ -5,7 +5,6 @@ closed-form radial identities tying them together.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -14,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .constants import frac_laplacian_constant, mu_from_lambda, upsilon
-from .lattice import Field, Lattice, mirror_halves
+from .lattice import Field, Lattice, parity_parts, unfold
 from .special import (
     gamma_abs_neg,
     gamma_fn,
@@ -61,6 +60,7 @@ def apply_Hs_spectral(fld: Field, s: float, pad_space: int = 2, pad_time: int = 
     is the imaginary residue a complex transform would leave, and it must
     stay within 1e-10 of the real part (a broken branch or severe aliasing).
     """
+    fld = fld.full_grid()
     lat = fld.lattice
     # space is centred (tails decay both ways), time pads the future only:
     # the operator kernel is causal, so wrap-around contamination comes from
@@ -253,27 +253,6 @@ def _idct2(y: np.ndarray, axis: int) -> np.ndarray:
     return v if axis in (-1, v.ndim - 1) else np.moveaxis(v, -1, axis)
 
 
-def _parity_parts(vals: np.ndarray, dim: int) -> list:
-    """(part, odd) pairs: the parity parts of vals (time first) about the
-    grid centre on the positive orthant, odd[d] True where odd in axis d + 1.
-    An axis whose mirrored halves are equal keeps the positive half alone
-    as even, and one whose halves are exact negatives keeps it alone as odd:
-    an exactly even input is one part, a view of its own orthant."""
-    parts = [(vals, ())]
-    for ax in range(1, dim + 1):
-        split = []
-        for part, odd in parts:
-            mirror, pos = mirror_halves(part, ax)
-            if np.array_equal(mirror, pos):
-                split.append((pos, odd + (False,)))
-            elif np.array_equal(mirror, -pos):
-                split.append((pos, odd + (True,)))
-            else:
-                split += [(0.5 * (pos + mirror), odd + (False,)), (0.5 * (pos - mirror), odd + (True,))]
-        parts = split
-    return parts
-
-
 def _js_on_orthant(part: np.ndarray, odd: Sequence[bool], lat: Lattice, table: np.ndarray) -> np.ndarray:
     """The Volterra convolution of one parity part on the positive orthant:
     a DCT-II per spatial axis (of the samples times (-1)^j on an odd axis: a
@@ -308,7 +287,7 @@ def apply_Js(g: Field, s: float, causal_tol: float = 1e-8) -> Field:
 
     The lag kernel's spectrum depends only on (lattice, s) and is cached
     (see _js_spectrum). Each parity part of the input is convolved on the
-    positive orthant (see _js_on_orthant) and mirrored back. An input
+    positive orthant (see _js_on_orthant) and unfolded back. An input
     exactly even in every spatial axis is one part, and its output is
     exactly even. An orthant-stored input (every stage of a solver run on
     even data) is that one part as it is: its output is stored on the
@@ -334,21 +313,10 @@ def apply_Js(g: Field, s: float, causal_tol: float = 1e-8) -> Field:
     if g.orthant:
         out = _js_on_orthant(vals, (False,) * lat.dim, lat, table)
     else:
-        out = np.empty(lat.shape)
-        half = lat.M // 2
-        for n, (part, odd) in enumerate(_parity_parts(vals, lat.dim)):
-            c = _js_on_orthant(part, odd, lat, table)
-            # each orthant block of the output is c flipped along its negative
-            # axes and negated once per odd one; no block overlaps c
-            for positive in itertools.product((False, True), repeat=lat.dim):
-                block = out[(slice(None),) + tuple(slice(half, None) if p else slice(None, half) for p in positive)]
-                mirrored = np.flip(c, [ax for ax, p in enumerate(positive, 1) if not p])
-                if sum(o and not p for o, p in zip(odd, positive)) % 2:
-                    mirrored = -mirrored
-                if n:
-                    block += mirrored
-                else:
-                    block[...] = mirrored
+        (part, odd), *rest = parity_parts(vals, lat.dim)
+        out = unfold(_js_on_orthant(part, odd, lat, table), odd)
+        for part, odd in rest:
+            out += unfold(_js_on_orthant(part, odd, lat, table), odd)
     out[past] = 0.0
     out.setflags(write=False)  # handed to Field without a copy
     return Field(lat, out, g.orthant)
@@ -358,13 +326,14 @@ def apply_Js(g: Field, s: float, causal_tol: float = 1e-8) -> Field:
 # kernel transform vs closed-form symbol
 # ---------------------------------------------------------------------------
 
-def symbol_of_kernel_check(
-    s: float,
-    dim: int = 2,
-    tau_max: float = 80.0,
-    u_half: float = 12.0,
-    u_pts: int = 2048,
-) -> float:
+# symbol_of_kernel_check's quadrature: tau is cut at SYMBOL_TAU_MAX, and u
+# takes SYMBOL_U_POINTS trapezoid nodes on [-SYMBOL_U_HALF, SYMBOL_U_HALF]
+SYMBOL_TAU_MAX = 80.0
+SYMBOL_U_HALF = 12.0
+SYMBOL_U_POINTS = 2048
+
+
+def symbol_of_kernel_check(s: float, dim: int = 2) -> float:
     """Transform the truncated Gaussian-in-space, power-in-time kernel
     numerically and compare with 2^N pi^(N/2) Gamma(s) (i theta + |xi|^2)^(-s).
 
@@ -394,6 +363,7 @@ def symbol_of_kernel_check(
     theta_max = max(abs(th) for _, th in freq_pairs)
     # geometric panels through the singular end, then width-capped panels so
     # Gauss resolves the e^(-i theta tau) oscillation out to tau_max
+    tau_max = SYMBOL_TAU_MAX
     osc_width = 2.0 * math.pi / (3.0 * max(theta_max, 1.0))
     edges = np.concatenate(
         [
@@ -403,7 +373,7 @@ def symbol_of_kernel_check(
         ]
     )
     nodes, wts = gauss_legendre_panels(edges, 8)
-    u = np.linspace(-u_half, u_half, u_pts)
+    u = np.linspace(-SYMBOL_U_HALF, SYMBOL_U_HALF, SYMBOL_U_POINTS)
     du = u[1] - u[0]
     gauss_u = np.exp(-0.25 * u * u)
 
@@ -601,6 +571,7 @@ def apply_Ls(phi: Field, lam: float, s: float, order_preserving: bool = False) -
     depend only on (lattice, lam, s, order_preserving) and are cached
     (_ls_plan); a call is one forward rfft over space and three inverses.
     """
+    phi = phi.full_grid()
     lat = phi.lattice
     plan = _ls_plan(lat, float(lam), float(s), bool(order_preserving))
     vals = phi.values
@@ -630,6 +601,7 @@ def ground_state_residual(phi: Field, lam: float, s: float) -> float:
     ground-state operator applied to the |x|^mu-conjugated field. Both sides
     are computed by independent routes.
     """
+    phi = phi.full_grid()
     lat = phi.lattice
     mu = mu_from_lambda(lam, lat.dim, s)
     r = lat.spatial_radius()
@@ -725,7 +697,12 @@ def _cutoff_tail_term(radii: np.ndarray, lat: Lattice, mu: float, s: float) -> n
     return -c_ns * out
 
 
-def radial_identity_error(lat: Lattice, lam: float, s: float, pad_space: int = 2) -> float:
+# radial_identity_error's spatial padding: the operator is non-local, so the
+# periodic images of the truncated power reach the annulus
+RADIAL_PAD_SPACE = 4
+
+
+def radial_identity_error(lat: Lattice, lam: float, s: float) -> float:
     """Worst pointwise relative error of the elliptic radial identity on the
     annulus 0.5 <= |x| <= 2: spectral application on the truncated power
     versus the closed form.
@@ -737,7 +714,7 @@ def radial_identity_error(lat: Lattice, lam: float, s: float, pad_space: int = 2
     mu = mu_from_lambda(lam, lat.dim, s)
     fld = truncated_power_field(lat, mu)
     # time-constant input: the multiplier acts slice-wise at theta = 0
-    applied = apply_Hs_spectral(fld, s, pad_space=pad_space, pad_time=1)
+    applied = apply_Hs_spectral(fld, s, pad_space=RADIAL_PAD_SPACE, pad_time=1)
     flap = radial_power_flap(mu, lat.dim, s)
     r = lat.spatial_radius()
     lo, hi = 0.5, 2.0

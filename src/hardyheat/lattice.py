@@ -164,7 +164,9 @@ class Field:
     writing to it. Any other input (a writable array, a view, a list) is
     copied first. With orthant set, values holds only the positive orthant
     of a field exactly even in every spatial axis (see Nodes); full_grid
-    expands it.
+    expands it. A function that needs every node reads fld.full_grid() at
+    entry, which costs nothing on a full-grid field; the stage path of the
+    scheme (apply_Js, rhs_truncated, weighted_integral) reads stored nodes.
     """
 
     lattice: Lattice
@@ -192,9 +194,7 @@ class Field:
         field mirrored into each orthant."""
         if not self.orthant:
             return self
-        v = self.values
-        for ax in range(1, self.lattice.dim + 1):
-            v = np.concatenate([np.flip(v, ax), v], axis=ax)
+        v = unfold(self.values, (False,) * self.lattice.dim)
         v.setflags(write=False)
         return Field(self.lattice, v)
 
@@ -215,19 +215,46 @@ def mirror_halves(values: np.ndarray, ax: int):
     return np.flip(neg, ax), pos
 
 
+def parity_parts(vals: np.ndarray, dim: int) -> list:
+    """(part, odd) pairs: the parity parts of vals (time first) about the
+    grid centre on the positive orthant, odd[d] True where odd in axis d + 1.
+    An axis whose mirrored halves are equal keeps the positive half alone
+    as even, and one whose halves are exact negatives keeps it alone as odd:
+    an exactly even input is one part, a view of its own orthant. The
+    unfolded parts (see unfold) sum to vals."""
+    parts = [(vals, ())]
+    for ax in range(1, dim + 1):
+        split = []
+        for part, odd in parts:
+            mirror, pos = mirror_halves(part, ax)
+            if np.array_equal(mirror, pos):
+                split.append((pos, odd + (False,)))
+            elif np.array_equal(mirror, -pos):
+                split.append((pos, odd + (True,)))
+            else:
+                split += [(0.5 * (pos + mirror), odd + (False,)), (0.5 * (pos - mirror), odd + (True,))]
+        parts = split
+    return parts
+
+
+def unfold(part: np.ndarray, odd) -> np.ndarray:
+    """A parity part (see parity_parts) on every node: flipped onto the
+    negative side of each spatial axis, and negated there on the odd ones.
+    The array is fresh."""
+    v = part
+    for ax, o in enumerate(odd, 1):
+        mirror = np.flip(v, ax)
+        v = np.concatenate([-mirror if o else mirror, v], axis=ax)
+    return v
+
+
 def to_orthant(fld: Field) -> Optional[Field]:
     """fld stored on the positive orthant if it is exactly even in every
-    spatial axis (its mirrored halves bitwise equal, axis by axis), else
-    None."""
+    spatial axis (its one parity part is the even one), else None."""
     if fld.orthant:
         return fld
-    v = fld.values
-    for ax in range(1, fld.lattice.dim + 1):
-        mirror, pos = mirror_halves(v, ax)
-        if not np.array_equal(mirror, pos):
-            return None
-        v = pos
-    return Field(fld.lattice, v, orthant=True)
+    (part, odd), *rest = parity_parts(fld.values, fld.lattice.dim)
+    return None if rest or any(odd) else Field(fld.lattice, part, orthant=True)
 
 
 def zero_field(lat: Lattice) -> Field:
@@ -275,6 +302,7 @@ def transform(fld: Field) -> np.ndarray:
     included; inverse_transform is its exact algebraic inverse, so the
     round trip is the identity to rounding.
     """
+    fld = fld.full_grid()
     lat = fld.lattice
     return lat.cell_volume * lat.ht * _stagger_phase(lat) * np.fft.fftn(fld.values)
 
@@ -338,6 +366,7 @@ class GraphNorm:
 
 def graph_norm(fld: Field, s: float) -> GraphNorm:
     """L2 norm plus the order-s multiplier energy |i theta + |xi|^2|^s."""
+    fld = fld.full_grid()
     lat = fld.lattice
     spec = transform(fld)
     theta = lat.theta_axis().reshape((lat.K,) + (1,) * lat.dim)
@@ -348,7 +377,7 @@ def graph_norm(fld: Field, s: float) -> GraphNorm:
     return GraphNorm(l2=fld.l2(), multiplier_seminorm=sem)
 
 
-def export_field_csv(fld: Field, path: str, t_index: Optional[int] = None) -> None:
+def export_field_csv(fld: Field, path: str) -> None:
     """Write node rows as CSV: axis indices, coordinates, value, on every
     node of the lattice (an orthant field is expanded first)."""
     fld = fld.full_grid()
@@ -362,11 +391,10 @@ def export_field_csv(fld: Field, path: str, t_index: Optional[int] = None) -> No
         + [f"x{d + 1}" for d in range(lat.dim)]
         + ["value"]
     )
-    t_range = range(lat.K) if t_index is None else [t_index]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for k in t_range:
+        for k in range(lat.K):
             slab = fld.values[k]
             for idx in np.ndindex(*slab.shape):
                 row = [k, *idx, f"{tax[k]:.12g}"]

@@ -5,7 +5,7 @@ the weighted norm runs away (blow-up proxy).
 
 Finite-time blow-up itself is not observable on a grid; the reported proxy
 is norm escape past a cap or past a growth factor within the horizon, both
-configurable and echoed in the report.
+fixed below and echoed in the report.
 """
 
 from __future__ import annotations
@@ -30,6 +30,11 @@ class MonotonicityError(RuntimeError):
 # relative slack, against the peak, for rounding below zero: in the step
 # from one iterate to the next and in the inverse operator's output
 MONO_SLACK = 1e-12
+
+# run's verdict thresholds (see run), echoed in every report's params
+ESCAPE_FACTOR = 10.0
+CAP_FACTOR = 1e6
+SUP_TOL = 1e-6
 
 
 def _cutoff_factors(lat: Lattice, n: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -278,17 +283,14 @@ def run(
     spec: ProblemSpec,
     f: Field,
     max_n: int = 64,
-    escape_factor: float = 10.0,
-    cap_factor: float = 1e6,
-    sup_tol: float = 1e-6,
     dominator: Optional[Field] = None,
     callback: Optional[Callable[[IterationState], None]] = None,
 ) -> TrajectoryReport:
     """Drive the scheme to a verdict.
 
-    ConvergedBelowCap: successive sup-differences fell below sup_tol while
+    ConvergedBelowCap: successive sup-differences fell below SUP_TOL while
     the weighted norm stayed under the cap. NormEscape: the norm exceeded
-    cap_factor times its first-iterate peak, or grew by escape_factor across
+    CAP_FACTOR times its first-iterate peak, or grew by ESCAPE_FACTOR across
     the second half of the horizon. Stalled: neither within max_n stages.
 
     A dominator field (e.g. a certified ceiling) is checked against every
@@ -313,7 +315,7 @@ def run(
     if callback:
         callback(state)
     m_first = max(float(np.max(state.m_curve)), 1e-300)
-    cap = cap_factor * m_first
+    cap = CAP_FACTOR * m_first
     viol = 0
     excess = 0.0
 
@@ -337,10 +339,10 @@ def run(
         check_dominator(state)
         factor, esc = _growth(state.m_curve, lat)
         cap_hit = float(np.max(state.m_curve)) > cap
-        if cap_hit or factor >= escape_factor:
+        if cap_hit or factor >= ESCAPE_FACTOR:
             verdict = VERDICT_ESCAPE
             break
-        if state.sup_diff < sup_tol:
+        if state.sup_diff < SUP_TOL:
             verdict = VERDICT_CONVERGED
             break
 
@@ -365,9 +367,9 @@ def run(
             "lam": spec.lam,
             "p": spec.p,
             "max_n": max_n,
-            "escape_factor": escape_factor,
-            "cap_factor": cap_factor,
-            "sup_tol": sup_tol,
+            "escape_factor": ESCAPE_FACTOR,
+            "cap_factor": CAP_FACTOR,
+            "sup_tol": SUP_TOL,
         },
     )
 
@@ -376,6 +378,7 @@ def singularity_profile(w: Field, t_window: Tuple[int, int]) -> Tuple[float, flo
     """Least-squares slope of log(field) vs log|x| on 12 geometric shells
     between radii 2 hx and L/4, averaged over the time window; returns
     (slope, half-width of the 95% band)."""
+    w = w.full_grid()
     lat = w.lattice
     r = lat.spatial_radius()
     avg = np.mean(w.values[t_window[0]: t_window[1]], axis=0)
@@ -404,7 +407,11 @@ def singularity_profile(w: Field, t_window: Tuple[int, int]) -> Tuple[float, flo
     return float(coef[0]), band
 
 
-def gaussian_bump_forcing(lat: Lattice, amplitude: float, x_width: float = 1.0) -> Field:
+# spatial width of gaussian_bump_forcing: the bump is exp(-|x|^2 / BUMP_WIDTH^2)
+BUMP_WIDTH = 1.0
+
+
+def gaussian_bump_forcing(lat: Lattice, amplitude: float) -> Field:
     """Non-negative forcing: spatial Gaussian under a quintic time window
     that rises over [0.25, 0.5] and falls over [1.25, 1.5].
 
@@ -413,6 +420,6 @@ def gaussian_bump_forcing(lat: Lattice, amplitude: float, x_width: float = 1.0) 
 
     def fn(t, *xs):
         win = smooth_step((t - 0.25) / 0.25) * (1.0 - smooth_step((t - 1.25) / 0.25))
-        return amplitude * win * np.exp(-sum(x * x for x in xs) / (x_width * x_width))
+        return amplitude * win * np.exp(-sum(x * x for x in xs) / (BUMP_WIDTH * BUMP_WIDTH))
 
     return sample(fn, lat)

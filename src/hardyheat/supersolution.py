@@ -40,6 +40,10 @@ XI_LO = 1e-6
 XI_HI = 50.0
 XI_POINTS = 400
 
+# find_certificate's budget: halvings of lambda1 - lam, and of eps per lambda1
+MAX_LAMBDA_HALVINGS = 20
+MAX_EPS_HALVINGS = 40
+
 
 def _decay_rate(s: float, p: float, mu1: float) -> float:
     """theta = s/(p-1) - mu1/2, the time decay rate of the profile family."""
@@ -208,11 +212,7 @@ def _bounded_factor_max(dim, s, p, lambda1) -> float:
     return float(np.max(vals))
 
 
-def find_certificate(
-    spec: ProblemSpec,
-    max_lambda_halvings: int = 20,
-    max_eps_halvings: int = 40,
-) -> SupersolutionCertificate:
+def find_certificate(spec: ProblemSpec) -> SupersolutionCertificate:
     """Search the (lambda1, eps) family by halving until both checks pass.
 
     lambda1 walks down toward lam from lam + (lambda_max - lam)/4; for each
@@ -227,7 +227,7 @@ def find_certificate(
             f"p={p} is not below the non-existence exponent {bundle.p_plus}"
         )
     delta0 = (lambda_max(dim, s) - lam) / 4.0
-    for k in range(max_lambda_halvings):
+    for k in range(MAX_LAMBDA_HALVINGS):
         lambda1 = lam + delta0 * 2.0 ** (-k)
         b1 = exponents_from(dim, s, lambda1)
         if not (b1.fujita_F < p < b1.p_plus):
@@ -236,7 +236,7 @@ def find_certificate(
         if margin <= 0.0:
             continue
         prev_gap = -math.inf
-        for j in range(max_eps_halvings):
+        for j in range(MAX_EPS_HALVINGS):
             eps = 2.0 ** (-j)
             gap, div0, dinf = boundary_gap(dim, s, lam, p, lambda1, eps)
             if gap <= prev_gap:
@@ -262,8 +262,8 @@ def find_certificate(
                 cert.validate()
                 return cert
     raise SearchExhausted(
-        f"no certificate for p={p} within {max_lambda_halvings} x "
-        f"{max_eps_halvings} halvings"
+        f"no certificate for p={p} within {MAX_LAMBDA_HALVINGS} x "
+        f"{MAX_EPS_HALVINGS} halvings"
     )
 
 
@@ -278,6 +278,7 @@ def _on_causal_slices(cert: SupersolutionCertificate, lat: Lattice, fn) -> np.nd
 
 def data_bound(cert: SupersolutionCertificate, f: Field) -> bool:
     """Pointwise check of the forcing against its admissible ceiling."""
+    f = f.full_grid()
     vals = f.values
     if np.any(vals[~f.lattice.causal_mask()] != 0.0):
         return False
@@ -310,6 +311,7 @@ def build_w_supersol(cert: SupersolutionCertificate, f: Field) -> Field:
     kappa_s times the inverse applied to its own right-hand side (the
     discrete very-weak-supersolution inequality).
     """
+    f = f.full_grid()
     if not data_bound(cert, f):
         raise ValueError("forcing exceeds the admissible ceiling")
     lat = f.lattice

@@ -458,7 +458,7 @@ def _check_ground_state(cfg: VerifierConfig) -> CheckReport:
 
 def _check_radial_flap(cfg: VerifierConfig) -> CheckReport:
     lat = make_lattice(DIM, 12.0, 128, 0.5, 0.5, 8)
-    worst = radial_identity_error(lat, cfg.lam, cfg.s, pad_space=4)
+    worst = radial_identity_error(lat, cfg.lam, cfg.s)
     tol = 5e-2
     return CheckReport("radial_flap", worst, tol, 1,
                        {"dim": DIM, "s": cfg.s, "lam": cfg.lam})

@@ -186,6 +186,7 @@ def test_sweep_config_errors(tmp_path, capsys):
         {"workers": 0},
         {"conditional_fraction": 0.0},
         {"conditional_fraction": 1.5},
+        # the verdict thresholds are solver constants, not config keys
         {"sup_tol": 0.0},
         {"escape_factor": 1.0},
         {"cap_factor": -1.0},
@@ -238,6 +239,7 @@ def test_verify_json_round_trips(tmp_path, capsys, cid):
         ["solve", "-p", "2.0", "--amplitude", "-1"],
         ["solve", "-p", "2.0", "--max-n", "-3"],
         ["solve", "-p", "2.0", "--max-n", "0"],
+        # the verdict thresholds are solver constants, not flags
         ["solve", "-p", "2.0", "--escape-factor", "-1"],
         ["solve", "-p", "2.0", "--escape-factor", "1"],
         ["solve", "-p", "2.0", "--cap-factor", "0.5"],
@@ -253,6 +255,13 @@ def test_invalid_parameters_exit_2_before_computing(argv, capsys, monkeypatch):
 
     for name in ("run", "run_suite", "find_certificate", "exponents_from"):
         monkeypatch.setattr(cli, name, computing)
+    if "--escape-factor" in argv or "--cap-factor" in argv:
+        # argparse refuses an unknown flag itself, as in test_usage_exit_codes
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: " + argv[-2] in capsys.readouterr().err
+        return
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1

@@ -410,7 +410,7 @@ def test_js_on_orthant_field_is_the_even_path(js_paths, monkeypatch, dim, M, T_n
     g *= lat.causal_mask().reshape((-1,) + (1,) * dim)
     full = apply_Js(Field(lat, g), 0.4)
     even = to_orthant(Field(lat, g))
-    monkeypatch.setattr(kernels, "_parity_parts", None)  # nothing to split
+    monkeypatch.setattr(kernels, "parity_parts", None)  # nothing to split
     out = apply_Js(even, 0.4)
     assert js_paths == [(False,) * dim] * 2
     assert out.orthant and out.values.shape == even.values.shape
@@ -511,10 +511,12 @@ def test_symbol_of_kernel_closed_form_substitution():
     assert val == pytest.approx(want, rel=1e-12)
 
 
-def test_symbol_of_kernel_check_accuracy_and_trend():
+def test_symbol_of_kernel_check_accuracy_and_trend(monkeypatch):
     err = symbol_of_kernel_check(0.5, dim=2)
     assert err <= 1e-3
-    err_small = symbol_of_kernel_check(0.5, dim=2, tau_max=6.0, u_half=4.0, u_pts=512)
+    for name, coarse in (("SYMBOL_TAU_MAX", 6.0), ("SYMBOL_U_HALF", 4.0), ("SYMBOL_U_POINTS", 512)):
+        monkeypatch.setattr(kernels, name, coarse)
+    err_small = symbol_of_kernel_check(0.5, dim=2)
     assert err_small > err
 
 
@@ -747,7 +749,7 @@ def test_radial_power_flap_endpoint_and_round_trip():
 def test_radial_identity_on_annulus():
     lat = make_lattice(2, 12.0, 128, 0.5, 0.5, 8)
     lam = 0.5 * lambda_max(2, 0.5)
-    assert radial_identity_error(lat, lam, 0.5, pad_space=4) <= 5e-2
+    assert radial_identity_error(lat, lam, 0.5) <= 5e-2
 
 
 def test_truncated_power_field_blend():

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -13,9 +14,11 @@ from hardyheat.lattice import (
     graph_norm,
     inverse_transform,
     make_lattice,
+    parity_parts,
     sample,
     to_orthant,
     transform,
+    unfold,
     weighted_integral,
     zero_field,
 )
@@ -180,6 +183,29 @@ def test_orthant_field_round_trip_and_measure(dim):
         Field(lat, even.values, orthant=True)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_parity_parts_unfold_back(dim):
+    lat = make_lattice(dim, 3.0, 8, 0.5, 2.0, 8)
+    rng = np.random.default_rng(dim)
+    # a general field splits into all 2^N parts, which sum back to it
+    vals = rng.standard_normal(lat.shape)
+    parts = parity_parts(vals, dim)
+    assert sorted(odd for _, odd in parts) == list(itertools.product((False, True), repeat=dim))
+    total = sum(unfold(part, odd) for part, odd in parts)
+    assert np.max(np.abs(total - vals)) <= 1e-15 * np.max(np.abs(vals))
+    # a field of one parity in each axis is that one part, and unfolds
+    # back exactly; only the all-even one is an orthant field
+    block = rng.standard_normal((lat.K,) + (lat.M // 2,) * dim)
+    for odd in itertools.product((False, True), repeat=dim):
+        fld = unfold(block, odd)
+        ((part, got),) = parity_parts(fld, dim)
+        assert got == odd and np.array_equal(part, block)
+        assert np.array_equal(unfold(part, odd), fld)
+        assert (to_orthant(Field(lat, fld)) is None) == any(odd)
+    even = Field(lat, block, orthant=True)
+    assert np.array_equal(unfold(block, (False,) * dim), even.full_grid().values)
+
+
 def test_weighted_integral_staggered_weight_bound():
     lat = make_lattice(2, 6.0, 32, 0.0, 4.0, 8)
     a = 1.2
@@ -214,16 +240,18 @@ def test_graph_norm_zero_scaling_oracle(lat):
 def test_export_csv(tmp_path):
     lat = make_lattice(2, 2.0, 8, 0.0, 1.0, 8)
     f = sample(lambda t, x, y: x + 10 * y + 100 * t, lat)
-    path = tmp_path / "slice.csv"
-    export_field_csv(f, str(path), t_index=3)
+    path = tmp_path / "field.csv"
+    export_field_csv(f, str(path))
     with open(path) as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["i_t", "i_x1", "i_x2", "t", "x1", "x2", "value"]
-    assert len(rows) == 1 + 64
-    k, i, j = int(rows[1][0]), int(rows[1][1]), int(rows[1][2])
-    assert k == 3
-    want = lat.x_axis()[i] + 10 * lat.x_axis()[j] + 100 * lat.t_axis()[k]
-    assert float(rows[1][6]) == pytest.approx(want, rel=1e-10)
+    assert len(rows) == 1 + 8 * 64
+    # one row per node, slice by slice, each with its coordinates and value
+    for n, row in enumerate(rows[1:]):
+        k, i, j = int(row[0]), int(row[1]), int(row[2])
+        assert (k, i, j) == (n // 64, n % 64 // 8, n % 8)
+        want = lat.x_axis()[i] + 10 * lat.x_axis()[j] + 100 * lat.t_axis()[k]
+        assert float(row[6]) == pytest.approx(want, rel=1e-10, abs=1e-12)
     # an orthant field is written on every node, with its coordinates
     even = sample(lambda t, x, y: x * x + y * y + t, lat)
     export_field_csv(even, str(path))

@@ -240,11 +240,12 @@ def test_negative_operator_output_raises_beyond_slack(lat, spec, monkeypatch):
     assert np.all(w0[lat.K // 2] == 0.0) and np.max(w0) > 0.0
 
 
-def test_dominator_violations_are_counted(lat, spec):
+def test_dominator_violations_are_counted(lat, spec, monkeypatch):
+    monkeypatch.setattr(solver, "SUP_TOL", 0.0)  # no convergence: run every stage
     f = gaussian_bump_forcing(lat, 0.5)
     states = []
     dominator = Field(lat, 0.5 * initial_state(f, spec).w.values)
-    rep = run(spec, f, max_n=3, sup_tol=0.0, dominator=dominator, callback=states.append)
+    rep = run(spec, f, max_n=3, dominator=dominator, callback=states.append)
     slack = 1e-9 * np.max(dominator.values)
     gaps = [st.w.full_grid().values - dominator.values for st in states]
     assert rep.dominator_violations == sum(int(np.sum(g > slack)) for g in gaps) > 0
@@ -256,6 +257,7 @@ def test_orthant_run_matches_the_full_lattice_run(monkeypatch, dim, M, p):
     # an even forcing and dominator run on the orthant; with the orthant
     # refused, the same run on the full lattice gives the same report, the
     # violation count (scaled by 2^N) included
+    monkeypatch.setattr(solver, "SUP_TOL", 0.0)
     lat = make_lattice(dim, 6.0, M, 0.0, 6.0, 24)
     spec = ProblemSpec(dim, 0.5, 0.5 * lambda_max(dim, 0.5), p)
     f = gaussian_bump_forcing(lat, 0.5)
@@ -265,7 +267,7 @@ def test_orthant_run_matches_the_full_lattice_run(monkeypatch, dim, M, p):
         if refuse:
             monkeypatch.setattr(solver, "to_orthant", lambda fld: None)
         seen = []
-        rep = run(spec, f, max_n=4, sup_tol=0.0, dominator=dominator,
+        rep = run(spec, f, max_n=4, dominator=dominator,
                   callback=lambda st: seen.append(st.w.orthant))
         reports.append(rep)
         orthant.append(set(seen))
@@ -280,15 +282,16 @@ def test_orthant_run_matches_the_full_lattice_run(monkeypatch, dim, M, p):
     assert np.max(np.abs(ma - mb)) <= 1e-12 * np.max(np.abs(mb))
 
 
-def test_forcing_off_evenness_runs_on_the_full_lattice(lat, spec):
+def test_forcing_off_evenness_runs_on_the_full_lattice(lat, spec, monkeypatch):
     # one node off evenness: run stays on the full lattice and agrees with
     # iterate looped by hand
+    monkeypatch.setattr(solver, "SUP_TOL", 0.0)
     off = gaussian_bump_forcing(lat, 0.5).values.copy()
     off[lat.K // 2, 0, 0] += 1e-3
     f = Field(lat, off)
     assert to_orthant(f) is None
     states = []
-    rep = run(spec, f, max_n=3, sup_tol=0.0, callback=states.append)
+    rep = run(spec, f, max_n=3, callback=states.append)
     assert not any(st.w.orthant for st in states)
     st = initial_state(f, spec)
     for want in states[1:]:
@@ -451,14 +454,15 @@ def test_vanishing_coupling_reduces_to_plain_threshold(lat):
     assert rep.verdict == VERDICT_ESCAPE
 
 
-def test_singularity_profile_of_converged_iterate():
+def test_singularity_profile_of_converged_iterate(monkeypatch):
     # the limit object of the scheme picks up the singular profile near the
     # origin at least as strong as the analytic exponent
+    monkeypatch.setattr(solver, "BUMP_WIDTH", 1.5)
     lam = 0.9 * lambda_max(2, 0.5)
     spec = ProblemSpec(2, 0.5, lam, 3.0)
     mu = mu_from_lambda(lam, 2, 0.5)
     lat = make_lattice(2, 6.0, 64, 0.0, 6.0, 48)
-    f = gaussian_bump_forcing(lat, 0.3, x_width=1.5)
+    f = gaussian_bump_forcing(lat, 0.3)
     rep = run(spec, f, max_n=40)
     # rebuild the final iterate for the fit
     st = initial_state(f, spec)
@@ -487,11 +491,14 @@ def test_report_json_is_strict_with_infinite_growth():
     assert [json_float(x) for x in (-math.inf, math.nan, 2.5)] == ["-inf", "nan", 2.5]
 
 
-def test_run_follows_the_spec_exponent(lat, spec):
+def test_run_follows_the_spec_exponent(lat, spec, monkeypatch):
     # run() and stepping by hand give the same weighted norms, both with the
     # singularity exponent of the spec
+    monkeypatch.setattr(solver, "SUP_TOL", 0.0)
     f = gaussian_bump_forcing(lat, 0.5)
-    rep = run(spec, f, max_n=2, sup_tol=0.0)
+    rep = run(spec, f, max_n=2)
+    # the report echoes the thresholds run read
+    assert (rep.params["sup_tol"], rep.params["escape_factor"], rep.params["cap_factor"]) == (0.0, 10.0, 1e6)
     st = iterate(iterate(initial_state(f, spec), f, spec), f, spec)
     assert rep.n_final == st.n == 2
     assert [m for _, m in rep.m_curve] == st.m_curve.tolist()
@@ -499,11 +506,12 @@ def test_run_follows_the_spec_exponent(lat, spec):
     np.testing.assert_array_equal(st.m_curve, blowup_functional(_pow(st.w, spec.p), mu))
 
 
-def test_run_solves_mu_once(lat, spec):
+def test_run_solves_mu_once(lat, spec, monkeypatch):
     # the bisection behind mu runs once per distinct (lam, dim, s); every
     # further stage of the run reads the memo
+    monkeypatch.setattr(solver, "SUP_TOL", 0.0)
     upsilon_inv.cache_clear()
-    rep = run(spec, gaussian_bump_forcing(lat, 0.5), max_n=3, sup_tol=0.0)
+    rep = run(spec, gaussian_bump_forcing(lat, 0.5), max_n=3)
     info = upsilon_inv.cache_info()
     assert rep.n_final == 3
     assert info.misses == info.currsize == 1

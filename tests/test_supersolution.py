@@ -96,16 +96,14 @@ def test_boundary_gap_cases(spec3):
     assert gap_zero < 0.0 and not div0_zero
 
 
-def test_find_certificate_refusals(spec3):
+def test_find_certificate_refusals(spec3, monkeypatch):
     b = exponents_from(spec3.dim, spec3.s, spec3.lam)
     with pytest.raises(ValueError):
         find_certificate(ProblemSpec(spec3.dim, spec3.s, spec3.lam, b.p_plus * 1.1))
-    with pytest.raises(SearchExhausted):
-        find_certificate(
-            ProblemSpec(spec3.dim, spec3.s, spec3.lam, 1.05),
-            max_lambda_halvings=6,
-            max_eps_halvings=6,
-        )
+    monkeypatch.setattr(supersolution, "MAX_LAMBDA_HALVINGS", 6)
+    monkeypatch.setattr(supersolution, "MAX_EPS_HALVINGS", 6)
+    with pytest.raises(SearchExhausted, match="within 6 x 6 halvings"):
+        find_certificate(ProblemSpec(spec3.dim, spec3.s, spec3.lam, 1.05))
 
 
 def test_supersol_value_shape(cert):
