@@ -5,7 +5,9 @@ closed-form radial identities tying them together.
 
 from __future__ import annotations
 
+import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -41,42 +43,78 @@ class QuadratureError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 def heat_symbol(lat: Lattice, s: float, pad_space: int = 1, pad_time: int = 1) -> np.ndarray:
-    """(i theta + |xi|^2)^s on the half of the (padded) frequency grid that
-    rfftn keeps: space first, time last with theta index 0..pad_time*K/2.
+    """(i theta + |xi|^2)^s on the folded half of the (padded) frequency grid:
+    spatial indices 0..P/2 on each axis (P = pad_space*M), time last with
+    theta index 0..pad_time*K/2 as rfftn keeps it.
 
-    The base has non-negative real part, so numpy's principal power is the
-    branch with |arg| <= pi/2 and Hermitian symmetry in (xi, theta), except
-    on the time-Nyquist plane, which fftfreq gives the one frequency -pi/ht.
+    fftfreq's indices k and P - k square to the same |xi|^2, so this corner
+    holds the symbol at every spatial frequency (see _fold_views). The base
+    has non-negative real part, so numpy's principal power is the branch
+    with |arg| <= pi/2 and Hermitian symmetry in (xi, theta), except on the
+    time-Nyquist plane, which fftfreq gives the one frequency -pi/ht.
     """
+    corner = (slice(0, pad_space * lat.M // 2 + 1),) * lat.dim
     theta = lat.theta_axis(pad_time)[: pad_time * lat.K // 2 + 1]
-    return (1j * theta + lat.xi_squared(pad_space)[..., None]) ** s
+    return (1j * theta + lat.xi_squared(pad_space)[corner][..., None]) ** s
+
+
+def _fold_views(n: int) -> tuple[tuple[slice, slice], ...]:
+    """(spectrum, folded symbol) slice pairs along one length-n fftfreq axis:
+    indices 0..n/2 read the symbol as they are, n/2+1..n-1 read it at n - k."""
+    h = n // 2
+    return (slice(0, h + 1), slice(0, h + 1)), (slice(h + 1, n), slice(n - h - 1, 0, -1))
 
 
 def apply_Hs_spectral(fld: Field, s: float, pad_space: int = 2, pad_time: int = 4) -> Field:
     """Apply the order-s fractional heat operator as a Fourier multiplier.
 
-    Works on the padded torus with real FFTs, time last and halved. Off the
-    time-Nyquist plane the symbol is Hermitian; that plane's Im(symbol) term
-    is the imaginary residue a complex transform would leave, and it must
-    stay within 1e-10 of the real part (a broken branch or severe aliasing).
+    Works on the padded torus with real FFTs, time last and halved, in
+    numpy's rfftn/irfftn axis order but only over rows the data reaches:
+    the forward transform's rows still untransformed on an axis are zero off
+    the data window, and the inverse keeps only the window's rows, so every
+    kept value is bitwise rfftn's and irfftn's. Off the time-Nyquist plane
+    the symbol is Hermitian; that plane's Im(symbol) term is the imaginary
+    residue a complex transform would leave, and it must stay within 1e-10
+    of the real part (a broken branch or severe aliasing). An odd padded
+    time length has no such plane, and no residue.
     """
+    if not 0.0 < s <= 1.0:  # NaN fails this too
+        raise ValueError(f"need 0 < s <= 1, got {s}")
+    for pad in (pad_space, pad_time):
+        if isinstance(pad, bool) or not isinstance(pad, numbers.Integral) or pad < 1:
+            raise ValueError(f"padding factors must be positive integers, got {pad!r}")
     fld = fld.full_grid()
     lat = fld.lattice
     # space is centred (tails decay both ways), time pads the future only:
     # the operator kernel is causal, so wrap-around contamination comes from
     # late-time tails re-entering early
-    big = np.zeros((pad_space * lat.M,) * lat.dim + (pad_time * lat.K,))
+    n_space = pad_space * lat.M
+    n_time = pad_time * lat.K
     off = (pad_space - 1) * lat.M // 2
-    sl = (slice(off, off + lat.M),) * lat.dim + (slice(0, lat.K),)
-    big[sl] = np.moveaxis(fld.values, 0, -1)
-    spec = np.fft.rfftn(big)
+    window = slice(off, off + lat.M)
+    spec = np.zeros((n_space,) * lat.dim + (n_time // 2 + 1,), dtype=complex)
+    # in double precision whatever the field's dtype, as the spectrum is
+    data = np.moveaxis(fld.values, 0, -1).astype(float, copy=False)
+    np.fft.rfft(data, n=n_time, axis=-1, out=spec[(window,) * lat.dim])
+    for d in reversed(range(lat.dim)):
+        rows = spec[(window,) * d]
+        np.fft.fft(rows, axis=d, out=rows)
     sym = heat_symbol(lat, s, pad_space, pad_time)
-    space = tuple(range(lat.dim))
-    resid_plane = np.fft.ifftn(spec[..., -1] * sym[..., -1].imag, axes=space)[sl[:-1]]
-    spec *= sym
-    out = np.fft.irfftn(spec, s=big.shape, axes=space + (lat.dim,))[sl]
+    resid = 0.0
+    if n_time % 2 == 0:
+        k = np.arange(n_space)
+        fold = np.ix_(*(np.minimum(k, n_space - k),) * lat.dim)
+        plane = np.fft.ifftn(spec[..., -1] * sym[..., -1].imag[fold])
+        resid = float(np.max(np.abs(plane[(window,) * lat.dim]))) / n_time
+    for corner in itertools.product(_fold_views(n_space), repeat=lat.dim):
+        spec_views, sym_views = zip(*corner)
+        spec[spec_views] *= sym[sym_views]
+    del sym  # the inverse's output would otherwise stack on it at the peak
+    for d in range(lat.dim):
+        rows = spec[(window,) * d]
+        np.fft.ifft(rows, axis=d, out=rows)
+    out = np.fft.irfft(spec[(window,) * lat.dim], n=n_time, axis=-1)[..., : lat.K]
     scale = max(float(np.max(np.abs(out))), 1e-300)
-    resid = float(np.max(np.abs(resid_plane))) / big.shape[-1]
     if resid > 1e-10 * scale:
         raise AliasingError(f"imaginary residue {resid:.9e} vs scale {scale:.3e}")
     return Field(lat, np.moveaxis(out, -1, 0))

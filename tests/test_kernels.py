@@ -55,13 +55,68 @@ def gaussian(lat):
 def test_symbol_branch():
     lat = make_lattice(2, 4.0, 16, 1.0, 1.0, 16)
     sym = heat_symbol(lat, 0.5)
-    # the rfftn half grid: space first, time last with theta index 0..K/2
-    assert sym.shape == (lat.M, lat.M, lat.K // 2 + 1)
+    # the folded half grid: spatial indices 0..M/2, time last with theta index 0..K/2
+    assert sym.shape == (lat.M // 2 + 1, lat.M // 2 + 1, lat.K // 2 + 1)
     assert np.all(sym.real >= -1e-14)
     mod = np.abs(sym)
     th = lat.theta_axis()[: lat.K // 2 + 1]
-    want = (th ** 2 + lat.xi_squared()[..., None] ** 2) ** 0.25
+    corner = lat.xi_squared()[: lat.M // 2 + 1, : lat.M // 2 + 1]
+    want = (th ** 2 + corner[..., None] ** 2) ** 0.25
     assert np.max(np.abs(mod - want)) <= 1e-12 * np.max(want)
+
+
+def _hs_dense(fld, s, pad_space, pad_time):
+    """The operator as one dense real transform: the whole zero-embedded
+    array through rfftn, the symbol on the full padded grid, and irfftn."""
+    lat = fld.lattice
+    big = np.zeros((pad_space * lat.M,) * lat.dim + (pad_time * lat.K,))
+    off = (pad_space - 1) * lat.M // 2
+    sl = (slice(off, off + lat.M),) * lat.dim + (slice(0, lat.K),)
+    big[sl] = np.moveaxis(fld.values, 0, -1)
+    spec = np.fft.rfftn(big)
+    theta = lat.theta_axis(pad_time)[: pad_time * lat.K // 2 + 1]
+    spec *= (1j * theta + lat.xi_squared(pad_space)[..., None]) ** s
+    space = tuple(range(lat.dim))
+    out = np.fft.irfftn(spec, s=big.shape, axes=space + (lat.dim,))[sl]
+    return np.moveaxis(out, -1, 0)
+
+
+@pytest.mark.parametrize("dim,M", [(1, 64), (2, 32), (3, 8)])
+@pytest.mark.parametrize("pads", [(2, 4), (2, 2), (1, 1), (4, 1)])
+def test_hs_bitwise_matches_dense_transform(dim, M, pads):
+    # the pruned transforms and the folded symbol change no bit of the output
+    lat = make_lattice(dim, 6.0, M, 1.5, 4.5, 32)
+    fld = _off_node_bump(lat)
+    for s in (0.3, 0.5):
+        assert np.array_equal(apply_Hs_spectral(fld, s, *pads).values, _hs_dense(fld, s, *pads))
+
+
+def test_hs_peak_memory_within_two_half_spectra():
+    import tracemalloc
+
+    lat = make_lattice(2, 8.0, 64, 1.5, 4.5, 48)
+    fld = sample(lambda t, x, y: np.exp(-(x * x + y * y) - (t - 1.3) ** 2 / 0.3), lat)
+    apply_Hs_spectral(fld, 0.5)  # fill the lattice's |xi|^2 cache
+    half_spectrum = (2 * lat.M) ** 2 * (4 * lat.K // 2 + 1) * 16
+    tracemalloc.start()
+    try:
+        apply_Hs_spectral(fld, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * half_spectrum
+
+
+@pytest.mark.parametrize("s", [-0.5, 0.0, 1.5, float("nan"), float("inf")])
+def test_hs_rejects_order_outside_unit_interval(gaussian, s):
+    with pytest.raises(ValueError, match="0 < s <= 1"):
+        apply_Hs_spectral(gaussian, s)
+
+
+@pytest.mark.parametrize("pads", [(0, 4), (2, 0), (-1, 1), (1.5, 1), (2, 2.0), (True, 1), ("2", 1)])
+def test_hs_rejects_bad_padding(gaussian, pads):
+    with pytest.raises(ValueError, match="positive integers"):
+        apply_Hs_spectral(gaussian, 0.5, *pads)
 
 
 def test_hs_time_constant_is_slicewise_multiplier():
@@ -164,6 +219,23 @@ def test_hs_aliasing_residue_matches_complex(lat, pad_time):
         apply_Hs_spectral(rough, 0.5, pad_space=1, pad_time=pad_time)
     got = float(str(exc.value).split()[2])
     assert got == pytest.approx(want, rel=1e-9)
+
+
+@pytest.mark.parametrize("K", [33, 32])
+def test_hs_time_nyquist_residue_only_for_even_length(K):
+    # white in time, Gaussian in space: the time-Nyquist mode is large, but
+    # an odd padded time length has no Nyquist plane and no residue
+    lat = make_lattice(2, 6.0, 32, 1.5, 4.5, K)
+    noise = np.random.default_rng(3).standard_normal(K)[:, None, None]
+    fld = Field(lat, noise * np.exp(-lat.spatial_radius() ** 2))
+    want, resid = _hs_complex(fld.values, lat, 0.5, 1, 1)
+    if K % 2:
+        assert resid <= 1e-14 * np.max(np.abs(want))
+        got = apply_Hs_spectral(fld, 0.5, pad_space=1, pad_time=1).values
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    else:
+        with pytest.raises(AliasingError):
+            apply_Hs_spectral(fld, 0.5, pad_space=1, pad_time=1)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
