@@ -93,8 +93,7 @@ def apply_Hs_spectral(fld: Field, s: float, pad_space: int = 2, pad_time: int = 
     off = (pad_space - 1) * lat.M // 2
     window = slice(off, off + lat.M)
     spec = np.zeros((n_space,) * lat.dim + (n_time // 2 + 1,), dtype=complex)
-    # in double precision whatever the field's dtype, as the spectrum is
-    data = np.moveaxis(fld.values, 0, -1).astype(float, copy=False)
+    data = np.moveaxis(fld.values, 0, -1)
     np.fft.rfft(data, n=n_time, axis=-1, out=spec[(window,) * lat.dim])
     for d in reversed(range(lat.dim)):
         rows = spec[(window,) * d]
@@ -215,8 +214,10 @@ def _js_spectrum(lat: Lattice, s: float) -> np.ndarray:
     kernel, so non-negativity is preserved exactly. Slab [j ht, (j+1) ht]
     puts its product-linear weights on lags j and j + 1; the first slab is
     split into _FIRST_SLAB_REFINE sub-slabs against the source interpolated
-    linearly between lags 0 and 1. An even axis reads modes 0..M/2-1 and
-    an odd one 1..M/2 (see _js_on_orthant).
+    linearly between lags 0 and 1. On the orthant, _dct_pair's forward
+    matrix puts cosine mode k at position k on an even axis and sine mode
+    M/2 - m at position m on an odd one, so an even axis reads modes
+    0..M/2-1 and an odd one M/2..1, reversed (see _js_on_orthant).
     """
     K, ht = lat.K, lat.ht
     modes = (slice(0, lat.M // 2 + 1),) * lat.dim
@@ -250,65 +251,61 @@ def _js_spectrum(lat: Lattice, s: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _makhoul(n: int):
-    """Makhoul's length-n reordering (even samples, then odd ones reversed),
-    its inverse, the twiddle t_k = 2 exp(-i pi k / 2n), k = 0..n/2, and 1/t_k."""
-    order = np.concatenate([np.arange(0, n, 2), np.arange(n - 1, 0, -2)])
-    twiddle = 2.0 * np.exp(-0.5j * np.pi * np.arange(n // 2 + 1) / n)
-    return order, np.argsort(order), twiddle, 1.0 / twiddle
+def _dct_pair(n: int, odd: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(forward, inverse) n x n matrices of one orthant axis, read-only.
+
+    forward is the unnormalised DCT-II, y_k = 2 sum_j x_j cos(pi k (2j+1) / 2n),
+    and inverse its closed-form inverse, the DCT-III divided by n:
+    x_j = (y_0 / 2 + sum_(k>=1) y_k cos(pi k (2j+1) / 2n)) / n. On an odd axis
+    (-1)^j is folded into both (forward's columns, inverse's rows): forward
+    is then the DST-II whose position m holds sine mode n - m, and inverse
+    maps back to the samples. The angle k (2j+1) is reduced mod 4n in
+    integers before the cosine.
+    """
+    j = np.arange(n)
+    cos = np.cos(np.pi * (np.outer(j, 2 * j + 1) % (4 * n)) / (2 * n))
+    forward = 2.0 * cos
+    inverse = cos.T / n
+    inverse[:, 0] *= 0.5
+    if odd:
+        signs = (-1.0) ** j
+        forward *= signs
+        inverse *= signs[:, None]
+    forward.setflags(write=False)
+    inverse.setflags(write=False)
+    return forward, inverse
 
 
-def _dct2(x: np.ndarray, axis: int) -> np.ndarray:
-    """Unnormalised DCT-II along axis, y_k = 2 sum_j x_j cos(pi k (2j+1) / 2n),
-    through one length-n rfft of the reordered samples (Makhoul, IEEE Trans.
-    ASSP 28 (1980)): y_k = Re(t_k V_k) and y_(n-k) = -Im(t_k V_k)."""
-    n = x.shape[axis]
-    h = n // 2
-    order, _, twiddle, _ = _makhoul(n)
-    z = np.fft.rfft(np.moveaxis(x, axis, -1)[..., order], axis=-1)
-    z *= twiddle
-    y = np.empty(z.shape[:-1] + (n,))
-    y[..., : h + 1] = z.real
-    y[..., h + 1:] = -z.imag[..., h - 1: 0: -1]
-    return np.moveaxis(y, -1, axis)
-
-
-def _idct2(y: np.ndarray, axis: int) -> np.ndarray:
-    """The inverse of _dct2 along axis, through one length-n irfft:
-    V_k = (y_k - i y_(n-k)) / t_k, then Makhoul's order undone."""
-    n = y.shape[axis]
-    h = n // 2
-    _, unorder, _, inverse_twiddle = _makhoul(n)
-    yl = np.moveaxis(y, axis, -1)
-    z = np.empty(yl.shape[:-1] + (h + 1,), dtype=complex)
-    z.real = yl[..., : h + 1]
-    z.imag[..., 0] = 0.0
-    z.imag[..., 1:] = -yl[..., : h - 1: -1]
-    z *= inverse_twiddle
-    v = np.fft.irfft(z, n=n, axis=-1)[..., unorder]
-    # on the last axis v is already in place and owns its data, so the
-    # causal inverse can freeze and hand it on without a copy
-    return v if axis in (-1, v.ndim - 1) else np.moveaxis(v, -1, axis)
+def _apply_on_axis(mat: np.ndarray, c: np.ndarray, ax: int) -> np.ndarray:
+    """mat applied along axis ax of c, as a batch of matrix products with
+    axis ax and one other axis of c: numpy runs one GEMM per batch entry.
+    With two or more spatial axes each is n x n by n x n, too small for the
+    BLAS library to start its worker threads at the n in use (up to 32); a
+    1-D lattice's axis is one K x n product. The result is fresh; on the
+    last axis it is C-contiguous and owns its data."""
+    if ax == c.ndim - 1:
+        return c @ mat.T
+    return np.moveaxis(mat @ np.moveaxis(c, ax, -2), -2, ax)
 
 
 def _js_on_orthant(part: np.ndarray, odd: Sequence[bool], lat: Lattice, table: np.ndarray) -> np.ndarray:
     """The Volterra convolution of one parity part on the positive orthant:
-    a DCT-II per spatial axis (of the samples times (-1)^j on an odd axis: a
-    DST-II whose position m holds sine mode M/2 - m), the real time
-    convolution against table's modes 0..M/2-1 (even axis) or M/2..1 (odd
-    axis), the inverse transforms, and (-1)^j again on odd axes."""
+    per spatial axis, the forward matrix of _dct_pair (a DCT-II on an even
+    axis, on an odd one the DST-II whose position m holds sine mode M/2 - m),
+    the real time convolution against table's modes 0..M/2-1 (even axis) or
+    M/2..1 (odd axis), and per axis the inverse matrix. Each transform is a
+    batch of (M/2) x (M/2) products (_apply_on_axis); the output is fresh and
+    owns its data, so the causal inverse can freeze it without a copy."""
     half = lat.M // 2
-    signs = [((-1.0) ** np.arange(half)).reshape((-1,) + (1,) * (lat.dim - ax)) for ax in range(1, 1 + lat.dim)]
+    pairs = [_dct_pair(half, o) for o in odd]
     c = part
-    for ax, o in enumerate(odd, 1):
-        c = _dct2(c * signs[ax - 1] if o else c, ax)
+    for ax, (forward, _) in enumerate(pairs, 1):
+        c = _apply_on_axis(forward, c, ax)
     c = np.fft.rfft(c, n=2 * lat.K, axis=0)
     c *= table[(slice(None),) + tuple(slice(half, 0, -1) if o else slice(0, half) for o in odd)]
     c = np.fft.irfft(c, n=2 * lat.K, axis=0)[: lat.K]
-    for ax, o in enumerate(odd, 1):
-        c = _idct2(c, ax)
-        if o:
-            c *= signs[ax - 1]
+    for ax, (_, inverse) in enumerate(pairs, 1):
+        c = _apply_on_axis(inverse, c, ax)
     return c
 
 
@@ -325,8 +322,10 @@ def apply_Js(g: Field, s: float, causal_tol: float = 1e-8) -> Field:
 
     The lag kernel's spectrum depends only on (lattice, s) and is cached
     (see _js_spectrum). Each parity part of the input is convolved on the
-    positive orthant (see _js_on_orthant) and unfolded back. An input
-    exactly even in every spatial axis is one part, and its output is
+    positive orthant and unfolded back: per spatial axis a batch of
+    (M/2) x (M/2) matrix products, and a real FFT over time (see
+    _js_on_orthant). An
+    input exactly even in every spatial axis is one part, and its output is
     exactly even. An orthant-stored input (every stage of a solver run on
     even data) is that one part as it is: its output is stored on the
     orthant too, with no evenness test and no mirror. The output array is
@@ -763,32 +762,3 @@ def radial_identity_error(lat: Lattice, lam: float, s: float) -> float:
     got = applied.values[lat.K // 2][mask] + tail
     want = flap(r[mask])
     return float(np.max(np.abs(got - want) / np.abs(want)))
-
-
-# ---------------------------------------------------------------------------
-# pointwise quadrature oracle (spot checks only)
-# ---------------------------------------------------------------------------
-
-def hs_pointwise_oracle(fn, points: Sequence, s: float, dim: int) -> np.ndarray:
-    """Direct quadrature of the semigroup form of the operator at a handful
-    of points; fn(t, x1, .., xd) is a closed-form sample. Quadratic cost, so
-    only intended for <= ~100 points.
-    """
-    tau_min = 1e-7
-    u1 = np.linspace(-10.0, 10.0, 64)
-    du = u1[1] - u1[0]
-    grids = np.meshgrid(*([u1] * dim), indexing="ij")
-    gweight = np.exp(-0.25 * sum(g * g for g in grids)) * du ** dim / (4.0 * math.pi) ** (dim / 2.0)
-    nodes, wts = gauss_legendre_panels(geometric_edges(tau_min, 200.0, 1.5), 6)
-    out = []
-    for pt in points:
-        t0, xs0 = pt[0], np.asarray(pt[1:], dtype=float)
-        here = float(fn(t0, *xs0))
-        # the difference vanishes like O(tau) at 0, so [0, tau_min] is negligible
-        acc = 0.0
-        for tq, wq in zip(nodes, wts):
-            shifted = [xs0[d] - math.sqrt(tq) * grids[d] for d in range(dim)]
-            smoothed = float(np.sum(gweight * fn(t0 - tq, *shifted)))
-            acc += wq * tq ** (-1.0 - s) * (here - smoothed)
-        out.append(acc / gamma_abs_neg(s))
-    return np.asarray(out)

@@ -159,14 +159,16 @@ class Nodes:
 class Field:
     """Sampled scalar field on a lattice; immutable after construction.
 
-    values is always read-only. An array that is already read-only and owns
-    its data is adopted as it is, without a copy: whoever froze it gives up
-    writing to it. Any other input (a writable array, a view, a list) is
-    copied first. With orthant set, values holds only the positive orthant
-    of a field exactly even in every spatial axis (see Nodes); full_grid
-    expands it. A function that needs every node reads fld.full_grid() at
-    entry, which costs nothing on a full-grid field; the stage path of the
-    scheme (apply_Js, rhs_truncated, weighted_integral) reads stored nodes.
+    values is always read-only and at least double precision. An array that
+    is already read-only and owns its data is adopted as it is, without a
+    copy: whoever froze it gives up writing to it. Any other input (a
+    writable array, a view, a list) is copied first; integer input becomes
+    float64, and single- or half-precision input raises ValueError. With
+    orthant set, values holds only the positive orthant of a field exactly
+    even in every spatial axis (see Nodes); full_grid expands it. A
+    function that needs every node reads fld.full_grid() at entry, which
+    costs nothing on a full-grid field; the stage path of the scheme
+    (apply_Js, rhs_truncated, weighted_integral) reads stored nodes.
     """
 
     lattice: Lattice
@@ -177,9 +179,13 @@ class Field:
         v = np.asarray(self.values)
         if v.shape != self.nodes.shape:
             raise ValueError(f"values shape {v.shape} != node set shape {self.nodes.shape}")
-        if v.flags.writeable or not v.flags.owndata:
+        if v.dtype.kind in "fc" and np.finfo(v.dtype).bits < 64:
+            raise ValueError(f"values of dtype {v.dtype} are below double precision")
+        if v.dtype.kind in "biu":
+            v = v.astype(float)
+        elif v.flags.writeable or not v.flags.owndata:
             v = v.copy()
-            v.setflags(write=False)
+        v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
     @property

@@ -1,5 +1,8 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -10,8 +13,8 @@ from hardyheat.kernels import (
     AliasingError,
     NonCausalInput,
     QuadratureError,
-    _dct2,
-    _idct2,
+    _apply_on_axis,
+    _dct_pair,
     _js_spectrum,
     _lag_table,
     _linear_weights,
@@ -23,7 +26,6 @@ from hardyheat.kernels import (
     heat_positive,
     heat_semigroup,
     heat_symbol,
-    hs_pointwise_oracle,
     radial_identity_error,
     radial_power_flap,
     symbol_of_kernel_check,
@@ -151,6 +153,31 @@ def test_hs_linearity(lat):
     assert np.max(np.abs(lin - sep)) <= 1e-12 * np.max(np.abs(sep))
 
 
+def _hs_pointwise_oracle(fn, points, s, dim):
+    """Direct quadrature of the semigroup form of the operator at a handful
+    of points; fn(t, x1, .., xd) is a closed-form sample. Quadratic cost, so
+    only intended for <= ~100 points.
+    """
+    tau_min = 1e-7
+    u1 = np.linspace(-10.0, 10.0, 64)
+    du = u1[1] - u1[0]
+    grids = np.meshgrid(*([u1] * dim), indexing="ij")
+    gweight = np.exp(-0.25 * sum(g * g for g in grids)) * du ** dim / (4.0 * math.pi) ** (dim / 2.0)
+    nodes, wts = gauss_legendre_panels(geometric_edges(tau_min, 200.0, 1.5), 6)
+    out = []
+    for pt in points:
+        t0, xs0 = pt[0], np.asarray(pt[1:], dtype=float)
+        here = float(fn(t0, *xs0))
+        # the difference vanishes like O(tau) at 0, so [0, tau_min] is negligible
+        acc = 0.0
+        for tq, wq in zip(nodes, wts):
+            shifted = [xs0[d] - math.sqrt(tq) * grids[d] for d in range(dim)]
+            smoothed = float(np.sum(gweight * fn(t0 - tq, *shifted)))
+            acc += wq * tq ** (-1.0 - s) * (here - smoothed)
+        out.append(acc / gamma_abs_neg(s))
+    return np.asarray(out)
+
+
 def test_hs_pointwise_oracle_agrees(gaussian):
     lat = gaussian.lattice
     s = 0.5
@@ -160,7 +187,7 @@ def test_hs_pointwise_oracle_agrees(gaussian):
     def fn(t, x, y):
         return np.exp(-(x * x + y * y) / 1.5 - (t - 1.5) ** 2 / 0.35)
 
-    oracle = hs_pointwise_oracle(fn, pts, s, 2)
+    oracle = _hs_pointwise_oracle(fn, pts, s, 2)
     for (t0, x0, y0), want in zip(pts, oracle):
         k = int(np.argmin(np.abs(lat.t_axis() - t0)))
         i = int(np.argmin(np.abs(lat.x_axis() - x0)))
@@ -395,25 +422,68 @@ def test_dct2_pair_matches_cosine_sum():
         j = np.arange(n)
         cosines = 2.0 * np.cos(np.pi * np.outer(j, 2 * j + 1) / (2 * n))
         want = np.einsum("kj,ajb->akb", cosines, x)
-        got = _dct2(x, 1)
+        forward, inverse = _dct_pair(n, False)
+        got = _apply_on_axis(forward, x, 1)
         assert np.max(np.abs(got - want)) <= 1e-14 * n * np.max(np.abs(want))
-        assert np.max(np.abs(_idct2(got, 1) - x)) <= 1e-14 * n
+        assert np.max(np.abs(_apply_on_axis(inverse, got, 1) - x)) <= 1e-14 * n
 
 
 def test_dct2_of_alternated_samples_is_the_sine_sum():
-    # the DCT-II of (-1)^j x is the DST-II of x in reverse: position m holds
-    # sine mode n - m, 2 sum_j x_j sin(pi k (2j+1) / 2n) for k = 1..n
+    # the odd axis's forward matrix is the DCT-II of (-1)^j x, the DST-II of
+    # x in reverse: position m holds sine mode n - m,
+    # 2 sum_j x_j sin(pi k (2j+1) / 2n) for k = 1..n; its inverse matrix
+    # returns the samples themselves
     rng = np.random.default_rng(9)
     for n in (4, 8, 32):
         x = rng.standard_normal((3, n, 5))
         j = np.arange(n)
-        alternate = ((-1.0) ** j)[:, None]
         k = n - j
         sines = 2.0 * np.sin(np.pi * np.outer(k, 2 * j + 1) / (2 * n))
         want = np.einsum("mj,ajb->amb", sines, x)
-        got = _dct2(x * alternate, 1)
+        forward, inverse = _dct_pair(n, True)
+        got = _apply_on_axis(forward, x, 1)
         assert np.max(np.abs(got - want)) <= 1e-14 * n * np.max(np.abs(want))
-        assert np.max(np.abs(_idct2(got, 1) * alternate - x)) <= 1e-14 * n
+        assert np.max(np.abs(_apply_on_axis(inverse, got, 1) - x)) <= 1e-14 * n
+
+
+# prints the CPU ticks (utime + stime) that a fresh interpreter's non-main
+# threads spend over three orthant apply_Js calls at 3-D 64^3 x 48
+_THREAD_TICKS_SCRIPT = """
+import os
+import numpy as np
+from hardyheat import kernels
+from hardyheat.lattice import Field, make_lattice
+
+def ticks():
+    out = {}
+    for tid in os.listdir("/proc/self/task"):
+        with open(f"/proc/self/task/{tid}/stat") as fh:
+            fields = fh.read().rsplit(")", 1)[1].split()
+        out[int(tid)] = int(fields[11]) + int(fields[12])
+    return out
+
+lat = make_lattice(3, 6.0, 64, 0.0, 8.0, 48)
+g = np.random.default_rng(0).random((lat.K,) + (lat.M // 2,) * lat.dim)
+kernels._js_spectrum(lat, 0.5)  # the table build is not the transforms' work
+before = ticks()
+for _ in range(3):
+    kernels.apply_Js(Field(lat, g, orthant=True), 0.5)
+after = ticks()
+print(sum(t - before.get(tid, 0) for tid, t in after.items() if tid != os.getpid()))
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs per-thread CPU times from /proc")
+def test_js_transforms_start_no_blas_worker_thread():
+    # the spatial transforms are batches of small products: a BLAS library
+    # that fanned them out to worker threads would leave those threads
+    # spinning on the CPU after each call
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", _THREAD_TICKS_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout.split()[-1]) == 0
 
 
 @pytest.fixture

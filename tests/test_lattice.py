@@ -101,6 +101,22 @@ def test_field_adopts_only_frozen_owned_arrays(lat):
         assert not fld.values.flags.writeable
 
 
+@pytest.mark.parametrize("dtype", [np.float16, np.float32, np.complex64])
+def test_field_refuses_less_than_double_precision(lat, dtype):
+    # single-precision rounding would pass for aliasing in the spectral
+    # operator's residue test
+    with pytest.raises(ValueError, match=np.dtype(dtype).name):
+        Field(lat, np.ones(lat.shape, dtype=dtype))
+
+
+def test_field_widens_integers_to_float64(lat):
+    ints = np.ones(lat.shape, dtype=int)
+    for fld in (Field(lat, ints), Field(lat, ints.astype(bool)), Field(lat, ints.tolist())):
+        assert fld.values.dtype == np.float64
+        assert not fld.values.flags.writeable
+        assert np.array_equal(fld.values, ints)
+
+
 def test_transform_round_trip_and_plancherel(lat):
     rng = np.random.default_rng(7)
     f = Field(lat, rng.standard_normal(lat.shape))
