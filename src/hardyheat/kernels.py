@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .constants import frac_laplacian_constant, mu_from_lambda, upsilon
-from .lattice import Field, Lattice, parity_parts, unfold
+from .lattice import Field, Lattice, block_slices, parity_parts, unfold
 from .special import (
     gamma_abs_neg,
     gamma_fn,
@@ -207,17 +207,20 @@ def _js_spectrum(lat: Lattice, s: float) -> np.ndarray:
     """Time spectrum of the lag kernel on the heat multiplier's modes
     0..M/2 in every spatial axis.
 
-    Shape (K + 1, M//2 + 1, ..., M//2 + 1), complex128, read-only: the rfft
-    over 2K zero-padded lags, so the product with a padded input spectrum
-    is a linear (not circular) convolution over the first K lags. Lag m
-    weighs the source with the m-fold power of the one-slab positive
-    kernel, so non-negativity is preserved exactly. Slab [j ht, (j+1) ht]
-    puts its product-linear weights on lags j and j + 1; the first slab is
-    split into _FIRST_SLAB_REFINE sub-slabs against the source interpolated
-    linearly between lags 0 and 1. On the orthant, _dct_pair's forward
-    matrix puts cosine mode k at position k on an even axis and sine mode
-    M/2 - m at position m on an odd one, so an even axis reads modes
-    0..M/2-1 and an odd one M/2..1, reversed (see _js_on_orthant).
+    Shape (M//2 + 1, ..., M//2 + 1, K + 1), time last, C-contiguous,
+    complex128, read-only: the rfft over 2K zero-padded lags, so the
+    product with a padded input spectrum is a linear (not circular)
+    convolution over the first K lags. The kernel is filled lag by lag
+    through a lag-first view of a lag-last buffer, so the table is built
+    time-last with no transposed copy. Lag m weighs the source with the
+    m-fold power of the one-slab positive kernel, so non-negativity is
+    preserved exactly. Slab [j ht, (j+1) ht] puts its product-linear
+    weights on lags j and j + 1; the first slab is split into
+    _FIRST_SLAB_REFINE sub-slabs against the source interpolated linearly
+    between lags 0 and 1. On the orthant, _dct_pair's forward matrix puts
+    cosine mode k at position k on an even axis and sine mode M/2 - m at
+    position m on an odd one, so an even axis reads modes 0..M/2-1 and an
+    odd one M/2..1, reversed (see _js_on_orthant).
     """
     K, ht = lat.K, lat.ht
     modes = (slice(0, lat.M // 2 + 1),) * lat.dim
@@ -225,7 +228,8 @@ def _js_spectrum(lat: Lattice, s: float) -> np.ndarray:
     def multiplier(tau):
         return heat_kernel_multiplier(lat, tau)[modes] if tau > 0 else 1.0
 
-    kern = np.zeros((K,) + (lat.M // 2 + 1,) * lat.dim)
+    lag_last = np.zeros((lat.M // 2 + 1,) * lat.dim + (K,))
+    kern = np.moveaxis(lag_last, -1, 0)
     edges = ht * np.arange(_FIRST_SLAB_REFINE + 1) / _FIRST_SLAB_REFINE
     for a, b in zip(edges[:-1], edges[1:]):
         for tau, wgt in zip((a, b), _linear_weights(a, b, s)):
@@ -245,7 +249,7 @@ def _js_spectrum(lat: Lattice, s: float) -> np.ndarray:
         kern[m] += alpha[m] * pw
         pw *= dec
     kern /= gamma_fn(s)
-    spec = np.fft.rfft(kern, n=2 * K, axis=0)
+    spec = np.fft.rfft(lag_last, n=2 * K, axis=-1)
     spec.setflags(write=False)
     return spec
 
@@ -293,17 +297,29 @@ def _js_on_orthant(part: np.ndarray, odd: Sequence[bool], lat: Lattice, table: n
     per spatial axis, the forward matrix of _dct_pair (a DCT-II on an even
     axis, on an odd one the DST-II whose position m holds sine mode M/2 - m),
     the real time convolution against table's modes 0..M/2-1 (even axis) or
-    M/2..1 (odd axis), and per axis the inverse matrix. Each transform is a
-    batch of (M/2) x (M/2) products (_apply_on_axis); the output is fresh and
-    owns its data, so the causal inverse can freeze it without a copy."""
-    half = lat.M // 2
+    M/2..1 (odd axis), and per axis the inverse matrix. Each spatial
+    transform is a batch of (M/2) x (M/2) products (_apply_on_axis).
+
+    The time convolution runs block by block over rows of the first spatial
+    axis, lattice.block_slices rows of 2K time values each: a block is
+    gathered time-last (a transpose that stays in cache), so its rfft, its
+    multiply by the table's block and its irfft run over contiguous rows,
+    and lags 0..K-1 are written back time-first in place. Each row's
+    transforms are those of a whole-array transform along time, so the
+    output is bitwise the same. The output is fresh and owns its data, so
+    the causal inverse can freeze it without a copy."""
+    half, n = lat.M // 2, 2 * lat.K
     pairs = [_dct_pair(half, o) for o in odd]
     c = part
     for ax, (forward, _) in enumerate(pairs, 1):
         c = _apply_on_axis(forward, c, ax)
-    c = np.fft.rfft(c, n=2 * lat.K, axis=0)
-    c *= table[(slice(None),) + tuple(slice(half, 0, -1) if o else slice(0, half) for o in odd)]
-    c = np.fft.irfft(c, n=2 * lat.K, axis=0)[: lat.K]
+    kern = table[tuple(slice(half, 0, -1) if o else slice(0, half) for o in odd)]
+    rows = block_slices(n * half ** (lat.dim - 1))
+    for i in range(0, half, rows):
+        b = slice(i, i + rows)
+        spec = np.fft.rfft(np.ascontiguousarray(np.moveaxis(c[:, b], 0, -1)), n=n, axis=-1)
+        spec *= kern[b]
+        np.moveaxis(c[:, b], 0, -1)[...] = np.fft.irfft(spec, n=n, axis=-1)[..., : lat.K]
     for ax, (_, inverse) in enumerate(pairs, 1):
         c = _apply_on_axis(inverse, c, ax)
     return c
@@ -320,17 +336,19 @@ def apply_Js(g: Field, s: float, causal_tol: float = 1e-8) -> Field:
     causal data to non-negative causal output and is monotone. Output
     vanishes identically on t <= 0.
 
-    The lag kernel's spectrum depends only on (lattice, s) and is cached
-    (see _js_spectrum). Each parity part of the input is convolved on the
-    positive orthant and unfolded back: per spatial axis a batch of
-    (M/2) x (M/2) matrix products, and a real FFT over time (see
-    _js_on_orthant). An
-    input exactly even in every spatial axis is one part, and its output is
-    exactly even. An orthant-stored input (every stage of a solver run on
-    even data) is that one part as it is: its output is stored on the
-    orthant too, with no evenness test and no mirror. The output array is
-    fresh on every call.
+    The order must lie in (0, 1]. The lag kernel's spectrum depends only
+    on (lattice, s) and is cached, time-last (see _js_spectrum). Each
+    parity part of the input is convolved on the positive orthant and
+    unfolded back: per spatial axis a batch of (M/2) x (M/2) matrix
+    products, and a real FFT over time on cache-sized time-last blocks (see
+    _js_on_orthant). An input exactly even in every spatial axis is one
+    part, and its output is exactly even. An orthant-stored input (every
+    stage of a solver run on even data) is that one part as it is: its
+    output is stored on the orthant too, with no evenness test and no
+    mirror. The output array is fresh on every call.
     """
+    if not 0.0 < s <= 1.0:  # NaN fails this too
+        raise ValueError(f"need 0 < s <= 1, got {s}")
     lat = g.lattice
     past = ~lat.causal_mask()
     if past.any():

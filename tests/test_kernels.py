@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from hardyheat import kernels
+from hardyheat import kernels, lattice
 from hardyheat.constants import frac_laplacian_constant, lambda_max, mu_from_lambda, upsilon
 from hardyheat.kernels import (
     AliasingError,
@@ -31,7 +31,7 @@ from hardyheat.kernels import (
     symbol_of_kernel_check,
     truncated_power_field,
 )
-from hardyheat.lattice import Field, make_lattice, sample, to_orthant, zero_field
+from hardyheat.lattice import Field, block_slices, make_lattice, sample, to_orthant, zero_field
 from hardyheat.special import (
     gamma_abs_neg,
     gamma_fn,
@@ -446,6 +446,71 @@ def test_dct2_of_alternated_samples_is_the_sine_sum():
         assert np.max(np.abs(_apply_on_axis(inverse, got, 1) - x)) <= 1e-14 * n
 
 
+def _js_time_first(part, odd, lat, table):
+    """The orthant convolution with its time rfft, multiply and irfft each
+    over the whole part along axis 0, against the table moved time-first."""
+    half = lat.M // 2
+    pairs = [_dct_pair(half, o) for o in odd]
+    c = part
+    for ax, (forward, _) in enumerate(pairs, 1):
+        c = _apply_on_axis(forward, c, ax)
+    c = np.fft.rfft(c, n=2 * lat.K, axis=0)
+    c *= np.moveaxis(table, -1, 0)[(slice(None),) + tuple(slice(half, 0, -1) if o else slice(0, half) for o in odd)]
+    c = np.fft.irfft(c, n=2 * lat.K, axis=0)[: lat.K]
+    for ax, (_, inverse) in enumerate(pairs, 1):
+        c = _apply_on_axis(inverse, c, ax)
+    return c
+
+
+@pytest.mark.parametrize("dim,M,T_neg", [(1, 16, 0.0), (2, 16, 1.0), (3, 16, 0.0), (3, 16, 1.0)])
+@pytest.mark.parametrize("rows", [None, 1, 3])
+def test_js_blocks_bitwise_match_time_first(monkeypatch, dim, M, T_neg, rows):
+    # the time-last blocks change no bit of the output, whether the time
+    # convolution is one block (the default budget here), one row per
+    # block, or 3 rows per block with a ragged last block (half = 8)
+    lat = make_lattice(dim, 4.0, M, T_neg, 3.0, 12)
+    half = lat.M // 2
+    if rows is not None:
+        monkeypatch.setattr(lattice, "_BLOCK_BYTES", rows * 8 * 2 * lat.K * half ** (dim - 1))
+        assert block_slices(2 * lat.K * half ** (dim - 1)) == rows
+    rng = np.random.default_rng(24)
+    s = 0.4
+    table = _js_spectrum(lat, s)
+    part = rng.random((lat.K,) + (half,) * dim)
+    for odd in itertools.product((False, True), repeat=dim):
+        got = kernels._js_on_orthant(part, odd, lat, table)
+        assert np.array_equal(got, _js_time_first(part, odd, lat, table))
+    # the whole inverse, every parity part of a full-grid input
+    g = rng.random(lat.shape) * lat.causal_mask().reshape((-1,) + (1,) * dim)
+    got = apply_Js(Field(lat, g), s).values
+    monkeypatch.setattr(kernels, "_js_on_orthant", _js_time_first)
+    assert np.array_equal(got, apply_Js(Field(lat, g), s).values)
+
+
+def test_js_peak_memory_within_two_and_a_half_parts():
+    # the time transforms run on cache-sized blocks: no whole-part spectrum
+    import tracemalloc
+
+    lat = make_lattice(3, 6.0, 32, 0.0, 8.0, 48)
+    fld = Field(lat, np.random.default_rng(25).random((lat.K,) + (lat.M // 2,) * lat.dim), orthant=True)
+    apply_Js(fld, 0.5)  # build the table and the transform matrices
+    tracemalloc.start()
+    try:
+        apply_Js(fld, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * fld.values.nbytes
+
+
+@pytest.mark.parametrize("s", [-0.5, 0.0, 1.5, float("nan")])
+def test_js_rejects_order_outside_unit_interval(gaussian, s):
+    misses = _js_spectrum.cache_info().misses
+    with pytest.raises(ValueError, match="0 < s <= 1"):
+        apply_Js(gaussian, s)
+    assert _js_spectrum.cache_info().misses == misses  # no table was built
+
+
 # prints the CPU ticks (utime + stime) that a fresh interpreter's non-main
 # threads spend over three orthant apply_Js calls at 3-D 64^3 x 48
 _THREAD_TICKS_SCRIPT = """
@@ -609,9 +674,11 @@ def test_js_spectrum_read_only_and_sized():
     lat = make_lattice(3, 4.0, 8, 0.0, 2.0, 10)
     half = lat.M // 2
     spec = _js_spectrum(lat, 0.5)
-    # the rfft over 2K lags on the modes 0..M/2 of every spatial axis
-    assert spec.shape == (lat.K + 1, half + 1, half + 1, half + 1)
+    # the rfft over 2K lags on the modes 0..M/2 of every spatial axis, time last
+    assert spec.shape == (half + 1, half + 1, half + 1, lat.K + 1)
+    assert spec.flags.c_contiguous
     assert spec.dtype == np.complex128
+    assert spec.nbytes == (half + 1) ** 3 * (lat.K + 1) * 16
     assert not spec.flags.writeable
     with pytest.raises(ValueError):
         spec[0, 0, 0, 0] = 1.0
