@@ -108,7 +108,7 @@ def _lattice_from(dim: int, lattice: Optional[dict]):
     )
 
 
-_NON_NEGATIVE = (lambda v: v >= 0, ">= 0")
+_NON_NEGATIVE = (lambda v: 0 <= v < math.inf, "finite and >= 0")  # NaN fails
 _COUNT = (lambda v: v >= 1, ">= 1")
 
 # the range of each run setting, by its name in the sweep config and in

@@ -122,8 +122,8 @@ class ProblemSpec:
             raise ValueError(
                 f"need 0 < lam < lambda_max={lmax}, got lam={self.lam}"
             )
-        if not self.p > 1.0:
-            raise ValueError(f"need p > 1, got {self.p}")
+        if not 1.0 < self.p < math.inf:  # NaN fails
+            raise ValueError(f"need a finite p > 1, got {self.p}")
 
 
 @dataclass(frozen=True)

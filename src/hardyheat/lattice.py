@@ -77,11 +77,8 @@ class Lattice:
         return self.t_axis() > 0.0
 
     def spatial_radius(self) -> np.ndarray:
-        return _spatial_radius(self)
-
-    def spatial_power(self, a: float) -> np.ndarray:
-        """|x|^a on the spatial grid; finite for any a thanks to staggering."""
-        return self.spatial_radius() ** a
+        """|x| on every node of the spatial grid (see Nodes.radius)."""
+        return Nodes(self).radius
 
     def xi_axis(self, pad: int = 1) -> np.ndarray:
         return 2.0 * np.pi * np.fft.fftfreq(pad * self.M, d=self.hx)
@@ -91,15 +88,6 @@ class Lattice:
 
     def xi_squared(self, pad: int = 1) -> np.ndarray:
         return _xi_squared(self, pad)
-
-
-@lru_cache(maxsize=32)
-def _spatial_radius(lat: Lattice) -> np.ndarray:
-    ax = lat.x_axis()
-    grids = np.meshgrid(*([ax] * lat.dim), indexing="ij", sparse=True)
-    r = np.sqrt(sum(g * g for g in grids))
-    r.setflags(write=False)
-    return r
 
 
 @lru_cache(maxsize=32)
@@ -123,10 +111,11 @@ class Nodes:
     """The nodes a field is stored on: every node of its lattice, or the
     positive orthant (every x_d > 0) of a field exactly even in every
     spatial axis, where each stored node stands for its 2^N mirror images.
-    A stage of the monotone scheme reads its geometry from here: its
-    spatial factors (functions of the radius) restricted to these nodes,
-    and the spatial measure each node carries (h^N, or 2^N h^N on the
-    orthant); the causal inverse reads orthant from the field."""
+    A stage of the monotone scheme reads its geometry from here: the
+    shape of the stored values, the copies each node stands for, the
+    spatial measure each node carries (h^N, or 2^N h^N on the orthant)
+    and the radius its spatial factors are computed on; the causal
+    inverse reads orthant from the field."""
 
     lattice: Lattice
     orthant: bool = False
@@ -145,14 +134,19 @@ class Nodes:
     def measure(self) -> float:
         return self.copies * self.lattice.cell_volume
 
-    def restrict(self, spatial: np.ndarray) -> np.ndarray:
-        """A spatial array of the lattice (shape (M,)*N) on these nodes: the
-        array itself, or its positive orthant as a contiguous copy. The
-        values are sliced, not recomputed, so they are bitwise the ones of
-        the full grid."""
-        if not self.orthant:
-            return spatial
-        return np.ascontiguousarray(spatial[(slice(self.lattice.M // 2, None),) * self.lattice.dim])
+    @property
+    @lru_cache(maxsize=32)
+    def radius(self) -> np.ndarray:
+        """|x| at these nodes (shape self.shape[1:]), read-only and cached.
+        The orthant's is built from the positive half of the axis, with no
+        full-grid array: the same doubles summed in the same order, so it
+        and any elementwise function of it are bitwise the full grid's."""
+        lat = self.lattice
+        ax = lat.x_axis()[lat.M // 2:] if self.orthant else lat.x_axis()
+        grids = np.meshgrid(*([ax] * lat.dim), indexing="ij", sparse=True)
+        r = np.sqrt(sum(g * g for g in grids))
+        r.setflags(write=False)
+        return r
 
 
 @dataclass(frozen=True)
@@ -325,15 +319,17 @@ def inverse_transform(lat: Lattice, spectrum: np.ndarray) -> Field:
     return Field(lat, out.real)
 
 
-# bytes of one block of time slices in the blockwise passes over a field
-# (weighted_integral here, solver.rhs_truncated): small enough that a block
-# and its scratch buffers stay in a core's L2 cache
+# bytes of one block in the blockwise passes over a field (weighted_integral
+# here, solver.rhs_truncated and kernels._js_on_orthant): small enough that a
+# block and its scratch buffers stay in a core's L2 cache
 _BLOCK_BYTES = 1 << 18
 
 
 def block_slices(slab_size: int) -> int:
-    """Time slices per block of a blockwise pass over slabs of slab_size
-    float64 nodes each (at least one)."""
+    """Entries per block (at least one) of a blockwise pass along an axis
+    whose entries are slabs of slab_size float64 values: time slices in
+    weighted_integral and solver.rhs_truncated, rows of the first spatial
+    axis in kernels._js_on_orthant."""
     return max(1, _BLOCK_BYTES // (8 * slab_size))
 
 
@@ -348,7 +344,7 @@ def weighted_integral(fld: Field, weight_exponent: float) -> np.ndarray:
     stored on the orthant."""
     lat = fld.lattice
     nodes = fld.nodes
-    weight = nodes.restrict(lat.spatial_power(weight_exponent))
+    weight = nodes.radius ** weight_exponent
     step = block_slices(weight.size)
     sums = np.empty(lat.K)
     for k in range(0, lat.K, step):

@@ -37,12 +37,12 @@ CAP_FACTOR = 1e6
 SUP_TOL = 1e-6
 
 
-def _cutoff_factors(lat: Lattice, n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The stage-n cutoff as a product of a spatial factor (shape (M,)*dim)
-    and a time ramp (a K-vector); see cutoff."""
+def _cutoff_factors(lat: Lattice, radius: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The stage-n cutoff as a product of a spatial factor on the nodes of
+    radius (radius's shape) and a time ramp (a K-vector); see cutoff."""
     # radial blend over one unit; zero from radius n+1 on, inside the
     # allowed n+2 envelope, which keeps consecutive stages nested
-    sp = 1.0 - smooth_step(lat.spatial_radius() - n)
+    sp = 1.0 - smooth_step(radius - n)
     t = lat.t_axis()
     lo_in, lo_out = 1.0 / (n + 1.0), 1.0 / (n + 2.0)
     ramp_up = smooth_step((t - lo_out) / (lo_in - lo_out))
@@ -54,7 +54,7 @@ def cutoff(lat: Lattice, n: int) -> np.ndarray:
     """Smooth space-time cutoff of stage n: 1 on the ball of radius n over
     the time band (1/(n+1), n+1), and 0 outside the ball of radius n+2 and
     the band (1/(n+2), n+2), with quintic blends between."""
-    sp, tim = _cutoff_factors(lat, n)
+    sp, tim = _cutoff_factors(lat, lat.spatial_radius(), n)
     return sp[None, ...] * tim.reshape((lat.K,) + (1,) * lat.dim)
 
 
@@ -77,9 +77,10 @@ def rhs_truncated(w: Field, w_pow: Field, f: Field, spec: ProblemSpec, n: int) -
     expression is non-decreasing in both n and w.
 
     The cutoff is applied as its spatial factor and its time ramp, and the
-    Hardy weight as one spatial factor: no full-size cutoff or weight array
-    is built. The slices where the ramp vanishes stay zero; the others are
-    computed block by block of time slices, a few in-place passes each.
+    Hardy weight as one spatial factor, both computed on the stored nodes'
+    radius: no full-size cutoff or weight array is built. The slices where
+    the ramp vanishes stay zero; the others are computed block by block of
+    time slices, a few in-place passes each.
     w_pow is max(w, 0) ** spec.p, computed once by the caller (the scheme
     carries it from the previous stage); stages n >= 1 read it. The three
     fields share one node set, and so does the output (see lattice.Nodes).
@@ -94,10 +95,9 @@ def rhs_truncated(w: Field, w_pow: Field, f: Field, spec: ProblemSpec, n: int) -
     if np.min(f.values) < 0.0:
         raise ValueError("forcing must be non-negative")
     nodes = w.nodes
-    sp, tim = _cutoff_factors(lat, n)
-    sp = nodes.restrict(sp)
+    sp, tim = _cutoff_factors(lat, nodes.radius, n)
     if n > 0:
-        hardy = nodes.restrict(spec.lam * (lat.spatial_radius() + 1.0 / n) ** (-2.0 * spec.s))
+        hardy = spec.lam * (nodes.radius + 1.0 / n) ** (-2.0 * spec.s)
     out = np.zeros(nodes.shape)
     live = np.nonzero(tim)[0]  # one run of slices: the ramp is a bump
     k0, k1 = (live[0], live[-1] + 1) if live.size else (0, 0)

@@ -194,6 +194,9 @@ def test_sweep_config_errors(tmp_path, capsys):
         {"lattice": {"L": math.nan}},
         {"lattice": {"T": math.inf}},
         {"lattice": {"T_neg": math.inf}},
+        # and so must an amplitude
+        {"blowup_amplitude": math.inf},
+        {"nonexistence_amplitude": math.inf},
     ],
 )
 def test_sweep_config_bad_values_exit_2(tmp_path, capsys, override):
@@ -247,6 +250,10 @@ def test_verify_json_round_trips(tmp_path, capsys, cid):
         ["solve", "-p", "1.2", "-T", "inf", "--max-n", "2"],
         ["solve", "-p", "2.0", "-L", "nan"],
         ["supersol", "-p", "0.5"],
+        # an amplitude or p must be finite
+        ["solve", "-p", "2.0", "--amplitude", "inf"],
+        ["solve", "-p", "inf"],
+        ["supersol", "-p", "inf"],
     ],
 )
 def test_invalid_parameters_exit_2_before_computing(argv, capsys, monkeypatch):

@@ -9,6 +9,7 @@ import pytest
 from hardyheat.lattice import (
     Field,
     LatticeError,
+    Nodes,
     SampleError,
     export_field_csv,
     graph_norm,
@@ -185,8 +186,8 @@ def test_orthant_field_round_trip_and_measure(dim):
     assert to_orthant(half) is half and even.full_grid() is even
     assert np.array_equal(half.full_grid().values, even.values)
     r = lat.spatial_radius()
-    assert np.array_equal(half.nodes.restrict(r), r[(slice(lat.M // 2, None),) * dim])
-    assert even.nodes.restrict(r) is r
+    assert np.array_equal(half.nodes.radius, r[(slice(lat.M // 2, None),) * dim])
+    assert even.nodes.radius is r
     assert half.l2() == pytest.approx(even.l2(), rel=1e-13)
     # the sums over the stored nodes are bitwise those of the full grid
     for a in (0.0, -0.7):
@@ -197,6 +198,15 @@ def test_orthant_field_round_trip_and_measure(dim):
     assert to_orthant(Field(lat, off)) is None
     with pytest.raises(ValueError, match="shape"):
         Field(lat, even.values, orthant=True)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_orthant_radius_is_the_full_grids_bitwise_and_cached(dim):
+    lat = make_lattice(dim, 3.0, 16, 0.0, 2.0, 8)
+    r = Nodes(lat, True).radius
+    assert r.shape == (lat.M // 2,) * dim and not r.flags.writeable
+    assert np.array_equal(r, lat.spatial_radius()[(slice(lat.M // 2, None),) * dim])
+    assert Nodes(lat, True).radius is r and lat.spatial_radius() is Nodes(lat).radius
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -225,7 +235,7 @@ def test_parity_parts_unfold_back(dim):
 def test_weighted_integral_staggered_weight_bound():
     lat = make_lattice(2, 6.0, 32, 0.0, 4.0, 8)
     a = 1.2
-    w = lat.spatial_power(-a)
+    w = lat.spatial_radius() ** -a
     assert float(np.max(w)) <= (lat.hx * math.sqrt(lat.dim) / 2.0) ** (-a) + 1e-12
 
 

@@ -15,7 +15,7 @@ from hardyheat.constants import (
     mu_from_lambda,
     upsilon_inv,
 )
-from hardyheat.lattice import Field, make_lattice, sample, to_orthant, zero_field
+from hardyheat.lattice import Field, Lattice, make_lattice, sample, to_orthant, zero_field
 from hardyheat.solver import (
     VERDICT_CONVERGED,
     VERDICT_ESCAPE,
@@ -280,6 +280,31 @@ def test_orthant_run_matches_the_full_lattice_run(monkeypatch, dim, M, p):
         assert x == y or abs(x - y) <= 1e-12 * max(abs(x), abs(y)), name
     ma, mb = np.array(a.m_curve), np.array(b.m_curve)
     assert np.max(np.abs(ma - mb)) <= 1e-12 * np.max(np.abs(mb))
+
+
+@pytest.mark.parametrize("dim,M", [(2, 32), (3, 16)])
+def test_orthant_stages_build_no_full_grid_radius(monkeypatch, dim, M):
+    # every stage factor is computed on the orthant's own radius: with the
+    # full grid's refused, the stages are bitwise those of an unpatched run
+    lat = make_lattice(dim, 6.0, M, 0.0, 6.0, 24)
+    spec = ProblemSpec(dim, 0.5, 0.5 * lambda_max(dim, 0.5), 1.4)
+    f = to_orthant(gaussian_bump_forcing(lat, 0.5))
+    runs = []
+    for refuse in (False, True):
+        if refuse:
+            def full_grid_radius(self):
+                raise AssertionError("a stage built the full grid's radius")
+
+            monkeypatch.setattr(Lattice, "spatial_radius", full_grid_radius)
+        st = initial_state(f, spec)
+        states = [st]
+        for _ in range(2):
+            st = iterate(st, f, spec)
+            states.append(st)
+        runs.append(states)
+    for a, b in zip(*runs):
+        assert a.w.orthant and b.w.orthant
+        assert np.array_equal(a.w.values, b.w.values) and np.array_equal(a.m_curve, b.m_curve)
 
 
 def test_forcing_off_evenness_runs_on_the_full_lattice(lat, spec, monkeypatch):
