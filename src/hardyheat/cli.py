@@ -350,16 +350,27 @@ def write_sweep_outputs(rows: List[dict], out_dir: str) -> tuple:
     return csv_path, json_path, mismatches
 
 
+def _check_out_dir(out_dir: str) -> None:
+    """ValueError unless the output directory can be made: its nearest
+    existing ancestor, itself included, must be a directory."""
+    path = Path(out_dir)
+    while not path.exists() and path != path.parent:
+        path = path.parent
+    if not path.is_dir():
+        raise ValueError(f"cannot make output directory {out_dir}: {path} is not a directory")
+
+
 def cmd_sweep(args) -> int:
     try:
         cfg = SweepConfig.from_file(args.config)
+        if args.out_dir:
+            cfg.out_dir = args.out_dir
+        if args.workers:
+            cfg.workers = args.workers
+        _check_out_dir(cfg.out_dir)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.out_dir:
-        cfg.out_dir = args.out_dir
-    if args.workers:
-        cfg.workers = args.workers
     rows = sweep_rows(cfg)
     csv_path, json_path, mismatches = write_sweep_outputs(rows, cfg.out_dir)
     print(f"wrote {csv_path} and {json_path} ({len(rows)} rows)")
@@ -429,20 +440,27 @@ def _validate_args(args) -> None:
 
     Only construction-time checks live here, through the same helpers the
     commands build their inputs with: the coupling fraction, the (N, s)
-    domain, the ranges of the run settings, for `solve` the problem
-    instance and the lattice, and for `supersol` the problem instance when
-    `-p` is given (a p outside the admissible band is still a refusal).
+    domain, the ranges of the run settings, the `--json` output path, for
+    `solve` the problem instance and the lattice, and for `supersol` the
+    problem instance (a p outside the admissible band is still a refusal).
     """
     if getattr(args, "check", None) is not None and args.check not in CHECKS:
         raise ValueError(f"unknown check {args.check!r}; known: {sorted(CHECKS)}")
+    out = getattr(args, "json", None)
+    if out and not Path(out).parent.is_dir():
+        raise ValueError(f"cannot write --json {out}: {Path(out).parent} is not a directory")
+    if out and Path(out).is_dir():
+        raise ValueError(f"cannot write --json {out}: it is a directory")
     if args.command == "verify":
         _check_flags(args, ("seed",))
     elif args.command == "sweep" and args.workers is not None:
         _check_flags(args, ("workers",))
     elif args.command == "solve":
         _solve_inputs(args)
-    elif args.command == "supersol" and args.p is not None:
-        ProblemSpec(args.N, args.s, _coupling(args), args.p)
+    elif args.command == "supersol":
+        # without -p, p is the conditional band's midpoint, found later;
+        # any finite p > 1 checks the rest of the instance now
+        ProblemSpec(args.N, args.s, _coupling(args), 2.0 if args.p is None else args.p)
     elif hasattr(args, "lambda_frac"):
         _coupling(args)
 

@@ -1,6 +1,6 @@
 """A named battery of numeric checks, one per inequality or identity the
 operators are supposed to satisfy, runnable individually or as a suite, at
-one pinned instance (the constants below); VerifierConfig holds the rest.
+one pinned instance (the constants below); VerifierConfig holds the seed.
 
 Conventions: every check reports a worst margin with the orientation
 "violation is positive", and CheckReport derives passed == (worst_margin <=
@@ -13,6 +13,7 @@ import json
 import math
 import zlib
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -41,40 +42,37 @@ class UnknownCheck(KeyError):
     pass
 
 
-# the pinned instance: N, lam / lambda_max, and the space-time window
+# the pinned instance: N, s, lam / lambda_max, the space-time window and
+# its lattice
 DIM = 2
+S = 0.5
 LAM_FRAC = 0.5
 L = 8.0
 T_NEG = 1.5
 T = 4.5
 K = 48
+M = 64
+# the sampled checks take a worst margin over this many test functions
+# (adjoint over pairs of them)
+N_SAMPLES = 20
 # support radii of the spatial and the half-space test bumps
 BUMP_RADIUS = 6.0
 HALF_BALL_RADIUS = 2.0
 
 
+def lam() -> float:
+    """The pinned coupling, read at call time."""
+    return LAM_FRAC * lambda_max(DIM, S)
+
+
+def pinned_lattice():
+    """The pinned window's lattice, read at call time."""
+    return make_lattice(DIM, L, M, T_NEG, T, K)
+
+
 @dataclass(frozen=True)
 class VerifierConfig:
     seed: int = 0
-    n_samples: int = 20
-    s: float = 0.5
-    M: int = 64
-
-    def __post_init__(self):
-        # the sampled checks take a worst margin over the samples (adjoint
-        # over pairs of them): fewer than two would pass without testing
-        if self.n_samples < 2:
-            raise ValueError(f"n_samples must be >= 2, got {self.n_samples}")
-
-    @property
-    def lam(self) -> float:
-        return LAM_FRAC * lambda_max(DIM, self.s)
-
-    def lattice(self):
-        return make_lattice(DIM, L, self.M, T_NEG, T, K)
-
-    def rng(self, check_id: str) -> np.random.Generator:
-        return np.random.default_rng([self.seed, zlib.crc32(check_id.encode())])
 
 
 @dataclass
@@ -98,6 +96,26 @@ class CheckReport:
         self.passed = self.worst_margin <= self.tolerance
 
 
+CHECKS: Dict[str, Callable[[VerifierConfig], CheckReport]] = {}
+
+
+def _check(check_id: str, tolerance: float):
+    """Register a body rng -> (worst_margin, sample_count, params) as the
+    check check_id at tolerance; its generator is seeded by the config seed
+    and the id."""
+
+    def register(body):
+        def run(cfg: VerifierConfig) -> CheckReport:
+            rng = np.random.default_rng([cfg.seed, zlib.crc32(check_id.encode())])
+            worst, count, params = body(rng)
+            return CheckReport(check_id, worst, tolerance, count, params)
+
+        CHECKS[check_id] = run
+        return body
+
+    return register
+
+
 # ---------------------------------------------------------------------------
 # test-function families
 # ---------------------------------------------------------------------------
@@ -115,16 +133,17 @@ def spacetime_fields(rng, lat, n) -> List[Field]:
         ct = t_mid + rng.uniform(-0.08, 0.08) * t_span
         wx = rng.uniform(0.7, 1.4)
         wt = rng.uniform(0.28, 0.5)
+        # each fn is sampled before the next draw, so closures suffice
         if kind == 0:
 
-            def fn(t, *xs, cx=cx, ct=ct, wx=wx, wt=wt):
+            def fn(t, *xs):
                 q = sum((x - c) ** 2 for x, c in zip(xs, cx))
                 return np.exp(-q / wx - (t - ct) ** 2 / wt)
 
         elif kind == 1:
             rad = rng.uniform(0.25 * lat.L, 0.4 * lat.L)
 
-            def fn(t, *xs, cx=cx, ct=ct, wt=wt, rad=rad):
+            def fn(t, *xs):
                 q = np.sqrt(sum((x - c) ** 2 for x, c in zip(xs, cx)))
                 cut = 1.0 - smooth_step(q / rad)
                 return cut * np.exp(-(t - ct) ** 2 / wt)
@@ -133,7 +152,7 @@ def spacetime_fields(rng, lat, n) -> List[Field]:
             ks = rng.integers(1, 4, size=(3, lat.dim))
             cs = rng.standard_normal(3)
 
-            def fn(t, *xs, cx=cx, ct=ct, wx=wx, wt=wt, ks=ks, cs=cs):
+            def fn(t, *xs):
                 q = sum((x - c) ** 2 for x, c in zip(xs, cx))
                 env = np.exp(-q / wx - (t - ct) ** 2 / wt)
                 trig = 0.0
@@ -159,7 +178,7 @@ def positive_spacetime_fields(rng, lat, n) -> List[Field]:
         wt = rng.uniform(0.3, 0.5)
         amp = rng.uniform(0.5, 2.0)
 
-        def fn(t, *xs, cx=cx, ct=ct, wx=wx, wt=wt, amp=amp):
+        def fn(t, *xs):
             q = sum((x - c) ** 2 for x, c in zip(xs, cx))
             return amp * np.exp(-q / wx - (t - ct) ** 2 / wt)
 
@@ -167,28 +186,37 @@ def positive_spacetime_fields(rng, lat, n) -> List[Field]:
     return fields
 
 
+def _spatial_bump(cx, wd, amp, *xs):
+    q = sum((x - c) ** 2 for x, c in zip(xs, cx))
+    rr = np.sqrt(sum(x * x for x in xs))
+    cut = 1.0 - smooth_step((rr - 0.55 * BUMP_RADIUS) / (0.3 * BUMP_RADIUS))
+    return amp * np.exp(-q / wd) * cut
+
+
 def spatial_bumps(rng, n):
-    """Closed-form compact spatial bumps with support inside |x| < BUMP_RADIUS."""
+    """Closed-form compact spatial bumps with support inside |x| < BUMP_RADIUS;
+    partial binds each one's draws, so the list may be built first."""
     radius = BUMP_RADIUS
     out = []
     for _ in range(n):
         cx = rng.uniform(-0.25 * radius, 0.25 * radius, DIM)
         wd = rng.uniform(0.5, 1.5)
         amp = rng.uniform(0.5, 2.0)
-
-        def fn(*xs, cx=cx, wd=wd, amp=amp):
-            q = sum((x - c) ** 2 for x, c in zip(xs, cx))
-            rr = np.sqrt(sum(x * x for x in xs))
-            cut = 1.0 - smooth_step((rr - 0.55 * radius) / (0.3 * radius))
-            return amp * np.exp(-q / wd) * cut
-
-        out.append(fn)
+        out.append(partial(_spatial_bump, cx, wd, amp))
     return out
+
+
+def _halfspace_bump(cx, cy, wd, amp, y, *xs):
+    q = sum((x - c) ** 2 for x, c in zip(xs, cx)) + (y - cy) ** 2
+    zz = np.sqrt(sum(x * x for x in xs) + y * y)
+    cut = 1.0 - smooth_step((zz - 0.5 * HALF_BALL_RADIUS) / (0.35 * HALF_BALL_RADIUS))
+    return amp * np.exp(-q / (wd * wd)) * cut
 
 
 def halfspace_bumps(rng, n):
     """Smooth bumps on the upper half space, compact inside the half ball of
-    radius HALF_BALL_RADIUS, not vanishing at the base."""
+    radius HALF_BALL_RADIUS, not vanishing at the base; bound as in
+    spatial_bumps."""
     radius = HALF_BALL_RADIUS
     out = []
     for _ in range(n):
@@ -196,14 +224,7 @@ def halfspace_bumps(rng, n):
         cy = rng.uniform(0.0, 0.3 * radius)
         wd = rng.uniform(0.15, 0.5) * radius
         amp = rng.uniform(0.5, 2.0)
-
-        def fn(y, *xs, cx=cx, cy=cy, wd=wd, amp=amp):
-            q = sum((x - c) ** 2 for x, c in zip(xs, cx)) + (y - cy) ** 2
-            zz = np.sqrt(sum(x * x for x in xs) + y * y)
-            cut = 1.0 - smooth_step((zz - 0.5 * radius) / (0.35 * radius))
-            return amp * np.exp(-q / (wd * wd)) * cut
-
-        out.append(fn)
+        out.append(partial(_halfspace_bump, cx, cy, wd, amp))
     return out
 
 
@@ -211,12 +232,12 @@ def halfspace_bumps(rng, n):
 # individual checks
 # ---------------------------------------------------------------------------
 
-def _check_hardy(cfg: VerifierConfig) -> CheckReport:
+@_check("hardy", 1e-3)
+def _check_hardy(rng):
     """One-sided: the Hardy form never exceeds the (-Lap)^s energy, the
     Gagliardo double integral times half the normaliser of (-Lap)^s
     (quadrature under-counts the singular diagonal, which is conservative)."""
-    rng = cfg.rng("hardy")
-    dim, s = DIM, cfg.s
+    dim, s = DIM, S
     lmax = lambda_max(dim, s)
     rad = BUMP_RADIUS
     n_grid = 48
@@ -231,14 +252,12 @@ def _check_hardy(cfg: VerifierConfig) -> CheckReport:
     np.fill_diagonal(kern, 0.0)
     energy_const = frac_laplacian_constant(dim, s) / 2.0
     worst = -math.inf
-    for fn in spatial_bumps(rng, cfg.n_samples):
+    for fn in spatial_bumps(rng, N_SAMPLES):
         phi = fn(*[pts[:, d] for d in range(dim)])
         lhs = lmax * np.sum(phi * phi * r2 ** (-s)) * h ** dim
         rhs = energy_const * np.sum((phi[:, None] - phi[None, :]) ** 2 * kern) * h ** (2 * dim)
         worst = max(worst, (lhs - rhs) / rhs)
-    tol = 1e-3
-    return CheckReport("hardy", worst, tol, cfg.n_samples,
-                       {"dim": dim, "s": s, "n_grid": n_grid})
+    return worst, N_SAMPLES, {"dim": dim, "s": s, "n_grid": n_grid}
 
 
 def _fd_grad_sq(fn, y, xs):
@@ -257,12 +276,11 @@ def _fd_grad_sq(fn, y, xs):
     return total
 
 
-def _halfspace_energy_margin(cfg: VerifierConfig, check_id: str, coupling: float) -> float:
+def _halfspace_energy_margin(rng, coupling: float) -> float:
     """Worst (boundary - energy) / energy over the check's half-space bumps:
     boundary is kappa_s * coupling times the Hardy term of the base trace,
     energy the y^(1-2s)-weighted gradient energy."""
-    rng = cfg.rng(check_id)
-    s = cfg.s
+    s = S
     kappa = extension_constant(s)
     rad = HALF_BALL_RADIUS
     n_x, n_y = 40, 24
@@ -274,7 +292,7 @@ def _halfspace_energy_margin(cfg: VerifierConfig, check_id: str, coupling: float
     rx2 = sum(x * x for x in xs)
     weight = y ** (1.0 - 2.0 * s)
     worst = -math.inf
-    for fn in halfspace_bumps(rng, cfg.n_samples):
+    for fn in halfspace_bumps(rng, N_SAMPLES):
         energy = np.sum(weight * _fd_grad_sq(fn, y, xs)) * hx ** DIM * hy
         base = fn(0.0, *[x[..., 0] for x in xs])
         boundary = kappa * coupling * np.sum(base * base * rx2[..., 0] ** (-s)) * hx ** DIM
@@ -282,38 +300,35 @@ def _halfspace_energy_margin(cfg: VerifierConfig, check_id: str, coupling: float
     return worst
 
 
-def _check_hardy_extended(cfg: VerifierConfig) -> CheckReport:
+@_check("hardy_extended", 1e-3)
+def _check_hardy_extended(rng):
     """Weighted-gradient Hardy form on the half space."""
-    worst = _halfspace_energy_margin(cfg, "hardy_extended", lambda_max(DIM, cfg.s))
-    tol = 1e-3
-    return CheckReport("hardy_extended", worst, tol, cfg.n_samples,
-                       {"dim": DIM, "s": cfg.s})
+    return _halfspace_energy_margin(rng, lambda_max(DIM, S)), N_SAMPLES, {"dim": DIM, "s": S}
 
 
-def _check_kato(cfg: VerifierConfig) -> CheckReport:
+@_check("kato", 1e-10)
+def _check_kato(rng):
     """Order-preserving power rule for the ground-state operator; with the
     order-preserving quadrature the discrete inequality is exact, so the
     slack is pure rounding."""
-    rng = cfg.rng("kato")
     lat = make_lattice(DIM, L, 32, T_NEG, T, 32)
+    coupling = lam()
     worst = -math.inf
     ms = [1.5, 2.0, 3.0]
-    for i, phi in enumerate(positive_spacetime_fields(rng, lat, cfg.n_samples)):
+    for i, phi in enumerate(positive_spacetime_fields(rng, lat, N_SAMPLES)):
         m = ms[i % len(ms)]
-        ls_phi = apply_Ls(phi, cfg.lam, cfg.s, order_preserving=True)
+        ls_phi = apply_Ls(phi, coupling, S, order_preserving=True)
         phim = Field(lat, phi.values ** m)
-        ls_phim = apply_Ls(phim, cfg.lam, cfg.s, order_preserving=True)
+        ls_phim = apply_Ls(phim, coupling, S, order_preserving=True)
         rhs = m * phi.values ** (m - 1.0) * ls_phi.values
         gap = ls_phim.values - rhs
         scale = float(np.max(np.abs(ls_phim.values)))
         worst = max(worst, float(np.max(gap)) / max(scale, 1e-300))
-    tol = 1e-10
-    return CheckReport("kato", worst, tol, cfg.n_samples,
-                       {"dim": DIM, "s": cfg.s, "lam": cfg.lam, "powers": ms})
+    return worst, N_SAMPLES, {"dim": DIM, "s": S, "lam": coupling, "powers": ms}
 
 
-def _check_algebra_ab(cfg: VerifierConfig) -> CheckReport:
-    rng = cfg.rng("algebra_ab")
+@_check("algebra_ab", 1e-12)
+def _check_algebra_ab(rng):
     n = 4000
     a = rng.uniform(0.0, 5.0, n)
     b = rng.uniform(0.0, 5.0, n)
@@ -321,16 +336,14 @@ def _check_algebra_ab(cfg: VerifierConfig) -> CheckReport:
     lhs = a ** m - b ** m
     rhs = m * a ** (m - 1.0) * (a - b)
     scale = np.maximum(np.abs(lhs), 1.0)
-    worst = float(np.max((lhs - rhs) / scale))
-    tol = 1e-12
-    return CheckReport("algebra_ab", worst, tol, n, {})
+    return float(np.max((lhs - rhs) / scale)), n, {}
 
 
-def _check_algebra_abs(cfg: VerifierConfig) -> CheckReport:
+@_check("algebra_abs", 1e-12)
+def _check_algebra_abs(rng):
     """Subadditivity constant: C is the sup of (1+t)^s / (1+t^s), evaluated
     on a dense grid with the analytic endpoint limits."""
-    rng = cfg.rng("algebra_abs")
-    s = cfg.s
+    s = S
     t = np.geomspace(1e-9, 1e9, 20001)
     c_const = max(float(np.max((1.0 + t) ** s / (1.0 + t ** s))), 1.0)
     n = 4000
@@ -338,10 +351,7 @@ def _check_algebra_abs(cfg: VerifierConfig) -> CheckReport:
     b = rng.uniform(0.0, 10.0, n)
     lhs = (a + b) ** s
     rhs = c_const * (a ** s + b ** s)
-    worst = float(np.max((lhs - rhs) / np.maximum(rhs, 1e-300)))
-    tol = 1e-12
-    return CheckReport("algebra_abs", worst, tol, n,
-                       {"s": s, "C": c_const})
+    return float(np.max((lhs - rhs) / np.maximum(rhs, 1e-300))), n, {"s": s, "C": c_const}
 
 
 def _sphere_kernel(sigma: float, mu: float) -> float:
@@ -365,11 +375,12 @@ def _sphere_kernel_rotated(sigma: float, mu: float, beta: float) -> float:
     return float(np.mean(d2 ** (-mu / 2.0)) * 2.0 * math.pi)
 
 
-def _check_radial_K(cfg: VerifierConfig) -> CheckReport:
+@_check("radial_K", 1e-6)
+def _check_radial_K(rng):
     """The sphere average of the shifted power is finite across the scale
     ratio (including the touching case) and independent of the reference
     direction."""
-    mu = mu_from_lambda(cfg.lam, DIM, cfg.s)
+    mu = mu_from_lambda(lam(), DIM, S)
     sigmas = [0.0, 0.25, 0.5, 0.9, 1.0, 1.1, 2.0, 4.0]
     vals = {sg: _sphere_kernel(sg, mu) for sg in sigmas}
     worst_dir = 0.0
@@ -379,32 +390,28 @@ def _check_radial_K(cfg: VerifierConfig) -> CheckReport:
             worst_dir = max(worst_dir, abs(rot - vals[sg]) / vals[sg])
     finite = all(math.isfinite(v) for v in vals.values())
     worst = worst_dir if finite else math.inf
-    tol = 1e-6
-    return CheckReport("radial_K", worst, tol, len(sigmas),
-                       {"mu": mu, "sup": max(vals.values()) if finite else None})
+    return worst, len(sigmas), {"mu": mu, "sup": max(vals.values()) if finite else None}
 
 
-def _check_symbol(cfg: VerifierConfig) -> CheckReport:
-    worst = symbol_of_kernel_check(cfg.s, dim=DIM)
-    tol = 1e-3
-    return CheckReport("symbol", worst, tol, 1,
-                       {"dim": DIM, "s": cfg.s})
+@_check("symbol", 1e-3)
+def _check_symbol(rng):
+    return symbol_of_kernel_check(S, dim=DIM), 1, {"dim": DIM, "s": S}
 
 
-def _check_inversion(cfg: VerifierConfig) -> CheckReport:
+@_check("inversion", 1e-2)
+def _check_inversion(rng):
     phi = sample(
         lambda t, *xs: np.exp(-sum(x * x for x in xs) / 1.5 - (t - 1.5) ** 2 / 0.35),
         make_lattice(DIM, L, 64, T_NEG, T, 64),
     )
-    h = apply_Hs_spectral(phi, cfg.s, pad_space=2, pad_time=2)
-    j = apply_Js(h, cfg.s, causal_tol=0.05)
+    h = apply_Hs_spectral(phi, S, pad_space=2, pad_time=2)
+    j = apply_Js(h, S, causal_tol=0.05)
     worst = float(np.max(np.abs(j.values - phi.values)) / np.max(np.abs(phi.values)))
-    tol = 1e-2
-    return CheckReport("inversion", worst, tol, 1,
-                       {"dim": DIM, "s": cfg.s, "lattice": "64^dim x 64"})
+    return worst, 1, {"dim": DIM, "s": S, "lattice": "64^dim x 64"}
 
 
-def _check_semigroup(cfg: VerifierConfig) -> CheckReport:
+@_check("semigroup", 1e-2)
+def _check_semigroup(rng):
     lat = make_lattice(DIM, L, 64, T_NEG, T, 64)
     g = sample(
         lambda t, *xs: smooth_step((t - 0.25) / 0.5)
@@ -415,66 +422,55 @@ def _check_semigroup(cfg: VerifierConfig) -> CheckReport:
     j_half = apply_Js(g, 0.5)
     j_comp = apply_Js(apply_Js(g, 0.2), 0.3)
     worst = float(np.max(np.abs(j_comp.values - j_half.values)) / np.max(np.abs(j_half.values)))
-    tol = 1e-2
-    return CheckReport("semigroup", worst, tol, 1,
-                       {"alpha": 0.3, "beta": 0.2})
+    return worst, 1, {"alpha": 0.3, "beta": 0.2}
 
 
-def _check_adjoint(cfg: VerifierConfig) -> CheckReport:
+@_check("adjoint", 1e-8)
+def _check_adjoint(rng):
     """Inner-product symmetry of the operator under full space-time
     reflection. Index reversal realises the reflection exactly only on a
     window symmetric about the origin, so the check builds its own."""
-    rng = cfg.rng("adjoint")
-    lat = make_lattice(DIM, L, cfg.M, 4.0, 4.0, 48)
+    lat = make_lattice(DIM, L, M, 4.0, 4.0, 48)
     worst = -math.inf
-    fields = spacetime_fields(rng, lat, cfg.n_samples)
+    fields = spacetime_fields(rng, lat, N_SAMPLES)
     vol = lat.cell_volume * lat.ht
     flip = (slice(None, None, -1),) * (lat.dim + 1)
     for i in range(0, len(fields) - 1, 2):
         phi, psi = fields[i], fields[i + 1]
-        h_phi = apply_Hs_spectral(phi, cfg.s).values
+        h_phi = apply_Hs_spectral(phi, S).values
         lhs = float(np.sum(h_phi * psi.values) * vol)
         psi_r = Field(lat, psi.values[flip])
-        h_psir = apply_Hs_spectral(psi_r, cfg.s).values
+        h_psir = apply_Hs_spectral(psi_r, S).values
         rhs = float(np.sum(phi.values[flip] * h_psir) * vol)
         scale = max(abs(lhs), abs(rhs), 1e-300)
         worst = max(worst, abs(lhs - rhs) / scale)
-    tol = 1e-8
-    return CheckReport("adjoint", worst, tol, cfg.n_samples,
-                       {"dim": DIM, "s": cfg.s})
+    return worst, N_SAMPLES, {"dim": DIM, "s": S}
 
 
-def _check_ground_state(cfg: VerifierConfig) -> CheckReport:
-    lat = cfg.lattice()
+@_check("ground_state", 5e-2)
+def _check_ground_state(rng):
     phi = sample(
         lambda t, *xs: np.exp(-sum(x * x for x in xs) / 1.5 - (t - 1.5) ** 2 / 0.35),
-        lat,
+        pinned_lattice(),
     )
-    worst = ground_state_residual(phi, cfg.lam, cfg.s)
-    tol = 5e-2
-    return CheckReport("ground_state", worst, tol, 1,
-                       {"dim": DIM, "s": cfg.s, "lam": cfg.lam, "M": cfg.M})
+    return ground_state_residual(phi, lam(), S), 1, {"dim": DIM, "s": S, "lam": lam(), "M": M}
 
 
-def _check_radial_flap(cfg: VerifierConfig) -> CheckReport:
+@_check("radial_flap", 5e-2)
+def _check_radial_flap(rng):
     lat = make_lattice(DIM, 12.0, 128, 0.5, 0.5, 8)
-    worst = radial_identity_error(lat, cfg.lam, cfg.s)
-    tol = 5e-2
-    return CheckReport("radial_flap", worst, tol, 1,
-                       {"dim": DIM, "s": cfg.s, "lam": cfg.lam})
+    return radial_identity_error(lat, lam(), S), 1, {"dim": DIM, "s": S, "lam": lam()}
 
 
-def _check_extension(cfg: VerifierConfig) -> CheckReport:
-    lat = cfg.lattice()
+@_check("extension", 0.0)
+def _check_extension(rng):
     w = sample(
         lambda t, *xs: np.exp(-sum(x * x for x in xs) / 2.5 - (t - 1.6) ** 2 / 0.4),
-        lat,
+        pinned_lattice(),
     )
-    trace_err, neumann_err = extension_checks(w, cfg.s, extension_constant(cfg.s))
+    trace_err, neumann_err = extension_checks(w, S, extension_constant(S))
     worst = max(trace_err - 2e-2, neumann_err - 5e-2)
-    tol = 0.0
-    return CheckReport("extension", worst, tol, 1,
-                       {"trace_err": trace_err, "neumann_err": neumann_err})
+    return worst, 1, {"trace_err": trace_err, "neumann_err": neumann_err}
 
 
 def _angular_profile_table(profile):
@@ -503,46 +499,45 @@ def _ball_integral_factored(y_unit, surf_w, prof_vals, mu, r, s, sign):
     return 2.0 * radial * angular
 
 
-def _check_muckenhoupt(cfg: VerifierConfig) -> CheckReport:
+@_check("muckenhoupt", 0.5)
+def _check_muckenhoupt(rng):
     """Doubling-weight product over a dyadic radius sweep: for the reflected
     squared profile with the degenerate |y| power, the normalised product
     must stay level across scales."""
-    prof = PhiProfile(cfg.lam, DIM, cfg.s)
+    prof = PhiProfile(lam(), DIM, S)
     y_unit, surf_w, vals = _angular_profile_table(prof)
     radii = [2.0 ** k for k in range(-4, 5)]
     prods = []
     for r in radii:
-        a = _ball_integral_factored(y_unit, surf_w, vals, prof.mu, r, cfg.s, +1)
-        b = _ball_integral_factored(y_unit, surf_w, vals, prof.mu, r, cfg.s, -1)
+        a = _ball_integral_factored(y_unit, surf_w, vals, prof.mu, r, S, +1)
+        b = _ball_integral_factored(y_unit, surf_w, vals, prof.mu, r, S, -1)
         # doubling normalisation in the ambient dimension dim + 1
         prods.append(r ** (-2.0 * (DIM + 1.0)) * a * b)
     worst = max(prods) / min(prods) - 1.0
-    tol = 0.5
-    return CheckReport("muckenhoupt", worst, tol, len(radii),
-                       {"sup_product": max(prods), "dim": DIM + 1})
+    return worst, len(radii), {"sup_product": max(prods), "dim": DIM + 1}
 
 
-def _check_picone(cfg: VerifierConfig) -> CheckReport:
+@_check("picone", 1e-3)
+def _check_picone(rng):
     """Energy lower bound with the singular profile as the divisor: the
     weighted gradient energy dominates the Hardy boundary term at coupling
     lam < lambda_max."""
-    worst = _halfspace_energy_margin(cfg, "picone", cfg.lam)
-    tol = 1e-3
-    return CheckReport("picone", worst, tol, cfg.n_samples,
-                       {"dim": DIM, "s": cfg.s, "lam": cfg.lam})
+    return _halfspace_energy_margin(rng, lam()), N_SAMPLES, {"dim": DIM, "s": S, "lam": lam()}
 
 
-def _check_ls_bound(cfg: VerifierConfig) -> CheckReport:
+# a finiteness guard: the constant itself is not pinned
+@_check("ls_bound", 1e3)
+def _check_ls_bound(rng):
     """|x|^mu |L^s phi| stays bounded by the field's C^2-type norms times a
     finite constant; the check asserts finiteness of the sampled sup."""
-    rng = cfg.rng("ls_bound")
     lat = make_lattice(DIM, L, 32, T_NEG, T, 32)
-    mu = mu_from_lambda(cfg.lam, DIM, cfg.s)
+    coupling = lam()
+    mu = mu_from_lambda(coupling, DIM, S)
     r = lat.spatial_radius()
     mask = (r >= 0.5) & (r <= 0.5 * lat.L)
     worst = 0.0
-    for phi in positive_spacetime_fields(rng, lat, cfg.n_samples):
-        ls = apply_Ls(phi, cfg.lam, cfg.s)
+    for phi in positive_spacetime_fields(rng, lat, N_SAMPLES):
+        ls = apply_Ls(phi, coupling, S)
         v = phi.values
         g_t = np.gradient(v, lat.ht, axis=0)
         g_x = [np.gradient(v, lat.hx, axis=1 + d) for d in range(lat.dim)]
@@ -554,35 +549,7 @@ def _check_ls_bound(cfg: VerifierConfig) -> CheckReport:
         )
         ratio = float(np.max(np.abs(ls.values[:, mask]) * r[mask] ** mu)) / norms
         worst = max(worst, ratio)
-    tol = 1e3  # finiteness guard; the constant itself is not pinned
-    return CheckReport("ls_bound", worst, tol,
-                       cfg.n_samples, {"dim": DIM, "s": cfg.s, "lam": cfg.lam})
-
-
-CHECKS: Dict[str, Callable[[VerifierConfig], CheckReport]] = {
-    "hardy": _check_hardy,
-    "hardy_extended": _check_hardy_extended,
-    "kato": _check_kato,
-    "algebra_ab": _check_algebra_ab,
-    "algebra_abs": _check_algebra_abs,
-    "radial_K": _check_radial_K,
-    "symbol": _check_symbol,
-    "inversion": _check_inversion,
-    "semigroup": _check_semigroup,
-    "adjoint": _check_adjoint,
-    "ground_state": _check_ground_state,
-    "radial_flap": _check_radial_flap,
-    "extension": _check_extension,
-    "muckenhoupt": _check_muckenhoupt,
-    "picone": _check_picone,
-    "ls_bound": _check_ls_bound,
-}
-
-
-def run_check(check_id: str, config: Optional[VerifierConfig] = None) -> CheckReport:
-    if check_id not in CHECKS:
-        raise UnknownCheck(check_id)
-    return CHECKS[check_id](config or VerifierConfig())
+    return worst, N_SAMPLES, {"dim": DIM, "s": S, "lam": coupling}
 
 
 def run_suite(
@@ -596,6 +563,10 @@ def run_suite(
         if cid not in CHECKS:
             raise UnknownCheck(cid)
     return sorted((CHECKS[c](config) for c in ids), key=lambda r: r.check_id)
+
+
+def run_check(check_id: str, config: Optional[VerifierConfig] = None) -> CheckReport:
+    return run_suite([check_id], config)[0]
 
 
 def suite_to_json(reports: Sequence[CheckReport]) -> str:

@@ -254,6 +254,8 @@ def test_verify_json_round_trips(tmp_path, capsys, cid):
         ["solve", "-p", "2.0", "--amplitude", "inf"],
         ["solve", "-p", "inf"],
         ["supersol", "-p", "inf"],
+        # without -p the instance is still checked before the search
+        ["supersol", "-s", "1"],
     ],
 )
 def test_invalid_parameters_exit_2_before_computing(argv, capsys, monkeypatch):
@@ -272,6 +274,37 @@ def test_invalid_parameters_exit_2_before_computing(argv, capsys, monkeypatch):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["constants", "-N", "3", "-s", "0.5", "--lambda-frac", "0.5",
+         "--json", "{missing}/b.json"],
+        ["verify", "--check", "algebra_ab", "--json", "{missing}/r.json"],
+        ["verify", "--check", "algebra_ab", "--json", "{dir}"],
+        ["solve", "-p", "2.0", "--json", "{missing}/run.json"],
+        ["supersol", "--json", "{missing}/cert.json"],
+        ["sweep", "{cfg}", "--out-dir", "{file}"],
+        ["sweep", "{cfg_out_under_file}"],
+    ],
+)
+def test_unwritable_output_exits_2_before_computing(argv, tmp_path, capsys, monkeypatch):
+    # an output that cannot be written is a usage error, found before the run
+    def computing(*args, **kwargs):
+        raise AssertionError("computation started with an unwritable output")
+
+    for name in ("run", "run_suite", "find_certificate", "exponents_from", "sweep_rows"):
+        monkeypatch.setattr(cli, name, computing)
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    paths = {"missing": tmp_path / "missing", "dir": tmp_path, "file": a_file}
+    for name, out_dir in (("cfg", tmp_path / "out"), ("cfg_out_under_file", a_file / "out")):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(dict(SWEEP_CFG, out_dir=str(out_dir))))
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_runtime_value_error_in_solve_surfaces(monkeypatch):
