@@ -17,18 +17,12 @@ from .constants import (
 )
 from .lattice import (
     Field,
-    GraphNorm,
     Lattice,
     Nodes,
-    export_field_csv,
-    graph_norm,
-    inverse_transform,
     make_lattice,
     sample,
     to_orthant,
-    transform,
     weighted_integral,
-    zero_field,
 )
 from .kernels import (
     AliasingError,
@@ -59,7 +53,6 @@ from .supersolution import (
     build_w_supersol,
     data_bound,
     find_certificate,
-    supersol_value,
 )
 from .verifier import CheckReport, VerifierConfig, run_check, run_suite
 from .special import gamma_fn
@@ -69,7 +62,6 @@ __all__ = [
     "CheckReport",
     "ExponentBundle",
     "Field",
-    "GraphNorm",
     "IterationState",
     "Lattice",
     "Nodes",
@@ -91,15 +83,12 @@ __all__ = [
     "data_bound",
     "exponents",
     "exponents_from",
-    "export_field_csv",
     "extend_parabolic",
     "extension_checks",
     "find_certificate",
     "gamma_fn",
     "gaussian_bump_forcing",
-    "graph_norm",
     "ground_state_residual",
-    "inverse_transform",
     "iterate",
     "lambda_max",
     "make_lattice",
@@ -112,14 +101,11 @@ __all__ = [
     "run_suite",
     "sample",
     "singularity_profile",
-    "supersol_value",
     "symbol_of_kernel_check",
     "to_orthant",
-    "transform",
     "upsilon",
     "upsilon_inv",
     "weighted_integral",
-    "zero_field",
 ]
 
 __version__ = "0.1.0"

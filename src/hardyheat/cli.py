@@ -26,7 +26,15 @@ from .constants import (
     lambda_max,
 )
 from .lattice import make_lattice
-from .solver import gaussian_bump_forcing, is_json_number, json_float, run, strict_json
+from .solver import (
+    VERDICT_CONVERGED,
+    VERDICT_ESCAPE,
+    gaussian_bump_forcing,
+    is_json_number,
+    json_float,
+    run,
+    strict_json,
+)
 from .supersolution import (
     SearchExhausted,
     certified_forcing,
@@ -266,9 +274,9 @@ def _band_samples(lo: float, hi: float, n: int) -> List[float]:
 
 
 EXPECTED_OBSERVATION = {
-    Regime.BLOW_UP: "NormEscape",
-    Regime.CONDITIONAL_GLOBAL: "ConvergedBelowCap",
-    Regime.NON_EXISTENCE: "NormEscape",
+    Regime.BLOW_UP: VERDICT_ESCAPE,
+    Regime.CONDITIONAL_GLOBAL: VERDICT_CONVERGED,
+    Regime.NON_EXISTENCE: VERDICT_ESCAPE,
 }
 
 

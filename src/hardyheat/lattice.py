@@ -1,5 +1,4 @@
-"""Space-time grids, sampled fields, discrete Fourier transforms and weighted
-integrals.
+"""Space-time grids, sampled fields and weighted integrals.
 
 The spatial grid is staggered by half a cell so no node sits at the origin:
 every kernel and weight in this package is singular there. The time axis is
@@ -9,7 +8,6 @@ causal fields (zero for t <= 0) are representable exactly.
 
 from __future__ import annotations
 
-import csv
 import math
 import operator
 from dataclasses import dataclass
@@ -49,6 +47,12 @@ class Lattice:
         if not (0 < self.L < math.inf and 0 < self.T < math.inf and 0 <= self.T_neg < math.inf):  # NaN fails
             raise LatticeError(f"bad extents L={self.L}, T_neg={self.T_neg}, T={self.T}: "
                                "need finite L > 0, T > 0 and T_neg >= 0")
+        # hx^N ht weighs every sum and ht^2 the causal inverse's first-slab
+        # moments: past the normal floats either gives NaN or zero norms
+        meas = math.prod([self.hx] * self.dim + [self.ht])
+        if not (np.finfo(float).tiny <= meas < math.inf and self.ht * self.ht < math.inf):
+            raise LatticeError(f"extents L={self.L}, T_neg={self.T_neg}, T={self.T} put the cell "
+                               f"measure hx^{self.dim} ht or ht^2 outside the normal floats")
 
     @property
     def hx(self) -> float:
@@ -198,15 +202,6 @@ class Field:
         v.setflags(write=False)
         return Field(self.lattice, v)
 
-    def l2(self) -> float:
-        """L2 norm with the space-time cell measure."""
-        meas = self.nodes.measure * self.lattice.ht
-        return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * meas))
-
-    def is_causal(self) -> bool:
-        """True when every slice with t <= 0 is exactly zero."""
-        return not np.any(self.values[~self.lattice.causal_mask()])
-
 
 def mirror_halves(values: np.ndarray, ax: int):
     """(mirror, pos): the negative half of values along axis ax flipped onto
@@ -257,10 +252,6 @@ def to_orthant(fld: Field) -> Optional[Field]:
     return None if rest or any(odd) else Field(fld.lattice, part, orthant=True)
 
 
-def zero_field(lat: Lattice) -> Field:
-    return Field(lat, np.zeros(lat.shape))
-
-
 def sample(fn: Callable, lat: Lattice) -> Field:
     """Evaluate fn(t, x1, ..., xd) on the staggered grid.
 
@@ -279,44 +270,6 @@ def sample(fn: Callable, lat: Lattice) -> Field:
         idx = tuple(int(i) for i in np.argwhere(bad)[0])
         raise SampleError(f"non-finite sample at index {idx}")
     return Field(lat, vals)
-
-
-def _stagger_phase(lat: Lattice) -> np.ndarray:
-    """Product of per-axis phases aligning the DFT with the continuous
-    transform about the origin (the grid is offset by half a cell)."""
-    t0 = lat.t_axis()[0]
-    x0 = lat.x_axis()[0]
-    phase = np.exp(-1j * lat.theta_axis() * t0).reshape((lat.K,) + (1,) * lat.dim)
-    for d in range(lat.dim):
-        shape = [1] * (lat.dim + 1)
-        shape[1 + d] = lat.M
-        phase = phase * np.exp(-1j * lat.xi_axis() * x0).reshape(shape)
-    return phase
-
-
-def transform(fld: Field) -> np.ndarray:
-    """Unitary-normalised discrete space-time Fourier transform: the
-    spectrum on the (theta, xi) grid of theta_axis and xi_axis.
-
-    It approximates the continuous transform, half-cell phase corrections
-    included; inverse_transform is its exact algebraic inverse, so the
-    round trip is the identity to rounding.
-    """
-    fld = fld.full_grid()
-    lat = fld.lattice
-    return lat.cell_volume * lat.ht * _stagger_phase(lat) * np.fft.fftn(fld.values)
-
-
-def inverse_transform(lat: Lattice, spectrum: np.ndarray) -> Field:
-    """The field whose transform is spectrum: real unless the imaginary
-    residue exceeds 1e-8 of the real part."""
-    scale = lat.cell_volume * lat.ht
-    out = np.fft.ifftn(spectrum * np.conj(_stagger_phase(lat)) / scale)
-    resid = float(np.max(np.abs(out.imag)))
-    ref = max(float(np.max(np.abs(out.real))), 1e-300)
-    if resid > 1e-8 * ref:
-        return Field(lat, out)
-    return Field(lat, out.real)
 
 
 # bytes of one block in the blockwise passes over a field (weighted_integral
@@ -358,48 +311,3 @@ def weighted_integral(fld: Field, weight_exponent: float) -> np.ndarray:
                 prod = pos + mirror
         sums[k : k + step] = prod.reshape(slab.shape[0], -1).sum(axis=1)
     return sums * nodes.measure
-
-
-@dataclass(frozen=True)
-class GraphNorm:
-    l2: float
-    multiplier_seminorm: float
-
-
-def graph_norm(fld: Field, s: float) -> GraphNorm:
-    """L2 norm plus the order-s multiplier energy |i theta + |xi|^2|^s."""
-    fld = fld.full_grid()
-    lat = fld.lattice
-    spec = transform(fld)
-    theta = lat.theta_axis().reshape((lat.K,) + (1,) * lat.dim)
-    sym = (theta * theta + lat.xi_squared() ** 2) ** (s / 2.0)
-    dxi = 2.0 * np.pi / (lat.M * lat.hx)
-    dth = 2.0 * np.pi / (lat.K * lat.ht)
-    sem = float(np.sum(sym * np.abs(spec) ** 2) * dxi ** lat.dim * dth)
-    return GraphNorm(l2=fld.l2(), multiplier_seminorm=sem)
-
-
-def export_field_csv(fld: Field, path: str) -> None:
-    """Write node rows as CSV: axis indices, coordinates, value, on every
-    node of the lattice (an orthant field is expanded first)."""
-    fld = fld.full_grid()
-    lat = fld.lattice
-    tax = lat.t_axis()
-    xax = lat.x_axis()
-    header = (
-        ["i_t"]
-        + [f"i_x{d + 1}" for d in range(lat.dim)]
-        + ["t"]
-        + [f"x{d + 1}" for d in range(lat.dim)]
-        + ["value"]
-    )
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for k in range(lat.K):
-            slab = fld.values[k]
-            for idx in np.ndindex(*slab.shape):
-                row = [k, *idx, f"{tax[k]:.12g}"]
-                row += [f"{xax[i]:.12g}" for i in idx]
-                row.append(f"{slab[idx]:.12g}")
-                writer.writerow(row)

@@ -19,7 +19,6 @@ from .constants import (
     lambda_max,
     mu_from_lambda,
 )
-from .extension import PhiProfile
 from .kernels import apply_Js
 from .lattice import Field, Lattice
 from .solver import is_json_number
@@ -127,17 +126,6 @@ def _match(name: str, stored: float, want: float, rel: float) -> None:
     an absolute rel); a NaN on either side fails."""
     if not abs(stored - want) <= rel * max(1.0, abs(want)):
         raise ValueError(f"{name} inconsistent: stored {stored!r}, recomputed {want!r}")
-
-
-def supersol_value(cert: SupersolutionCertificate, x_radius, y, t):
-    """Extension-side supersolution value at spatial radius |x|, height y,
-    time t >= 0: eps (1+t)^(-theta) Phi(z) exp(-|z|^2 / 4(t+1))."""
-    r = np.asarray(x_radius, dtype=float)
-    y = np.asarray(y, dtype=float)
-    t = np.asarray(t, dtype=float)
-    z2 = r * r + y * y
-    prof = PhiProfile(cert.lambda1, cert.dim, cert.s).value(r, y)
-    return cert.eps * (1.0 + t) ** (-cert.theta) * prof * np.exp(-z2 / (4.0 * (t + 1.0)))
 
 
 def _self_similar(cert: SupersolutionCertificate, amplitude, radial_power, x_radius, t):

@@ -7,7 +7,6 @@ are frozen here; nothing is deferred to later calibration.
 import time
 
 import numpy as np
-import pytest
 
 from hardyheat import verifier
 from hardyheat.constants import (

@@ -10,7 +10,7 @@ import pytest
 
 from hardyheat import cli
 from hardyheat.cli import SWEEP_COLUMNS, SweepConfig, main, sweep_rows, write_sweep_outputs
-from hardyheat.constants import ExponentBundle, lambda_max
+from hardyheat.constants import ExponentBundle
 
 
 def test_constants_prints_and_json(tmp_path, capsys):
@@ -194,6 +194,8 @@ def test_sweep_config_errors(tmp_path, capsys):
         {"lattice": {"L": math.nan}},
         {"lattice": {"T": math.inf}},
         {"lattice": {"T_neg": math.inf}},
+        # and the cell measure they give a finite normal float
+        {"lattice": {"L": 1e300}},
         # and so must an amplitude
         {"blowup_amplitude": math.inf},
         {"nonexistence_amplitude": math.inf},
@@ -256,6 +258,13 @@ def test_verify_json_round_trips(tmp_path, capsys, cid):
         ["supersol", "-p", "inf"],
         # without -p the instance is still checked before the search
         ["supersol", "-s", "1"],
+        # extents whose cell measure hx^N ht or ht^2 leaves the normal
+        # floats: NaN norms, an OverflowError or a subnormal time step
+        ["solve", "-p", "1.2", "-L", "1e-200"],
+        ["solve", "-p", "1.2", "-T", "1e308"],
+        ["solve", "-p", "1.2", "-L", "1e300"],
+        ["solve", "-N", "3", "-p", "1.2", "-L", "1e200"],
+        ["solve", "-p", "1.2", "-T", "1e-320"],
     ],
 )
 def test_invalid_parameters_exit_2_before_computing(argv, capsys, monkeypatch):

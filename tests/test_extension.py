@@ -12,7 +12,7 @@ from hardyheat.extension import (
     neumann_estimate,
 )
 from hardyheat.kernels import heat_semigroup
-from hardyheat.lattice import Field, make_lattice, sample, zero_field
+from hardyheat.lattice import Field, make_lattice, sample
 from hardyheat.special import gamma_fn, gauss_legendre_panels, geometric_edges
 
 
@@ -29,7 +29,7 @@ def datum(lat):
 
 
 def test_zero_extends_to_zero(lat):
-    ext = extend_parabolic(zero_field(lat), 0.5, [1e-2, 0.1])
+    ext = extend_parabolic(Field(lat, np.zeros(lat.shape)), 0.5, [1e-2, 0.1])
     for vals in ext.values():
         assert np.all(vals == 0.0)
 
@@ -42,7 +42,7 @@ def test_extension_rejects_bad_level(lat, monkeypatch):
     monkeypatch.setattr(extension, "_lag_table", fail)
     for levels in ([0.0], [1e-2, 0.0], [1e-2, -1.0], [float("nan")]):
         with pytest.raises(ValueError, match="levels must be positive"):
-            extend_parabolic(zero_field(lat), 0.5, levels)
+            extend_parabolic(Field(lat, np.zeros(lat.shape)), 0.5, levels)
 
 
 def _shift_quadratic(vals, steps):

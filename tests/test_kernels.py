@@ -31,7 +31,7 @@ from hardyheat.kernels import (
     symbol_of_kernel_check,
     truncated_power_field,
 )
-from hardyheat.lattice import Field, block_slices, make_lattice, sample, to_orthant, zero_field
+from hardyheat.lattice import Field, block_slices, make_lattice, sample, to_orthant
 from hardyheat.special import (
     gamma_abs_neg,
     gamma_fn,
@@ -289,7 +289,7 @@ def test_smoothers_match_complex_fft_reference(dim, smoother, multiplier):
 
 def test_js_zero_and_step_oracle():
     lat = make_lattice(2, 4.0, 8, 2.0, 6.0, 64)
-    assert np.all(apply_Js(zero_field(lat), 0.5).values == 0.0)
+    assert np.all(apply_Js(Field(lat, np.zeros(lat.shape)), 0.5).values == 0.0)
     step = sample(lambda t, x, y: 1.0 * (t > 0) + 0.0 * x + 0.0 * y, lat)
     tax = lat.t_axis()
     m = tax > 0.2

@@ -1,4 +1,3 @@
-import csv
 import dataclasses
 import itertools
 import math
@@ -11,17 +10,12 @@ from hardyheat.lattice import (
     LatticeError,
     Nodes,
     SampleError,
-    export_field_csv,
-    graph_norm,
-    inverse_transform,
     make_lattice,
     parity_parts,
     sample,
     to_orthant,
-    transform,
     unfold,
     weighted_integral,
-    zero_field,
 )
 
 
@@ -53,7 +47,8 @@ def test_make_lattice_rejects_bad_sizes():
 
 
 @pytest.mark.parametrize("change", [{"M": 10}, {"M": 12}, {"M": 30}, {"K": 4},
-                                    {"L": math.nan}, {"K": 16.0}])
+                                    {"L": math.nan}, {"K": 16.0}, {"L": 1e-200},
+                                    {"L": 1e300}, {"T": 1e308}, {"T": 1e-320}])
 def test_lattice_checks_itself(change):
     # a copy made without make_lattice is checked too
     lat = make_lattice(2, 8.0, 16, 0.0, 4.0, 16)
@@ -67,7 +62,7 @@ def test_sample_and_causality(lat):
     g = sample(lambda t, x, y: np.exp(-x * x - y * y - t * t), lat)
     assert np.all(g.values > 0)
     causal = sample(lambda t, x, y: (t > 0) * np.exp(-x * x - y * y), lat)
-    assert causal.is_causal()
+    assert not np.any(causal.values[~lat.causal_mask()])
     # the singular weight is finite at every staggered node
     w = sample(lambda t, x, y: (x * x + y * y) ** (-0.2) + 0.0 * t, lat)
     assert np.all(np.isfinite(w.values))
@@ -79,7 +74,7 @@ def test_sample_reports_bad_nodes(lat):
 
 
 def test_field_immutable(lat):
-    f = zero_field(lat)
+    f = Field(lat, np.zeros(lat.shape))
     with pytest.raises(ValueError):
         f.values[0, 0, 0] = 1.0
 
@@ -98,7 +93,7 @@ def test_field_adopts_only_frozen_owned_arrays(lat):
     assert not np.shares_memory(fields[2].values, big)
     writable[0, 0, 0] = 7.0  # the source stays the caller's to write
     assert fields[0].values[0, 0, 0] == 1.0
-    for fld in fields + [Field(lat, fields[1].values), zero_field(lat)]:
+    for fld in fields + [Field(lat, fields[1].values), Field(lat, np.zeros(lat.shape))]:
         assert not fld.values.flags.writeable
 
 
@@ -118,41 +113,9 @@ def test_field_widens_integers_to_float64(lat):
         assert np.array_equal(fld.values, ints)
 
 
-def test_transform_round_trip_and_plancherel(lat):
-    rng = np.random.default_rng(7)
-    f = Field(lat, rng.standard_normal(lat.shape))
-    g = transform(f)
-    back = inverse_transform(lat, g)
-    assert not np.iscomplexobj(back.values)
-    assert np.max(np.abs(back.values - f.values)) <= 1e-12 * np.max(np.abs(f.values))
-    # discrete Plancherel: the spectral measure is dxi^N dtheta / (2 pi)^(N+1)
-    dxi = 2.0 * np.pi / (lat.M * lat.hx)
-    dth = 2.0 * np.pi / (lat.K * lat.ht)
-    meas = dxi ** lat.dim * dth / (2.0 * np.pi) ** (lat.dim + 1)
-    spectral_l2 = math.sqrt(float(np.sum(np.abs(g) ** 2)) * meas)
-    assert abs(f.l2() - spectral_l2) <= 1e-12 * f.l2()
-
-
-def test_transform_even_field_real_spectrum(lat):
-    f = sample(lambda t, x, y: np.exp(-(x * x + y * y + t * t) / 3.0), lat)
-    g = transform(f)
-    assert np.max(np.abs(g.imag)) <= 1e-12 * np.max(np.abs(g.real))
-
-
-def test_transform_gaussian_pair(lat):
-    f = sample(lambda t, x, y: np.exp(-x * x - y * y - t * t), lat)
-    g = transform(f)
-    th = lat.theta_axis().reshape(-1, 1, 1)
-    xi = lat.xi_axis()
-    closed = math.pi ** 1.5 * np.exp(
-        -(xi.reshape(1, -1, 1) ** 2 + xi.reshape(1, 1, -1) ** 2 + th ** 2) / 4.0
-    )
-    assert np.max(np.abs(g - closed)) <= 1e-12 * np.max(closed)
-
-
 def test_weighted_integral_basics():
     lat = make_lattice(2, 8.0, 64, 0.0, 4.0, 8)
-    z = zero_field(lat)
+    z = Field(lat, np.zeros(lat.shape))
     assert weighted_integral(z, 0.0)[0] == 0.0
     ones = Field(lat, np.ones(lat.shape))
     assert weighted_integral(ones, 0.0)[0] == pytest.approx((2 * lat.L) ** 2)
@@ -188,7 +151,6 @@ def test_orthant_field_round_trip_and_measure(dim):
     r = lat.spatial_radius()
     assert np.array_equal(half.nodes.radius, r[(slice(lat.M // 2, None),) * dim])
     assert even.nodes.radius is r
-    assert half.l2() == pytest.approx(even.l2(), rel=1e-13)
     # the sums over the stored nodes are bitwise those of the full grid
     for a in (0.0, -0.7):
         assert np.array_equal(weighted_integral(half, a), weighted_integral(even, a))
@@ -237,50 +199,3 @@ def test_weighted_integral_staggered_weight_bound():
     a = 1.2
     w = lat.spatial_radius() ** -a
     assert float(np.max(w)) <= (lat.hx * math.sqrt(lat.dim) / 2.0) ** (-a) + 1e-12
-
-
-def test_graph_norm_zero_scaling_oracle(lat):
-    z = zero_field(lat)
-    gn = graph_norm(z, 0.5)
-    assert gn.l2 == 0.0 and gn.multiplier_seminorm == 0.0
-
-    f = sample(lambda t, x, y: np.exp(-x * x - y * y - t * t), lat)
-    g1 = graph_norm(f, 0.5)
-    g2 = graph_norm(f.with_values(3.0 * f.values), 0.5)
-    assert g2.l2 == pytest.approx(3.0 * g1.l2, rel=1e-12)
-    assert g2.multiplier_seminorm == pytest.approx(9.0 * g1.multiplier_seminorm, rel=1e-12)
-
-    # independent spectral quadrature with the closed-form transform
-    th = lat.theta_axis().reshape(-1, 1, 1)
-    xi = lat.xi_axis()
-    spec = math.pi ** 1.5 * np.exp(
-        -(xi.reshape(1, -1, 1) ** 2 + xi.reshape(1, 1, -1) ** 2 + th ** 2) / 4.0
-    )
-    sym = (th ** 2 + (xi.reshape(1, -1, 1) ** 2 + xi.reshape(1, 1, -1) ** 2) ** 2) ** 0.25
-    dxi = 2 * np.pi / (lat.M * lat.hx)
-    dth = 2 * np.pi / (lat.K * lat.ht)
-    oracle = float(np.sum(sym * spec ** 2) * dxi ** 2 * dth)
-    assert g1.multiplier_seminorm == pytest.approx(oracle, rel=1e-8)
-
-
-def test_export_csv(tmp_path):
-    lat = make_lattice(2, 2.0, 8, 0.0, 1.0, 8)
-    f = sample(lambda t, x, y: x + 10 * y + 100 * t, lat)
-    path = tmp_path / "field.csv"
-    export_field_csv(f, str(path))
-    with open(path) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["i_t", "i_x1", "i_x2", "t", "x1", "x2", "value"]
-    assert len(rows) == 1 + 8 * 64
-    # one row per node, slice by slice, each with its coordinates and value
-    for n, row in enumerate(rows[1:]):
-        k, i, j = int(row[0]), int(row[1]), int(row[2])
-        assert (k, i, j) == (n // 64, n % 64 // 8, n % 8)
-        want = lat.x_axis()[i] + 10 * lat.x_axis()[j] + 100 * lat.t_axis()[k]
-        assert float(row[6]) == pytest.approx(want, rel=1e-10, abs=1e-12)
-    # an orthant field is written on every node, with its coordinates
-    even = sample(lambda t, x, y: x * x + y * y + t, lat)
-    export_field_csv(even, str(path))
-    full = path.read_text()
-    export_field_csv(to_orthant(even), str(path))
-    assert path.read_text() == full

@@ -11,7 +11,7 @@ from hardyheat import supersolution
 from hardyheat.constants import ProblemSpec, exponents_from, extension_constant, lambda_max
 from hardyheat.extension import extend_parabolic, extension_checks
 from hardyheat.kernels import apply_Hs_spectral, apply_Ls, ground_state_residual
-from hardyheat.lattice import Field, graph_norm, make_lattice, sample, to_orthant, transform
+from hardyheat.lattice import Field, make_lattice, sample, to_orthant
 from hardyheat.solver import singularity_profile
 
 LAT = make_lattice(2, 6.0, 32, 1.5, 4.5, 32)
@@ -24,8 +24,6 @@ CONSUMERS = {
     "ground_state_residual": lambda f: ground_state_residual(f, LAM, S),
     "extend_parabolic": lambda f: extend_parabolic(f, S, [0.05, 0.1]),
     "extension_checks": lambda f: extension_checks(f, S, extension_constant(S)),
-    "transform": transform,
-    "graph_norm": lambda f: graph_norm(f, S),
     "singularity_profile": lambda f: singularity_profile(f, (16, 20)),
     "data_bound": lambda f: supersolution.data_bound(_certificate(), f),
     "build_w_supersol": lambda f: supersolution.build_w_supersol(_certificate(), f),

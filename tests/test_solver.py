@@ -15,7 +15,7 @@ from hardyheat.constants import (
     mu_from_lambda,
     upsilon_inv,
 )
-from hardyheat.lattice import Field, Lattice, make_lattice, sample, to_orthant, zero_field
+from hardyheat.lattice import Field, Lattice, make_lattice, sample, to_orthant
 from hardyheat.solver import (
     VERDICT_CONVERGED,
     VERDICT_ESCAPE,
@@ -62,7 +62,7 @@ def test_cutoff_family_nesting(lat):
 
 
 def test_rhs_truncated_zero_and_bounds(lat, spec):
-    z = zero_field(lat)
+    z = Field(lat, np.zeros(lat.shape))
     assert np.all(rhs_truncated(z, z, z, spec, 3).values == 0.0)
     f = gaussian_bump_forcing(lat, 2.0)
     w = Field(lat, np.abs(np.sin(lat.spatial_radius()))[None] * np.ones(lat.shape))
@@ -75,7 +75,7 @@ def test_rhs_truncated_zero_and_bounds(lat, spec):
     # a carried power from another lattice is refused, not misread
     other = make_lattice(2, 6.0, 32, 0.0, 6.0, 24)
     with pytest.raises(ValueError, match="another lattice"):
-        rhs_truncated(w, zero_field(other), f, spec, 2)
+        rhs_truncated(w, Field(other, np.zeros(other.shape)), f, spec, 2)
 
 
 def test_fields_on_another_lattice_are_refused(lat, spec):
@@ -381,7 +381,7 @@ def test_iterates_monotone_and_causal(lat, spec):
 
 
 def test_run_zero_forcing(lat, spec):
-    rep = run(spec, zero_field(lat), max_n=4)
+    rep = run(spec, Field(lat, np.zeros(lat.shape)), max_n=4)
     assert rep.verdict == VERDICT_CONVERGED
     assert rep.final_norm == 0.0
     assert all(m == 0.0 for _, m in rep.m_curve)
@@ -399,7 +399,7 @@ def test_run_report_json_round_trip(lat, spec):
 
 def test_blowup_functional_separable_and_monotone(lat):
     mu, p = 0.25, 1.6
-    z = zero_field(lat)
+    z = Field(lat, np.zeros(lat.shape))
     assert np.all(blowup_functional(_pow(z, p), mu) == 0.0)
     bump_t = smooth_step((lat.t_axis() - 0.5) / 0.5) * (
         1.0 - smooth_step((lat.t_axis() - 3.0) / 1.0)
@@ -448,7 +448,7 @@ def test_singularity_profile_power_law_and_flat():
     slope_flat, _ = singularity_profile(flat, (4, 12))
     assert abs(slope_flat) <= 0.05
     with pytest.raises(ValueError):
-        singularity_profile(zero_field(lat), (4, 12))
+        singularity_profile(Field(lat, np.zeros(lat.shape)), (4, 12))
 
 
 def test_initial_state_is_saturated_forcing_inverse(lat, spec):
@@ -456,7 +456,7 @@ def test_initial_state_is_saturated_forcing_inverse(lat, spec):
     st = initial_state(f, spec)
     from hardyheat.kernels import apply_Js
 
-    z = zero_field(lat)
+    z = Field(lat, np.zeros(lat.shape))
     direct = apply_Js(rhs_truncated(z, z, f, spec, 0), spec.s)
     assert np.max(np.abs(st.w.values - np.maximum(direct.values, 0.0))) == 0.0
     # stage 0 is the one step body taken from the zero field: its drop test

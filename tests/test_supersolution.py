@@ -7,8 +7,7 @@ import pytest
 
 from hardyheat import supersolution
 from hardyheat.constants import ProblemSpec, exponents_from, lambda_max, mu_from_lambda
-from hardyheat.extension import PhiProfile
-from hardyheat.lattice import Field, make_lattice, zero_field
+from hardyheat.lattice import Field, make_lattice
 from hardyheat.supersolution import (
     ComparisonError,
     SearchExhausted,
@@ -21,7 +20,6 @@ from hardyheat.supersolution import (
     find_certificate,
     forcing_envelope,
     interior_sign_margin,
-    supersol_value,
     trace_value,
 )
 
@@ -106,24 +104,9 @@ def test_find_certificate_refusals(spec3, monkeypatch):
         find_certificate(ProblemSpec(spec3.dim, spec3.s, spec3.lam, 1.05))
 
 
-def test_supersol_value_shape(cert):
-    r = np.array([0.5, 1.0, 2.0])
-    v1 = supersol_value(cert, r, 0.0, 0.0)
-    # base trace at t = 0
-    want = cert.eps * r ** (-cert.mu1) * np.exp(-r * r / 4.0)
-    assert np.allclose(v1, want, rtol=1e-10)
-    # linear in the amplitude
-    cert2 = dataclasses.replace(cert, eps=2 * cert.eps)
-    assert np.allclose(supersol_value(cert2, r, 0.3, 1.0), 2 * supersol_value(cert, r, 0.3, 1.0))
-    # decay at infinity
-    assert float(supersol_value(cert, 40.0, 0.0, 1.0)) < 1e-10 * float(
-        supersol_value(cert, 1.0, 0.0, 1.0)
-    )
-
-
 def test_data_bound(cert):
     lat = make_lattice(3, 6.0, 16, 0.0, 6.0, 16)
-    assert data_bound(cert, zero_field(lat))
+    assert data_bound(cert, Field(lat, np.zeros(lat.shape)))
     half = certified_forcing(cert, lat, fraction=0.5)
     assert data_bound(cert, half)
     over = half.values.copy()
@@ -145,7 +128,7 @@ def test_data_bound(cert):
 
 def test_build_w_supersol(cert):
     lat = make_lattice(3, 6.0, 16, 0.0, 6.0, 24)
-    f0 = zero_field(lat)
+    f0 = Field(lat, np.zeros(lat.shape))
     w0 = build_w_supersol(cert, f0)
     causal = lat.causal_mask()
     assert np.all(w0.values[~causal] == 0.0)
@@ -185,7 +168,7 @@ def test_build_w_supersol_checks_every_node(cert, monkeypatch):
 
     monkeypatch.setattr(supersolution, "apply_Js", js_raised_on_second_call)
     with pytest.raises(ComparisonError, match="very-weak"):
-        build_w_supersol(cert, zero_field(lat))
+        build_w_supersol(cert, Field(lat, np.zeros(lat.shape)))
     assert len(calls) == 2
 
 
@@ -207,17 +190,6 @@ def test_from_json_recomputes_the_margins(cert, key, factor):
     d[key] *= factor
     with pytest.raises(ValueError):
         SupersolutionCertificate.from_json(json.dumps(d))
-
-
-def test_supersol_value_follows_lambda1(cert):
-    # evaluated once first, so that a profile memoised on the certificate
-    # would be stale in the copy
-    r = np.array([0.5, 1.0, 2.0])
-    supersol_value(cert, r, 0.3, 1.0)
-    moved = dataclasses.replace(cert, lambda1=0.5 * (cert.lam + cert.lambda1))
-    fresh = PhiProfile(moved.lambda1, moved.dim, moved.s).value(r, 0.3)
-    want = moved.eps * 2.0 ** (-moved.theta) * fresh * np.exp(-(r * r + 0.09) / 8.0)
-    np.testing.assert_allclose(supersol_value(moved, r, 0.3, 1.0), want, rtol=1e-14)
 
 
 # a key the certificate JSON lacks
