@@ -21,7 +21,6 @@ from .lattice import (
     Nodes,
     make_lattice,
     sample,
-    to_orthant,
     weighted_integral,
 )
 from .kernels import (
@@ -102,7 +101,6 @@ __all__ = [
     "sample",
     "singularity_profile",
     "symbol_of_kernel_check",
-    "to_orthant",
     "upsilon",
     "upsilon_inv",
     "weighted_integral",

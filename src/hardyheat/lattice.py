@@ -12,7 +12,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -71,7 +71,8 @@ class Lattice:
         return self.hx ** self.dim
 
     def x_axis(self) -> np.ndarray:
-        return -self.L + (np.arange(self.M) + 0.5) * self.hx
+        # the half-integer factors are exact: x[M-1-j] == -x[j] bitwise for every L
+        return (np.arange(self.M) + 0.5 - self.M // 2) * self.hx
 
     def t_axis(self) -> np.ndarray:
         return -self.T_neg + (np.arange(self.K) + 0.5) * self.ht
@@ -115,6 +116,8 @@ class Nodes:
     """The nodes a field is stored on: every node of its lattice, or the
     positive orthant (every x_d > 0) of a field exactly even in every
     spatial axis, where each stored node stands for its 2^N mirror images.
+    The package's radial fields are built on the orthant, and a run computes
+    on its inputs' own node set, with no evenness test.
     A stage of the monotone scheme reads its geometry from here: the
     shape of the stored values, the copies each node stands for, the
     spatial measure each node carries (h^N, or 2^N h^N on the orthant)
@@ -140,15 +143,23 @@ class Nodes:
 
     @property
     @lru_cache(maxsize=32)
-    def radius(self) -> np.ndarray:
-        """|x| at these nodes (shape self.shape[1:]), read-only and cached.
+    def radius_squared(self) -> np.ndarray:
+        """|x|^2 at these nodes (shape self.shape[1:]), read-only and cached.
         The orthant's is built from the positive half of the axis, with no
         full-grid array: the same doubles summed in the same order, so it
         and any elementwise function of it are bitwise the full grid's."""
         lat = self.lattice
         ax = lat.x_axis()[lat.M // 2:] if self.orthant else lat.x_axis()
         grids = np.meshgrid(*([ax] * lat.dim), indexing="ij", sparse=True)
-        r = np.sqrt(sum(g * g for g in grids))
+        r2 = sum(g * g for g in grids)
+        r2.setflags(write=False)
+        return r2
+
+    @property
+    @lru_cache(maxsize=32)
+    def radius(self) -> np.ndarray:
+        """|x| at these nodes: the root of radius_squared, read-only and cached."""
+        r = np.sqrt(self.radius_squared)
         r.setflags(write=False)
         return r
 
@@ -241,15 +252,6 @@ def unfold(part: np.ndarray, odd) -> np.ndarray:
         mirror = np.flip(v, ax)
         v = np.concatenate([-mirror if o else mirror, v], axis=ax)
     return v
-
-
-def to_orthant(fld: Field) -> Optional[Field]:
-    """fld stored on the positive orthant if it is exactly even in every
-    spatial axis (its one parity part is the even one), else None."""
-    if fld.orthant:
-        return fld
-    (part, odd), *rest = parity_parts(fld.values, fld.lattice.dim)
-    return None if rest or any(odd) else Field(fld.lattice, part, orthant=True)
 
 
 def sample(fn: Callable, lat: Lattice) -> Field:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .constants import ProblemSpec, exponents
 from .kernels import apply_Js
-from .lattice import Field, Lattice, block_slices, sample, to_orthant, weighted_integral
+from .lattice import Field, Lattice, Nodes, SampleError, block_slices, weighted_integral
 from .special import smooth_step
 
 
@@ -270,15 +270,6 @@ def _growth(m: np.ndarray, lat: Lattice) -> Tuple[float, Optional[float]]:
     return factor, esc
 
 
-def _common_nodes(f: Field, dominator: Optional[Field]) -> Tuple[Field, Optional[Field]]:
-    """f and the dominator on the positive orthant when both are exactly
-    even, else both on the full grid."""
-    fields = [f] if dominator is None else [f, dominator]
-    even = [to_orthant(g) for g in fields]
-    fields = even if None not in even else [g.full_grid() for g in fields]
-    return fields[0], (fields[1] if dominator is not None else None)
-
-
 def run(
     spec: ProblemSpec,
     f: Field,
@@ -297,18 +288,18 @@ def run(
     iterate, with a slack of 1e-9 of its peak; violations are counted, never
     silently clipped.
 
-    When f and the dominator are both exactly even in every spatial axis
-    (see lattice.to_orthant; every forcing and dominator in this package
-    is), every stage is stored and computed on the positive orthant, where
+    Every stage is stored and computed on f's node set (see lattice.Nodes),
+    or on the full grid when the dominator's differs. Every forcing and
+    dominator this package builds is stored on the positive orthant, where
     each node stands for 2^N equal ones: the violation count is scaled by
-    2^N, and the report is the one of the full grid. Otherwise the run is
-    on the full grid. The callback receives each state on the node set the
-    run chose (state.w.full_grid() expands it).
+    2^N, and the report is the one of the full grid. The callback receives
+    each state on the run's node set (state.w.full_grid() expands it).
     """
     lat = f.lattice
     if dominator is not None and dominator.lattice != lat:
         raise ValueError("the dominator lies on another lattice than f")
-    f, dominator = _common_nodes(f, dominator)
+    if dominator is not None and dominator.orthant != f.orthant:
+        f, dominator = f.full_grid(), dominator.full_grid()
     if dominator is not None:
         slack = 1e-9 * max(float(np.max(dominator.values)), 1e-300)
     state = initial_state(f, spec)
@@ -413,13 +404,14 @@ BUMP_WIDTH = 1.0
 
 def gaussian_bump_forcing(lat: Lattice, amplitude: float) -> Field:
     """Non-negative forcing: spatial Gaussian under a quintic time window
-    that rises over [0.25, 0.5] and falls over [1.25, 1.5].
-
-    Exactly zero before t = 0.25, so causality holds node-wise.
+    that rises over [0.25, 0.5] and falls over [1.25, 1.5], stored on the
+    positive orthant. Exactly zero before t = 0.25, so causality holds
+    node-wise. A non-finite amplitude raises SampleError.
     """
-
-    def fn(t, *xs):
-        win = smooth_step((t - 0.25) / 0.25) * (1.0 - smooth_step((t - 1.25) / 0.25))
-        return amplitude * win * np.exp(-sum(x * x for x in xs) / (BUMP_WIDTH * BUMP_WIDTH))
-
-    return sample(fn, lat)
+    if not math.isfinite(amplitude):
+        raise SampleError(f"non-finite amplitude {amplitude!r}")
+    t = lat.t_axis().reshape((lat.K,) + (1,) * lat.dim)
+    win = smooth_step((t - 0.25) / 0.25) * (1.0 - smooth_step((t - 1.25) / 0.25))
+    vals = amplitude * win * np.exp(-Nodes(lat, True).radius_squared / (BUMP_WIDTH * BUMP_WIDTH))
+    vals.setflags(write=False)
+    return Field(lat, vals, orthant=True)

@@ -20,7 +20,7 @@ from .constants import (
     mu_from_lambda,
 )
 from .kernels import apply_Js
-from .lattice import Field, Lattice
+from .lattice import Field, Lattice, Nodes
 from .solver import is_json_number
 
 
@@ -255,38 +255,40 @@ def find_certificate(spec: ProblemSpec) -> SupersolutionCertificate:
     )
 
 
-def _on_causal_slices(cert: SupersolutionCertificate, lat: Lattice, fn) -> np.ndarray:
-    """fn(cert, |x|, t) on every slice with t > 0 at once; zero elsewhere."""
+def _on_causal_slices(cert: SupersolutionCertificate, nodes: Nodes, fn) -> np.ndarray:
+    """fn(cert, |x|, t) on the nodes, every slice with t > 0 at once; zero
+    elsewhere. The array is fresh and read-only."""
+    lat = nodes.lattice
     causal = lat.causal_mask()
     t = lat.t_axis()[causal].reshape((-1,) + (1,) * lat.dim)
-    vals = np.zeros(lat.shape)
-    vals[causal] = fn(cert, lat.spatial_radius(), t)
+    vals = np.zeros(nodes.shape)
+    vals[causal] = fn(cert, nodes.radius, t)
+    vals.setflags(write=False)
     return vals
 
 
 def data_bound(cert: SupersolutionCertificate, f: Field) -> bool:
-    """Pointwise check of the forcing against its admissible ceiling."""
-    f = f.full_grid()
+    """Pointwise check of the forcing, on its own nodes, against its ceiling."""
     vals = f.values
     if np.any(vals[~f.lattice.causal_mask()] != 0.0):
         return False
-    return not np.any(vals > _on_causal_slices(cert, f.lattice, forcing_envelope))
+    return not np.any(vals > _on_causal_slices(cert, f.nodes, forcing_envelope))
 
 
 def certified_forcing(
     cert: SupersolutionCertificate, lat: Lattice, fraction: float = 0.5
 ) -> Field:
-    """A forcing sitting at the given fraction of the admissible ceiling."""
+    """A forcing at the given fraction of the admissible ceiling, on the orthant."""
     if not 0.0 < fraction <= 1.0:
         raise ValueError("fraction must lie in (0, 1]")
-    vals = _on_causal_slices(cert, lat, forcing_envelope)
-    vals *= fraction
-    return Field(lat, vals)
+    vals = _on_causal_slices(cert, Nodes(lat, orthant=True), forcing_envelope) * fraction
+    vals.setflags(write=False)
+    return Field(lat, vals, orthant=True)
 
 
 def dominating_trace(cert: SupersolutionCertificate, lat: Lattice) -> Field:
-    """The supersolution's base trace sampled on the lattice (zero at t <= 0)."""
-    return Field(lat, _on_causal_slices(cert, lat, trace_value))
+    """The supersolution's base trace on the orthant (zero at t <= 0)."""
+    return Field(lat, _on_causal_slices(cert, Nodes(lat, orthant=True), trace_value), orthant=True)
 
 
 def build_w_supersol(cert: SupersolutionCertificate, f: Field) -> Field:
@@ -305,7 +307,7 @@ def build_w_supersol(cert: SupersolutionCertificate, f: Field) -> Field:
     lat = f.lattice
     s = cert.s
     kappa = extension_constant(s)
-    u = dominating_trace(cert, lat)
+    u = dominating_trace(cert, lat).full_grid()
     r = lat.spatial_radius()
     hardy = cert.lam * r ** (-2.0 * s)
     rhs_u = Field(lat, hardy * u.values + u.values ** cert.p + f.values)

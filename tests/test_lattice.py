@@ -13,7 +13,6 @@ from hardyheat.lattice import (
     make_lattice,
     parity_parts,
     sample,
-    to_orthant,
     unfold,
     weighted_integral,
 )
@@ -142,11 +141,11 @@ def test_weighted_integral_monotone_and_errors():
 def test_orthant_field_round_trip_and_measure(dim):
     lat = make_lattice(dim, 3.0, 8, 0.5, 2.0, 8)
     even = sample(lambda t, *xs: (t + 1.0) * np.exp(-sum(x * x for x in xs)), lat)
-    half = to_orthant(even)
+    half = Field(lat, even.values[(slice(None),) + (slice(lat.M // 2, None),) * dim], orthant=True)
     assert half.orthant and half.values.shape == (lat.K,) + (lat.M // 2,) * dim
     assert half.nodes.measure == 2 ** dim * lat.cell_volume
     assert not half.values.flags.writeable and half.with_values(half.values).orthant
-    assert to_orthant(half) is half and even.full_grid() is even
+    assert even.full_grid() is even
     assert np.array_equal(half.full_grid().values, even.values)
     r = lat.spatial_radius()
     assert np.array_equal(half.nodes.radius, r[(slice(lat.M // 2, None),) * dim])
@@ -154,10 +153,7 @@ def test_orthant_field_round_trip_and_measure(dim):
     # the sums over the stored nodes are bitwise those of the full grid
     for a in (0.0, -0.7):
         assert np.array_equal(weighted_integral(half, a), weighted_integral(even, a))
-    # one node off evenness, or a wrong shape, is no orthant field
-    off = even.values.copy()
-    off[(-1,) + (0,) * dim] += 1e-12
-    assert to_orthant(Field(lat, off)) is None
+    # a full-grid array is no orthant field
     with pytest.raises(ValueError, match="shape"):
         Field(lat, even.values, orthant=True)
 
@@ -169,6 +165,23 @@ def test_orthant_radius_is_the_full_grids_bitwise_and_cached(dim):
     assert r.shape == (lat.M // 2,) * dim and not r.flags.writeable
     assert np.array_equal(r, lat.spatial_radius()[(slice(lat.M // 2, None),) * dim])
     assert Nodes(lat, True).radius is r and lat.spatial_radius() is Nodes(lat).radius
+    r2 = Nodes(lat, True).radius_squared
+    assert not r2.flags.writeable and Nodes(lat, True).radius_squared is r2
+    assert np.array_equal(np.sqrt(r2), r)
+
+
+@pytest.mark.parametrize("L", [6.1, 5.3, 3.7])
+def test_staggered_axis_is_antisymmetric_for_every_extent(L):
+    for M in (8, 64, 1024):
+        x = make_lattice(1, L, M, 0.0, 1.0, 8).x_axis()
+        assert np.array_equal(-x[::-1], x)
+
+
+@pytest.mark.parametrize("L", [6.0, 8.0, 12.0])
+def test_staggered_axis_on_dyadic_extents_is_unchanged(L):
+    for M in (8, 32, 64, 1024):
+        lat = make_lattice(1, L, M, 0.0, 1.0, 8)
+        assert np.array_equal(lat.x_axis(), -lat.L + (np.arange(M) + 0.5) * lat.hx)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -189,7 +202,6 @@ def test_parity_parts_unfold_back(dim):
         ((part, got),) = parity_parts(fld, dim)
         assert got == odd and np.array_equal(part, block)
         assert np.array_equal(unfold(part, odd), fld)
-        assert (to_orthant(Field(lat, fld)) is None) == any(odd)
     even = Field(lat, block, orthant=True)
     assert np.array_equal(unfold(block, (False,) * dim), even.full_grid().values)
 

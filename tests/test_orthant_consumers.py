@@ -1,6 +1,6 @@
 """Every function that needs all nodes of a field gives the same result on
-an orthant-stored field (what solver.run's callback hands out and
-to_orthant returns) as on the same field stored on the full grid."""
+an orthant-stored field (what the radial builders return and solver.run's
+callback hands out) as on the same field stored on the full grid."""
 
 from functools import lru_cache
 
@@ -11,7 +11,7 @@ from hardyheat import supersolution
 from hardyheat.constants import ProblemSpec, exponents_from, extension_constant, lambda_max
 from hardyheat.extension import extend_parabolic, extension_checks
 from hardyheat.kernels import apply_Hs_spectral, apply_Ls, ground_state_residual
-from hardyheat.lattice import Field, make_lattice, sample, to_orthant
+from hardyheat.lattice import Field, make_lattice, sample
 from hardyheat.solver import singularity_profile
 
 LAT = make_lattice(2, 6.0, 32, 1.5, 4.5, 32)
@@ -37,14 +37,15 @@ def _certificate():
 
 
 def _input(name: str) -> Field:
-    """An exactly even field: the certified forcing for the certificate's
-    consumers, else a smooth bump inside the window."""
+    """An exactly even field stored on the orthant: the certified forcing
+    for the certificate's consumers, else a smooth bump inside the window."""
     if name in ("data_bound", "build_w_supersol"):
         return supersolution.certified_forcing(_certificate(), LAT, fraction=0.5)
-    return sample(
+    full = sample(
         lambda t, *xs: np.exp(-sum(x * x for x in xs) / 1.5 - (t - 1.5) ** 2 / 0.35),
         LAT,
     )
+    return Field(LAT, full.values[:, LAT.M // 2:, LAT.M // 2:], orthant=True)
 
 
 def _assert_same(a, b):
@@ -63,8 +64,8 @@ def _assert_same(a, b):
 
 @pytest.mark.parametrize("name", sorted(CONSUMERS))
 def test_orthant_field_gives_the_full_grid_result(name):
-    full = _input(name)
-    half = to_orthant(full)
-    assert half is not None and half.orthant
+    half = _input(name)
+    full = half.full_grid()
+    assert half.orthant and np.array_equal(half.values, full.values[:, LAT.M // 2:, LAT.M // 2:])
     fn = CONSUMERS[name]
     _assert_same(fn(half), fn(full))

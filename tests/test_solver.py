@@ -15,7 +15,7 @@ from hardyheat.constants import (
     mu_from_lambda,
     upsilon_inv,
 )
-from hardyheat.lattice import Field, Lattice, make_lattice, sample, to_orthant
+from hardyheat.lattice import Field, Lattice, SampleError, make_lattice, sample
 from hardyheat.solver import (
     VERDICT_CONVERGED,
     VERDICT_ESCAPE,
@@ -64,7 +64,7 @@ def test_cutoff_family_nesting(lat):
 def test_rhs_truncated_zero_and_bounds(lat, spec):
     z = Field(lat, np.zeros(lat.shape))
     assert np.all(rhs_truncated(z, z, z, spec, 3).values == 0.0)
-    f = gaussian_bump_forcing(lat, 2.0)
+    f = gaussian_bump_forcing(lat, 2.0).full_grid()
     w = Field(lat, np.abs(np.sin(lat.spatial_radius()))[None] * np.ones(lat.shape))
     wp = _pow(w, spec.p)
     out = rhs_truncated(w, wp, f, spec, 4)
@@ -82,8 +82,8 @@ def test_fields_on_another_lattice_are_refused(lat, spec):
     # same shape, another extent: the forcing and the dominator would be
     # read node by node on the wrong grid
     other = dataclasses.replace(lat, L=1.5 * lat.L)
-    f = gaussian_bump_forcing(lat, 0.5)
-    f_other = gaussian_bump_forcing(other, 0.5)
+    f = gaussian_bump_forcing(lat, 0.5).full_grid()
+    f_other = gaussian_bump_forcing(other, 0.5).full_grid()
     st = initial_state(f, spec)
     with pytest.raises(ValueError, match="another lattice"):
         iterate(st, f_other, spec)
@@ -97,7 +97,7 @@ def test_rhs_truncated_monotone_in_stage(lat, spec):
     rng = np.random.default_rng(2)
     w = Field(lat, np.abs(rng.standard_normal(lat.shape)) * lat.causal_mask()[:, None, None])
     wp = _pow(w, spec.p)
-    f = gaussian_bump_forcing(lat, 1.0)
+    f = gaussian_bump_forcing(lat, 1.0).full_grid()
     prev = rhs_truncated(w, wp, f, spec, 1).values
     for n in (2, 3, 5, 9):
         cur = rhs_truncated(w, wp, f, spec, n).values
@@ -109,7 +109,7 @@ def test_rhs_truncated_limit(lat, spec):
     # away from the origin and inside the stage core, the saturations open
     # up to the raw right-hand side
     w = sample(lambda t, x, y: (t > 0) * np.exp(-(x * x + y * y)), lat)
-    f = gaussian_bump_forcing(lat, 1.0)
+    f = gaussian_bump_forcing(lat, 1.0).full_grid()
     big = rhs_truncated(w, _pow(w, spec.p), f, spec, 400).values
     r = lat.spatial_radius()
     raw = (
@@ -148,7 +148,7 @@ def test_rhs_truncated_matches_closed_form(dim):
     causal = lat.causal_mask().reshape((lat.K,) + (1,) * dim)
     # spans the saturation caps of every stage below
     w = Field(lat, 20.0 * rng.random(lat.shape) ** 3 * causal)
-    f = gaussian_bump_forcing(lat, 3.0)
+    f = gaussian_bump_forcing(lat, 3.0).full_grid()
     wp = _pow(w, spec.p)
     for n in (0, 1, 3, 7):
         got = rhs_truncated(w, wp, f, spec, n).values
@@ -184,7 +184,7 @@ def test_state_with_another_iterate_has_no_carried_power(lat, spec):
     # the carried power belongs to the iterate _step made it from: the
     # state is frozen, and a copy with another w has none, so iterate
     # cannot read a stale one
-    f = gaussian_bump_forcing(lat, 0.5)
+    f = gaussian_bump_forcing(lat, 0.5).full_grid()
     st = initial_state(f, spec)
     with pytest.raises(dataclasses.FrozenInstanceError):
         st.w = Field(lat, 2.0 * st.w.values)
@@ -227,7 +227,7 @@ def _negative_slab(depth):
 
 
 def test_negative_operator_output_raises_beyond_slack(lat, spec, monkeypatch):
-    f = gaussian_bump_forcing(lat, 0.5)
+    f = gaussian_bump_forcing(lat, 0.5).full_grid()
     st = initial_state(f, spec)
     monkeypatch.setattr(solver, "apply_Js", _negative_slab(1e-6))
     with pytest.raises(MonotonicityError):
@@ -242,7 +242,7 @@ def test_negative_operator_output_raises_beyond_slack(lat, spec, monkeypatch):
 
 def test_dominator_violations_are_counted(lat, spec, monkeypatch):
     monkeypatch.setattr(solver, "SUP_TOL", 0.0)  # no convergence: run every stage
-    f = gaussian_bump_forcing(lat, 0.5)
+    f = gaussian_bump_forcing(lat, 0.5).full_grid()
     states = []
     dominator = Field(lat, 0.5 * initial_state(f, spec).w.values)
     rep = run(spec, f, max_n=3, dominator=dominator, callback=states.append)
@@ -254,20 +254,19 @@ def test_dominator_violations_are_counted(lat, spec, monkeypatch):
 
 @pytest.mark.parametrize("dim,M,p", [(2, 32, 2.0), (3, 16, 1.4)])
 def test_orthant_run_matches_the_full_lattice_run(monkeypatch, dim, M, p):
-    # an even forcing and dominator run on the orthant; with the orthant
-    # refused, the same run on the full lattice gives the same report, the
-    # violation count (scaled by 2^N) included
+    # an orthant forcing and dominator run on the orthant; the same fields
+    # expanded to the full lattice give the same report, the violation
+    # count (scaled by 2^N) included
     monkeypatch.setattr(solver, "SUP_TOL", 0.0)
     lat = make_lattice(dim, 6.0, M, 0.0, 6.0, 24)
     spec = ProblemSpec(dim, 0.5, 0.5 * lambda_max(dim, 0.5), p)
     f = gaussian_bump_forcing(lat, 0.5)
-    dominator = Field(lat, 0.5 * initial_state(f, spec).w.values)
+    w0 = initial_state(f, spec).w
+    dominator = w0.with_values(0.5 * w0.values)
     reports, orthant = [], []
-    for refuse in (False, True):
-        if refuse:
-            monkeypatch.setattr(solver, "to_orthant", lambda fld: None)
+    for g, dom in ((f, dominator), (f.full_grid(), dominator.full_grid())):
         seen = []
-        rep = run(spec, f, max_n=4, dominator=dominator,
+        rep = run(spec, g, max_n=4, dominator=dom,
                   callback=lambda st: seen.append(st.w.orthant))
         reports.append(rep)
         orthant.append(set(seen))
@@ -282,13 +281,46 @@ def test_orthant_run_matches_the_full_lattice_run(monkeypatch, dim, M, p):
     assert np.max(np.abs(ma - mb)) <= 1e-12 * np.max(np.abs(mb))
 
 
+def _sampled_bump(lat, amplitude):
+    """The bump forcing sampled on every node by a closure of (t, x1, ..., xN)."""
+
+    def fn(t, *xs):
+        win = smooth_step((t - 0.25) / 0.25) * (1.0 - smooth_step((t - 1.25) / 0.25))
+        return amplitude * win * np.exp(-sum(x * x for x in xs) / (solver.BUMP_WIDTH * solver.BUMP_WIDTH))
+
+    return sample(fn, lat)
+
+
+@pytest.mark.parametrize("dim,L,M", [(2, 6.0, 32), (3, 6.0, 16), (3, 8.0, 32), (2, 6.1, 32)])
+def test_bump_is_built_on_the_orthant_and_is_the_sampled_bump(dim, L, M):
+    # the bump is born on the orthant, from Nodes.radius_squared, and its
+    # full grid is bitwise the bump sampled on every node
+    lat = make_lattice(dim, L, M, 0.5, 4.0, 24)
+    f = gaussian_bump_forcing(lat, 1.3)
+    assert f.orthant and f.values.shape == (lat.K,) + (M // 2,) * dim
+    assert np.array_equal(f.full_grid().values, _sampled_bump(lat, 1.3).values)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(SampleError):
+            gaussian_bump_forcing(lat, bad)
+
+
+def test_run_on_a_non_dyadic_extent_stays_on_the_orthant(spec):
+    # at L = 6.1 the cell width is not dyadic; the bump is still stored and
+    # run on the orthant
+    lat = make_lattice(2, 6.1, 32, 0.0, 6.0, 48)
+    seen = []
+    rep = run(spec, gaussian_bump_forcing(lat, 1.0), max_n=4,
+              callback=lambda st: seen.append(st.w.orthant))
+    assert seen == [True] * (rep.n_final + 1)
+
+
 @pytest.mark.parametrize("dim,M", [(2, 32), (3, 16)])
 def test_orthant_stages_build_no_full_grid_radius(monkeypatch, dim, M):
     # every stage factor is computed on the orthant's own radius: with the
     # full grid's refused, the stages are bitwise those of an unpatched run
     lat = make_lattice(dim, 6.0, M, 0.0, 6.0, 24)
     spec = ProblemSpec(dim, 0.5, 0.5 * lambda_max(dim, 0.5), 1.4)
-    f = to_orthant(gaussian_bump_forcing(lat, 0.5))
+    f = gaussian_bump_forcing(lat, 0.5)
     runs = []
     for refuse in (False, True):
         if refuse:
@@ -311,10 +343,10 @@ def test_forcing_off_evenness_runs_on_the_full_lattice(lat, spec, monkeypatch):
     # one node off evenness: run stays on the full lattice and agrees with
     # iterate looped by hand
     monkeypatch.setattr(solver, "SUP_TOL", 0.0)
-    off = gaussian_bump_forcing(lat, 0.5).values.copy()
+    off = gaussian_bump_forcing(lat, 0.5).full_grid().values.copy()
     off[lat.K // 2, 0, 0] += 1e-3
     f = Field(lat, off)
-    assert to_orthant(f) is None
+    assert not np.array_equal(off, off[:, ::-1])
     states = []
     rep = run(spec, f, max_n=3, callback=states.append)
     assert not any(st.w.orthant for st in states)
@@ -328,8 +360,8 @@ def test_forcing_off_evenness_runs_on_the_full_lattice(lat, spec, monkeypatch):
 
 
 def test_rhs_truncated_refuses_mixed_node_sets(lat, spec):
-    f = gaussian_bump_forcing(lat, 0.5)
-    half = to_orthant(f)
+    half = gaussian_bump_forcing(lat, 0.5)
+    f = half.full_grid()
     with pytest.raises(ValueError, match="node sets"):
         rhs_truncated(half, half, f, spec, 1)
     with pytest.raises(ValueError, match="node sets"):
@@ -359,7 +391,7 @@ def test_run_makes_one_inverse_per_stage(lat, spec, monkeypatch):
 
     monkeypatch.setattr(solver, "apply_Js", js)
     monkeypatch.setattr(solver, "iterate", step)
-    f = gaussian_bump_forcing(lat, 0.5)
+    f = gaussian_bump_forcing(lat, 0.5).full_grid()
     dominator = Field(lat, 2.0 * initial_state(f, spec).w.values)
     for kwargs in ({}, {"dominator": dominator}):
         calls.update(apply_Js=0, iterate=0)
@@ -452,7 +484,7 @@ def test_singularity_profile_power_law_and_flat():
 
 
 def test_initial_state_is_saturated_forcing_inverse(lat, spec):
-    f = gaussian_bump_forcing(lat, 0.7)
+    f = gaussian_bump_forcing(lat, 0.7).full_grid()
     st = initial_state(f, spec)
     from hardyheat.kernels import apply_Js
 

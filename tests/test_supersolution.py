@@ -1,13 +1,15 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from hardyheat import supersolution
 from hardyheat.constants import ProblemSpec, exponents_from, lambda_max, mu_from_lambda
-from hardyheat.lattice import Field, make_lattice
+from hardyheat.lattice import Field, Lattice, make_lattice
+from hardyheat.solver import gaussian_bump_forcing
 from hardyheat.supersolution import (
     ComparisonError,
     SearchExhausted,
@@ -109,6 +111,8 @@ def test_data_bound(cert):
     assert data_bound(cert, Field(lat, np.zeros(lat.shape)))
     half = certified_forcing(cert, lat, fraction=0.5)
     assert data_bound(cert, half)
+    half = half.full_grid()
+    assert data_bound(cert, half)
     over = half.values.copy()
     k = int(np.nonzero(lat.causal_mask())[0][2])
     idx = (k, 3, 3, 3)
@@ -126,6 +130,57 @@ def test_data_bound(cert):
     assert data_bound(cert, Field(lat, bump))
 
 
+def _on_every_node(cert, lat, fn):
+    """fn(cert, |x|, t) on every node of every slice with t > 0; zero elsewhere."""
+    causal = lat.causal_mask()
+    vals = np.zeros(lat.shape)
+    vals[causal] = fn(cert, lat.spatial_radius(), lat.t_axis()[causal].reshape(-1, 1, 1, 1))
+    return vals
+
+
+@pytest.mark.parametrize("L,M", [(6.0, 16), (8.0, 32)])
+def test_radial_builders_are_born_on_the_orthant(cert, L, M):
+    # the forcing and the trace are stored on the orthant, and their full
+    # grids are bitwise the formulas evaluated on every node
+    lat = make_lattice(3, L, M, 1.0, 6.0, 16)
+    for fraction in (0.5, 1.0):
+        f = certified_forcing(cert, lat, fraction=fraction)
+        assert f.orthant
+        assert np.array_equal(f.full_grid().values, _on_every_node(cert, lat, forcing_envelope) * fraction)
+    u = dominating_trace(cert, lat)
+    assert u.orthant and np.array_equal(u.full_grid().values, _on_every_node(cert, lat, trace_value))
+
+
+def test_radial_builders_form_no_full_grid_array(cert, monkeypatch):
+    # with the full grid's radius refused, the three radial builders and
+    # the data bound on their forcing still run, and each call's traced
+    # peak stays below the bytes of one full-grid field
+    def full_grid_radius(self):
+        raise AssertionError("a builder read the full grid's radius")
+
+    monkeypatch.setattr(Lattice, "spatial_radius", full_grid_radius)
+    lat = make_lattice(3, 6.0, 32, 0.0, 6.0, 24)
+    full_bytes = 8 * math.prod(lat.shape)
+    calls = {
+        "gaussian_bump_forcing": lambda: gaussian_bump_forcing(lat, 1.0),
+        "certified_forcing": lambda: certified_forcing(cert, lat),
+        "dominating_trace": lambda: dominating_trace(cert, lat),
+        "data_bound": lambda: data_bound(cert, forcing),
+    }
+    forcing = certified_forcing(cert, lat)
+    tracemalloc.start()
+    try:
+        for name, call in calls.items():
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            out = call()
+            assert out is True or out.orthant, name
+            assert tracemalloc.get_traced_memory()[1] - base < full_bytes, name
+            del out
+    finally:
+        tracemalloc.stop()
+
+
 def test_build_w_supersol(cert):
     lat = make_lattice(3, 6.0, 16, 0.0, 6.0, 24)
     f0 = Field(lat, np.zeros(lat.shape))
@@ -133,7 +188,7 @@ def test_build_w_supersol(cert):
     causal = lat.causal_mask()
     assert np.all(w0.values[~causal] == 0.0)
     assert np.all(w0.values[causal][1:] > 0.0)  # strictly positive once forced
-    u = dominating_trace(cert, lat)
+    u = dominating_trace(cert, lat).full_grid()
     assert np.max(w0.values - u.values) <= 1e-8 * np.max(u.values)
     # a larger admissible forcing pushes the field up pointwise
     f_half = certified_forcing(cert, lat, fraction=0.5)
@@ -142,7 +197,7 @@ def test_build_w_supersol(cert):
     w_full = build_w_supersol(cert, f_full)
     assert np.min(w_full.values - w_half.values) >= -1e-12 * np.max(w_full.values)
     with pytest.raises(ValueError):
-        build_w_supersol(cert, Field(lat, 3.0 * f_full.values))
+        build_w_supersol(cert, Field(lat, 3.0 * f_full.full_grid().values))
 
 
 def test_build_w_supersol_checks_every_node(cert, monkeypatch):
