@@ -14,7 +14,7 @@ import math
 import zlib
 from dataclasses import asdict, dataclass, field
 from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -120,13 +120,13 @@ def _check(check_id: str, tolerance: float):
 # test-function families
 # ---------------------------------------------------------------------------
 
-def spacetime_fields(rng, lat, n) -> List[Field]:
+def spacetime_fields(rng, lat, n) -> Iterator[Field]:
     """Tensor Gaussians, shifted compact bumps, and random trigonometric
     polynomials under a smooth envelope, all decaying safely inside the
-    window (the spectral operator rejects edge kinks)."""
+    window (the spectral operator rejects edge kinks). Lazy: each field is
+    drawn and sampled when the caller asks for it."""
     t_mid = 0.5 * (lat.t_axis()[0] + lat.t_axis()[-1])
     t_span = lat.T + lat.T_neg
-    out = []
     for i in range(n):
         kind = i % 3
         cx = rng.uniform(-0.15 * lat.L, 0.15 * lat.L, lat.dim)
@@ -163,13 +163,12 @@ def spacetime_fields(rng, lat, n) -> List[Field]:
                     trig = trig + term
                 return env * (1.5 + trig)
 
-        out.append(sample(fn, lat))
-    return out
+        yield sample(fn, lat)
 
 
-def positive_spacetime_fields(rng, lat, n) -> List[Field]:
-    """Non-negative smooth bumps for the order-preserving checks."""
-    fields = []
+def positive_spacetime_fields(rng, lat, n) -> Iterator[Field]:
+    """Non-negative smooth bumps for the order-preserving checks, drawn
+    lazily as in spacetime_fields."""
     t_mid = 0.5 * (lat.t_axis()[0] + lat.t_axis()[-1])
     for _ in range(n):
         cx = rng.uniform(-0.12 * lat.L, 0.12 * lat.L, lat.dim)
@@ -182,8 +181,7 @@ def positive_spacetime_fields(rng, lat, n) -> List[Field]:
             q = sum((x - c) ** 2 for x, c in zip(xs, cx))
             return amp * np.exp(-q / wx - (t - ct) ** 2 / wt)
 
-        fields.append(sample(fn, lat))
-    return fields
+        yield sample(fn, lat)
 
 
 def _spatial_bump(cx, wd, amp, *xs):
@@ -232,6 +230,38 @@ def halfspace_bumps(rng, n):
 # individual checks
 # ---------------------------------------------------------------------------
 
+def _gagliardo_form(n: int, h: float, dim: int, s: float):
+    """phi -> sum over i != j of (phi_i - phi_j)^2 |x_i - x_j|^(-N-2s) on the
+    n^N grid of spacing h, with no n^N x n^N array.
+
+    The kernel K depends on i - j alone, so the form is
+    2 (sum phi^2 K1 - sum phi K phi), and K is applied as a zero-padded real
+    FFT convolution with its values on the (2n-1)^N offset grid (zero at the
+    origin), padded to the full linear convolution's 3n-2 per axis so that
+    no term wraps.
+    """
+    offs = np.meshgrid(*([np.arange(1 - n, n) * h] * dim), indexing="ij", sparse=True)
+    d2 = sum(o * o for o in offs)
+    origin = (n - 1,) * dim
+    d2[origin] = 1.0
+    kern = d2 ** (-(dim + 2.0 * s) / 2.0)
+    kern[origin] = 0.0
+    pad = (3 * n - 2,) * dim
+    axes = tuple(range(dim))
+    kern_hat = np.fft.rfftn(kern, s=pad, axes=axes)
+    valid = (slice(n - 1, 2 * n - 1),) * dim
+
+    def apply_kern(v):
+        return np.fft.irfftn(np.fft.rfftn(v, s=pad, axes=axes) * kern_hat, s=pad, axes=axes)[valid]
+
+    row_sums = apply_kern(np.ones((n,) * dim))
+
+    def form(phi):
+        return 2.0 * (np.sum(phi * phi * row_sums) - np.sum(phi * apply_kern(phi)))
+
+    return form
+
+
 @_check("hardy", 1e-3)
 def _check_hardy(rng):
     """One-sided: the Hardy form never exceeds the (-Lap)^s energy, the
@@ -244,18 +274,14 @@ def _check_hardy(rng):
     ax = -rad + (np.arange(n_grid) + 0.5) * (2 * rad / n_grid)
     h = ax[1] - ax[0]
     grids = np.meshgrid(*([ax] * dim), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    r2 = np.sum(pts * pts, axis=1)
-    d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=2)
-    np.fill_diagonal(d2, 1.0)
-    kern = d2 ** (-(dim + 2.0 * s) / 2.0)
-    np.fill_diagonal(kern, 0.0)
+    r2 = sum(g * g for g in grids)
+    gagliardo = _gagliardo_form(n_grid, h, dim, s)
     energy_const = frac_laplacian_constant(dim, s) / 2.0
     worst = -math.inf
     for fn in spatial_bumps(rng, N_SAMPLES):
-        phi = fn(*[pts[:, d] for d in range(dim)])
+        phi = fn(*grids)
         lhs = lmax * np.sum(phi * phi * r2 ** (-s)) * h ** dim
-        rhs = energy_const * np.sum((phi[:, None] - phi[None, :]) ** 2 * kern) * h ** (2 * dim)
+        rhs = energy_const * gagliardo(phi) * h ** (2 * dim)
         worst = max(worst, (lhs - rhs) / rhs)
     return worst, N_SAMPLES, {"dim": dim, "s": s, "n_grid": n_grid}
 
@@ -435,8 +461,8 @@ def _check_adjoint(rng):
     fields = spacetime_fields(rng, lat, N_SAMPLES)
     vol = lat.cell_volume * lat.ht
     flip = (slice(None, None, -1),) * (lat.dim + 1)
-    for i in range(0, len(fields) - 1, 2):
-        phi, psi = fields[i], fields[i + 1]
+    # consecutive fields pair up, and only the pair in use is alive
+    for phi, psi in zip(fields, fields):
         h_phi = apply_Hs_spectral(phi, S).values
         lhs = float(np.sum(h_phi * psi.values) * vol)
         psi_r = Field(lat, psi.values[flip])

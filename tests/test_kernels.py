@@ -512,11 +512,13 @@ def test_js_rejects_order_outside_unit_interval(gaussian, s):
 
 
 # prints the CPU ticks (utime + stime) that a fresh interpreter's non-main
-# threads spend over three orthant apply_Js calls at 3-D 64^3 x 48
+# threads spend while it runs the code under `with_ticks()`, which the body
+# that follows this preamble marks as the work to count
 _THREAD_TICKS_SCRIPT = """
+import contextlib
 import os
 import numpy as np
-from hardyheat import kernels
+from hardyheat import kernels, verifier
 from hardyheat.lattice import Field, make_lattice
 
 def ticks():
@@ -527,28 +529,43 @@ def ticks():
         out[int(tid)] = int(fields[11]) + int(fields[12])
     return out
 
-lat = make_lattice(3, 6.0, 64, 0.0, 8.0, 48)
-g = np.random.default_rng(0).random((lat.K,) + (lat.M // 2,) * lat.dim)
-kernels._js_spectrum(lat, 0.5)  # the table build is not the transforms' work
-before = ticks()
-for _ in range(3):
-    kernels.apply_Js(Field(lat, g, orthant=True), 0.5)
-after = ticks()
-print(sum(t - before.get(tid, 0) for tid, t in after.items() if tid != os.getpid()))
+@contextlib.contextmanager
+def with_ticks():
+    before = ticks()
+    yield
+    after = ticks()
+    print(sum(t - before.get(tid, 0) for tid, t in after.items() if tid != os.getpid()))
 """
 
 
-@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs per-thread CPU times from /proc")
+def _worker_ticks(body: str) -> int:
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", _THREAD_TICKS_SCRIPT + body], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return int(done.stdout.split()[-1])
+
+
+_needs_thread_ticks = pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task"), reason="needs per-thread CPU times from /proc"
+)
+
+
+@_needs_thread_ticks
 def test_js_transforms_start_no_blas_worker_thread():
     # the spatial transforms are batches of small products: a BLAS library
     # that fanned them out to worker threads would leave those threads
-    # spinning on the CPU after each call
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", _THREAD_TICKS_SCRIPT], env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert done.returncode == 0, done.stderr
-    assert int(done.stdout.split()[-1]) == 0
+    # spinning on the CPU after each call; three orthant calls at 3-D 64^3 x 48
+    body = """
+lat = make_lattice(3, 6.0, 64, 0.0, 8.0, 48)
+g = np.random.default_rng(0).random((lat.K,) + (lat.M // 2,) * lat.dim)
+kernels._js_spectrum(lat, 0.5)  # the table build is not the transforms' work
+with with_ticks():
+    for _ in range(3):
+        kernels.apply_Js(Field(lat, g, orthant=True), 0.5)
+"""
+    assert _worker_ticks(body) == 0
 
 
 @pytest.fixture
@@ -719,6 +736,47 @@ def test_symbol_of_kernel_closed_form_substitution():
     val = 2.0 ** dim * math.pi ** (dim / 2) * gamma_fn(s) * (1j) ** (-s)
     want = 2.0 ** dim * math.pi ** (dim / 2) * gamma_fn(s) * np.exp(-1j * math.pi / 4)
     assert val == pytest.approx(want, rel=1e-12)
+
+
+def _full_gaussian_transform(c):
+    # the complex trapezoid sum over the whole symmetric u grid
+    u = np.linspace(-kernels.SYMBOL_U_HALF, kernels.SYMBOL_U_HALF, kernels.SYMBOL_U_POINTS)
+    return np.exp(-1j * np.outer(c, u)) @ (np.exp(-0.25 * u * u) * (u[1] - u[0]))
+
+
+@pytest.mark.parametrize("points", [2048, 2049, 2047, 513])
+def test_symbol_cosine_sum_matches_the_full_trapezoid_sum(monkeypatch, points):
+    # an odd count has a node at u = 0, which the half-line sum counts once
+    monkeypatch.setattr(kernels, "SYMBOL_U_POINTS", points)
+    c = np.concatenate([np.linspace(0.0, 40.0, 401), np.geomspace(1e-6, 1.0, 7)])
+    got = kernels._gaussian_transform(c)
+    want = _full_gaussian_transform(c)
+    assert got.dtype == np.float64
+    assert np.max(np.abs(got - want)) <= 1e-14 * abs(want[0])
+
+
+@pytest.mark.parametrize("s,parent", [
+    (0.3, 1.2606144938157306e-06),
+    (0.5, 2.5980723026975103e-06),
+    (0.7, 3.551144300076567e-06),
+])
+def test_symbol_of_kernel_check_keeps_its_margins(s, parent):
+    # pinned from the complex sum over the whole u grid; the cosine sum
+    # differs by rounding, since linspace is not bitwise symmetric
+    assert symbol_of_kernel_check(s, dim=2) == pytest.approx(parent, rel=1e-9)
+
+
+@_needs_thread_ticks
+def test_symbol_check_starts_no_blas_worker_thread():
+    # a complex matrix-vector product over the u grid gave the worker
+    # threads 46-71 ticks a call; the first call keeps import-time start-up
+    # work out of the counted one
+    body = """
+verifier.run_check("symbol")
+with with_ticks():
+    verifier.run_check("symbol")
+"""
+    assert _worker_ticks(body) == 0
 
 
 def test_symbol_of_kernel_check_accuracy_and_trend(monkeypatch):

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -13,8 +14,10 @@ from hardyheat.verifier import (
     VerifierConfig,
     run_check,
     run_suite,
+    spacetime_fields,
     suite_to_json,
 )
+from hardyheat.lattice import make_lattice
 
 FAST_CHECKS = ["algebra_ab", "algebra_abs", "radial_K", "muckenhoupt"]
 
@@ -125,3 +128,63 @@ def test_hardy_and_kato_pass(monkeypatch):
     cfg = VerifierConfig(seed=2)
     assert run_check("hardy", cfg).passed
     assert run_check("kato", cfg).passed
+
+
+def _pairwise_gagliardo(phi, h, s):
+    # the explicit double sum over the n^N x n^N pairs of grid nodes
+    dim = phi.ndim
+    ax = np.arange(phi.shape[0]) * h
+    pts = np.stack([g.ravel() for g in np.meshgrid(*([ax] * dim), indexing="ij")], axis=1)
+    d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=2)
+    np.fill_diagonal(d2, 1.0)
+    kern = d2 ** (-(dim + 2.0 * s) / 2.0)
+    np.fill_diagonal(kern, 0.0)
+    flat = phi.ravel()
+    return np.sum((flat[:, None] - flat[None, :]) ** 2 * kern)
+
+
+@pytest.mark.parametrize("n", [24, 25])
+def test_hardy_form_matches_the_pairwise_double_sum(n):
+    rad = verifier.BUMP_RADIUS
+    ax = -rad + (np.arange(n) + 0.5) * (2 * rad / n)
+    h = ax[1] - ax[0]
+    grids = np.meshgrid(ax, ax, indexing="ij")
+    form = verifier._gagliardo_form(n, h, 2, verifier.S)
+    for fn in verifier.spatial_bumps(np.random.default_rng(0), 4):
+        phi = fn(*grids)
+        assert form(phi) == pytest.approx(_pairwise_gagliardo(phi, h, verifier.S), rel=1e-12)
+
+
+@pytest.mark.parametrize("dim,n,s", [(1, 40, 0.3), (3, 7, 0.7)])
+def test_hardy_form_matches_the_pairwise_double_sum_in_other_dimensions(dim, n, s):
+    phi = np.random.default_rng(0).random((n,) * dim)
+    form = verifier._gagliardo_form(n, 0.3, dim, s)
+    assert form(phi) == pytest.approx(_pairwise_gagliardo(phi, 0.3, s), rel=1e-12)
+
+
+def test_hardy_runs_in_a_few_megabytes():
+    # the n^N x n^N kernel and pairwise differences peaked above 120 MB
+    tracemalloc.start()
+    try:
+        rep = run_check("hardy", VerifierConfig(seed=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6
+    # the explicit double sum's margin, to rounding
+    assert rep.worst_margin == pytest.approx(-0.5346714931476269, rel=1e-12)
+
+
+def test_spacetime_fields_draw_lazily():
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    fields = spacetime_fields(rng, make_lattice(2, 4.0, 8, 1.0, 1.0, 8), 4)
+    assert iter(fields) is fields and not isinstance(fields, list)
+    assert rng.bit_generator.state == state  # nothing drawn yet
+    next(fields)
+    assert rng.bit_generator.state != state
+
+
+def test_adjoint_margin_is_bitwise_unchanged():
+    # the margin of the battery that built all its fields up front
+    assert run_check("adjoint", VerifierConfig(seed=0)).worst_margin == 1.5636348664403291e-15
