@@ -92,8 +92,7 @@ def cmd_constants(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = VerifierConfig(seed=args.seed)
-    ids = [args.check] if args.check else None
-    reports = run_suite(ids, cfg)
+    reports = run_suite(args.check, cfg)
     for r in reports:
         status = "pass" if r.passed else "FAIL"
         print(f"{r.check_id:16s} {status}  margin={r.worst_margin:.3e} tol={r.tolerance:.1e}")
@@ -407,7 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=cmd_constants)
 
     v = sub.add_parser("verify", help="run the check battery")
-    v.add_argument("--check", help="single check id (default: whole suite)")
+    v.add_argument("--check", action="append",
+                   help="a check id; repeat it for several (default: whole suite)")
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--json", help="write the reports as JSON")
     v.set_defaults(func=cmd_verify)
@@ -452,8 +452,9 @@ def _validate_args(args) -> None:
     `solve` the problem instance and the lattice, and for `supersol` the
     problem instance (a p outside the admissible band is still a refusal).
     """
-    if getattr(args, "check", None) is not None and args.check not in CHECKS:
-        raise ValueError(f"unknown check {args.check!r}; known: {sorted(CHECKS)}")
+    for cid in getattr(args, "check", None) or ():
+        if cid not in CHECKS:
+            raise ValueError(f"unknown check {cid!r}; known: {sorted(CHECKS)}")
     out = getattr(args, "json", None)
     if out and not Path(out).parent.is_dir():
         raise ValueError(f"cannot write --json {out}: {Path(out).parent} is not a directory")

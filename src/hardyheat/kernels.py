@@ -280,16 +280,35 @@ def _dct_pair(n: int, odd: bool) -> tuple[np.ndarray, np.ndarray]:
     return forward, inverse
 
 
-def _apply_on_axis(mat: np.ndarray, c: np.ndarray, ax: int) -> np.ndarray:
-    """mat applied along axis ax of c, as a batch of matrix products with
-    axis ax and one other axis of c: numpy runs one GEMM per batch entry.
-    With two or more spatial axes each is n x n by n x n, too small for the
-    BLAS library to start its worker threads at the n in use (up to 32); a
-    1-D lattice's axis is one K x n product. The result is fresh; on the
-    last axis it is C-contiguous and owns its data."""
-    if ax == c.ndim - 1:
-        return c @ mat.T
-    return np.moveaxis(mat @ np.moveaxis(c, ax, -2), -2, ax)
+def _spatial_transform(src: np.ndarray, mats: Sequence[np.ndarray], dst: np.ndarray) -> None:
+    """dst <- mats[d] applied along spatial axis d + 1 of src for every d,
+    one lattice.block_slices block of time slices at a time. Each axis is a
+    batch of matrix products written through np.matmul's out, `x @ A.T` on
+    the last axis and `A @ x` on the others, with that axis and the last as
+    matmul's core axes (its axes argument), so numpy runs one GEMM per
+    batch entry: with two or more spatial axes each is n x n by n x n, too
+    small for the BLAS library to start its worker threads at the n in use
+    (up to 32); on a 1-D lattice it is one product of a block of time
+    slices by n. A block's products
+    alternate between its place in dst and one cache-sized scratch,
+    arranged so that the last lands in dst; only a chain that runs in place
+    (src is dst) and has an odd length ends in the scratch and is copied
+    back. src is only read unless it is dst."""
+    step = block_slices(math.prod(src.shape[1:]))
+    scratch = np.empty((min(step, src.shape[0]),) + src.shape[1:])
+    first_in_dst = len(mats) % 2 == 1 and src is not dst
+    for k in range(0, src.shape[0], step):
+        x, d = src[k : k + step], dst[k : k + step]
+        tmp = scratch[: d.shape[0]]
+        y = d if first_in_dst else tmp
+        for ax, mat in enumerate(mats, 1):
+            if ax == x.ndim - 1:
+                np.matmul(x, mat.T, out=y)
+            else:
+                np.matmul(mat, x, out=y, axes=[(0, 1), (ax, -1), (ax, -1)])
+            x, y = y, (tmp if y is d else d)
+        if x is not d:
+            d[...] = x
 
 
 def _js_on_orthant(part: np.ndarray, odd: Sequence[bool], lat: Lattice, table: np.ndarray) -> np.ndarray:
@@ -297,22 +316,24 @@ def _js_on_orthant(part: np.ndarray, odd: Sequence[bool], lat: Lattice, table: n
     per spatial axis, the forward matrix of _dct_pair (a DCT-II on an even
     axis, on an odd one the DST-II whose position m holds sine mode M/2 - m),
     the real time convolution against table's modes 0..M/2-1 (even axis) or
-    M/2..1 (odd axis), and per axis the inverse matrix. Each spatial
-    transform is a batch of (M/2) x (M/2) products (_apply_on_axis).
+    M/2..1 (odd axis), and per axis the inverse matrix.
 
-    The time convolution runs block by block over rows of the first spatial
-    axis, lattice.block_slices rows of 2K time values each: a block is
-    gathered time-last (a transpose that stays in cache), so its rfft, its
-    multiply by the table's block and its irfft run over contiguous rows,
-    and lags 0..K-1 are written back time-first in place. Each row's
-    transforms are those of a whole-array transform along time, so the
-    output is bitwise the same. The output is fresh and owns its data, so
-    the causal inverse can freeze it without a copy."""
+    The whole convolution lives in one fresh buffer: the forward transform
+    reads part, which it never writes, into it, and the time convolution
+    and the inverse transform run on it in place (see _spatial_transform).
+    The time convolution runs block by block over rows of the first
+    spatial axis, lattice.block_slices rows of 2K time values each: a block
+    is gathered time-last (a transpose that stays in cache), so its rfft,
+    its multiply by the table's block and its irfft run over contiguous
+    rows, and lags 0..K-1 are written back time-first in place. Each row's
+    transforms are those of a whole-array transform along time, and each
+    spatial product is the GEMM a whole-array batch would run, so the output
+    is bitwise the same. The output owns its data, so the causal inverse
+    can freeze it without a copy."""
     half, n = lat.M // 2, 2 * lat.K
     pairs = [_dct_pair(half, o) for o in odd]
-    c = part
-    for ax, (forward, _) in enumerate(pairs, 1):
-        c = _apply_on_axis(forward, c, ax)
+    c = np.empty(part.shape)
+    _spatial_transform(part, [forward for forward, _ in pairs], c)
     kern = table[tuple(slice(half, 0, -1) if o else slice(0, half) for o in odd)]
     rows = block_slices(n * half ** (lat.dim - 1))
     for i in range(0, half, rows):
@@ -320,8 +341,7 @@ def _js_on_orthant(part: np.ndarray, odd: Sequence[bool], lat: Lattice, table: n
         spec = np.fft.rfft(np.ascontiguousarray(np.moveaxis(c[:, b], 0, -1)), n=n, axis=-1)
         spec *= kern[b]
         np.moveaxis(c[:, b], 0, -1)[...] = np.fft.irfft(spec, n=n, axis=-1)[..., : lat.K]
-    for ax, (_, inverse) in enumerate(pairs, 1):
-        c = _apply_on_axis(inverse, c, ax)
+    _spatial_transform(c, [inverse for _, inverse in pairs], c)
     return c
 
 
@@ -339,10 +359,11 @@ def apply_Js(g: Field, s: float, causal_tol: float = 1e-8) -> Field:
     The order must lie in (0, 1]. The lag kernel's spectrum depends only
     on (lattice, s) and is cached, time-last (see _js_spectrum). Each
     parity part of the input is convolved on the positive orthant and
-    unfolded back: per spatial axis a batch of (M/2) x (M/2) matrix
-    products, and a real FFT over time on cache-sized time-last blocks (see
-    _js_on_orthant). An input exactly even in every spatial axis is one
-    part, and its output is exactly even. An orthant-stored input (every
+    unfolded back: per spatial axis (M/2) x (M/2) matrix products run on
+    blocks of time slices, and a real FFT over time on cache-sized
+    time-last blocks, all in one buffer (see _js_on_orthant). An input
+    exactly even in every spatial axis is one part, and its output is
+    exactly even. An orthant-stored input (every
     stage of a solver run on even data) is that one part as it is: its
     output is stored on the orthant too, with no evenness test and no
     mirror. The output array is fresh on every call.

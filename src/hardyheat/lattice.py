@@ -275,7 +275,8 @@ def sample(fn: Callable, lat: Lattice) -> Field:
 
 
 # bytes of one block in the blockwise passes over a field (weighted_integral
-# here, solver.rhs_truncated and kernels._js_on_orthant): small enough that a
+# here, solver.rhs_truncated, solver._step_bounds and the causal inverse's
+# spatial transforms and time convolution): small enough that a
 # block and its scratch buffers stay in a core's L2 cache
 _BLOCK_BYTES = 1 << 18
 
@@ -283,15 +284,18 @@ _BLOCK_BYTES = 1 << 18
 def block_slices(slab_size: int) -> int:
     """Entries per block (at least one) of a blockwise pass along an axis
     whose entries are slabs of slab_size float64 values: time slices in
-    weighted_integral and solver.rhs_truncated, rows of the first spatial
-    axis in kernels._js_on_orthant."""
+    weighted_integral, the solver's stage passes and the causal inverse's
+    spatial transforms, rows of the first spatial axis in its time
+    convolution."""
     return max(1, _BLOCK_BYTES // (8 * slab_size))
 
 
-def weighted_integral(fld: Field, weight_exponent: float) -> np.ndarray:
-    """Riemann sums of |x|^a * fld over space, one per time slice (an array
-    of K sums), on the nodes fld is stored on. fld is the integrand, a power
-    w^p of a non-negative field, so a negative value is an error.
+def weighted_integral(fld: Field, weight_exponent: float, power: float = 1.0) -> np.ndarray:
+    """Riemann sums of |x|^a * fld^power over space, one per time slice (an
+    array of K sums), on the nodes fld is stored on. fld is non-negative
+    (the scheme's iterate), so a negative value is an error. Each block of
+    time slices is raised to the power in scratch (x^1 is x exactly), so no
+    full-size power field is built.
 
     On the full grid each block is folded onto the positive orthant, one
     axis at a time, before it is summed. On an exactly even integrand each
@@ -306,7 +310,8 @@ def weighted_integral(fld: Field, weight_exponent: float) -> np.ndarray:
         slab = fld.values[k : k + step]
         if np.min(slab) < 0.0:
             raise ValueError("negative integrand in weighted_integral")
-        prod = slab * weight
+        prod = np.power(slab, power)
+        prod *= weight
         if not nodes.orthant:
             for ax in range(1, lat.dim + 1):
                 mirror, pos = mirror_halves(prod, ax)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -68,7 +68,7 @@ def _saturate(x: np.ndarray, n: float, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def rhs_truncated(w: Field, w_pow: Field, f: Field, spec: ProblemSpec, n: int) -> Field:
+def rhs_truncated(w: Field, f: Field, spec: ProblemSpec, n: int) -> Field:
     """Saturated right-hand side at stage n.
 
     Stage 0 keeps only the bounded forcing term; stages n >= 1 add the
@@ -79,28 +79,33 @@ def rhs_truncated(w: Field, w_pow: Field, f: Field, spec: ProblemSpec, n: int) -
     The cutoff is applied as its spatial factor and its time ramp, and the
     Hardy weight as one spatial factor, both computed on the stored nodes'
     radius: no full-size cutoff or weight array is built. The slices where
-    the ramp vanishes stay zero; the others are computed block by block of
-    time slices, a few in-place passes each.
-    w_pow is max(w, 0) ** spec.p, computed once by the caller (the scheme
-    carries it from the previous stage); stages n >= 1 read it. The three
-    fields share one node set, and so does the output (see lattice.Nodes).
+    the ramp vanishes are zeroed; the others are computed block by block of
+    time slices, a few in-place passes each into two block-sized scratch
+    buffers: max(w, 0) ** spec.p is raised there too, so no power field is
+    built or kept. w and f share one node set, and so does the output (see
+    lattice.Nodes).
     """
     lat = w.lattice
-    if w_pow.lattice != lat or f.lattice != lat:
-        raise ValueError("w_pow or f lies on another lattice than w")
-    if w_pow.orthant != w.orthant or f.orthant != w.orthant:
-        raise ValueError("w, w_pow and f are stored on different node sets (orthant and full grid)")
+    if f.lattice != lat:
+        raise ValueError("f lies on another lattice than w")
+    if f.orthant != w.orthant:
+        raise ValueError("w and f are stored on different node sets (orthant and full grid)")
     if np.min(w.values) < -1e-12 * max(np.max(w.values), 1.0):
         raise ValueError("negative iterate passed to rhs_truncated")
     if np.min(f.values) < 0.0:
         raise ValueError("forcing must be non-negative")
     nodes = w.nodes
+    # before the spatial factors: were they allocated first, they would
+    # take the start of the heap hole a freed field left, and this field
+    # and the inverse's buffer would no longer both fit in the two holes
+    out = np.empty(nodes.shape)
     sp, tim = _cutoff_factors(lat, nodes.radius, n)
     if n > 0:
         hardy = spec.lam * (nodes.radius + 1.0 / n) ** (-2.0 * spec.s)
-    out = np.zeros(nodes.shape)
     live = np.nonzero(tim)[0]  # one run of slices: the ramp is a bump
     k0, k1 = (live[0], live[-1] + 1) if live.size else (0, 0)
+    out[:k0] = 0.0
+    out[k1:] = 0.0
     step = block_slices(sp.size)
     scratch = np.empty((2, step) + sp.shape)
     for k in range(k0, k1, step):
@@ -114,7 +119,7 @@ def rhs_truncated(w: Field, w_pow: Field, f: Field, spec: ProblemSpec, n: int) -
             np.maximum(w.values[blk], 0.0, out=a)
             _saturate(a, n, o)
             o *= hardy
-            o += _saturate(w_pow.values[blk], n, b)
+            o += _saturate(np.power(a, spec.p, out=a), n, b)
             o += _saturate(f.values[blk], n, b)
         o *= sp
         o *= tim[blk].reshape((m,) + (1,) * lat.dim)
@@ -128,9 +133,6 @@ class IterationState:
     w: Field
     m_curve: np.ndarray
     sup_diff: float
-    # w ** p for the next stage's right-hand side, set by _step alone: the
-    # state is frozen, and a copy with another w has none (cannot iterate)
-    w_pow: Field = field(init=False, repr=False, compare=False)
 
 
 def _clamp_rounding(out: Field) -> Field:
@@ -155,41 +157,50 @@ def _clamp_rounding(out: Field) -> Field:
     return out
 
 
-def blowup_functional(w_pow: Field, mu: float) -> np.ndarray:
+def blowup_functional(w: Field, p: float, mu: float) -> np.ndarray:
     """Per-slice weighted norm: integral of |x|^(-mu) w^p over space, from
-    the field w_pow = w^p."""
-    return weighted_integral(w_pow, -mu)
+    the non-negative iterate w; weighted_integral raises each block of it to
+    the power p in scratch."""
+    return weighted_integral(w, -mu, p)
 
 
-def _step(w: Field, w_pow: Field, f: Field, spec: ProblemSpec, n: int) -> IterationState:
-    """Stage n of the scheme from the iterate w and w_pow = w ** p: invert
-    the operator on the stage-n right-hand side. Monotonicity is asserted,
-    not assumed: a drop below w beyond MONO_SLACK means the quadrature
-    broke. The same slack bounds the negative rounding of the operator
-    output. w_next ** p is computed once, for the weighted norm and the
-    next stage's right-hand side."""
+def _step_bounds(w_next: Field, w: Field) -> Tuple[float, float]:
+    """(min, max |.|) of w_next - w, taken block by block of time slices
+    through one block-sized scratch, so no full-size difference is built."""
+    shape = w.nodes.shape
+    step = block_slices(math.prod(shape[1:]))
+    scratch = np.empty((min(step, shape[0]),) + shape[1:])
+    lows, highs = [], []
+    for k in range(0, shape[0], step):
+        blk = slice(k, k + step)
+        d = scratch[: w.values[blk].shape[0]]
+        np.subtract(w_next.values[blk], w.values[blk], out=d)
+        lows.append(np.min(d))
+        highs.append(np.max(d))
+    drop = float(np.min(lows))
+    return drop, max(float(np.max(highs)), -drop)
+
+
+def _step(w: Field, f: Field, spec: ProblemSpec, n: int) -> IterationState:
+    """Stage n of the scheme from the iterate w: invert the operator on the
+    stage-n right-hand side. Monotonicity is asserted, not assumed: a drop
+    below w beyond MONO_SLACK means the quadrature broke. The same slack
+    bounds the negative rounding of the operator output. No stage keeps a
+    w ** p field: the right-hand side and the weighted norm each raise
+    their block of the iterate to the power p in scratch."""
     # one expression: the right-hand side is released when apply_Js
     # returns, before _clamp_rounding reads the output
-    w_next = _clamp_rounding(apply_Js(rhs_truncated(w, w_pow, f, spec, n), spec.s))
-    diff = w_next.values - w.values
-    drop = float(np.min(diff))
-    sup_diff = max(float(np.max(diff)), -drop)  # max |w_next - w|
+    w_next = _clamp_rounding(apply_Js(rhs_truncated(w, f, spec, n), spec.s))
+    drop, sup_diff = _step_bounds(w_next, w)  # sup_diff = max |w_next - w|
     scale = max(float(np.max(w_next.values)), 1e-300)
     if drop < -MONO_SLACK * scale:
         raise MonotonicityError(f"iterate decreased by {drop:.3e} (scale {scale:.3e})")
-    # w_next >= 0 (see _clamp_rounding), so this is max(w_next, 0) ** p;
-    # it reuses diff's buffer, which the frozen Field adopts without a copy
-    next_pow = np.power(w_next.values, spec.p, out=diff)
-    next_pow.setflags(write=False)
-    next_pow = w_next.with_values(next_pow)
-    state = IterationState(
+    return IterationState(
         n=n,
         w=w_next,
-        m_curve=blowup_functional(next_pow, exponents(spec).mu),
+        m_curve=blowup_functional(w_next, spec.p, exponents(spec).mu),
         sup_diff=sup_diff,
     )
-    object.__setattr__(state, "w_pow", next_pow)
-    return state
 
 
 def initial_state(f: Field, spec: ProblemSpec) -> IterationState:
@@ -199,12 +210,12 @@ def initial_state(f: Field, spec: ProblemSpec) -> IterationState:
     zeros = np.zeros(f.values.shape)
     zeros.setflags(write=False)  # adopted without a copy
     zero = f.with_values(zeros)
-    return _step(zero, zero, f, spec, 0)
+    return _step(zero, f, spec, 0)
 
 
 def iterate(state: IterationState, f: Field, spec: ProblemSpec) -> IterationState:
     """The next stage of the scheme from state."""
-    return _step(state.w, state.w_pow, f, spec, state.n + 1)
+    return _step(state.w, f, spec, state.n + 1)
 
 
 VERDICT_CONVERGED = "ConvergedBelowCap"

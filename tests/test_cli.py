@@ -65,6 +65,22 @@ def test_verify_single_check_and_unknown(tmp_path):
     assert main(["verify", "--check", "zzz"]) == 2
 
 
+def test_verify_repeated_check_runs_each_named_id_once(tmp_path, capsys):
+    # --check repeats: every named id runs, once, in id order
+    out = tmp_path / "rep.json"
+    rc = main(["verify", "--check", "radial_K", "--check", "algebra_ab", "--json", str(out)])
+    assert rc == 0
+    assert [r["check_id"] for r in json.loads(out.read_text())] == ["algebra_ab", "radial_K"]
+    rc = main(["verify", "--check", "algebra_ab", "--check", "algebra_ab", "--json", str(out)])
+    assert rc == 0
+    assert [r["check_id"] for r in json.loads(out.read_text())] == ["algebra_ab"]
+    capsys.readouterr()
+    # an unknown id among known ones is a usage error that names it
+    assert main(["verify", "--check", "algebra_ab", "--check", "zzz", "--check", "radial_K"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown check 'zzz'") and err.count("\n") == 1
+
+
 def test_verify_seed_reproducible(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     main(["verify", "--check", "radial_K", "--seed", "7", "--json", str(a)])

@@ -13,7 +13,6 @@ from hardyheat.kernels import (
     AliasingError,
     NonCausalInput,
     QuadratureError,
-    _apply_on_axis,
     _dct_pair,
     _js_spectrum,
     _lag_table,
@@ -423,9 +422,11 @@ def test_dct2_pair_matches_cosine_sum():
         cosines = 2.0 * np.cos(np.pi * np.outer(j, 2 * j + 1) / (2 * n))
         want = np.einsum("kj,ajb->akb", cosines, x)
         forward, inverse = _dct_pair(n, False)
-        got = _apply_on_axis(forward, x, 1)
+        got = np.empty_like(x)
+        kernels._spatial_transform(x, [forward], got)
         assert np.max(np.abs(got - want)) <= 1e-14 * n * np.max(np.abs(want))
-        assert np.max(np.abs(_apply_on_axis(inverse, got, 1) - x)) <= 1e-14 * n
+        kernels._spatial_transform(got, [inverse], got)  # in place
+        assert np.max(np.abs(got - x)) <= 1e-14 * n
 
 
 def test_dct2_of_alternated_samples_is_the_sine_sum():
@@ -441,33 +442,47 @@ def test_dct2_of_alternated_samples_is_the_sine_sum():
         sines = 2.0 * np.sin(np.pi * np.outer(k, 2 * j + 1) / (2 * n))
         want = np.einsum("mj,ajb->amb", sines, x)
         forward, inverse = _dct_pair(n, True)
-        got = _apply_on_axis(forward, x, 1)
+        got = np.empty_like(x)
+        kernels._spatial_transform(x, [forward], got)
         assert np.max(np.abs(got - want)) <= 1e-14 * n * np.max(np.abs(want))
-        assert np.max(np.abs(_apply_on_axis(inverse, got, 1) - x)) <= 1e-14 * n
+        kernels._spatial_transform(got, [inverse], got)  # in place
+        assert np.max(np.abs(got - x)) <= 1e-14 * n
+
+
+def _batched(mat, c, ax):
+    """mat applied along axis ax of c as one batch of products over the
+    whole array, into a fresh array."""
+    if ax == c.ndim - 1:
+        return c @ mat.T
+    return np.moveaxis(mat @ np.moveaxis(c, ax, -2), -2, ax)
 
 
 def _js_time_first(part, odd, lat, table):
-    """The orthant convolution with its time rfft, multiply and irfft each
-    over the whole part along axis 0, against the table moved time-first."""
+    """The orthant convolution with its spatial transforms batched over the
+    whole part, one fresh array per axis, and its time rfft, multiply and
+    irfft each over the whole part along axis 0, against the table moved
+    time-first."""
     half = lat.M // 2
     pairs = [_dct_pair(half, o) for o in odd]
     c = part
     for ax, (forward, _) in enumerate(pairs, 1):
-        c = _apply_on_axis(forward, c, ax)
+        c = _batched(forward, c, ax)
     c = np.fft.rfft(c, n=2 * lat.K, axis=0)
     c *= np.moveaxis(table, -1, 0)[(slice(None),) + tuple(slice(half, 0, -1) if o else slice(0, half) for o in odd)]
     c = np.fft.irfft(c, n=2 * lat.K, axis=0)[: lat.K]
     for ax, (_, inverse) in enumerate(pairs, 1):
-        c = _apply_on_axis(inverse, c, ax)
+        c = _batched(inverse, c, ax)
     return c
 
 
 @pytest.mark.parametrize("dim,M,T_neg", [(1, 16, 0.0), (2, 16, 1.0), (3, 16, 0.0), (3, 16, 1.0)])
 @pytest.mark.parametrize("rows", [None, 1, 3])
 def test_js_blocks_bitwise_match_time_first(monkeypatch, dim, M, T_neg, rows):
-    # the time-last blocks change no bit of the output, whether the time
-    # convolution is one block (the default budget here), one row per
-    # block, or 3 rows per block with a ragged last block (half = 8)
+    # the time-last blocks and the in-place spatial transforms change no
+    # bit of the output, whether the time convolution is one block (the
+    # default budget here), one row per block, or 3 rows per block with a
+    # ragged last block (half = 8); the same budgets put all 12 time
+    # slices, 3, or 9 and a ragged 3 in a spatial transform's block
     lat = make_lattice(dim, 4.0, M, T_neg, 3.0, 12)
     half = lat.M // 2
     if rows is not None:
@@ -501,6 +516,57 @@ def test_js_peak_memory_within_two_and_a_half_parts():
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * fld.values.nbytes
+
+
+def test_js_in_place_transforms_peak_below_1_6_fields():
+    # the spatial transforms run in place on the one output buffer: a call
+    # holds one field and a few blocks beside its input
+    import tracemalloc
+
+    lat = make_lattice(3, 6.0, 32, 0.0, 8.0, 48)
+    fld = Field(lat, np.random.default_rng(26).random((lat.K,) + (lat.M // 2,) * lat.dim), orthant=True)
+    _js_spectrum(lat, 0.5)
+    apply_Js(fld, 0.5)  # the transform matrices too
+    tracemalloc.start()
+    try:
+        apply_Js(fld, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.6 * fld.values.nbytes
+
+
+@pytest.mark.parametrize("s", [0.5, 0.3])
+def test_js_leaves_its_input_and_returns_a_fresh_frozen_array(monkeypatch, s):
+    # the transforms write only their own buffer: the input is bitwise
+    # unchanged, whether it is an orthant field (its values are the part)
+    # or a full-grid input whose one part is a view of it (2-D odd in one
+    # axis and exactly even in the other, 1-D exactly even)
+    parts = []
+    convolve = kernels._js_on_orthant
+
+    def record(part, odd, lat, table):
+        parts.append((part, tuple(odd)))
+        return convolve(part, odd, lat, table)
+
+    monkeypatch.setattr(kernels, "_js_on_orthant", record)
+    rng = np.random.default_rng(27)
+    lat3 = make_lattice(3, 6.0, 16, 0.0, 8.0, 12)
+    lat2 = make_lattice(2, 4.0, 16, 0.0, 3.0, 12)
+    lat1 = make_lattice(1, 4.0, 16, 0.0, 3.0, 12)
+    cases = [
+        (Field(lat3, rng.random((lat3.K,) + (8,) * 3), orthant=True), (False,) * 3),
+        (Field(lat2, _one_odd_axis(lat2, rng)), (True, False)),
+        (Field(lat1, _mirrored(rng.random((lat1.K, 8)), 1)), (False,)),
+    ]
+    for g, odd in cases:
+        before = g.values.copy()
+        del parts[:]
+        out = apply_Js(g, s)
+        assert [o for _, o in parts] == [odd] and np.shares_memory(parts[0][0], g.values)
+        assert np.array_equal(g.values, before)
+        assert not np.shares_memory(out.values, g.values)
+        assert out.values.flags.owndata and not out.values.flags.writeable
 
 
 @pytest.mark.parametrize("s", [-0.5, 0.0, 1.5, float("nan")])

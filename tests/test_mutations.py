@@ -3,7 +3,7 @@ check, and the unmutated code must pass it."""
 
 import pytest
 
-from hardyheat import verifier
+from hardyheat import kernels, verifier
 from hardyheat.verifier import VerifierConfig, run_check
 
 
@@ -15,3 +15,44 @@ def test_hardy_trips_on_a_deflated_fractional_laplacian_constant(monkeypatch, fa
     monkeypatch.setattr(verifier, "frac_laplacian_constant",
                         lambda dim, s: factor * true_const(dim, s))
     assert run_check("hardy", VerifierConfig(seed=0)).passed is passes
+
+
+def _scaled_spectrum(real, factor):
+    return lambda lat, s: factor * real(lat, s)
+
+
+def _scaled_inverse(real, factor):
+    def pair(n, odd):
+        forward, inverse = real(n, odd)
+        return forward, factor * inverse
+
+    return pair
+
+
+def _scaled_order(real, factor):
+    return lambda lat, s, *pads: real(lat, factor * s, *pads)
+
+
+# (operator in kernels, its mutation, mutated factor, the checks it trips
+# and their seed-0 margins at that factor, against tolerances of 1e-2 for
+# inversion and semigroup and 5e-2 for ground_state and radial_flap).
+# Under the heat_symbol mutation `adjoint` still reads 3.3e-15 and passes:
+# its reflection symmetry holds for any real convolution operator, a wrong
+# order included, which is ROADMAP item 6's evidence that it cannot fail.
+OPERATOR_MUTATIONS = [
+    # the causal inverse's lag table: margins 0.050 and 0.050
+    ("_js_spectrum", _scaled_spectrum, 1.05, ("inversion", "semigroup")),
+    # the orthant transforms' inverse matrices: margins 0.041 and 0.041
+    ("_dct_pair", _scaled_inverse, 1.02, ("inversion", "semigroup")),
+    # the spectral operator's order: margins 0.065, 0.083 and 0.50
+    ("heat_symbol", _scaled_order, 1.1, ("inversion", "ground_state", "radial_flap")),
+]
+
+
+@pytest.mark.parametrize("name,mutate,factor,check_ids", OPERATOR_MUTATIONS,
+                         ids=[m[0] for m in OPERATOR_MUTATIONS])
+@pytest.mark.parametrize("mutated", [False, True])
+def test_operator_mutation_trips_its_checks(monkeypatch, name, mutate, factor, check_ids, mutated):
+    monkeypatch.setattr(kernels, name, mutate(getattr(kernels, name), factor if mutated else 1.0))
+    for cid in check_ids:
+        assert run_check(cid, VerifierConfig(seed=0)).passed is not mutated, cid

@@ -15,7 +15,7 @@ from hardyheat.constants import (
     mu_from_lambda,
     upsilon_inv,
 )
-from hardyheat.lattice import Field, Lattice, SampleError, make_lattice, sample
+from hardyheat.lattice import Field, Lattice, SampleError, make_lattice, sample, weighted_integral
 from hardyheat.solver import (
     VERDICT_CONVERGED,
     VERDICT_ESCAPE,
@@ -44,7 +44,7 @@ def spec():
 
 
 def _pow(w, p):
-    """The field max(w, 0) ** p, as the scheme carries it."""
+    """The field max(w, 0) ** p, stored whole."""
     return w.with_values(np.maximum(w.values, 0.0) ** p)
 
 
@@ -63,19 +63,18 @@ def test_cutoff_family_nesting(lat):
 
 def test_rhs_truncated_zero_and_bounds(lat, spec):
     z = Field(lat, np.zeros(lat.shape))
-    assert np.all(rhs_truncated(z, z, z, spec, 3).values == 0.0)
+    assert np.all(rhs_truncated(z, z, spec, 3).values == 0.0)
     f = gaussian_bump_forcing(lat, 2.0).full_grid()
     w = Field(lat, np.abs(np.sin(lat.spatial_radius()))[None] * np.ones(lat.shape))
-    wp = _pow(w, spec.p)
-    out = rhs_truncated(w, wp, f, spec, 4)
+    out = rhs_truncated(w, f, spec, 4)
     assert np.all(out.values >= 0.0)
     assert np.all(np.isfinite(out.values))
     with pytest.raises(ValueError):
-        rhs_truncated(w, wp, Field(lat, -f.values), spec, 2)
-    # a carried power from another lattice is refused, not misread
+        rhs_truncated(w, Field(lat, -f.values), spec, 2)
+    # a forcing from another lattice is refused, not misread
     other = make_lattice(2, 6.0, 32, 0.0, 6.0, 24)
     with pytest.raises(ValueError, match="another lattice"):
-        rhs_truncated(w, Field(other, np.zeros(other.shape)), f, spec, 2)
+        rhs_truncated(w, Field(other, np.zeros(other.shape)), spec, 2)
 
 
 def test_fields_on_another_lattice_are_refused(lat, spec):
@@ -88,7 +87,7 @@ def test_fields_on_another_lattice_are_refused(lat, spec):
     with pytest.raises(ValueError, match="another lattice"):
         iterate(st, f_other, spec)
     with pytest.raises(ValueError, match="another lattice"):
-        rhs_truncated(st.w, st.w_pow, f_other, spec, 1)
+        rhs_truncated(st.w, f_other, spec, 1)
     with pytest.raises(ValueError, match="another lattice"):
         run(spec, f, max_n=2, dominator=Field(other, 2.0 * st.w.values))
 
@@ -96,11 +95,10 @@ def test_fields_on_another_lattice_are_refused(lat, spec):
 def test_rhs_truncated_monotone_in_stage(lat, spec):
     rng = np.random.default_rng(2)
     w = Field(lat, np.abs(rng.standard_normal(lat.shape)) * lat.causal_mask()[:, None, None])
-    wp = _pow(w, spec.p)
     f = gaussian_bump_forcing(lat, 1.0).full_grid()
-    prev = rhs_truncated(w, wp, f, spec, 1).values
+    prev = rhs_truncated(w, f, spec, 1).values
     for n in (2, 3, 5, 9):
-        cur = rhs_truncated(w, wp, f, spec, n).values
+        cur = rhs_truncated(w, f, spec, n).values
         assert np.min(cur - prev) >= -1e-14
         prev = cur
 
@@ -110,7 +108,7 @@ def test_rhs_truncated_limit(lat, spec):
     # up to the raw right-hand side
     w = sample(lambda t, x, y: (t > 0) * np.exp(-(x * x + y * y)), lat)
     f = gaussian_bump_forcing(lat, 1.0).full_grid()
-    big = rhs_truncated(w, _pow(w, spec.p), f, spec, 400).values
+    big = rhs_truncated(w, f, spec, 400).values
     r = lat.spatial_radius()
     raw = (
         spec.lam * w.values * r ** (-2 * spec.s)
@@ -149,9 +147,8 @@ def test_rhs_truncated_matches_closed_form(dim):
     # spans the saturation caps of every stage below
     w = Field(lat, 20.0 * rng.random(lat.shape) ** 3 * causal)
     f = gaussian_bump_forcing(lat, 3.0).full_grid()
-    wp = _pow(w, spec.p)
     for n in (0, 1, 3, 7):
-        got = rhs_truncated(w, wp, f, spec, n).values
+        got = rhs_truncated(w, f, spec, n).values
         want = _rhs_closed_form(w, f, spec, n)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(want)
 
@@ -166,31 +163,59 @@ def test_sup_diff_is_the_sup_of_the_step(lat, spec):
         st = nxt
 
 
-def test_stage_power_is_computed_once_and_carried(lat):
-    # each stage raises its iterate to the power p once, bitwise equal to
-    # max(w, 0) ** p; the weighted norm and the next stage read that field
+def test_stage_keeps_no_power_field(lat):
+    # no stage stores max(w, 0) ** p: the weighted norm raises each block
+    # of the iterate in scratch, and its slice sums are bitwise those of the
+    # power stored whole; the state has no power field to carry
     spec = ProblemSpec(2, 0.5, 0.5 * lambda_max(2, 0.5), 1.7)
     f = gaussian_bump_forcing(lat, 0.5)
     st = iterate(initial_state(f, spec), f, spec)
-    assert np.array_equal(st.w_pow.values, _pow(st.w, spec.p).values)
-    assert not st.w_pow.values.flags.writeable
+    assert not hasattr(st, "w_pow")
+    assert [fl.name for fl in dataclasses.fields(st)] == ["n", "w", "m_curve", "sup_diff"]
     mu = exponents(spec).mu
-    assert np.array_equal(st.m_curve, blowup_functional(_pow(st.w, spec.p), mu))
-    nxt = solver._step(st.w, _pow(st.w, spec.p), f, spec, st.n + 1)
+    assert np.array_equal(st.m_curve, blowup_functional(st.w, spec.p, mu))
+    assert np.array_equal(st.m_curve, weighted_integral(_pow(st.w, spec.p), -mu))
+    nxt = solver._step(st.w, f, spec, st.n + 1)
     assert np.array_equal(iterate(st, f, spec).w.values, nxt.w.values)
 
 
-def test_state_with_another_iterate_has_no_carried_power(lat, spec):
-    # the carried power belongs to the iterate _step made it from: the
-    # state is frozen, and a copy with another w has none, so iterate
-    # cannot read a stale one
+def test_replaced_state_iterates_from_its_own_iterate(lat, spec):
+    # the state is frozen, and a copy with another w (dataclasses.replace)
+    # iterates from that w: nothing derived from the old one is carried
     f = gaussian_bump_forcing(lat, 0.5).full_grid()
     st = initial_state(f, spec)
     with pytest.raises(dataclasses.FrozenInstanceError):
         st.w = Field(lat, 2.0 * st.w.values)
     moved = dataclasses.replace(st, w=Field(lat, 2.0 * st.w.values))
-    with pytest.raises(AttributeError, match="w_pow"):
-        iterate(moved, f, spec)
+    got = iterate(moved, f, spec)
+    from hardyheat.kernels import apply_Js
+
+    want = np.maximum(apply_Js(rhs_truncated(moved.w, f, spec, 1), spec.s).values, 0.0)
+    np.testing.assert_array_equal(got.w.values, want)
+    assert not np.array_equal(got.w.values, iterate(st, f, spec).w.values)
+
+
+def test_run_peaks_below_4_5_fields():
+    # a stage holds w, the right-hand side and the inverse's one buffer
+    # beside the forcing, and a few blocks of scratch: no w ** p field, no
+    # full-size difference and no per-axis transform copies
+    import tracemalloc
+
+    from hardyheat.kernels import _js_spectrum
+
+    lat = make_lattice(3, 6.0, 32, 0.0, 8.0, 48)
+    lam = 0.5 * lambda_max(3, 0.5)
+    spec = ProblemSpec(3, 0.5, lam, 0.5 * (1.0 + exponents(ProblemSpec(3, 0.5, lam, 2.0)).fujita_F))
+    f = gaussian_bump_forcing(lat, 1.0)
+    _js_spectrum(lat, spec.s)
+    tracemalloc.start()
+    try:
+        rep = run(spec, f, max_n=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.n_final == 3
+    assert peak < 4.5 * f.values.nbytes
 
 
 def test_spent_rhs_is_released_before_the_clamp(lat, spec, monkeypatch):
@@ -363,12 +388,12 @@ def test_rhs_truncated_refuses_mixed_node_sets(lat, spec):
     half = gaussian_bump_forcing(lat, 0.5)
     f = half.full_grid()
     with pytest.raises(ValueError, match="node sets"):
-        rhs_truncated(half, half, f, spec, 1)
+        rhs_truncated(half, f, spec, 1)
     with pytest.raises(ValueError, match="node sets"):
-        rhs_truncated(f, half, f, spec, 1)
+        rhs_truncated(f, half, spec, 1)
     # on one node set it is the full-grid right-hand side, restricted
-    full = rhs_truncated(f, _pow(f, spec.p), f, spec, 2)
-    got = rhs_truncated(half, _pow(half, spec.p), half, spec, 2)
+    full = rhs_truncated(f, f, spec, 2)
+    got = rhs_truncated(half, half, spec, 2)
     assert got.orthant
     np.testing.assert_array_equal(got.full_grid().values, full.values)
 
@@ -432,19 +457,19 @@ def test_run_report_json_round_trip(lat, spec):
 def test_blowup_functional_separable_and_monotone(lat):
     mu, p = 0.25, 1.6
     z = Field(lat, np.zeros(lat.shape))
-    assert np.all(blowup_functional(_pow(z, p), mu) == 0.0)
+    assert np.all(blowup_functional(z, p, mu) == 0.0)
     bump_t = smooth_step((lat.t_axis() - 0.5) / 0.5) * (
         1.0 - smooth_step((lat.t_axis() - 3.0) / 1.0)
     )
     r = lat.spatial_radius()
     prof = np.where(r < 2.0, r ** (-mu), 0.0)
     w = Field(lat, bump_t[:, None, None] * prof[None])
-    m = blowup_functional(_pow(w, p), mu)
+    m = blowup_functional(w, p, mu)
     on = bump_t > 1e-3
     ratios = m[on] / bump_t[on] ** p
     assert np.max(ratios) / np.min(ratios) == pytest.approx(1.0, rel=1e-10)
     w2 = Field(lat, 2.0 * w.values)
-    assert np.all(blowup_functional(_pow(w2, p), mu)[on] >= m[on])
+    assert np.all(blowup_functional(w2, p, mu)[on] >= m[on])
 
 
 def test_blowup_band_escapes(lat):
@@ -489,11 +514,11 @@ def test_initial_state_is_saturated_forcing_inverse(lat, spec):
     from hardyheat.kernels import apply_Js
 
     z = Field(lat, np.zeros(lat.shape))
-    direct = apply_Js(rhs_truncated(z, z, f, spec, 0), spec.s)
+    direct = apply_Js(rhs_truncated(z, f, spec, 0), spec.s)
     assert np.max(np.abs(st.w.values - np.maximum(direct.values, 0.0))) == 0.0
     # stage 0 is the one step body taken from the zero field: its drop test
     # is vacuous and its sup_diff is the sup norm of the iterate
-    step0 = solver._step(z, z, f, spec, 0)
+    step0 = solver._step(z, f, spec, 0)
     assert step0.n == st.n == 0
     np.testing.assert_array_equal(step0.w.values, st.w.values)
     np.testing.assert_array_equal(step0.m_curve, st.m_curve)
@@ -560,7 +585,7 @@ def test_run_follows_the_spec_exponent(lat, spec, monkeypatch):
     assert rep.n_final == st.n == 2
     assert [m for _, m in rep.m_curve] == st.m_curve.tolist()
     mu = exponents(spec).mu
-    np.testing.assert_array_equal(st.m_curve, blowup_functional(_pow(st.w, spec.p), mu))
+    np.testing.assert_array_equal(st.m_curve, blowup_functional(st.w, spec.p, mu))
 
 
 def test_run_solves_mu_once(lat, spec, monkeypatch):
