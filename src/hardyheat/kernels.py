@@ -42,10 +42,12 @@ class QuadratureError(RuntimeError):
 # fractional heat operator, spectral side
 # ---------------------------------------------------------------------------
 
-def heat_symbol(lat: Lattice, s: float, pad_space: int = 1, pad_time: int = 1) -> np.ndarray:
+def heat_symbol(lat: Lattice, s: float, pad_space: int = 1, pad_time: int = 1,
+                block: slice = slice(None)) -> np.ndarray:
     """(i theta + |xi|^2)^s on the folded half of the (padded) frequency grid:
     spatial indices 0..P/2 on each axis (P = pad_space*M), time last with
-    theta index 0..pad_time*K/2 as rfftn keeps it.
+    the theta indices block of 0..pad_time*K/2 as rfftn keeps them (all of
+    them by default).
 
     fftfreq's indices k and P - k square to the same |xi|^2, so this corner
     holds the symbol at every spatial frequency (see _fold_views). The base
@@ -54,7 +56,7 @@ def heat_symbol(lat: Lattice, s: float, pad_space: int = 1, pad_time: int = 1) -
     time-Nyquist plane, which fftfreq gives the one frequency -pi/ht.
     """
     corner = (slice(0, pad_space * lat.M // 2 + 1),) * lat.dim
-    theta = lat.theta_axis(pad_time)[: pad_time * lat.K // 2 + 1]
+    theta = lat.theta_axis(pad_time)[: pad_time * lat.K // 2 + 1][block]
     return (1j * theta + lat.xi_squared(pad_space)[corner][..., None]) ** s
 
 
@@ -77,6 +79,14 @@ def apply_Hs_spectral(fld: Field, s: float, pad_space: int = 2, pad_time: int = 
     residue a complex transform would leave, and it must stay within 1e-10
     of the real part (a broken branch or severe aliasing). An odd padded
     time length has no such plane, and no residue.
+
+    The only whole-window complex array is the window rows' time spectrum.
+    The padded spatial transforms and the symbol act on one
+    lattice.block_slices block of time-frequency planes at a time, in one
+    reused buffer zeroed off the window, and only the window's rows are
+    written back; the time inverse runs on blocks of rows and writes the K
+    kept slices straight into the output. Each lane sees the same 1-D
+    transforms as a whole-array pass, so the output is bitwise the same.
     """
     if not 0.0 < s <= 1.0:  # NaN fails this too
         raise ValueError(f"need 0 < s <= 1, got {s}")
@@ -91,32 +101,47 @@ def apply_Hs_spectral(fld: Field, s: float, pad_space: int = 2, pad_time: int = 
     n_space = pad_space * lat.M
     n_time = pad_time * lat.K
     off = (pad_space - 1) * lat.M // 2
-    window = slice(off, off + lat.M)
-    spec = np.zeros((n_space,) * lat.dim + (n_time // 2 + 1,), dtype=complex)
-    data = np.moveaxis(fld.values, 0, -1)
-    np.fft.rfft(data, n=n_time, axis=-1, out=spec[(window,) * lat.dim])
-    for d in reversed(range(lat.dim)):
-        rows = spec[(window,) * d]
-        np.fft.fft(rows, axis=d, out=rows)
-    sym = heat_symbol(lat, s, pad_space, pad_time)
+    window = (slice(off, off + lat.M),) * lat.dim
+    tspec = np.fft.rfft(np.moveaxis(fld.values, 0, -1), n=n_time, axis=-1)
+    n_freq = tspec.shape[-1]
+    step = block_slices(2 * n_space ** lat.dim)
+    buf = np.empty((n_space,) * lat.dim + (min(step, n_freq),), dtype=complex)
+    corners = [tuple(zip(*c)) for c in itertools.product(_fold_views(n_space), repeat=lat.dim)]
     resid = 0.0
-    if n_time % 2 == 0:
-        k = np.arange(n_space)
-        fold = np.ix_(*(np.minimum(k, n_space - k),) * lat.dim)
-        plane = np.fft.ifftn(spec[..., -1] * sym[..., -1].imag[fold])
-        resid = float(np.max(np.abs(plane[(window,) * lat.dim]))) / n_time
-    for corner in itertools.product(_fold_views(n_space), repeat=lat.dim):
-        spec_views, sym_views = zip(*corner)
-        spec[spec_views] *= sym[sym_views]
-    del sym  # the inverse's output would otherwise stack on it at the peak
-    for d in range(lat.dim):
-        rows = spec[(window,) * d]
-        np.fft.ifft(rows, axis=d, out=rows)
-    out = np.fft.irfft(spec[(window,) * lat.dim], n=n_time, axis=-1)[..., : lat.K]
-    scale = max(float(np.max(np.abs(out))), 1e-300)
+    for j in range(0, n_freq, step):
+        block = slice(j, min(j + step, n_freq))
+        spec = buf[..., : block.stop - j]
+        spec.fill(0.0)
+        spec[window] = tspec[..., block]
+        for d in reversed(range(lat.dim)):
+            rows = spec[window[:d]]
+            np.fft.fft(rows, axis=d, out=rows)
+        sym = heat_symbol(lat, s, pad_space, pad_time, block)
+        # the time-Nyquist plane is the last, read before the multiply
+        if n_time % 2 == 0 and block.stop == n_freq:
+            k = np.arange(n_space)
+            fold = np.ix_(*(np.minimum(k, n_space - k),) * lat.dim)
+            plane = spec[..., -1] * sym[..., -1].imag[fold]
+            np.fft.ifftn(plane, out=plane)
+            resid = float(np.max(np.abs(plane[window]))) / n_time
+            del plane
+        for spec_views, sym_views in corners:
+            spec[spec_views] *= sym[sym_views]
+        for d in range(lat.dim):
+            rows = spec[window[:d]]
+            np.fft.ifft(rows, axis=d, out=rows)
+        tspec[..., block] = spec[window]
+    del buf
+    out = np.empty(lat.shape)
+    lanes, kept = tspec.reshape(-1, n_freq), out.reshape(lat.K, -1).T
+    step = block_slices(n_time)
+    for i in range(0, lanes.shape[0], step):
+        kept[i : i + step] = np.fft.irfft(lanes[i : i + step], n=n_time, axis=-1)[:, : lat.K]
+    scale = max(float(np.max(out)), -float(np.min(out)), 1e-300)
     if resid > 1e-10 * scale:
         raise AliasingError(f"imaginary residue {resid:.9e} vs scale {scale:.3e}")
-    return Field(lat, np.moveaxis(out, -1, 0))
+    out.setflags(write=False)  # handed to Field without a copy
+    return Field(lat, out)
 
 
 def _spatial_multiply(values: np.ndarray, lat: Lattice, multiplier: np.ndarray) -> np.ndarray:
@@ -321,6 +346,8 @@ def _js_on_orthant(part: np.ndarray, odd: Sequence[bool], lat: Lattice, table: n
     The whole convolution lives in one fresh buffer: the forward transform
     reads part, which it never writes, into it, and the time convolution
     and the inverse transform run on it in place (see _spatial_transform).
+    The forward transform acts slice by slice, so the slices at t <= 0 are
+    zeroed in the buffer after it, as if they had been zeroed in part.
     The time convolution runs block by block over rows of the first
     spatial axis, lattice.block_slices rows of 2K time values each: a block
     is gathered time-last (a transpose that stays in cache), so its rfft,
@@ -334,6 +361,9 @@ def _js_on_orthant(part: np.ndarray, odd: Sequence[bool], lat: Lattice, table: n
     pairs = [_dct_pair(half, o) for o in odd]
     c = np.empty(part.shape)
     _spatial_transform(part, [forward for forward, _ in pairs], c)
+    past = ~lat.causal_mask()
+    if past.any():
+        c[past] = 0.0
     kern = table[tuple(slice(half, 0, -1) if o else slice(0, half) for o in odd)]
     rows = block_slices(n * half ** (lat.dim - 1))
     for i in range(0, half, rows):
@@ -372,18 +402,16 @@ def apply_Js(g: Field, s: float, causal_tol: float = 1e-8) -> Field:
         raise ValueError(f"need 0 < s <= 1, got {s}")
     lat = g.lattice
     past = ~lat.causal_mask()
+    # the transforms only read the input; what lies at t <= 0 is checked
+    # here and zeroed in the transform buffer (see _js_on_orthant)
+    vals = np.asarray(g.values, dtype=float)
     if past.any():
-        vals = np.array(g.values, dtype=float)
-        scale = float(np.max(np.abs(vals)))
+        scale = max(float(np.max(vals)), -float(np.min(vals)))
         leak = float(np.max(np.abs(vals[past])))
         if scale > 0 and leak > causal_tol * scale:
             raise NonCausalInput(
                 f"input has mass {leak:.3e} at t <= 0 (scale {scale:.3e})"
             )
-        vals[past] = 0.0
-    else:
-        # nothing at t <= 0 to check or zero, and the transform only reads
-        vals = np.asarray(g.values, dtype=float)
 
     table = _js_spectrum(lat, float(s))
     if g.orthant:
@@ -415,16 +443,23 @@ def _gaussian_transform(c: np.ndarray) -> np.ndarray:
 
     The grid is symmetric and the summand has an even real and an odd
     imaginary part, so the sum is twice the cosine sum over the nodes u > 0;
-    an odd count adds the centre node u = 0 once. einsum reduces without
-    BLAS, so no worker thread starts.
+    an odd count adds the centre node u = 0 once. The phases c u and their
+    cosines are formed one lattice.block_slices block of c at a time in one
+    reused scratch, and einsum reduces each block without BLAS, so no
+    worker thread starts.
     """
     u = np.linspace(-SYMBOL_U_HALF, SYMBOL_U_HALF, SYMBOL_U_POINTS)
     half = u[SYMBOL_U_POINTS // 2:]
     weight = 2.0 * (u[1] - u[0]) * np.exp(-0.25 * half * half)
     if SYMBOL_U_POINTS % 2:
         weight[0] *= 0.5
-    phase = np.multiply.outer(c, half)
-    return np.einsum("ij,j->i", np.cos(phase, out=phase), weight)
+    out = np.empty(c.shape)
+    step = block_slices(half.size)
+    scratch = np.empty((min(step, c.size), half.size))
+    for i in range(0, c.size, step):
+        phase = np.multiply.outer(c[i : i + step], half, out=scratch[: min(step, c.size - i)])
+        np.einsum("ij,j->i", np.cos(phase, out=phase), weight, out=out[i : i + step])
+    return out
 
 
 def symbol_of_kernel_check(s: float, dim: int = 2) -> float:

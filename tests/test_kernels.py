@@ -92,7 +92,28 @@ def test_hs_bitwise_matches_dense_transform(dim, M, pads):
         assert np.array_equal(apply_Hs_spectral(fld, s, *pads).values, _hs_dense(fld, s, *pads))
 
 
-def test_hs_peak_memory_within_two_half_spectra():
+@pytest.mark.parametrize("dim,M,K,pads,planes", [
+    (2, 32, 33, (2, 3), 4),  # odd padded time length (no Nyquist plane), 50 planes
+    (1, 64, 33, (1, 1), 4),  # the same, 17 planes
+    (2, 32, 32, (2, 4), 3),  # 65 planes
+    (3, 8, 32, (2, 4), 1),   # one plane per block
+])
+def test_hs_blocks_bitwise_match_dense_transform(monkeypatch, dim, M, K, pads, planes):
+    # the spatial transforms and the symbol run on blocks of frequency
+    # planes (the first three cases end on a ragged block), and the time
+    # inverse on blocks of rows, with no bit changed
+    lat = make_lattice(dim, 6.0, M, 1.5, 4.5, K)
+    plane = 2 * (pads[0] * M) ** dim
+    monkeypatch.setattr(lattice, "_BLOCK_BYTES", planes * 8 * plane)
+    assert block_slices(plane) == planes
+    fld = _off_node_bump(lat)
+    for s in (0.3, 0.5):
+        assert np.array_equal(apply_Hs_spectral(fld, s, *pads).values, _hs_dense(fld, s, *pads))
+
+
+def test_hs_peak_memory_within_three_quarters_of_a_half_spectrum():
+    # only the window rows' time spectrum is whole: the padded spatial
+    # transforms hold one block of frequency planes
     import tracemalloc
 
     lat = make_lattice(2, 8.0, 64, 1.5, 4.5, 48)
@@ -105,7 +126,7 @@ def test_hs_peak_memory_within_two_half_spectra():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * half_spectrum
+    assert peak <= 0.75 * half_spectrum
 
 
 @pytest.mark.parametrize("s", [-0.5, 0.0, 1.5, float("nan"), float("inf")])
@@ -461,12 +482,13 @@ def _js_time_first(part, odd, lat, table):
     """The orthant convolution with its spatial transforms batched over the
     whole part, one fresh array per axis, and its time rfft, multiply and
     irfft each over the whole part along axis 0, against the table moved
-    time-first."""
+    time-first; the slices at t <= 0 count as zero."""
     half = lat.M // 2
     pairs = [_dct_pair(half, o) for o in odd]
     c = part
     for ax, (forward, _) in enumerate(pairs, 1):
         c = _batched(forward, c, ax)
+    c[~lat.causal_mask()] = 0.0
     c = np.fft.rfft(c, n=2 * lat.K, axis=0)
     c *= np.moveaxis(table, -1, 0)[(slice(None),) + tuple(slice(half, 0, -1) if o else slice(0, half) for o in odd)]
     c = np.fft.irfft(c, n=2 * lat.K, axis=0)[: lat.K]
@@ -534,6 +556,28 @@ def test_js_in_place_transforms_peak_below_1_6_fields():
     finally:
         tracemalloc.stop()
     assert peak < 1.6 * fld.values.nbytes
+
+
+def test_js_past_slices_cost_no_extra_field():
+    # slices at t <= 0 are zeroed in the transform buffer, not in a copy of
+    # the input: the peak is that of an all-causal window
+    import tracemalloc
+
+    peaks = []
+    for T_neg in (0.0, 1.0):
+        lat = make_lattice(3, 6.0, 32, T_neg, 8.0, 48)
+        vals = np.random.default_rng(28).random((lat.K,) + (lat.M // 2,) * lat.dim)
+        vals *= lat.causal_mask().reshape((-1,) + (1,) * lat.dim)
+        fld = Field(lat, vals, orthant=True)
+        apply_Js(fld, 0.5)  # build the table and the transform matrices
+        tracemalloc.start()
+        try:
+            apply_Js(fld, 0.5)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert T_neg > 0 and not lat.causal_mask()[0]
+    assert peaks[1] <= peaks[0] + 0.1 * fld.values.nbytes
 
 
 @pytest.mark.parametrize("s", [0.5, 0.3])
@@ -792,8 +836,11 @@ def test_js_output_exactly_zero_on_past():
     out = apply_Js(fld, 0.6).values
     assert past.any() and np.all(out[past] == 0.0)
     assert np.all(out[~past] > 0.0)
-    # the zeroing happens on a copy: the input keeps its leak
+    # the leak is zeroed in the transform buffer: the input keeps it, and
+    # the output is the zeroed input's
     assert np.array_equal(fld.values, g)
+    g[past] = 0.0
+    assert np.array_equal(out, apply_Js(Field(lat, g), 0.6).values)
 
 
 def test_symbol_of_kernel_closed_form_substitution():
@@ -843,6 +890,21 @@ with with_ticks():
     verifier.run_check("symbol")
 """
     assert _worker_ticks(body) == 0
+
+
+def test_symbol_check_peak_memory_below_2_mb():
+    # the phase matrix is formed one block of tau nodes at a time; the
+    # whole 1704 x 1024 matrix was 13.6 MiB
+    import tracemalloc
+
+    symbol_of_kernel_check(0.5, dim=2)
+    tracemalloc.start()
+    try:
+        symbol_of_kernel_check(0.5, dim=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2e6
 
 
 def test_symbol_of_kernel_check_accuracy_and_trend(monkeypatch):

@@ -17,8 +17,8 @@ def test_hardy_trips_on_a_deflated_fractional_laplacian_constant(monkeypatch, fa
     assert run_check("hardy", VerifierConfig(seed=0)).passed is passes
 
 
-def _scaled_spectrum(real, factor):
-    return lambda lat, s: factor * real(lat, s)
+def _scaled_value(real, factor):
+    return lambda *args: factor * real(*args)
 
 
 def _scaled_inverse(real, factor):
@@ -41,7 +41,7 @@ def _scaled_order(real, factor):
 # order included, which is ROADMAP item 6's evidence that it cannot fail.
 OPERATOR_MUTATIONS = [
     # the causal inverse's lag table: margins 0.050 and 0.050
-    ("_js_spectrum", _scaled_spectrum, 1.05, ("inversion", "semigroup")),
+    ("_js_spectrum", _scaled_value, 1.05, ("inversion", "semigroup")),
     # the orthant transforms' inverse matrices: margins 0.041 and 0.041
     ("_dct_pair", _scaled_inverse, 1.02, ("inversion", "semigroup")),
     # the spectral operator's order: margins 0.065, 0.083 and 0.50
@@ -56,3 +56,22 @@ def test_operator_mutation_trips_its_checks(monkeypatch, name, mutate, factor, c
     monkeypatch.setattr(kernels, name, mutate(getattr(kernels, name), factor if mutated else 1.0))
     for cid in check_ids:
         assert run_check(cid, VerifierConfig(seed=0)).passed is not mutated, cid
+
+
+# (module, constant, mutated factor, the check it trips), with its seed-0
+# margin at that factor and at 1. Both checks apply the spectral operator.
+CONSTANT_MUTATIONS = [
+    # the extension's normaliser kappa_s: 0.022 against a tolerance of 0
+    # (-0.0049 at 1)
+    (verifier, "extension_constant", 1.05, "extension"),
+    # the radial identity's Gamma quotient: 0.063 against 5e-2 (0.017 at 1)
+    (kernels, "upsilon", 1.05, "radial_flap"),
+]
+
+
+@pytest.mark.parametrize("module,name,factor,check_id", CONSTANT_MUTATIONS,
+                         ids=[m[1] for m in CONSTANT_MUTATIONS])
+@pytest.mark.parametrize("mutated", [False, True])
+def test_constant_mutation_trips_its_check(monkeypatch, module, name, factor, check_id, mutated):
+    monkeypatch.setattr(module, name, _scaled_value(getattr(module, name), factor if mutated else 1.0))
+    assert run_check(check_id, VerifierConfig(seed=0)).passed is not mutated
