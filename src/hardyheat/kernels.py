@@ -225,36 +225,69 @@ def _linear_weights(a, b, q: float):
 _FIRST_SLAB_REFINE = 4
 
 
+def _mode_classes(n: int, dim: int) -> np.ndarray:
+    """The mode classes of dim axes with modes 0..n-1: each sorted mode
+    tuple once, in itertools.combinations_with_replacement order, as the
+    rows of an integer array of shape (classes, dim)."""
+    return np.array(list(itertools.combinations_with_replacement(range(n), dim)),
+                    dtype=np.intp).reshape(-1, dim)
+
+
+@lru_cache(maxsize=8)
+def _js_classes(n: int, dim: int) -> np.ndarray:
+    """Read-only index of shape (n,) * dim: each mode tuple's class, the
+    row of _js_spectrum that holds its kernel (see _mode_classes)."""
+    shape = (n,) * dim
+    rank = np.empty(n ** dim, dtype=np.intp)  # only read at sorted tuples
+    classes = _mode_classes(n, dim)
+    rank[np.ravel_multi_index(tuple(classes.T), shape)] = np.arange(len(classes))
+    tuples = np.sort(np.indices(shape).reshape(dim, -1), axis=0)
+    index = rank[np.ravel_multi_index(tuple(tuples), shape)].reshape(shape)
+    index.setflags(write=False)
+    return index
+
+
 # a few entries: the verifier uses three values of s on one lattice, and one
-# 64^3 x 48 entry is 28.2 MB
+# 64^3 x 48 entry is 5.1 MB
 @lru_cache(maxsize=4)
 def _js_spectrum(lat: Lattice, s: float) -> np.ndarray:
-    """Time spectrum of the lag kernel on the heat multiplier's modes
-    0..M/2 in every spatial axis.
+    """Time spectrum of the lag kernel, one row per mode class of the heat
+    multiplier's modes 0..M/2 in every spatial axis.
 
-    Shape (M//2 + 1, ..., M//2 + 1, K + 1), time last, C-contiguous,
-    complex128, read-only: the rfft over 2K zero-padded lags, so the
-    product with a padded input spectrum is a linear (not circular)
-    convolution over the first K lags. The kernel is filled lag by lag
-    through a lag-first view of a lag-last buffer, so the table is built
-    time-last with no transposed copy. Lag m weighs the source with the
-    m-fold power of the one-slab positive kernel, so non-negativity is
-    preserved exactly. Slab [j ht, (j+1) ht] puts its product-linear
-    weights on lags j and j + 1; the first slab is split into
-    _FIRST_SLAB_REFINE sub-slabs against the source interpolated linearly
-    between lags 0 and 1. On the orthant, _dct_pair's forward matrix puts
-    cosine mode k at position k on an even axis and sine mode M/2 - m at
-    position m on an odd one, so an even axis reads modes 0..M/2-1 and an
-    odd one M/2..1, reversed (see _js_on_orthant).
+    The positive-kernel multiplier is the product of one 1-D multiplier per
+    axis, the same on every axis, so the kernel on a mode tuple depends
+    only on the sorted tuple, its class (_mode_classes: C(M/2 + N, N)
+    classes, 6545 of the 35937 tuples at 64^3); _js_classes maps each tuple
+    to its row. A row's multiplier is the 1-D factors multiplied in sorted
+    mode order. Shape (classes, K + 1), C-contiguous, complex128,
+    read-only: the rfft over 2K zero-padded lags, so the product with a
+    padded input spectrum is a linear (not circular) convolution over the
+    first K lags. The kernel is filled lag by lag through a lag-first view
+    of a lag-last buffer, so the table is built time-last with no
+    transposed copy. Lag m weighs the source with the m-fold power of the
+    one-slab positive kernel, so non-negativity is preserved exactly. Slab
+    [j ht, (j+1) ht] puts its product-linear weights on lags j and j + 1;
+    the first slab is split into _FIRST_SLAB_REFINE sub-slabs against the
+    source interpolated linearly between lags 0 and 1. On the orthant,
+    _dct_pair's forward matrix puts cosine mode k at position k on an even
+    axis and sine mode M/2 - m at position m on an odd one, so an even axis
+    reads modes 0..M/2-1 and an odd one M/2..1, reversed (see
+    _js_on_orthant).
     """
     K, ht = lat.K, lat.ht
-    modes = (slice(0, lat.M // 2 + 1),) * lat.dim
+    classes = _mode_classes(lat.M // 2 + 1, lat.dim)
 
     def multiplier(tau):
-        return heat_kernel_multiplier(lat, tau)[modes] if tau > 0 else 1.0
+        if tau == 0:
+            return 1.0
+        axis = _heat_kernel_multiplier_1d(lat.M, lat.hx, lat.L, tau)
+        out = axis[classes[:, 0]]
+        for d in range(1, lat.dim):
+            out *= axis[classes[:, d]]
+        return out
 
-    lag_last = np.zeros((lat.M // 2 + 1,) * lat.dim + (K,))
-    kern = np.moveaxis(lag_last, -1, 0)
+    lag_last = np.zeros((len(classes), K))
+    kern = lag_last.T
     edges = ht * np.arange(_FIRST_SLAB_REFINE + 1) / _FIRST_SLAB_REFINE
     for a, b in zip(edges[:-1], edges[1:]):
         for tau, wgt in zip((a, b), _linear_weights(a, b, s)):
@@ -340,8 +373,8 @@ def _js_on_orthant(part: np.ndarray, odd: Sequence[bool], lat: Lattice, table: n
     """The Volterra convolution of one parity part on the positive orthant:
     per spatial axis, the forward matrix of _dct_pair (a DCT-II on an even
     axis, on an odd one the DST-II whose position m holds sine mode M/2 - m),
-    the real time convolution against table's modes 0..M/2-1 (even axis) or
-    M/2..1 (odd axis), and per axis the inverse matrix.
+    the real time convolution against the table's rows for modes 0..M/2-1
+    (even axis) or M/2..1 (odd axis), and per axis the inverse matrix.
 
     The whole convolution lives in one fresh buffer: the forward transform
     reads part, which it never writes, into it, and the time convolution
@@ -351,12 +384,14 @@ def _js_on_orthant(part: np.ndarray, odd: Sequence[bool], lat: Lattice, table: n
     The time convolution runs block by block over rows of the first
     spatial axis, lattice.block_slices rows of 2K time values each: a block
     is gathered time-last (a transpose that stays in cache), so its rfft,
-    its multiply by the table's block and its irfft run over contiguous
-    rows, and lags 0..K-1 are written back time-first in place. Each row's
-    transforms are those of a whole-array transform along time, and each
-    spatial product is the GEMM a whole-array batch would run, so the output
-    is bitwise the same. The output owns its data, so the causal inverse
-    can freeze it without a copy."""
+    its multiply by the block's kernel and its irfft run over contiguous
+    rows, and lags 0..K-1 are written back time-first in place. The block's
+    kernel is gathered from the table's class rows (_js_classes, read for
+    the part's parity) into one reused buffer. Each row's transforms are
+    those of a whole-array transform along time, and each spatial product
+    is the GEMM a whole-array batch would run, so the output is bitwise
+    the same. The output owns its data, so the causal inverse can freeze it
+    without a copy."""
     half, n = lat.M // 2, 2 * lat.K
     pairs = [_dct_pair(half, o) for o in odd]
     c = np.empty(part.shape)
@@ -364,12 +399,16 @@ def _js_on_orthant(part: np.ndarray, odd: Sequence[bool], lat: Lattice, table: n
     past = ~lat.causal_mask()
     if past.any():
         c[past] = 0.0
-    kern = table[tuple(slice(half, 0, -1) if o else slice(0, half) for o in odd)]
+    index = _js_classes(half + 1, lat.dim)[tuple(slice(half, 0, -1) if o else slice(0, half) for o in odd)]
     rows = block_slices(n * half ** (lat.dim - 1))
+    kern = np.empty((min(rows, half),) + index.shape[1:] + table.shape[1:], dtype=table.dtype)
     for i in range(0, half, rows):
         b = slice(i, i + rows)
+        k = kern[: index[b].shape[0]]
+        # every index is in range; "clip" only spares take a buffered copy
+        np.take(table, index[b], axis=0, out=k, mode="clip")
         spec = np.fft.rfft(np.ascontiguousarray(np.moveaxis(c[:, b], 0, -1)), n=n, axis=-1)
-        spec *= kern[b]
+        spec *= k
         np.moveaxis(c[:, b], 0, -1)[...] = np.fft.irfft(spec, n=n, axis=-1)[..., : lat.K]
     _spatial_transform(c, [inverse for _, inverse in pairs], c)
     return c
@@ -387,16 +426,17 @@ def apply_Js(g: Field, s: float, causal_tol: float = 1e-8) -> Field:
     vanishes identically on t <= 0.
 
     The order must lie in (0, 1]. The lag kernel's spectrum depends only
-    on (lattice, s) and is cached, time-last (see _js_spectrum). Each
-    parity part of the input is convolved on the positive orthant and
-    unfolded back: per spatial axis (M/2) x (M/2) matrix products run on
-    blocks of time slices, and a real FFT over time on cache-sized
-    time-last blocks, all in one buffer (see _js_on_orthant). An input
+    on (lattice, s) and is cached, time-last, one row per mode class (see
+    _js_spectrum). Each parity part of the input is convolved on the
+    positive orthant and unfolded back: per spatial axis (M/2) x (M/2)
+    matrix products run on blocks of time slices, and a real FFT over time
+    on cache-sized time-last blocks, each against its kernel gathered from
+    the class rows, all in one buffer (see _js_on_orthant). An input
     exactly even in every spatial axis is one part, and its output is
-    exactly even. An orthant-stored input (every
-    stage of a solver run on even data) is that one part as it is: its
-    output is stored on the orthant too, with no evenness test and no
-    mirror. The output array is fresh on every call.
+    exactly even. An orthant-stored input (every stage of a solver run on
+    even data) is that one part as it is: its output is stored on the
+    orthant too, with no evenness test and no mirror. The output array is
+    fresh on every call.
     """
     if not 0.0 < s <= 1.0:  # NaN fails this too
         raise ValueError(f"need 0 < s <= 1, got {s}")

@@ -490,7 +490,8 @@ def _js_time_first(part, odd, lat, table):
         c = _batched(forward, c, ax)
     c[~lat.causal_mask()] = 0.0
     c = np.fft.rfft(c, n=2 * lat.K, axis=0)
-    c *= np.moveaxis(table, -1, 0)[(slice(None),) + tuple(slice(half, 0, -1) if o else slice(0, half) for o in odd)]
+    dense = table[kernels._js_classes(half + 1, lat.dim)]
+    c *= np.moveaxis(dense, -1, 0)[(slice(None),) + tuple(slice(half, 0, -1) if o else slice(0, half) for o in odd)]
     c = np.fft.irfft(c, n=2 * lat.K, axis=0)[: lat.K]
     for ax, (_, inverse) in enumerate(pairs, 1):
         c = _batched(inverse, c, ax)
@@ -802,14 +803,95 @@ def test_js_spectrum_read_only_and_sized():
     lat = make_lattice(3, 4.0, 8, 0.0, 2.0, 10)
     half = lat.M // 2
     spec = _js_spectrum(lat, 0.5)
-    # the rfft over 2K lags on the modes 0..M/2 of every spatial axis, time last
-    assert spec.shape == (half + 1, half + 1, half + 1, lat.K + 1)
+    # the rfft over 2K lags, time last, one row per sorted mode tuple of
+    # the modes 0..M/2 in three axes: C(M/2 + N, N) rows
+    classes = math.comb(half + 3, 3)
+    assert spec.shape == (classes, lat.K + 1)
     assert spec.flags.c_contiguous
     assert spec.dtype == np.complex128
-    assert spec.nbytes == (half + 1) ** 3 * (lat.K + 1) * 16
+    assert spec.nbytes == classes * (lat.K + 1) * 16
     assert not spec.flags.writeable
     with pytest.raises(ValueError):
-        spec[0, 0, 0, 0] = 1.0
+        spec[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("n,dim", [(9, 1), (5, 2), (5, 3), (17, 3), (33, 2)])
+def test_js_classes_index_sorted_tuples(n, dim):
+    index = kernels._js_classes(n, dim)
+    assert index.shape == (n,) * dim and not index.flags.writeable
+    classes = list(itertools.combinations_with_replacement(range(n), dim))
+    assert len(classes) == math.comb(n + dim - 1, dim)
+    for modes in itertools.product(range(n), repeat=dim):
+        assert classes[index[modes]] == tuple(sorted(modes))
+
+
+def _dense_js_spectrum(lat, s):
+    """The lag table with one row per mode tuple, shape (M/2 + 1,) * N +
+    (K + 1,): the multiplier of each tuple formed on the whole grid
+    (heat_kernel_multiplier, the 1-D factors multiplied in axis order),
+    with the class table's lag weights."""
+    K, ht = lat.K, lat.ht
+    modes = (slice(0, lat.M // 2 + 1),) * lat.dim
+
+    def multiplier(tau):
+        return heat_kernel_multiplier(lat, tau)[modes] if tau > 0 else 1.0
+
+    lag_last = np.zeros((lat.M // 2 + 1,) * lat.dim + (K,))
+    kern = np.moveaxis(lag_last, -1, 0)
+    edges = ht * np.arange(kernels._FIRST_SLAB_REFINE + 1) / kernels._FIRST_SLAB_REFINE
+    for a, b in zip(edges[:-1], edges[1:]):
+        for tau, wgt in zip((a, b), _linear_weights(a, b, s)):
+            ef = wgt * multiplier(tau)
+            kern[0] += (1.0 - tau / ht) * ef
+            kern[1] += tau / ht * ef
+    j = np.arange(1.0, K)
+    left, right = _linear_weights(j, j + 1.0, s)
+    alpha = np.zeros(K)
+    alpha[1:] += left
+    alpha[2:] += right[:-1]
+    alpha *= ht ** s
+    dec = multiplier(ht)
+    pw = dec.copy()
+    for m in range(1, K):
+        kern[m] += alpha[m] * pw
+        pw *= dec
+    kern /= gamma_fn(s)
+    return np.fft.rfft(lag_last, n=2 * K, axis=-1)
+
+
+@pytest.mark.parametrize("s", [0.3, 0.5, 1.0])
+@pytest.mark.parametrize("dim,M,K", [(1, 16, 12), (1, 64, 48), (2, 16, 12), (2, 32, 48), (3, 16, 12), (3, 32, 48)])
+def test_js_class_rows_match_the_dense_table(dim, M, K, s):
+    # a row per class holds what a row per mode tuple held: bitwise in 1-D
+    # and 2-D, where the product of two factors commutes, and to rounding
+    # in 3-D, where the dense table multiplies a tuple's factors in axis
+    # order and the class table in sorted order
+    lat = make_lattice(dim, 4.0, M, 0.0, 3.0, K)
+    rows = _js_spectrum(lat, s)
+    want = _dense_js_spectrum(lat, s)
+    got = rows[kernels._js_classes(lat.M // 2 + 1, dim)]
+    if dim < 3:
+        assert np.array_equal(got, want)
+    else:
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_js_spectrum_build_peaks_below_1_25_fields():
+    # the build holds the class rows, their lag-last kernel and the rfft's
+    # work, not a row per mode tuple
+    import tracemalloc
+
+    lat = make_lattice(3, 6.0, 32, 0.0, 8.0, 48)
+    field = lat.K * (lat.M // 2) ** lat.dim * 8
+    _js_spectrum.cache_clear()
+    tracemalloc.start()
+    try:
+        _js_spectrum(lat, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        _js_spectrum.cache_clear()
+    assert peak < 1.25 * field
 
 
 @pytest.mark.parametrize("q", [0.3, 0.8, -0.3, -0.8])

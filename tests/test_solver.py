@@ -218,6 +218,29 @@ def test_run_peaks_below_4_5_fields():
     assert peak < 4.5 * f.values.nbytes
 
 
+def test_cold_run_with_its_lag_table_peaks_below_4_5_fields():
+    # the causal inverse's lag table is built inside the run, one row per
+    # mode class: the build's peak stays under a stage's four fields
+    import tracemalloc
+
+    from hardyheat.kernels import _js_spectrum
+
+    lat = make_lattice(3, 6.0, 32, 0.0, 8.0, 48)
+    lam = 0.5 * lambda_max(3, 0.5)
+    spec = ProblemSpec(3, 0.5, lam, 0.5 * (1.0 + exponents(ProblemSpec(3, 0.5, lam, 2.0)).fujita_F))
+    f = gaussian_bump_forcing(lat, 1.0)
+    _js_spectrum.cache_clear()
+    tracemalloc.start()
+    try:
+        rep = run(spec, f, max_n=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        _js_spectrum.cache_clear()
+    assert rep.n_final == 3
+    assert peak < 4.5 * f.values.nbytes
+
+
 def test_spent_rhs_is_released_before_the_clamp(lat, spec, monkeypatch):
     # the stage right-hand side is dropped when the operator returns, so
     # it is never alive beside the clamped copy of the operator output
