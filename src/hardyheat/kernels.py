@@ -241,8 +241,14 @@ def _js_classes(n: int, dim: int) -> np.ndarray:
     rank = np.empty(n ** dim, dtype=np.intp)  # only read at sorted tuples
     classes = _mode_classes(n, dim)
     rank[np.ravel_multi_index(tuple(classes.T), shape)] = np.arange(len(classes))
-    tuples = np.sort(np.indices(shape).reshape(dim, -1), axis=0)
-    index = rank[np.ravel_multi_index(tuple(tuples), shape)].reshape(shape)
+    # each tuple sorted by a bubble network of minimum/maximum passes: the
+    # tuples are short, and np.sort maps numpy's SIMD sort code (0.3 MB of
+    # resident pages) into every run
+    axes = list(np.indices(shape))
+    for i in range(dim - 1, 0, -1):
+        for j in range(i):
+            axes[j], axes[j + 1] = np.minimum(axes[j], axes[j + 1]), np.maximum(axes[j], axes[j + 1])
+    index = rank[np.ravel_multi_index(tuple(axes), shape)]
     index.setflags(write=False)
     return index
 
