@@ -844,12 +844,7 @@ def _dense_js_spectrum(lat, s):
             ef = wgt * multiplier(tau)
             kern[0] += (1.0 - tau / ht) * ef
             kern[1] += tau / ht * ef
-    j = np.arange(1.0, K)
-    left, right = _linear_weights(j, j + 1.0, s)
-    alpha = np.zeros(K)
-    alpha[1:] += left
-    alpha[2:] += right[:-1]
-    alpha *= ht ** s
+    alpha = ht ** s * kernels._lag_weights(K, s)
     dec = multiplier(ht)
     pw = dec.copy()
     for m in range(1, K):
@@ -892,6 +887,27 @@ def test_js_spectrum_build_peaks_below_1_25_fields():
         tracemalloc.stop()
         _js_spectrum.cache_clear()
     assert peak < 1.25 * field
+
+
+@pytest.mark.parametrize("s", [0.3, 0.7])
+def test_lag_weights_match_50_digit_values(s):
+    # lag m's weight is the second difference of x^(s+1) / (s(s+1)) at m
+    # (lag 1 sees the slab [1, 2] alone), evaluated here in 50 digits; the
+    # same difference in doubles is off by 6e-9 to 1.4e-8 relative at
+    # K = 4096
+    from decimal import Decimal, localcontext
+
+    K = 4096
+    got = kernels._lag_weights(K, s)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        S = Decimal(s)
+        P = [Decimal(m) ** (S + 1) for m in range(K + 1)]
+        want = [Decimal(0), (2 * (P[2] / 2 - 1) / S - (P[2] - 1) / (S + 1))]
+        want += [(P[m + 1] - 2 * P[m] + P[m - 1]) / (S * (S + 1)) for m in range(2, K)]
+        assert got[0] == 0.0
+        worst = max(abs(Decimal(float(g)) - w) / w for g, w in zip(got[1:], want[1:]))
+    assert worst <= 2e-15
 
 
 @pytest.mark.parametrize("q", [0.3, 0.8, -0.3, -0.8])
