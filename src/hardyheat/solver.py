@@ -95,9 +95,10 @@ def rhs_truncated(w: Field, f: Field, spec: ProblemSpec, n: int) -> Field:
     if np.min(f.values) < 0.0:
         raise ValueError("forcing must be non-negative")
     nodes = w.nodes
-    # before the spatial factors: were they allocated first, they would
-    # take the start of the heap hole a freed field left, and this field
-    # and the inverse's buffer would no longer both fit in the two holes
+    # before the spatial factors: from the second stage on glibc serves
+    # field-size arrays from its heap, and these block-size arrays must not
+    # split the hole a freed field left (they once cost the 64^3 pass 11 MB
+    # of peak RSS, while the lag table's build freed more than a field)
     out = np.empty(nodes.shape)
     sp, tim = _cutoff_factors(lat, nodes.radius, n)
     if n > 0:
