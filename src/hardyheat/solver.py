@@ -96,9 +96,8 @@ def rhs_truncated(w: Field, f: Field, spec: ProblemSpec, n: int) -> Field:
         raise ValueError("forcing must be non-negative")
     nodes = w.nodes
     # before the spatial factors: from the second stage on glibc serves
-    # field-size arrays from its heap, and these block-size arrays must not
-    # split the hole a freed field left (they once cost the 64^3 pass 11 MB
-    # of peak RSS, while the lag table's build freed more than a field)
+    # field-size arrays from its heap, and block-size arrays allocated
+    # first could split the hole a freed field left
     out = np.empty(nodes.shape)
     sp, tim = _cutoff_factors(lat, nodes.radius, n)
     if n > 0:
