@@ -33,7 +33,7 @@ from .solver import (
     is_json_number,
     json_float,
     run,
-    strict_json,
+    strict_dumps,
 )
 from .supersolution import (
     SearchExhausted,
@@ -83,9 +83,7 @@ def cmd_constants(args) -> int:
     for key, val in bundle.to_dict().items():
         print(f"{key:14s} = {_fmt(val) if isinstance(val, float) else val}")
     if args.json:
-        Path(args.json).write_text(
-            json.dumps(strict_json(bundle.to_dict()), sort_keys=True, indent=2, allow_nan=False)
-        )
+        Path(args.json).write_text(strict_dumps(bundle.to_dict(), indent=2))
         print(f"wrote {args.json}")
     return 0
 
@@ -351,9 +349,7 @@ def write_sweep_outputs(rows: List[dict], out_dir: str) -> tuple:
         ],
     }
     json_path = out / "sweep_summary.json"
-    json_path.write_text(
-        json.dumps(strict_json(summary), sort_keys=True, indent=2, allow_nan=False)
-    )
+    json_path.write_text(strict_dumps(summary, indent=2))
     return csv_path, json_path, mismatches
 
 

@@ -239,7 +239,7 @@ class TrajectoryReport:
     def to_json(self) -> str:
         """Strict JSON: non-finite floats (an infinite growth factor, say)
         are written as the strings of json_float."""
-        return json.dumps(strict_json(self.__dict__), sort_keys=True, allow_nan=False)
+        return strict_dumps(self.__dict__)
 
 
 def json_float(x):
@@ -265,9 +265,15 @@ def strict_json(obj):
     return json_float(obj)
 
 
+def strict_dumps(obj, indent: Optional[int] = None) -> str:
+    """obj as strict JSON with sorted keys, non-finite floats spelled by
+    json_float."""
+    return json.dumps(strict_json(obj), sort_keys=True, indent=indent, allow_nan=False)
+
+
 def _growth(m: np.ndarray, lat: Lattice) -> Tuple[float, Optional[float]]:
     """Growth factor of the weighted norm across the second half of the
-    horizon, and the time it first exceeds tenfold (None if never)."""
+    horizon, and the time it first grows ESCAPE_FACTOR-fold (None if never)."""
     k_mid = lat.K // 2
     ref = m[k_mid]
     if ref <= 0.0:
@@ -275,7 +281,7 @@ def _growth(m: np.ndarray, lat: Lattice) -> Tuple[float, Optional[float]]:
     factor = float(np.max(m[k_mid:]) / ref)
     t_axis = lat.t_axis()
     esc = None
-    hits = np.nonzero(m[k_mid:] >= 10.0 * ref)[0]
+    hits = np.nonzero(m[k_mid:] >= ESCAPE_FACTOR * ref)[0]
     if hits.size:
         esc = float(t_axis[k_mid + hits[0]])
     return factor, esc

@@ -9,7 +9,6 @@ tolerance). Checks are deterministic given the config seed.
 
 from __future__ import annotations
 
-import json
 import math
 import zlib
 from dataclasses import asdict, dataclass, field
@@ -34,7 +33,7 @@ from .kernels import (
     symbol_of_kernel_check,
 )
 from .lattice import Field, make_lattice, sample
-from .solver import strict_json
+from .solver import strict_dumps
 from .special import gauss_legendre_panels, geometric_edges, smooth_step
 
 
@@ -367,11 +366,10 @@ def _check_algebra_ab(rng):
 
 @_check("algebra_abs", 1e-12)
 def _check_algebra_abs(rng):
-    """Subadditivity constant: C is the sup of (1+t)^s / (1+t^s), evaluated
-    on a dense grid with the analytic endpoint limits."""
+    """Subadditivity constant: C is the sup of (1+t)^s / (1+t^s)."""
     s = S
-    t = np.geomspace(1e-9, 1e9, 20001)
-    c_const = max(float(np.max((1.0 + t) ** s / (1.0 + t ** s))), 1.0)
+    # t^s is concave and 0 at 0, so (1+t)^s <= 1 + t^s; the sup 1 is the limit t -> 0 or t -> inf
+    c_const = 1.0
     n = 4000
     a = rng.uniform(0.0, 10.0, n)
     b = rng.uniform(0.0, 10.0, n)
@@ -421,7 +419,7 @@ def _check_radial_K(rng):
 
 @_check("symbol", 1e-3)
 def _check_symbol(rng):
-    return symbol_of_kernel_check(S, dim=DIM), 1, {"dim": DIM, "s": S}
+    return symbol_of_kernel_check(S), 1, {"s": S}
 
 
 @_check("inversion", 1e-2)
@@ -598,5 +596,4 @@ def run_check(check_id: str, config: Optional[VerifierConfig] = None) -> CheckRe
 
 def suite_to_json(reports: Sequence[CheckReport]) -> str:
     """Strict JSON, non-finite floats spelled by json_float (radial_K's margin is inf by design)."""
-    body = strict_json([asdict(r) for r in reports])
-    return json.dumps(body, sort_keys=True, indent=2, allow_nan=False)
+    return strict_dumps([asdict(r) for r in reports], indent=2)

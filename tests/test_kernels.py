@@ -949,32 +949,14 @@ def test_symbol_of_kernel_closed_form_substitution():
     assert val == pytest.approx(want, rel=1e-12)
 
 
-def _full_gaussian_transform(c):
-    # the complex trapezoid sum over the whole symmetric u grid
-    u = np.linspace(-kernels.SYMBOL_U_HALF, kernels.SYMBOL_U_HALF, kernels.SYMBOL_U_POINTS)
-    return np.exp(-1j * np.outer(c, u)) @ (np.exp(-0.25 * u * u) * (u[1] - u[0]))
-
-
-@pytest.mark.parametrize("points", [2048, 2049, 2047, 513])
-def test_symbol_cosine_sum_matches_the_full_trapezoid_sum(monkeypatch, points):
-    # an odd count has a node at u = 0, which the half-line sum counts once
-    monkeypatch.setattr(kernels, "SYMBOL_U_POINTS", points)
-    c = np.concatenate([np.linspace(0.0, 40.0, 401), np.geomspace(1e-6, 1.0, 7)])
-    got = kernels._gaussian_transform(c)
-    want = _full_gaussian_transform(c)
-    assert got.dtype == np.float64
-    assert np.max(np.abs(got - want)) <= 1e-14 * abs(want[0])
-
-
 @pytest.mark.parametrize("s,parent", [
-    (0.3, 1.2606144938157306e-06),
-    (0.5, 2.5980723026975103e-06),
-    (0.7, 3.551144300076567e-06),
+    (0.3, 1.2606144755308518e-06),
+    (0.5, 2.5980723199720976e-06),
+    (0.7, 3.5511443514620177e-06),
 ])
 def test_symbol_of_kernel_check_keeps_its_margins(s, parent):
-    # pinned from the complex sum over the whole u grid; the cosine sum
-    # differs by rounding, since linspace is not bitwise symmetric
-    assert symbol_of_kernel_check(s, dim=2) == pytest.approx(parent, rel=1e-9)
+    # pinned with the Gaussian's space transform in closed form
+    assert symbol_of_kernel_check(s) == pytest.approx(parent, rel=1e-9)
 
 
 @_needs_thread_ticks
@@ -991,14 +973,13 @@ with with_ticks():
 
 
 def test_symbol_check_peak_memory_below_2_mb():
-    # the phase matrix is formed one block of tau nodes at a time; the
-    # whole 1704 x 1024 matrix was 13.6 MiB
+    # the space transform is exact, so no tau-by-u phase matrix is formed
     import tracemalloc
 
-    symbol_of_kernel_check(0.5, dim=2)
+    symbol_of_kernel_check(0.5)
     tracemalloc.start()
     try:
-        symbol_of_kernel_check(0.5, dim=2)
+        symbol_of_kernel_check(0.5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1006,11 +987,10 @@ def test_symbol_check_peak_memory_below_2_mb():
 
 
 def test_symbol_of_kernel_check_accuracy_and_trend(monkeypatch):
-    err = symbol_of_kernel_check(0.5, dim=2)
+    err = symbol_of_kernel_check(0.5)
     assert err <= 1e-3
-    for name, coarse in (("SYMBOL_TAU_MAX", 6.0), ("SYMBOL_U_HALF", 4.0), ("SYMBOL_U_POINTS", 512)):
-        monkeypatch.setattr(kernels, name, coarse)
-    err_small = symbol_of_kernel_check(0.5, dim=2)
+    monkeypatch.setattr(kernels, "SYMBOL_TAU_MAX", 6.0)
+    err_small = symbol_of_kernel_check(0.5)
     assert err_small > err
 
 
