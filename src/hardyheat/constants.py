@@ -111,13 +111,9 @@ class ProblemSpec:
     p: float
 
     def __post_init__(self):
-        if self.dim < 2 or self.dim != int(self.dim):
-            raise ValueError(f"dim must be an integer >= 2, got {self.dim}")
-        if not 0.0 < self.s < 1.0:
+        lmax = lambda_max(self.dim, self.s)  # checks dim and 0 < s <= 1
+        if self.s == 1.0:
             raise ValueError(f"need s in (0,1), got {self.s}")
-        if not self.dim > 2.0 * self.s:
-            raise ValueError(f"need dim > 2s, got dim={self.dim}, s={self.s}")
-        lmax = lambda_max(self.dim, self.s)
         if not 0.0 < self.lam < lmax:
             raise ValueError(
                 f"need 0 < lam < lambda_max={lmax}, got lam={self.lam}"

@@ -172,12 +172,12 @@ class Field:
     is already read-only and owns its data is adopted as it is, without a
     copy: whoever froze it gives up writing to it. Any other input (a
     writable array, a view, a list) is copied first; integer input becomes
-    float64, and single- or half-precision input raises ValueError. With
-    orthant set, values holds only the positive orthant of a field exactly
-    even in every spatial axis (see Nodes); full_grid expands it. A
-    function that needs every node reads fld.full_grid() at entry, which
-    costs nothing on a full-grid field; the stage path of the scheme
-    (apply_Js, rhs_truncated, weighted_integral) reads stored nodes.
+    float64, and complex or single- or half-precision input raises
+    ValueError. With orthant set, values holds only the positive orthant
+    of a field exactly even in every spatial axis (see Nodes); full_grid
+    expands it. A function that needs every node reads fld.full_grid() at
+    entry, which costs nothing on a full-grid field; the stage path of the
+    scheme (apply_Js, rhs_truncated, weighted_integral) reads stored nodes.
     """
 
     lattice: Lattice
@@ -188,7 +188,9 @@ class Field:
         v = np.asarray(self.values)
         if v.shape != self.nodes.shape:
             raise ValueError(f"values shape {v.shape} != node set shape {self.nodes.shape}")
-        if v.dtype.kind in "fc" and np.finfo(v.dtype).bits < 64:
+        if v.dtype.kind == "c":
+            raise ValueError(f"values of dtype {v.dtype} are complex, not real")
+        if v.dtype.kind == "f" and np.finfo(v.dtype).bits < 64:
             raise ValueError(f"values of dtype {v.dtype} are below double precision")
         if v.dtype.kind in "biu":
             v = v.astype(float)
@@ -274,47 +276,39 @@ def sample(fn: Callable, lat: Lattice) -> Field:
     return Field(lat, vals)
 
 
-# bytes of one block in the blockwise passes over a field (weighted_integral
-# here, solver.rhs_truncated, solver._step_bounds and the causal inverse's
-# spatial transforms and time convolution): small enough that a
-# block and its scratch buffers stay in a core's L2 cache
+# bytes of one block in the blockwise passes over a field
+# (solver.rhs_truncated and the causal inverse's spatial transforms and
+# time convolution): small enough that a block and its scratch buffers
+# stay in a core's L2 cache
 _BLOCK_BYTES = 1 << 18
 
 
 def block_slices(slab_size: int) -> int:
     """Entries per block (at least one) of a blockwise pass along an axis
     whose entries are slabs of slab_size float64 values: time slices in
-    weighted_integral, the solver's stage passes and the causal inverse's
-    spatial transforms, rows of the first spatial axis in its time
-    convolution."""
+    the solver's right-hand side and the causal inverse's spatial
+    transforms, rows of the first spatial axis in its time convolution."""
     return max(1, _BLOCK_BYTES // (8 * slab_size))
 
 
 def weighted_integral(fld: Field, weight_exponent: float, power: float = 1.0) -> np.ndarray:
     """Riemann sums of |x|^a * fld^power over space, one per time slice (an
     array of K sums), on the nodes fld is stored on. fld is non-negative
-    (the scheme's iterate), so a negative value is an error. Each block of
-    time slices is raised to the power in scratch (x^1 is x exactly), so no
-    full-size power field is built.
+    (the scheme's iterate), so a negative value is an error. x^1 is x
+    exactly.
 
-    On the full grid each block is folded onto the positive orthant, one
+    On the full grid the integrand is folded onto the positive orthant, one
     axis at a time, before it is summed. On an exactly even integrand each
     fold doubles exactly, so the sum is bitwise the one of the same field
     stored on the orthant."""
     lat = fld.lattice
     nodes = fld.nodes
-    weight = nodes.radius ** weight_exponent
-    step = block_slices(weight.size)
-    sums = np.empty(lat.K)
-    for k in range(0, lat.K, step):
-        slab = fld.values[k : k + step]
-        if np.min(slab) < 0.0:
-            raise ValueError("negative integrand in weighted_integral")
-        prod = np.power(slab, power)
-        prod *= weight
-        if not nodes.orthant:
-            for ax in range(1, lat.dim + 1):
-                mirror, pos = mirror_halves(prod, ax)
-                prod = pos + mirror
-        sums[k : k + step] = prod.reshape(slab.shape[0], -1).sum(axis=1)
-    return sums * nodes.measure
+    if np.min(fld.values) < 0.0:
+        raise ValueError("negative integrand in weighted_integral")
+    prod = np.power(fld.values, power)
+    prod *= nodes.radius ** weight_exponent
+    if not nodes.orthant:
+        for ax in range(1, lat.dim + 1):
+            mirror, pos = mirror_halves(prod, ax)
+            prod = pos + mirror
+    return prod.reshape(lat.K, -1).sum(axis=1) * nodes.measure

@@ -159,26 +159,17 @@ def _clamp_rounding(out: Field) -> Field:
 
 def blowup_functional(w: Field, p: float, mu: float) -> np.ndarray:
     """Per-slice weighted norm: integral of |x|^(-mu) w^p over space, from
-    the non-negative iterate w; weighted_integral raises each block of it to
-    the power p in scratch."""
+    the non-negative iterate w (see weighted_integral)."""
     return weighted_integral(w, -mu, p)
 
 
 def _step_bounds(w_next: Field, w: Field) -> Tuple[float, float]:
-    """(min, max |.|) of w_next - w, taken block by block of time slices
-    through one block-sized scratch, so no full-size difference is built."""
-    shape = w.nodes.shape
-    step = block_slices(math.prod(shape[1:]))
-    scratch = np.empty((min(step, shape[0]),) + shape[1:])
-    lows, highs = [], []
-    for k in range(0, shape[0], step):
-        blk = slice(k, k + step)
-        d = scratch[: w.values[blk].shape[0]]
-        np.subtract(w_next.values[blk], w.values[blk], out=d)
-        lows.append(np.min(d))
-        highs.append(np.max(d))
-    drop = float(np.min(lows))
-    return drop, max(float(np.max(highs)), -drop)
+    """(min, max |.|) of w_next - w. The full-size difference lives only
+    here, after the right-hand side is freed, so the stage's live set
+    stays at four fields."""
+    d = w_next.values - w.values
+    drop = float(np.min(d))
+    return drop, max(float(np.max(d)), -drop)
 
 
 def _step(w: Field, f: Field, spec: ProblemSpec, n: int) -> IterationState:
@@ -186,8 +177,9 @@ def _step(w: Field, f: Field, spec: ProblemSpec, n: int) -> IterationState:
     stage-n right-hand side. Monotonicity is asserted, not assumed: a drop
     below w beyond MONO_SLACK means the quadrature broke. The same slack
     bounds the negative rounding of the operator output. No stage keeps a
-    w ** p field: the right-hand side and the weighted norm each raise
-    their block of the iterate to the power p in scratch."""
+    w ** p field: the right-hand side raises each block of the iterate to
+    the power p in scratch, and the step bounds and the weighted norm each
+    build one full-size temporary after the right-hand side is freed."""
     # one expression: the right-hand side is released when apply_Js
     # returns, before _clamp_rounding reads the output
     w_next = _clamp_rounding(apply_Js(rhs_truncated(w, f, spec, n), spec.s))

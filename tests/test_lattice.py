@@ -96,10 +96,11 @@ def test_field_adopts_only_frozen_owned_arrays(lat):
         assert not fld.values.flags.writeable
 
 
-@pytest.mark.parametrize("dtype", [np.float16, np.float32, np.complex64])
+@pytest.mark.parametrize("dtype", [np.float16, np.float32, np.complex64, np.complex128])
 def test_field_refuses_less_than_double_precision(lat, dtype):
     # single-precision rounding would pass for aliasing in the spectral
-    # operator's residue test
+    # operator's residue test; complex values are refused whatever their
+    # precision, as the causal inverse would drop their imaginary part
     with pytest.raises(ValueError, match=np.dtype(dtype).name):
         Field(lat, np.ones(lat.shape, dtype=dtype))
 
