@@ -375,40 +375,47 @@ def _spatial_transform(src: np.ndarray, mats: Sequence[np.ndarray], dst: np.ndar
     batch entry: with two or more spatial axes each is n x n by n x n, too
     small for the BLAS library to start its worker threads at the n in use
     (up to 32); on a 1-D lattice it is one product of a block of time
-    slices by n. A block's products
-    alternate between its place in dst and one cache-sized scratch,
-    arranged so that the last lands in dst; only a chain that runs in place
-    (src is dst) and has an odd length ends in the scratch and is copied
-    back. src is only read unless it is dst."""
+    slices by n. The last of a block's products lands in its place in dst,
+    and the ones before it alternate, backwards, between one cache-sized
+    scratch and dst. A product never writes its own source: in place (src
+    is dst) a first product that would land in dst goes to a second
+    scratch instead, and a chain of one product ends in the scratch and is
+    copied back. src is only read unless it is dst."""
+    n = len(mats)
+    # 0 and 1 are the scratch blocks, None is dst
+    targets = [0 if (n - i) % 2 else None for i in range(1, n + 1)]
+    if src is dst and targets[0] is None:
+        targets[0] = 1 if n > 1 else 0
     step = block_slices(math.prod(src.shape[1:]))
-    scratch = np.empty((min(step, src.shape[0]),) + src.shape[1:])
-    first_in_dst = len(mats) % 2 == 1 and src is not dst
+    scratch = np.empty((1 + (1 in targets), min(step, src.shape[0])) + src.shape[1:])
     for k in range(0, src.shape[0], step):
         x, d = src[k : k + step], dst[k : k + step]
-        tmp = scratch[: d.shape[0]]
-        y = d if first_in_dst else tmp
-        for ax, mat in enumerate(mats, 1):
+        for ax, (mat, t) in enumerate(zip(mats, targets), 1):
+            y = d if t is None else scratch[t, : d.shape[0]]
             if ax == x.ndim - 1:
                 np.matmul(x, mat.T, out=y)
             else:
                 np.matmul(mat, x, out=y, axes=[(0, 1), (ax, -1), (ax, -1)])
-            x, y = y, (tmp if y is d else d)
+            x = y
         if x is not d:
             d[...] = x
 
 
-def _js_on_orthant(part: np.ndarray, odd: Sequence[bool], lat: Lattice, table: np.ndarray) -> np.ndarray:
+def _js_on_orthant(part: np.ndarray, odd: Sequence[bool], lat: Lattice, table: np.ndarray,
+                   in_place: bool = False) -> np.ndarray:
     """The Volterra convolution of one parity part on the positive orthant:
     per spatial axis, the forward matrix of _dct_pair (a DCT-II on an even
     axis, on an odd one the DST-II whose position m holds sine mode M/2 - m),
     the real time convolution against the table's rows for modes 0..M/2-1
     (even axis) or M/2..1 (odd axis), and per axis the inverse matrix.
 
-    The whole convolution lives in one fresh buffer: the forward transform
-    reads part, which it never writes, into it, and the time convolution
-    and the inverse transform run on it in place (see _spatial_transform).
-    The forward transform acts slice by slice, so the slices at t <= 0 are
-    zeroed in the buffer after it, as if they had been zeroed in part.
+    The whole convolution lives in one buffer: a fresh one, into which the
+    forward transform reads part without writing it, or with in_place part
+    itself (which must be writable and is overwritten). The time
+    convolution and the inverse transform run on it in place (see
+    _spatial_transform), and it is returned. The forward transform acts
+    slice by slice, so the slices at t <= 0 are zeroed in the buffer after
+    it, as if they had been zeroed in part.
     The time convolution runs block by block over rows of the first
     spatial axis, lattice.block_slices rows of 2K time values each: a block
     is gathered time-last (a transpose that stays in cache), so its rfft,
@@ -418,12 +425,12 @@ def _js_on_orthant(part: np.ndarray, odd: Sequence[bool], lat: Lattice, table: n
     the part's parity) just for its multiply, so it is freed before the
     irfft allocates its output. Each row's transforms are those of a
     whole-array transform along time, and each spatial product is the GEMM
-    a whole-array batch would run, so the output is bitwise the same. The
-    output owns its data, so the causal inverse can freeze it without a
-    copy."""
+    a whole-array batch would run, so the output is bitwise the same either
+    way. A fresh buffer owns its data, so the causal inverse can freeze it
+    without a copy."""
     half, n = lat.M // 2, 2 * lat.K
     pairs = [_dct_pair(half, o) for o in odd]
-    c = np.empty(part.shape)
+    c = part if in_place else np.empty(part.shape)
     _spatial_transform(part, [forward for forward, _ in pairs], c)
     past = ~lat.causal_mask()
     if past.any():
@@ -439,7 +446,7 @@ def _js_on_orthant(part: np.ndarray, odd: Sequence[bool], lat: Lattice, table: n
     return c
 
 
-def apply_Js(g: Field, s: float, causal_tol: float = 1e-8) -> Field:
+def apply_Js(g: Field, s: float, causal_tol: float = 1e-8, *, overwrite_g: bool = False) -> Field:
     """Causal inverse of the fractional heat operator.
 
     A Volterra convolution in time: each output slice combines heat-smoothed
@@ -460,15 +467,24 @@ def apply_Js(g: Field, s: float, causal_tol: float = 1e-8) -> Field:
     exactly even in every spatial axis is one part, and its output is
     exactly even. An orthant-stored input (every stage of a solver run on
     even data) is that one part as it is: its output is stored on the
-    orthant too, with no evenness test and no mirror. The output array is
-    fresh on every call.
+    orthant too, with no evenness test and no mirror.
+
+    By default the input is left as it is and the output array is fresh.
+    With overwrite_g, as with scipy.fft's overwrite_x, an orthant-stored
+    input's values are the buffer the convolution runs in: the output is a
+    Field over g's own array, and g holds the output from then on. Only a
+    caller that holds the input's one reference should pass it (the
+    solver's stage, whose right-hand side dies there). A full-grid input
+    ignores the flag: its parts are fresh arrays or views of it, and its
+    output is fresh.
     """
     if not 0.0 < s <= 1.0:  # NaN fails this too
         raise ValueError(f"need 0 < s <= 1, got {s}")
     lat = g.lattice
     past = ~lat.causal_mask()
-    # the transforms only read the input; what lies at t <= 0 is checked
-    # here and zeroed in the transform buffer (see _js_on_orthant)
+    # the transforms only read the input unless they overwrite it; what
+    # lies at t <= 0 is checked here and zeroed in the transform buffer
+    # (see _js_on_orthant)
     vals = np.asarray(g.values, dtype=float)
     if past.any():
         scale = max(float(np.max(vals)), -float(np.min(vals)))
@@ -480,7 +496,9 @@ def apply_Js(g: Field, s: float, causal_tol: float = 1e-8) -> Field:
 
     table = _js_spectrum(lat, float(s))
     if g.orthant:
-        out = _js_on_orthant(vals, (False,) * lat.dim, lat, table)
+        if overwrite_g:
+            vals.setflags(write=True)  # a Field's values own their data
+        out = _js_on_orthant(vals, (False,) * lat.dim, lat, table, in_place=overwrite_g)
     else:
         (part, odd), *rest = parity_parts(vals, lat.dim)
         out = unfold(_js_on_orthant(part, odd, lat, table), odd)

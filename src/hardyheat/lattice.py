@@ -276,28 +276,31 @@ def sample(fn: Callable, lat: Lattice) -> Field:
     return Field(lat, vals)
 
 
-# bytes of one block in the blockwise passes over a field
-# (solver.rhs_truncated and the causal inverse's spatial transforms and
-# time convolution): small enough that a block and its scratch buffers
-# stay in a core's L2 cache
+# bytes of one block in the blockwise passes over a field (weighted_integral
+# here, solver.rhs_truncated, solver._step_bounds and the causal inverse's
+# spatial transforms and time convolution): small enough that a block and
+# its scratch buffers stay in a core's L2 cache
 _BLOCK_BYTES = 1 << 18
 
 
 def block_slices(slab_size: int) -> int:
     """Entries per block (at least one) of a blockwise pass along an axis
     whose entries are slabs of slab_size float64 values: time slices in
-    the solver's right-hand side and the causal inverse's spatial
-    transforms, rows of the first spatial axis in its time convolution."""
+    weighted_integral, the solver's stage passes and the causal inverse's
+    spatial transforms, rows of the first spatial axis in its time
+    convolution."""
     return max(1, _BLOCK_BYTES // (8 * slab_size))
 
 
 def weighted_integral(fld: Field, weight_exponent: float, power: float = 1.0) -> np.ndarray:
     """Riemann sums of |x|^a * fld^power over space, one per time slice (an
     array of K sums), on the nodes fld is stored on. fld is non-negative
-    (the scheme's iterate), so a negative value is an error. x^1 is x
-    exactly.
+    (the scheme's iterate), so a negative value is an error. The integrand
+    is built block by block of time slices in one block-sized scratch
+    (x^1 is x exactly), so no full-size power field is built; each slice
+    is summed whole, so the sums are bitwise those of a whole-array pass.
 
-    On the full grid the integrand is folded onto the positive orthant, one
+    On the full grid each block is folded onto the positive orthant, one
     axis at a time, before it is summed. On an exactly even integrand each
     fold doubles exactly, so the sum is bitwise the one of the same field
     stored on the orthant."""
@@ -305,10 +308,17 @@ def weighted_integral(fld: Field, weight_exponent: float, power: float = 1.0) ->
     nodes = fld.nodes
     if np.min(fld.values) < 0.0:
         raise ValueError("negative integrand in weighted_integral")
-    prod = np.power(fld.values, power)
-    prod *= nodes.radius ** weight_exponent
-    if not nodes.orthant:
-        for ax in range(1, lat.dim + 1):
-            mirror, pos = mirror_halves(prod, ax)
-            prod = pos + mirror
-    return prod.reshape(lat.K, -1).sum(axis=1) * nodes.measure
+    weight = nodes.radius ** weight_exponent
+    step = block_slices(weight.size)
+    scratch = np.empty((min(step, lat.K),) + weight.shape)
+    sums = np.empty(lat.K)
+    for k in range(0, lat.K, step):
+        slab = fld.values[k : k + step]
+        prod = np.power(slab, power, out=scratch[: slab.shape[0]])
+        prod *= weight
+        if not nodes.orthant:
+            for ax in range(1, lat.dim + 1):
+                mirror, pos = mirror_halves(prod, ax)
+                prod = pos + mirror
+        sums[k : k + step] = prod.reshape(slab.shape[0], -1).sum(axis=1)
+    return sums * nodes.measure

@@ -139,9 +139,10 @@ def _clamp_rounding(out: Field) -> Field:
     """The inverse operator's output on a stage right-hand side. The exact
     operator preserves non-negativity, so negative output is rounding:
     clamped to zero within MONO_SLACK of the peak, a MonotonicityError
-    beyond it. The output is fresh and the caller holds its only reference,
-    so it is clamped in place: its array (a Field's values own their data)
-    is made writable for the one pass and frozen again."""
+    beyond it. The output is the right-hand side's own array and the caller
+    holds its only reference, so it is clamped in place: its array (a
+    Field's values own their data) is made writable for the one pass and
+    frozen again."""
     vals = out.values
     low = float(np.min(vals))
     if low >= 0.0:
@@ -164,25 +165,36 @@ def blowup_functional(w: Field, p: float, mu: float) -> np.ndarray:
 
 
 def _step_bounds(w_next: Field, w: Field) -> Tuple[float, float]:
-    """(min, max |.|) of w_next - w. The full-size difference lives only
-    here, after the right-hand side is freed, so the stage's live set
-    stays at four fields."""
-    d = w_next.values - w.values
-    drop = float(np.min(d))
-    return drop, max(float(np.max(d)), -drop)
+    """(min, max |.|) of w_next - w, taken block by block of time slices
+    through one block-sized scratch, so no full-size difference is built
+    beside the stage's three fields."""
+    shape = w.nodes.shape
+    step = block_slices(math.prod(shape[1:]))
+    scratch = np.empty((min(step, shape[0]),) + shape[1:])
+    lows, highs = [], []
+    for k in range(0, shape[0], step):
+        a, b = w_next.values[k : k + step], w.values[k : k + step]
+        d = np.subtract(a, b, out=scratch[: b.shape[0]])
+        lows.append(np.min(d))
+        highs.append(np.max(d))
+    drop = float(np.min(lows))
+    return drop, max(float(np.max(highs)), -drop)
 
 
 def _step(w: Field, f: Field, spec: ProblemSpec, n: int) -> IterationState:
     """Stage n of the scheme from the iterate w: invert the operator on the
     stage-n right-hand side. Monotonicity is asserted, not assumed: a drop
     below w beyond MONO_SLACK means the quadrature broke. The same slack
-    bounds the negative rounding of the operator output. No stage keeps a
-    w ** p field: the right-hand side raises each block of the iterate to
-    the power p in scratch, and the step bounds and the weighted norm each
-    build one full-size temporary after the right-hand side is freed."""
-    # one expression: the right-hand side is released when apply_Js
-    # returns, before _clamp_rounding reads the output
-    w_next = _clamp_rounding(apply_Js(rhs_truncated(w, f, spec, n), spec.s))
+    bounds the negative rounding of the operator output.
+
+    A stage holds three fields: the forcing, w and the right-hand side,
+    which the inverse overwrites with its output (apply_Js's overwrite_g),
+    the stage's new iterate. Beside them only blocks are built: the
+    right-hand side raises each block of the iterate to the power p in
+    scratch, and the clamp runs in place, the step bounds and the weighted
+    norm block by block of time slices, so no stage keeps a w ** p field or
+    a full-size difference."""
+    w_next = _clamp_rounding(apply_Js(rhs_truncated(w, f, spec, n), spec.s, overwrite_g=True))
     drop, sup_diff = _step_bounds(w_next, w)  # sup_diff = max |w_next - w|
     scale = max(float(np.max(w_next.values)), 1e-300)
     if drop < -MONO_SLACK * scale:

@@ -255,14 +255,20 @@ def find_certificate(spec: ProblemSpec) -> SupersolutionCertificate:
     )
 
 
-def _on_causal_slices(cert: SupersolutionCertificate, nodes: Nodes, fn) -> np.ndarray:
-    """fn(cert, |x|, t) on the nodes, every slice with t > 0 at once; zero
-    elsewhere. The array is fresh and read-only."""
+def _on_causal_slices(cert: SupersolutionCertificate, nodes: Nodes, fn, scale: float = 1.0) -> np.ndarray:
+    """scale * fn(cert, |x|, t) on the nodes, on every slice with t > 0, and
+    zero elsewhere. The array is fresh and read-only.
+
+    Each slice is evaluated on its own, at the one-element array t[j:j+1],
+    and scaled into its place, so no temporary is larger than a slice.
+    numpy's array loops for pow and exp give the bits a whole-array
+    evaluation gives; its scalar ones may not, so t is never a scalar
+    here."""
     lat = nodes.lattice
-    causal = lat.causal_mask()
-    t = lat.t_axis()[causal].reshape((-1,) + (1,) * lat.dim)
+    t = lat.t_axis().reshape((-1,) + (1,) * lat.dim)
     vals = np.zeros(nodes.shape)
-    vals[causal] = fn(cert, nodes.radius, t)
+    for j in np.nonzero(lat.causal_mask())[0]:
+        np.multiply(fn(cert, nodes.radius, t[j : j + 1]), scale, out=vals[j : j + 1])
     vals.setflags(write=False)
     return vals
 
@@ -281,8 +287,7 @@ def certified_forcing(
     """A forcing at the given fraction of the admissible ceiling, on the orthant."""
     if not 0.0 < fraction <= 1.0:
         raise ValueError("fraction must lie in (0, 1]")
-    vals = _on_causal_slices(cert, Nodes(lat, orthant=True), forcing_envelope) * fraction
-    vals.setflags(write=False)
+    vals = _on_causal_slices(cert, Nodes(lat, orthant=True), forcing_envelope, fraction)
     return Field(lat, vals, orthant=True)
 
 

@@ -590,9 +590,9 @@ def test_js_leaves_its_input_and_returns_a_fresh_frozen_array(monkeypatch, s):
     parts = []
     convolve = kernels._js_on_orthant
 
-    def record(part, odd, lat, table):
+    def record(part, odd, lat, table, **kw):
         parts.append((part, tuple(odd)))
-        return convolve(part, odd, lat, table)
+        return convolve(part, odd, lat, table, **kw)
 
     monkeypatch.setattr(kernels, "_js_on_orthant", record)
     rng = np.random.default_rng(27)
@@ -612,6 +612,52 @@ def test_js_leaves_its_input_and_returns_a_fresh_frozen_array(monkeypatch, s):
         assert np.array_equal(g.values, before)
         assert not np.shares_memory(out.values, g.values)
         assert out.values.flags.owndata and not out.values.flags.writeable
+
+
+@pytest.mark.parametrize("dim,M,T_neg", [(1, 16, 0.0), (2, 16, 1.0), (3, 16, 0.0), (3, 8, 1.0)])
+def test_js_overwrite_g_runs_in_the_inputs_own_array(dim, M, T_neg):
+    # an orthant input with overwrite_g is the convolution's buffer: the
+    # output is bitwise the default call's, over the input's own array; a
+    # full-grid input ignores the flag, is left as it is and gets a fresh
+    # output
+    lat = make_lattice(dim, 4.0, M, T_neg, 3.0, 12)
+    rng = np.random.default_rng(31)
+    vals = rng.random((lat.K,) + (M // 2,) * dim) * lat.causal_mask().reshape((-1,) + (1,) * dim)
+    want = apply_Js(Field(lat, vals, orthant=True), 0.4)
+    g = Field(lat, vals, orthant=True)
+    out = apply_Js(g, 0.4, overwrite_g=True)
+    assert out.orthant and np.array_equal(out.values, want.values)
+    assert np.shares_memory(out.values, g.values)
+    assert not out.values.flags.writeable
+    full = Field(lat, _mirrored(vals, dim))
+    before = full.values.copy()
+    out = apply_Js(full, 0.4, overwrite_g=True)
+    assert np.array_equal(full.values, before)
+    assert not np.shares_memory(out.values, full.values)
+    assert np.array_equal(out.values, want.full_grid().values)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("slices", [None, 3])
+def test_spatial_transform_in_place_is_bitwise_out_of_place(monkeypatch, dim, slices):
+    # a chain of one, two or three products gives the same bits written
+    # into another array, run in place, and batched over the whole array,
+    # in one block or in blocks of 3 slices with a ragged last one
+    n = 8
+    if slices is not None:
+        monkeypatch.setattr(lattice, "_BLOCK_BYTES", slices * 8 * n ** dim)
+    x = np.random.default_rng(32).standard_normal((11,) + (n,) * dim)
+    for odd in itertools.product((False, True), repeat=dim):
+        for which in (0, 1):
+            mats = [_dct_pair(n, o)[which] for o in odd]
+            want = x
+            for ax, mat in enumerate(mats, 1):
+                want = _batched(mat, want, ax)
+            out = np.empty_like(x)
+            kernels._spatial_transform(x, mats, out)
+            inplace = x.copy()
+            kernels._spatial_transform(inplace, mats, inplace)
+            assert np.array_equal(out, want) and np.array_equal(inplace, want)
 
 
 @pytest.mark.parametrize("s", [-0.5, 0.0, 1.5, float("nan")])
@@ -685,9 +731,9 @@ def js_paths(monkeypatch):
     tuple per part, True on the part's odd axes."""
     taken = []
 
-    def spy(part, odd, lat, table, _fn=kernels._js_on_orthant):
+    def spy(part, odd, lat, table, _fn=kernels._js_on_orthant, **kw):
         taken.append(tuple(odd))
-        return _fn(part, odd, lat, table)
+        return _fn(part, odd, lat, table, **kw)
 
     monkeypatch.setattr(kernels, "_js_on_orthant", spy)
     return taken

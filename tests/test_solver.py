@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from hardyheat import solver
+from hardyheat import lattice, solver
 from hardyheat.cli import _fmt
 from hardyheat.constants import (
     ProblemSpec,
@@ -196,12 +196,12 @@ def test_replaced_state_iterates_from_its_own_iterate(lat, spec):
 
 
 def _warm_run_peak_in_fields(full_grid: bool) -> float:
-    # a stage holds w, the right-hand side and the inverse's one buffer
-    # beside the forcing, and a few blocks of scratch: no w ** p field and
-    # no per-axis transform copies. The step bounds' difference and the
-    # weighted norm's power are full-size, but only after the right-hand
-    # side is freed; on the full grid the norm folds its power onto the
-    # orthant
+    # the peak of run(max_n=3) in fields, the forcing (built before the
+    # trace starts) not counted. On the orthant a stage holds w and the
+    # right-hand side, which the inverse overwrites with its output, beside
+    # the forcing, and a few blocks of scratch: no w ** p field, no
+    # full-size difference or power and no per-axis transform copies. On
+    # the full grid the inverse's parts and its output are fresh arrays
     import tracemalloc
 
     from hardyheat.kernels import _js_spectrum
@@ -231,9 +231,38 @@ def test_full_grid_run_peaks_below_4_5_fields():
     assert _warm_run_peak_in_fields(full_grid=True) < 4.5
 
 
+def test_orthant_run_peaks_below_2_75_fields():
+    # w and the right-hand side that becomes w_next (the forcing is not
+    # traced): a fourth field (the inverse's own output buffer, a full-size
+    # difference or power) would bring it to about 3.4
+    assert _warm_run_peak_in_fields(full_grid=False) < 2.75
+
+
+@pytest.mark.parametrize("orthant", [False, True])
+def test_stage_reductions_in_blocks_match_whole_arrays(monkeypatch, orthant):
+    # the step bounds and the weighted norm, 5 slices a block of 12 (a
+    # ragged last block), are bitwise their whole-array formulas
+    lat = make_lattice(2, 4.0, 16, 0.0, 3.0, 12)
+    shape = lattice.Nodes(lat, orthant).shape
+    monkeypatch.setattr(lattice, "_BLOCK_BYTES", 5 * 8 * math.prod(shape[1:]))
+    rng = np.random.default_rng(30)
+    w = Field(lat, rng.random(shape), orthant)
+    w_next = Field(lat, w.values + rng.random(shape) - 0.01, orthant)
+    d = w_next.values - w.values
+    assert solver._step_bounds(w_next, w) == (np.min(d), max(np.max(d), -np.min(d)))
+    prod = w.values ** 1.7 * w.nodes.radius ** -0.4
+    if not orthant:
+        for ax in (1, 2):
+            mirror, pos = lattice.mirror_halves(prod, ax)
+            prod = pos + mirror
+    want = prod.reshape(lat.K, -1).sum(axis=1) * w.nodes.measure
+    assert np.array_equal(weighted_integral(w, -0.4, 1.7), want)
+
+
 def test_cold_run_with_its_lag_table_peaks_below_4_5_fields():
     # the causal inverse's lag table is built inside the run, one row per
-    # mode class: the build's peak stays under a stage's four fields
+    # mode class: the build and a stage's three fields (the forcing, w and
+    # the right-hand side the inverse overwrites) stay under 4.5 fields
     import tracemalloc
 
     from hardyheat.kernels import _js_spectrum
@@ -255,23 +284,27 @@ def test_cold_run_with_its_lag_table_peaks_below_4_5_fields():
 
 
 def test_spent_rhs_is_released_before_the_clamp(lat, spec, monkeypatch):
-    # the stage right-hand side is dropped when the operator returns, so
-    # it is never alive beside the clamped copy of the operator output
+    # the operator writes its output into the stage right-hand side's own
+    # array, which is clamped in place and becomes the stage's iterate;
+    # the right-hand side's Field is dropped when the operator returns
     seen = {}
     real_js, real_clamp = solver.apply_Js, solver._clamp_rounding
 
-    def js(rhs, s):
-        seen["rhs"] = weakref.ref(rhs.values)
-        return real_js(rhs, s)
+    def js(rhs, s, **kw):
+        seen["rhs"], seen["values"] = weakref.ref(rhs), rhs.values
+        return real_js(rhs, s, **kw)
 
     def clamp(out):
         seen["alive"] = seen["rhs"]() is not None
+        seen["clamped"] = out.values
         return real_clamp(out)
 
     monkeypatch.setattr(solver, "apply_Js", js)
     monkeypatch.setattr(solver, "_clamp_rounding", clamp)
-    initial_state(gaussian_bump_forcing(lat, 0.5), spec)
+    st = initial_state(gaussian_bump_forcing(lat, 0.5), spec)
     assert seen["alive"] is False
+    assert seen["clamped"] is seen["values"] and st.w.values is seen["values"]
+    assert not st.w.values.flags.writeable
 
 
 def _negative_slab(depth):
@@ -279,8 +312,8 @@ def _negative_slab(depth):
     one time slab."""
     real = solver.apply_Js
 
-    def fake(g, s):
-        out = real(g, s).values.copy()
+    def fake(g, s, **kw):
+        out = real(g, s, **kw).values.copy()
         out[g.lattice.K // 2] = -depth * np.max(out)
         return Field(g.lattice, out)
 
@@ -441,10 +474,10 @@ def test_run_makes_one_inverse_per_stage(lat, spec, monkeypatch):
     calls = {"apply_Js": 0, "iterate": 0}
     real_js, real_iterate = solver.apply_Js, solver.iterate
 
-    def js(g, s):
+    def js(g, s, **kw):
         assert isinstance(g.values, np.ndarray)
         calls["apply_Js"] += 1
-        return real_js(g, s)
+        return real_js(g, s, **kw)
 
     def step(*args):
         calls["iterate"] += 1

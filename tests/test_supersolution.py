@@ -8,7 +8,7 @@ import pytest
 
 from hardyheat import supersolution
 from hardyheat.constants import ProblemSpec, exponents_from, lambda_max, mu_from_lambda
-from hardyheat.lattice import Field, Lattice, make_lattice
+from hardyheat.lattice import Field, Lattice, Nodes, make_lattice
 from hardyheat.solver import gaussian_bump_forcing
 from hardyheat.supersolution import (
     ComparisonError,
@@ -140,10 +140,11 @@ def _on_every_node(cert, lat, fn):
 
 @pytest.mark.parametrize("L,M", [(6.0, 16), (8.0, 32)])
 def test_radial_builders_are_born_on_the_orthant(cert, L, M):
-    # the forcing and the trace are stored on the orthant, and their full
-    # grids are bitwise the formulas evaluated on every node
+    # the forcing and the trace are stored on the orthant, filled one slice
+    # at a time, and their full grids are bitwise the formulas evaluated
+    # on every node at once
     lat = make_lattice(3, L, M, 1.0, 6.0, 16)
-    for fraction in (0.5, 1.0):
+    for fraction in (0.01, 0.5, 1.0):
         f = certified_forcing(cert, lat, fraction=fraction)
         assert f.orthant
         assert np.array_equal(f.full_grid().values, _on_every_node(cert, lat, forcing_envelope) * fraction)
@@ -179,6 +180,23 @@ def test_radial_builders_form_no_full_grid_array(cert, monkeypatch):
             del out
     finally:
         tracemalloc.stop()
+
+
+def test_radial_builders_peak_near_one_field(cert):
+    # the builders fill one slice at a time and scale it into place: one
+    # field and a few slices, where a whole-array broadcast and a scaled
+    # copy take four fields
+    lat = make_lattice(3, 6.0, 32, 0.0, 8.0, 48)
+    field_bytes = 8 * math.prod(Nodes(lat, orthant=True).shape)
+    certified_forcing(cert, lat)  # the cached radius
+    for build in (lambda: certified_forcing(cert, lat, fraction=0.01), lambda: dominating_trace(cert, lat)):
+        tracemalloc.start()
+        try:
+            build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * field_bytes
 
 
 def test_build_w_supersol(cert):
