@@ -8,6 +8,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+import dataclasses
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -236,7 +237,7 @@ def _mode_classes(n: int, dim: int) -> np.ndarray:
 @lru_cache(maxsize=8)
 def _js_classes(n: int, dim: int) -> np.ndarray:
     """Read-only index of shape (n,) * dim: each mode tuple's class, the
-    row of _js_spectrum that holds its kernel (see _mode_classes)."""
+    entry of _js_weights that holds its kernel (see _mode_classes)."""
     shape = (n,) * dim
     rank = np.empty(n ** dim, dtype=np.intp)  # only read at sorted tuples
     classes = _mode_classes(n, dim)
@@ -280,33 +281,15 @@ def _lag_weights(K: int, s: float) -> np.ndarray:
     return alpha
 
 
-# a few entries: the verifier uses three values of s on one lattice, and one
-# 64^3 x 48 entry is 5.1 MB
-@lru_cache(maxsize=4)
-def _js_spectrum(lat: Lattice, s: float) -> np.ndarray:
-    """Time spectrum of the lag kernel, one row per mode class of the heat
-    multiplier's modes 0..M/2 in every spatial axis.
-
-    The positive-kernel multiplier is the product of one 1-D multiplier per
-    axis, the same on every axis, so the kernel on a mode tuple depends
-    only on the sorted tuple, its class (_mode_classes: C(M/2 + N, N)
-    classes, 6545 of the 35937 tuples at 64^3); _js_classes maps each tuple
-    to its row. A row's multiplier is the 1-D factors multiplied in sorted
-    mode order. Shape (classes, K + 1), C-contiguous, complex128,
-    read-only: the rfft over 2K zero-padded lags, so the product with a
-    padded input spectrum is a linear (not circular) convolution over the
-    first K lags. The kernel is filled lag by lag through a lag-first view
-    of a lag-last buffer, so the table is built time-last with no
-    transposed copy. Lag m weighs the source with the m-fold power of the
-    one-slab positive kernel, so non-negativity is preserved exactly. Slab
+def _js_weights(lat: Lattice, s: float) -> tuple:
+    """(d, w0, w1, a): the lag kernel per mode class of the heat
+    multiplier's modes 0..M/2 (_mode_classes; a class multiplies its 1-D
+    factors in sorted mode order). Lag 0 weighs the source with w0, lag 1
+    with w1, lag m >= 2 with a[m] d^m, d the one-slab positive-kernel
+    multiplier and a (zero at lags 0 and 1) shared by all classes. Slab
     [j ht, (j+1) ht] puts its product-linear weights on lags j and j + 1;
-    the first slab is split into _FIRST_SLAB_REFINE sub-slabs against the
-    source interpolated linearly between lags 0 and 1. On the orthant,
-    _dct_pair's forward matrix puts cosine mode k at position k on an even
-    axis and sine mode M/2 - m at position m on an odd one, so an even axis
-    reads modes 0..M/2-1 and an odd one M/2..1, reversed (see
-    _js_on_orthant).
-    """
+    the first is split into _FIRST_SLAB_REFINE sub-slabs against the
+    source interpolated between lags 0 and 1."""
     K, ht = lat.K, lat.ht
     classes = _mode_classes(lat.M // 2 + 1, lat.dim)
 
@@ -319,25 +302,79 @@ def _js_spectrum(lat: Lattice, s: float) -> np.ndarray:
             out *= axis[classes[:, d]]
         return out
 
-    lag_last = np.zeros((len(classes), K))
-    kern = lag_last.T
+    w0, w1 = np.zeros(len(classes)), np.zeros(len(classes))
     edges = ht * np.arange(_FIRST_SLAB_REFINE + 1) / _FIRST_SLAB_REFINE
     for a, b in zip(edges[:-1], edges[1:]):
         for tau, wgt in zip((a, b), _linear_weights(a, b, s)):
             ef = wgt * multiplier(tau)
-            kern[0] += (1.0 - tau / ht) * ef
-            kern[1] += tau / ht * ef
+            w0 += (1.0 - tau / ht) * ef
+            w1 += tau / ht * ef
     # the weight is homogeneous: slab j's weights are ht^s times those on [j, j+1]
     alpha = ht ** s * _lag_weights(K, s)
-    dec = multiplier(ht)
-    pw = dec.copy()
-    for m in range(1, K):
-        kern[m] += alpha[m] * pw
-        pw *= dec
-    kern /= gamma_fn(s)
-    spec = np.fft.rfft(lag_last, n=2 * K, axis=-1)
-    spec.setflags(write=False)
-    return spec
+    d = multiplier(ht)
+    w1 += alpha[1] * d
+    alpha[:2] = 0.0
+    return d, w0 / gamma_fn(s), w1 / gamma_fn(s), alpha / gamma_fn(s)
+
+
+# a short-memory class's band stops at the first lag m >= 2 from which all
+# later lags weigh at most 2^-60 of w0 (bounded by a_m |d|^m / (1 - |d|),
+# as a_m falls with m): 2^-8 of an ulp of the lag-0 term
+_BAND_CUT = 2.0 ** -60
+# a long class (d >= 2^(-600 / (K - 1))) scales slice j by d^-j: data
+# below 2^400 (larger data is first normalised by a power of two) stays
+# below 2^1000, with 2^24 of headroom for the Toeplitz product's K-term sums
+_EXPONENT_BUDGET = 600
+# the largest m n k of one Toeplitz GEMM: half of OpenBLAS's default
+# one-thread limit, 65536 * GEMM_MULTITHREAD_THRESHOLD (4)
+_GEMM_VOLUME = 1 << 17
+
+
+@dataclass(frozen=True)
+class _JsKernel:
+    """_js_weights split by memory, read-only. A long class's lags >= 2 are
+    one product with the Toeplitz matrix T = sum_m a_m S^m, as
+    diag(d^k) T diag(d^-k) = sum_m a_m d^m S^m (powers: d^k); a short
+    class's are a band cut by _BAND_CUT. The classes whose memory reaches
+    lag 2, long ones first, have a column of lags: their weights at lags 0
+    to the longest band's end (zero past their own, and from lag 2 on a
+    long class). sweep holds lags 0 and 1 of the others, the identity
+    (1, 0) for these. plans keeps each parity's _lane_plan."""
+
+    sweep: np.ndarray     # (2, classes)
+    column: np.ndarray    # (classes,) the column of lags, or -1
+    lags: np.ndarray      # (band, memory classes)
+    powers: np.ndarray    # (K, long classes)
+    toeplitz: np.ndarray  # (K, K)
+    plans: dict = dataclasses.field(default_factory=dict, compare=False, repr=False)
+
+
+# a few entries: the verifier uses three values of s on one lattice
+@lru_cache(maxsize=4)
+def _js_kernel(lat: Lattice, s: float) -> _JsKernel:
+    """The _JsKernel of (lattice, s): 0.2 MB at 32^3 x 48 and 0.35 MB at
+    64^3 x 48, plus 0.1 and 0.35 MB of the even part's lane plan."""
+    d, w0, w1, a = _js_weights(lat, s)
+    K = lat.K
+    long = d >= 2.0 ** (-_EXPONENT_BUDGET / (K - 1))
+    rows, open_ = [w0, w1], ~long
+    for m in range(2, K):
+        weight = a[m] * np.power(d, float(m))
+        open_ &= np.abs(weight) > _BAND_CUT * w0 * (1.0 - np.abs(d))
+        if not open_.any():
+            break
+        rows.append(np.where(open_, weight, 0.0))
+    memory = np.concatenate([np.flatnonzero(long), np.flatnonzero(np.any(rows[2:3], axis=0))])
+    column = np.full(d.shape, -1)
+    column[memory] = np.arange(len(memory))
+    k = np.arange(K)
+    return _JsKernel(
+        sweep=_frozen(np.where(column < 0, [w0, w1], [[1.0], [0.0]])),
+        column=_frozen(column),
+        lags=_frozen(np.array(rows)[:, memory]),
+        powers=_frozen(np.power(d[long], k[:, None].astype(float))),
+        toeplitz=_frozen(a[np.maximum(k[:, None] - k, 0)]),  # a vanishes at lags 0 and 1
+    )
 
 
 @lru_cache(maxsize=8)
@@ -401,47 +438,112 @@ def _spatial_transform(src: np.ndarray, mats: Sequence[np.ndarray], dst: np.ndar
             d[...] = x
 
 
-def _js_on_orthant(part: np.ndarray, odd: Sequence[bool], lat: Lattice, table: np.ndarray,
+def _lane_plan(kernel: _JsKernel, lat: Lattice, odd: tuple) -> tuple:
+    """(cls, memory, column, n_long, G, plain), kept in kernel.plans, for
+    the parity part with odd axes odd. Its lanes are its buffer's columns,
+    one mode each (0..M/2-1 on an even axis, M/2..1 on an odd one), of
+    classes cls. memory holds the lanes whose memory reaches lag 2, column
+    their columns of lags: the long ones first, padded to n_long, a
+    multiple of the GEMMs' chunk of G lanes, with copies of the last.
+    plain: some lane's memory ends at lag 1."""
+    plan = kernel.plans.get(odd)
+    if plan is None:
+        half = lat.M // 2
+        cls = _js_classes(half + 1, lat.dim)[tuple(slice(half, 0, -1) if o else slice(0, half) for o in odd)].ravel()
+        column = kernel.column[cls]
+        n_classes = kernel.powers.shape[1]
+        G = max(1, _GEMM_VOLUME // (lat.K * lat.K))
+        long = np.flatnonzero((column >= 0) & (column < n_classes))
+        n_long = len(long) + -len(long) % G
+        memory = np.concatenate([long, np.repeat(long[-1:], n_long - len(long)),
+                                 np.flatnonzero(column >= n_classes)])
+        plan = kernel.plans[odd] = (_frozen(cls), _frozen(memory), _frozen(column[memory]), n_long, G,
+                                    bool(np.any(column < 0)))
+    return plan
+
+
+def _gathered_lag_sum(lanes: np.ndarray, kernel: _JsKernel, idx: np.ndarray, column: np.ndarray,
+                      n_long: int, G: int) -> None:
+    """The lag sum of lanes idx (of columns column; the first n_long long),
+    in place. Gathered after a zero slice per lag of the band, lags 0 to
+    the band's end are one einsum over a sliding window of each lane's
+    slices. The long lanes' slice j is divided by d^j (after a power-of-two
+    normalisation if their maximum reaches 2^(1000 - _EXPONENT_BUDGET)),
+    multiplied by the Toeplitz matrix in one K x K by K x G GEMM a chunk,
+    and slice k by d^k: exact scalings, so this is the lag sum to rounding
+    for data of any exponent, and a lane's result depends on its chunk
+    alone."""
+    K, B = lanes.shape[0], len(kernel.lags)
+    padded = np.zeros((K + B - 1, len(idx)))
+    x = padded[B - 1 :]
+    lanes.take(idx, axis=1, out=x)
+    # window[k, lane, j] is slice k + j - (B - 1): lag B - 1 - j
+    window = np.lib.stride_tricks.as_strided(padded, (K, len(idx), B), padded.strides + padded.strides[:1],
+                                             writeable=False)
+    y = np.einsum("knj,jn->kn", window, kernel.lags[::-1].take(column, axis=1))
+    if n_long:
+        x = x[:, :n_long]  # read no more: it becomes the GEMMs' input
+        expo = max(0, math.frexp(max(x.max(), -x.min()))[1] - (1000 - _EXPONENT_BUDGET))
+        powers = kernel.powers.take(column[:n_long], axis=1)
+        np.divide(np.ldexp(x, -expo, out=x) if expo else x, powers, out=x)
+        t = np.matmul(kernel.toeplitz, x.reshape(K, -1, G), out=np.empty_like(powers).reshape(K, -1, G),
+                      axes=[(0, 1), (0, 2), (0, 2)]).reshape(powers.shape)
+        t *= powers
+        y[:, :n_long] += np.ldexp(t, expo, out=t) if expo else t
+    lanes[:, idx] = y
+
+
+def _lag_sum(lanes: np.ndarray, kernel: _JsKernel, plan: tuple) -> None:
+    """out[k] = sum_(m <= k) weight_m x[k - m] on every lane (column) of
+    lanes, in place. The lanes whose memory reaches lag 2 go first, whole
+    GEMM chunks at a time, about half a lattice.block_slices block
+    (_gathered_lag_sum). Then lags 0 and 1 sweep every lane, those through
+    the identity, in groups of lattice.block_slices slices, latest first,
+    lag 1 read from the slices before the group, not yet overwritten. No
+    lane's result depends on the block budget."""
+    cls, memory, column, n_long, G, plain = plan
+    K = lanes.shape[0]
+    step = G * block_slices(2 * K * G)
+    for i in range(0, len(memory), step):
+        n = min(max(n_long - i, 0), step)
+        _gathered_lag_sum(lanes, kernel, memory[i : i + step], column[i : i + step], n, G)
+    if not plain:
+        return
+    w0, w1 = kernel.sweep.take(cls, axis=1)
+    step = block_slices(lanes.shape[1])
+    acc = np.empty((min(step, K), lanes.shape[1]))
+    for top in range(K, 0, -step):
+        bottom = max(top - step, 0)
+        first = max(bottom, 1)
+        s = acc[first - bottom : top - bottom]
+        np.multiply(lanes[first - 1 : top - 1], w1, out=s)
+        lanes[bottom:top] *= w0
+        lanes[first:top] += s
+
+
+def _js_on_orthant(part: np.ndarray, odd: Sequence[bool], lat: Lattice, kernel: _JsKernel,
                    in_place: bool = False) -> np.ndarray:
     """The Volterra convolution of one parity part on the positive orthant:
-    per spatial axis, the forward matrix of _dct_pair (a DCT-II on an even
+    per spatial axis the forward matrix of _dct_pair (a DCT-II on an even
     axis, on an odd one the DST-II whose position m holds sine mode M/2 - m),
-    the real time convolution against the table's rows for modes 0..M/2-1
-    (even axis) or M/2..1 (odd axis), and per axis the inverse matrix.
+    the causal lag sum of each mode (_lag_sum), and per axis the inverse.
 
-    The whole convolution lives in one buffer: a fresh one, into which the
-    forward transform reads part without writing it, or with in_place part
-    itself (which must be writable and is overwritten). The time
-    convolution and the inverse transform run on it in place (see
-    _spatial_transform), and it is returned. The forward transform acts
-    slice by slice, so the slices at t <= 0 are zeroed in the buffer after
-    it, as if they had been zeroed in part.
-    The time convolution runs block by block over rows of the first
-    spatial axis, lattice.block_slices rows of 2K time values each: a block
-    is gathered time-last (a transpose that stays in cache), so its rfft,
-    its multiply by the block's kernel and its irfft run over contiguous
-    rows, and lags 0..K-1 are written back time-first in place. The block's
-    kernel is gathered from the table's class rows (_js_classes, read for
-    the part's parity) just for its multiply, so it is freed before the
-    irfft allocates its output. Each row's transforms are those of a
-    whole-array transform along time, and each spatial product is the GEMM
-    a whole-array batch would run, so the output is bitwise the same either
-    way. A fresh buffer owns its data, so the causal inverse can freeze it
-    without a copy."""
-    half, n = lat.M // 2, 2 * lat.K
+    It runs in one C-contiguous buffer, time first: a fresh one, into which
+    the forward transform reads part without writing it, or with in_place
+    part itself (writable and C-contiguous; overwritten). The forward
+    transform acts slice by slice, so the slices at t <= 0 are zeroed in
+    the buffer after it, as if in part. Each spatial product is the GEMM a
+    whole-array batch would run, so the output is bitwise the same for any
+    lattice.block_slices budget. A fresh buffer owns its data, so the
+    causal inverse can freeze it without a copy."""
+    half = lat.M // 2
     pairs = [_dct_pair(half, o) for o in odd]
     c = part if in_place else np.empty(part.shape)
     _spatial_transform(part, [forward for forward, _ in pairs], c)
     past = ~lat.causal_mask()
     if past.any():
         c[past] = 0.0
-    index = _js_classes(half + 1, lat.dim)[tuple(slice(half, 0, -1) if o else slice(0, half) for o in odd)]
-    rows = block_slices(n * half ** (lat.dim - 1))
-    for i in range(0, half, rows):
-        b = slice(i, i + rows)
-        spec = np.fft.rfft(np.ascontiguousarray(np.moveaxis(c[:, b], 0, -1)), n=n, axis=-1)
-        spec *= np.take(table, index[b], axis=0)
-        np.moveaxis(c[:, b], 0, -1)[...] = np.fft.irfft(spec, n=n, axis=-1)[..., : lat.K]
+    _lag_sum(c.reshape(lat.K, -1), kernel, _lane_plan(kernel, lat, tuple(odd)))
     _spatial_transform(c, [inverse for _, inverse in pairs], c)
     return c
 
@@ -457,26 +559,26 @@ def apply_Js(g: Field, s: float, causal_tol: float = 1e-8, *, overwrite_g: bool 
     causal data to non-negative causal output and is monotone. Output
     vanishes identically on t <= 0.
 
-    The order must lie in (0, 1]. The lag kernel's spectrum depends only
-    on (lattice, s) and is cached, time-last, one row per mode class (see
-    _js_spectrum). Each parity part of the input is convolved on the
-    positive orthant and unfolded back: per spatial axis (M/2) x (M/2)
-    matrix products run on blocks of time slices, and a real FFT over time
-    on cache-sized time-last blocks, each against its kernel gathered from
-    the class rows, all in one buffer (see _js_on_orthant). An input
-    exactly even in every spatial axis is one part, and its output is
-    exactly even. An orthant-stored input (every stage of a solver run on
-    even data) is that one part as it is: its output is stored on the
-    orthant too, with no evenness test and no mirror.
+    The order must lie in (0, 1]. The lag kernel depends only on
+    (lattice, s) and is cached per mode class (_js_kernel). Each parity
+    part of the input is convolved on the positive orthant and unfolded
+    back: per spatial axis (M/2) x (M/2) matrix products on blocks of time
+    slices and, between them, a direct causal lag sum in the same buffer
+    (_js_on_orthant): a band of lags on the modes whose memory dies within
+    a few lags, and one Toeplitz product for the others. An input exactly
+    even in every spatial axis is one part, and its output is exactly
+    even. An orthant-stored input (every stage of a solver run on even
+    data) is that one part as it is: its output is stored on the orthant
+    too, with no evenness test and no mirror.
 
     By default the input is left as it is and the output array is fresh.
-    With overwrite_g, as with scipy.fft's overwrite_x, an orthant-stored
-    input's values are the buffer the convolution runs in: the output is a
-    Field over g's own array, and g holds the output from then on. Only a
-    caller that holds the input's one reference should pass it (the
-    solver's stage, whose right-hand side dies there). A full-grid input
-    ignores the flag: its parts are fresh arrays or views of it, and its
-    output is fresh.
+    With overwrite_g, as with scipy.fft's overwrite_x, a C-contiguous
+    orthant-stored input's values are the buffer the convolution runs in:
+    the output is a Field over g's own array, and g holds the output from
+    then on. Only a caller that holds the input's one reference should pass
+    it (the solver's stage, whose right-hand side dies there). A full-grid
+    input ignores the flag: its parts are fresh arrays or views of it, and
+    its output is fresh.
     """
     if not 0.0 < s <= 1.0:  # NaN fails this too
         raise ValueError(f"need 0 < s <= 1, got {s}")
@@ -494,16 +596,17 @@ def apply_Js(g: Field, s: float, causal_tol: float = 1e-8, *, overwrite_g: bool 
                 f"input has mass {leak:.3e} at t <= 0 (scale {scale:.3e})"
             )
 
-    table = _js_spectrum(lat, float(s))
+    kernel = _js_kernel(lat, float(s))
     if g.orthant:
-        if overwrite_g:
+        in_place = overwrite_g and vals.flags.c_contiguous
+        if in_place:
             vals.setflags(write=True)  # a Field's values own their data
-        out = _js_on_orthant(vals, (False,) * lat.dim, lat, table, in_place=overwrite_g)
+        out = _js_on_orthant(vals, (False,) * lat.dim, lat, kernel, in_place=in_place)
     else:
         (part, odd), *rest = parity_parts(vals, lat.dim)
-        out = unfold(_js_on_orthant(part, odd, lat, table), odd)
+        out = unfold(_js_on_orthant(part, odd, lat, kernel), odd)
         for part, odd in rest:
-            out += unfold(_js_on_orthant(part, odd, lat, table), odd)
+            out += unfold(_js_on_orthant(part, odd, lat, kernel), odd)
     out[past] = 0.0
     out.setflags(write=False)  # handed to Field without a copy
     return Field(lat, out, g.orthant)

@@ -278,8 +278,8 @@ def sample(fn: Callable, lat: Lattice) -> Field:
 
 # bytes of one block in the blockwise passes over a field (weighted_integral
 # here, solver.rhs_truncated, solver._step_bounds and the causal inverse's
-# spatial transforms and time convolution): small enough that a block and
-# its scratch buffers stay in a core's L2 cache
+# spatial transforms and lag sum): small enough that a block and its
+# scratch buffers stay in a core's L2 cache
 _BLOCK_BYTES = 1 << 18
 
 
@@ -287,8 +287,8 @@ def block_slices(slab_size: int) -> int:
     """Entries per block (at least one) of a blockwise pass along an axis
     whose entries are slabs of slab_size float64 values: time slices in
     weighted_integral, the solver's stage passes and the causal inverse's
-    spatial transforms, rows of the first spatial axis in its time
-    convolution."""
+    spatial transforms and lag-sum sweep, gathered modes (lanes of K
+    values, whole GEMM chunks) in its lag sum."""
     return max(1, _BLOCK_BYTES // (8 * slab_size))
 
 

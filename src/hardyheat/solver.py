@@ -19,7 +19,7 @@ import numpy as np
 
 from .constants import ProblemSpec, exponents
 from .kernels import apply_Js
-from .lattice import Field, Lattice, Nodes, SampleError, block_slices, weighted_integral
+from .lattice import Field, Lattice, Nodes, SampleError, block_slices, mirror_halves, weighted_integral
 from .special import smooth_step
 
 
@@ -291,6 +291,19 @@ def _growth(m: np.ndarray, lat: Lattice) -> Tuple[float, Optional[float]]:
     return factor, esc
 
 
+def _on_orthant(fld: Field) -> Field:
+    """fld stored on the positive orthant if it is exactly even in every
+    spatial axis (the one even part of lattice.parity_parts), else fld."""
+    if fld.orthant:
+        return fld
+    v = fld.values
+    for ax in range(1, fld.lattice.dim + 1):
+        mirror, v = mirror_halves(v, ax)
+        if not np.array_equal(mirror, v):
+            return fld
+    return Field(fld.lattice, v, orthant=True)
+
+
 def run(
     spec: ProblemSpec,
     f: Field,
@@ -309,18 +322,24 @@ def run(
     iterate, with a slack of 1e-9 of its peak; violations are counted, never
     silently clipped.
 
-    Every stage is stored and computed on f's node set (see lattice.Nodes),
-    or on the full grid when the dominator's differs. Every forcing and
-    dominator this package builds is stored on the positive orthant, where
-    each node stands for 2^N equal ones: the violation count is scaled by
-    2^N, and the report is the one of the full grid. The callback receives
+    Every stage is stored and computed on the positive orthant (see
+    lattice.Nodes) when f and the dominator are exactly even in every
+    spatial axis, whichever node set they come on, and on the full grid
+    otherwise. Every forcing and dominator this package builds is stored
+    on the orthant, and a full-grid one that is exactly even is copied
+    onto it, so a stage holds three orthant fields. Each orthant node
+    stands for 2^N equal ones: the violation count is scaled by 2^N, and
+    the report is bitwise the one of the full grid. The callback receives
     each state on the run's node set (state.w.full_grid() expands it).
     """
     lat = f.lattice
     if dominator is not None and dominator.lattice != lat:
         raise ValueError("the dominator lies on another lattice than f")
-    if dominator is not None and dominator.orthant != f.orthant:
-        f, dominator = f.full_grid(), dominator.full_grid()
+    f = _on_orthant(f)
+    if dominator is not None:
+        dominator = _on_orthant(dominator)
+        if dominator.orthant != f.orthant:
+            f, dominator = f.full_grid(), dominator.full_grid()
     if dominator is not None:
         slack = 1e-9 * max(float(np.max(dominator.values)), 1e-300)
     state = initial_state(f, spec)

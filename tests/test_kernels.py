@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import os
@@ -14,7 +15,7 @@ from hardyheat.kernels import (
     NonCausalInput,
     QuadratureError,
     _dct_pair,
-    _js_spectrum,
+    _js_kernel,
     _lag_table,
     _linear_weights,
     apply_Hs_spectral,
@@ -478,51 +479,184 @@ def _batched(mat, c, ax):
     return np.moveaxis(mat @ np.moveaxis(c, ax, -2), -2, ax)
 
 
-def _js_time_first(part, odd, lat, table):
+def _js_time_first(part, odd, lat, kernel):
     """The orthant convolution with its spatial transforms batched over the
-    whole part, one fresh array per axis, and its time rfft, multiply and
-    irfft each over the whole part along axis 0, against the table moved
-    time-first; the slices at t <= 0 count as zero."""
+    whole part, one fresh array per axis, and its lag sum run once over the
+    whole part under a block budget that holds it all; the slices at
+    t <= 0 count as zero."""
     half = lat.M // 2
     pairs = [_dct_pair(half, o) for o in odd]
     c = part
     for ax, (forward, _) in enumerate(pairs, 1):
         c = _batched(forward, c, ax)
     c[~lat.causal_mask()] = 0.0
-    c = np.fft.rfft(c, n=2 * lat.K, axis=0)
-    dense = table[kernels._js_classes(half + 1, lat.dim)]
-    c *= np.moveaxis(dense, -1, 0)[(slice(None),) + tuple(slice(half, 0, -1) if o else slice(0, half) for o in odd)]
-    c = np.fft.irfft(c, n=2 * lat.K, axis=0)[: lat.K]
+    budget = lattice._BLOCK_BYTES
+    lattice._BLOCK_BYTES = 8 * c.size
+    try:
+        kernels._lag_sum(c.reshape(lat.K, -1), kernel, kernels._lane_plan(kernel, lat, tuple(odd)))
+    finally:
+        lattice._BLOCK_BYTES = budget
     for ax, (_, inverse) in enumerate(pairs, 1):
         c = _batched(inverse, c, ax)
     return c
 
 
+def _parity_classes(lat, odd):
+    """The class of each lane of a parity part's time-first buffer."""
+    half = lat.M // 2
+    index = kernels._js_classes(half + 1, lat.dim)
+    return index[tuple(slice(half, 0, -1) if o else slice(0, half) for o in odd)].ravel()
+
+
+def _memory_lanes(kernel, cls):
+    """The counts of a parity part's lanes with long memory, with a band
+    past lag 1, and with lags 0 and 1 alone."""
+    column, n_long = kernel.column[cls], kernel.powers.shape[1]
+    return (int(np.count_nonzero((column >= 0) & (column < n_long))),
+            int(np.count_nonzero(column >= n_long)), int(np.count_nonzero(column < 0)))
+
+
 @pytest.mark.parametrize("dim,M,T_neg", [(1, 16, 0.0), (2, 16, 1.0), (3, 16, 0.0), (3, 16, 1.0)])
 @pytest.mark.parametrize("rows", [None, 1, 3])
 def test_js_blocks_bitwise_match_time_first(monkeypatch, dim, M, T_neg, rows):
-    # the time-last blocks and the in-place spatial transforms change no
-    # bit of the output, whether the time convolution is one block (the
-    # default budget here), one row per block, or 3 rows per block with a
-    # ragged last block (half = 8); the same budgets put all 12 time
-    # slices, 3, or 9 and a ragged 3 in a spatial transform's block
-    lat = make_lattice(dim, 4.0, M, T_neg, 3.0, 12)
+    # the blocks change no bit of the output, whether a budget holds the
+    # whole part (the default here), 3 time slices of it, or 7 slices with
+    # a ragged last block of 3 (K = 24): the same budgets set the lag
+    # sum's groups of slices and the spatial transforms' blocks. The
+    # lattice has lanes of every memory: long, banded and lags 0 and 1
+    lat = make_lattice(dim, 1.5, M, T_neg, 3.0, 24)
     half = lat.M // 2
     if rows is not None:
-        monkeypatch.setattr(lattice, "_BLOCK_BYTES", rows * 8 * 2 * lat.K * half ** (dim - 1))
-        assert block_slices(2 * lat.K * half ** (dim - 1)) == rows
+        monkeypatch.setattr(lattice, "_BLOCK_BYTES", (2 * rows + 1) * 8 * half ** dim)
+        assert block_slices(half ** dim) == 2 * rows + 1
     rng = np.random.default_rng(24)
     s = 0.4
-    table = _js_spectrum(lat, s)
+    kernel = _js_kernel(lat, s)
     part = rng.random((lat.K,) + (half,) * dim)
     for odd in itertools.product((False, True), repeat=dim):
-        got = kernels._js_on_orthant(part, odd, lat, table)
-        assert np.array_equal(got, _js_time_first(part, odd, lat, table))
+        assert min(_memory_lanes(kernel, _parity_classes(lat, odd))) > 0
+        got = kernels._js_on_orthant(part, odd, lat, kernel)
+        assert np.array_equal(got, _js_time_first(part, odd, lat, kernel))
     # the whole inverse, every parity part of a full-grid input
     g = rng.random(lat.shape) * lat.causal_mask().reshape((-1,) + (1,) * dim)
     got = apply_Js(Field(lat, g), s).values
     monkeypatch.setattr(kernels, "_js_on_orthant", _js_time_first)
     assert np.array_equal(got, apply_Js(Field(lat, g), s).values)
+
+
+@pytest.mark.parametrize("gemm_lanes", [1, 4, 7])
+def test_js_toeplitz_chunks_bitwise_match_any_budget(monkeypatch, gemm_lanes):
+    # the long-memory lanes go through the Toeplitz GEMMs in fixed chunks
+    # of gemm_lanes lanes, the last one padded: a lane's output is the
+    # same bits whether a gathered block of lanes holds one chunk or all
+    lat = make_lattice(3, 1.5, 16, 1.0, 3.0, 24)
+    monkeypatch.setattr(kernels, "_GEMM_VOLUME", gemm_lanes * lat.K ** 2)
+    kernel = _js_kernel(lat, 0.4)
+    part = np.random.default_rng(33).random((lat.K,) + (lat.M // 2,) * 3)
+    parities = [(False,) * 3, (True, False, True)]
+    want = [_js_time_first(part, odd, lat, kernel) for odd in parities]
+    monkeypatch.setattr(lattice, "_BLOCK_BYTES", 8 * lat.K * gemm_lanes)
+    assert block_slices(lat.K * gemm_lanes) == 1
+    for odd, w in zip(parities, want):
+        n_long = _memory_lanes(kernel, _parity_classes(lat, odd))[0]
+        assert n_long > gemm_lanes and (n_long % gemm_lanes or gemm_lanes == 1)
+        assert np.array_equal(kernels._js_on_orthant(part, odd, lat, kernel), w)
+
+
+def _full_lag_table(lat, s):
+    """The untruncated lag kernel of every mode class, shape (K, classes):
+    w0, w1, and a_m d^m at every lag m >= 2."""
+    d, w0, w1, a = kernels._js_weights(lat, s)
+    table = a[:, None] * np.power(d, np.arange(lat.K, dtype=float)[:, None])
+    table[0], table[1] = w0, w1
+    return table
+
+
+def _transformed_part(lat, odd, rng):
+    """A random causal parity part after the forward spatial transform,
+    the past zeroed: the lanes the lag sum gets, time first."""
+    half = lat.M // 2
+    part = rng.random((lat.K,) + (half,) * lat.dim)
+    c = np.empty_like(part)
+    kernels._spatial_transform(part, [_dct_pair(half, o)[0] for o in odd], c)
+    c[~lat.causal_mask()] = 0.0
+    return c.reshape(lat.K, -1)
+
+
+@pytest.mark.parametrize("dim,M,T_neg", [(1, 64, 0.0), (1, 64, 1.0), (2, 32, 0.0), (2, 32, 1.0),
+                                         (3, 32, 0.0), (3, 32, 1.0), (3, 64, 0.0)])
+def test_lag_sum_matches_full_lag_sum_and_fft_oracles(dim, M, T_neg):
+    # the banded, Toeplitz and lag-0/1 sums against every lag of the
+    # untruncated kernel, summed in extended precision, and against the
+    # time-FFT convolution the lag sum replaced (an rfft over 2K lags of
+    # the lanes times that of the kernel); every parity part (the even one
+    # alone at 64^3), at the lattices in use and with past slices
+    lat = make_lattice(dim, 6.0, M, T_neg, 8.0, 48)
+    s = 0.5
+    kernel = _js_kernel(lat, s)
+    table = _full_lag_table(lat, s)
+    spectrum = np.fft.rfft(table, n=2 * lat.K, axis=0)
+    rng = np.random.default_rng(34)
+    parities = [(False,) * dim] if M == 64 else itertools.product((False, True), repeat=dim)
+    for odd in parities:
+        lanes = _transformed_part(lat, odd, rng)
+        cls = _parity_classes(lat, odd)
+        assert min(_memory_lanes(kernel, cls)[:2]) > 0  # long and banded lanes
+        x = lanes.astype(np.longdouble)
+        w = table[:, cls].astype(np.longdouble)
+        full = np.zeros_like(x)
+        for m in range(lat.K):
+            full[m:] += w[m] * x[: lat.K - m]
+        fft = np.fft.irfft(np.fft.rfft(lanes, n=2 * lat.K, axis=0) * spectrum[:, cls],
+                           n=2 * lat.K, axis=0)[: lat.K]
+        kernels._lag_sum(lanes, kernel, kernels._lane_plan(kernel, lat, tuple(odd)))
+        scale = float(np.max(np.abs(full)))
+        assert float(np.max(np.abs(lanes - full))) <= 5e-16 * scale
+        assert float(np.max(np.abs(lanes - fft))) <= 1e-15 * scale
+
+
+@pytest.mark.parametrize("dim,M,K", [(1, 64, 48), (2, 32, 48), (3, 32, 48), (3, 64, 48), (3, 32, 96), (2, 64, 512)])
+def test_js_band_drops_below_2_pow_minus_60_of_w0(dim, M, K):
+    # a class is long exactly when d >= 2^(-600 / (K - 1)), and keeps
+    # every lag; a short class keeps lags 0 and 1 and its band at their
+    # exact weights, and the weight of all the lags it drops is at most
+    # 2^-60 of its w0
+    lat = make_lattice(dim, 6.0, M, 0.0, 8.0, K)
+    s = 0.5
+    kernel = _js_kernel(lat, s)
+    d, w0, w1, a = kernels._js_weights(lat, s)
+    table = _full_lag_table(lat, s)
+    long = d >= 2.0 ** (-600 / (K - 1))
+    n_long = kernel.powers.shape[1]
+    assert np.array_equal(kernel.column < n_long, long | (kernel.column < 0))
+    assert np.array_equal(np.flatnonzero(long), np.flatnonzero((kernel.column >= 0) & (kernel.column < n_long)))
+    assert np.array_equal(kernel.powers, np.power(d[long], np.arange(K, dtype=float)[:, None]))
+    banded = kernel.column >= n_long
+    short = ~long
+    assert short.any() and long.any() and banded.any()
+    assert np.array_equal(kernel.sweep[:, short & ~banded], table[:2, short & ~banded])
+    assert np.array_equal(kernel.lags[:2], table[:2][:, kernel.column >= 0][:, np.argsort(kernel.column[kernel.column >= 0])])
+    kept = np.zeros((K - 2, len(d)))
+    kept[: len(kernel.lags) - 2, banded] = kernel.lags[2:, kernel.column[banded]]
+    band = kept != 0.0
+    # the band is a run of lags from 2 on, at the kernel's weights
+    assert np.array_equal(band, np.cumprod(band, axis=0).astype(bool))
+    assert np.allclose(kept[band], table[2:][band], rtol=1e-15, atol=0.0)
+    dropped = np.sum(np.abs(table[2:]) * ~band, axis=0)
+    assert np.all(dropped[short] <= 2.0 ** -60 * w0[short] * (1.0 + 1e-12))
+
+
+@pytest.mark.parametrize("k", [600, -600])
+def test_js_scales_with_a_power_of_two_input(k):
+    # a power of two passes through every stage exactly, the Toeplitz
+    # product's normalisation included, with no overflow, underflow to
+    # zero or invalid operation on the way
+    for lat in (make_lattice(3, 1.5, 16, 1.0, 3.0, 24), make_lattice(2, 6.0, 32, 0.0, 8.0, 48)):
+        g = np.random.default_rng(35).random(lat.shape) * lat.causal_mask().reshape((-1,) + (1,) * lat.dim)
+        want = apply_Js(Field(lat, g), 0.5).values
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            got = apply_Js(Field(lat, np.ldexp(g, k)), 0.5).values
+        assert np.max(np.abs(np.ldexp(got, -k) - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 def test_js_peak_memory_within_two_and_a_half_parts():
@@ -531,7 +665,7 @@ def test_js_peak_memory_within_two_and_a_half_parts():
 
     lat = make_lattice(3, 6.0, 32, 0.0, 8.0, 48)
     fld = Field(lat, np.random.default_rng(25).random((lat.K,) + (lat.M // 2,) * lat.dim), orthant=True)
-    apply_Js(fld, 0.5)  # build the table and the transform matrices
+    apply_Js(fld, 0.5)  # build the kernel and the transform matrices
     tracemalloc.start()
     try:
         apply_Js(fld, 0.5)
@@ -548,7 +682,7 @@ def test_js_in_place_transforms_peak_below_1_6_fields():
 
     lat = make_lattice(3, 6.0, 32, 0.0, 8.0, 48)
     fld = Field(lat, np.random.default_rng(26).random((lat.K,) + (lat.M // 2,) * lat.dim), orthant=True)
-    _js_spectrum(lat, 0.5)
+    _js_kernel(lat, 0.5)
     apply_Js(fld, 0.5)  # the transform matrices too
     tracemalloc.start()
     try:
@@ -570,7 +704,7 @@ def test_js_past_slices_cost_no_extra_field():
         vals = np.random.default_rng(28).random((lat.K,) + (lat.M // 2,) * lat.dim)
         vals *= lat.causal_mask().reshape((-1,) + (1,) * lat.dim)
         fld = Field(lat, vals, orthant=True)
-        apply_Js(fld, 0.5)  # build the table and the transform matrices
+        apply_Js(fld, 0.5)  # build the kernel and the transform matrices
         tracemalloc.start()
         try:
             apply_Js(fld, 0.5)
@@ -590,9 +724,9 @@ def test_js_leaves_its_input_and_returns_a_fresh_frozen_array(monkeypatch, s):
     parts = []
     convolve = kernels._js_on_orthant
 
-    def record(part, odd, lat, table, **kw):
+    def record(part, odd, lat, kernel, **kw):
         parts.append((part, tuple(odd)))
-        return convolve(part, odd, lat, table, **kw)
+        return convolve(part, odd, lat, kernel, **kw)
 
     monkeypatch.setattr(kernels, "_js_on_orthant", record)
     rng = np.random.default_rng(27)
@@ -662,10 +796,10 @@ def test_spatial_transform_in_place_is_bitwise_out_of_place(monkeypatch, dim, sl
 
 @pytest.mark.parametrize("s", [-0.5, 0.0, 1.5, float("nan")])
 def test_js_rejects_order_outside_unit_interval(gaussian, s):
-    misses = _js_spectrum.cache_info().misses
+    misses = _js_kernel.cache_info().misses
     with pytest.raises(ValueError, match="0 < s <= 1"):
         apply_Js(gaussian, s)
-    assert _js_spectrum.cache_info().misses == misses  # no table was built
+    assert _js_kernel.cache_info().misses == misses  # no kernel was built
 
 
 # prints the CPU ticks (utime + stime) that a fresh interpreter's non-main
@@ -711,13 +845,18 @@ _needs_thread_ticks = pytest.mark.skipif(
 
 @_needs_thread_ticks
 def test_js_transforms_start_no_blas_worker_thread():
-    # the spatial transforms are batches of small products: a BLAS library
-    # that fanned them out to worker threads would leave those threads
-    # spinning on the CPU after each call; three orthant calls at 3-D 64^3 x 48
+    # the spatial transforms and the lag sum's Toeplitz products are
+    # batches of small GEMMs: a BLAS library that fanned them out to worker
+    # threads would leave those threads spinning on the CPU after each
+    # call; three orthant calls at 3-D 64^3 x 48, whose 1626 long-memory
+    # lanes run through 30 Toeplitz GEMMs a call
     body = """
 lat = make_lattice(3, 6.0, 64, 0.0, 8.0, 48)
 g = np.random.default_rng(0).random((lat.K,) + (lat.M // 2,) * lat.dim)
-kernels._js_spectrum(lat, 0.5)  # the table build is not the transforms' work
+kernel = kernels._js_kernel(lat, 0.5)  # the kernel build is not the transforms' work
+index = kernels._js_classes(lat.M // 2 + 1, 3)[(slice(0, lat.M // 2),) * 3]
+column = kernel.column[index]
+assert np.count_nonzero((column >= 0) & (column < kernel.powers.shape[1])) == 1626
 with with_ticks():
     for _ in range(3):
         kernels.apply_Js(Field(lat, g, orthant=True), 0.5)
@@ -731,9 +870,9 @@ def js_paths(monkeypatch):
     tuple per part, True on the part's odd axes."""
     taken = []
 
-    def spy(part, odd, lat, table, _fn=kernels._js_on_orthant, **kw):
+    def spy(part, odd, lat, kernel, _fn=kernels._js_on_orthant, **kw):
         taken.append(tuple(odd))
-        return _fn(part, odd, lat, table, **kw)
+        return _fn(part, odd, lat, kernel, **kw)
 
     monkeypatch.setattr(kernels, "_js_on_orthant", spy)
     return taken
@@ -810,18 +949,18 @@ def _causal_ones(lat, even):
 
 
 def test_js_spectrum_cached_per_key():
-    # one table per (lattice, s), whichever path reads it
+    # one kernel per (lattice, s), whichever path reads it
     lat = make_lattice(2, 3.7, 16, 0.5, 2.0, 12)
     other_lat = make_lattice(2, 3.7, 16, 0.5, 2.0, 16)
-    assert _js_spectrum.cache_parameters()["maxsize"] == 4
+    assert _js_kernel.cache_parameters()["maxsize"] == 4
     for even in (False, True):
-        _js_spectrum.cache_clear()
+        _js_kernel.cache_clear()
         g = _causal_ones(lat, even)
         first = apply_Js(g, 0.45).values
-        after_first = _js_spectrum.cache_info()
+        after_first = _js_kernel.cache_info()
         assert after_first.misses == 1
         second = apply_Js(g, 0.45).values
-        assert _js_spectrum.cache_info().hits == after_first.hits + 1
+        assert _js_kernel.cache_info().hits == after_first.hits + 1
         assert np.array_equal(first, second)
         # every other key gets an entry of its own
         g_other = _causal_ones(other_lat, even)
@@ -829,36 +968,45 @@ def test_js_spectrum_cached_per_key():
             lambda: apply_Js(g, 0.55),
             lambda: apply_Js(g_other, 0.45),
         ):
-            misses = _js_spectrum.cache_info().misses
+            misses = _js_kernel.cache_info().misses
             call()
-            assert _js_spectrum.cache_info().misses == misses + 1
+            assert _js_kernel.cache_info().misses == misses + 1
 
 
 def test_js_paths_share_one_table(js_paths):
     lat = make_lattice(2, 3.7, 16, 0.5, 2.0, 12)
-    _js_spectrum.cache_clear()
+    _js_kernel.cache_clear()
     apply_Js(_causal_ones(lat, True), 0.45)
     apply_Js(_causal_ones(lat, False), 0.45)
     # one even part, then the four parts of the non-even input
     assert len(js_paths) == 1 + 4
-    info = _js_spectrum.cache_info()
+    info = _js_kernel.cache_info()
     assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
 
 
 def test_js_spectrum_read_only_and_sized():
-    lat = make_lattice(3, 4.0, 8, 0.0, 2.0, 10)
-    half = lat.M // 2
-    spec = _js_spectrum(lat, 0.5)
-    # the rfft over 2K lags, time last, one row per sorted mode tuple of
-    # the modes 0..M/2 in three axes: C(M/2 + N, N) rows
-    classes = math.comb(half + 3, 3)
-    assert spec.shape == (classes, lat.K + 1)
-    assert spec.flags.c_contiguous
-    assert spec.dtype == np.complex128
-    assert spec.nbytes == classes * (lat.K + 1) * 16
-    assert not spec.flags.writeable
-    with pytest.raises(ValueError):
-        spec[0, 0] = 1.0
+    # the kernel is real and per mode class, and far smaller than the
+    # complex rfft table over 2K lags it replaced, C(M/2 + N, N) rows of
+    # K + 1 complex128 values: 0.76 MB at 32^3 x 48 and 5.1 MB at 64^3 x 48
+    for M, table_mb in ((32, 0.76), (64, 5.1)):
+        lat = make_lattice(3, 6.0, M, 0.0, 8.0, 48)
+        _js_kernel.cache_clear()
+        kernel = _js_kernel(lat, 0.5)
+        classes = math.comb(lat.M // 2 + 3, 3)
+        table = classes * (lat.K + 1) * 16
+        assert table == pytest.approx(table_mb * 1e6, rel=0.05)
+        apply_Js(Field(lat, np.ones((lat.K,) + (lat.M // 2,) * 3), orthant=True), 0.5)
+        (plan,) = kernel.plans.values()  # the even part's lanes
+        assert np.array_equal(plan[0], _parity_classes(lat, (False,) * 3))
+        arrays = [getattr(kernel, f.name) for f in dataclasses.fields(kernel) if f.name != "plans"]
+        arrays += list(plan[:3])
+        assert sum(a.nbytes for a in arrays) < 0.5 * table
+        assert kernel.sweep.shape == (2, classes) and kernel.column.shape == (classes,)
+        assert kernel.toeplitz.shape == (lat.K, lat.K)
+        for a in arrays:
+            assert a.dtype.kind in "fi" and not a.flags.writeable
+        with pytest.raises(ValueError):
+            kernel.lags[0, 0] = 1.0
 
 
 @pytest.mark.parametrize("n,dim", [(9, 1), (5, 2), (5, 3), (17, 3), (33, 2)])
@@ -871,68 +1019,67 @@ def test_js_classes_index_sorted_tuples(n, dim):
         assert classes[index[modes]] == tuple(sorted(modes))
 
 
-def _dense_js_spectrum(lat, s):
-    """The lag table with one row per mode tuple, shape (M/2 + 1,) * N +
-    (K + 1,): the multiplier of each tuple formed on the whole grid
-    (heat_kernel_multiplier, the 1-D factors multiplied in axis order),
-    with the class table's lag weights."""
-    K, ht = lat.K, lat.ht
+def _dense_js_weights(lat, s):
+    """The lag kernel's (d, w0, w1) with one entry per mode tuple, shape
+    (M/2 + 1,) * N each: the multiplier of each tuple formed on the whole
+    grid (heat_kernel_multiplier, the 1-D factors multiplied in axis
+    order), with the class kernel's weights."""
+    ht = lat.ht
     modes = (slice(0, lat.M // 2 + 1),) * lat.dim
 
     def multiplier(tau):
         return heat_kernel_multiplier(lat, tau)[modes] if tau > 0 else 1.0
 
-    lag_last = np.zeros((lat.M // 2 + 1,) * lat.dim + (K,))
-    kern = np.moveaxis(lag_last, -1, 0)
+    w0 = np.zeros((lat.M // 2 + 1,) * lat.dim)
+    w1 = np.zeros_like(w0)
     edges = ht * np.arange(kernels._FIRST_SLAB_REFINE + 1) / kernels._FIRST_SLAB_REFINE
     for a, b in zip(edges[:-1], edges[1:]):
         for tau, wgt in zip((a, b), _linear_weights(a, b, s)):
             ef = wgt * multiplier(tau)
-            kern[0] += (1.0 - tau / ht) * ef
-            kern[1] += tau / ht * ef
-    alpha = ht ** s * kernels._lag_weights(K, s)
-    dec = multiplier(ht)
-    pw = dec.copy()
-    for m in range(1, K):
-        kern[m] += alpha[m] * pw
-        pw *= dec
-    kern /= gamma_fn(s)
-    return np.fft.rfft(lag_last, n=2 * K, axis=-1)
+            w0 += (1.0 - tau / ht) * ef
+            w1 += tau / ht * ef
+    d = multiplier(ht)
+    w1 += ht ** s * kernels._lag_weights(lat.K, s)[1] * d
+    return d, w0 / gamma_fn(s), w1 / gamma_fn(s)
 
 
 @pytest.mark.parametrize("s", [0.3, 0.5, 1.0])
 @pytest.mark.parametrize("dim,M,K", [(1, 16, 12), (1, 64, 48), (2, 16, 12), (2, 32, 48), (3, 16, 12), (3, 32, 48)])
 def test_js_class_rows_match_the_dense_table(dim, M, K, s):
-    # a row per class holds what a row per mode tuple held: bitwise in 1-D
-    # and 2-D, where the product of two factors commutes, and to rounding
-    # in 3-D, where the dense table multiplies a tuple's factors in axis
-    # order and the class table in sorted order
+    # a kernel per class holds what a kernel per mode tuple held: bitwise
+    # in 1-D and 2-D, where the product of two factors commutes, and to
+    # rounding in 3-D, where the dense kernel multiplies a tuple's factors
+    # in axis order and the class kernel in sorted order; a_m is one
+    # ht^s alpha_m / Gamma(s) for every class, zero at lags 0 and 1
     lat = make_lattice(dim, 4.0, M, 0.0, 3.0, K)
-    rows = _js_spectrum(lat, s)
-    want = _dense_js_spectrum(lat, s)
-    got = rows[kernels._js_classes(lat.M // 2 + 1, dim)]
-    if dim < 3:
-        assert np.array_equal(got, want)
-    else:
-        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    *rows, a = kernels._js_weights(lat, s)
+    index = kernels._js_classes(lat.M // 2 + 1, dim)
+    for got, want in zip(rows, _dense_js_weights(lat, s)):
+        if dim < 3:
+            assert np.array_equal(got[index], want)
+        else:
+            assert np.max(np.abs(got[index] - want)) <= 1e-14 * np.max(np.abs(want))
+    alpha = lat.ht ** s * kernels._lag_weights(K, s) / gamma_fn(s)
+    assert a.shape == (K,) and not a[:2].any()
+    assert np.array_equal(a[2:], alpha[2:])
 
 
 def test_js_spectrum_build_peaks_below_1_25_fields():
-    # the build holds the class rows, their lag-last kernel and the rfft's
-    # work, not a row per mode tuple
+    # the build holds per-class weights, the band's rows and the long
+    # classes' powers: a small fraction of a field, nothing per mode tuple
     import tracemalloc
 
     lat = make_lattice(3, 6.0, 32, 0.0, 8.0, 48)
     field = lat.K * (lat.M // 2) ** lat.dim * 8
-    _js_spectrum.cache_clear()
+    _js_kernel.cache_clear()
     tracemalloc.start()
     try:
-        _js_spectrum(lat, 0.5)
+        _js_kernel(lat, 0.5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-        _js_spectrum.cache_clear()
-    assert peak < 1.25 * field
+        _js_kernel.cache_clear()
+    assert peak < 0.5 * field
 
 
 @pytest.mark.parametrize("s", [0.3, 0.7])

@@ -33,6 +33,21 @@ def _scaled_order(real, factor):
     return lambda lat, s, *pads: real(lat, factor * s, *pads)
 
 
+def _scaled_lag_kernel(real, factor):
+    # (d, w0, w1, a_m): every weight, not the multiplier d
+    def weights(lat, s):
+        d, *rest = real(lat, s)
+        return (d, *(factor * w for w in rest))
+
+    return weights
+
+
+def _scaled_first_slab(real, factor):
+    # the causal inverse's first-slab weights (q = s > 0), not apply_Ls's
+    # (q = -s)
+    return lambda a, b, q: tuple(factor * w for w in real(a, b, q)) if q > 0 else real(a, b, q)
+
+
 # (operator in kernels, its mutation, mutated factor, the checks it trips
 # and their seed-0 margins at that factor, against tolerances of 1e-2 for
 # inversion and semigroup and 5e-2 for ground_state and radial_flap).
@@ -40,8 +55,15 @@ def _scaled_order(real, factor):
 # its reflection symmetry holds for any real convolution operator, a wrong
 # order included, which is ROADMAP item 6's evidence that it cannot fail.
 OPERATOR_MUTATIONS = [
-    # the causal inverse's lag table: margins 0.050 and 0.050
-    ("_js_spectrum", _scaled_value, 1.05, ("inversion", "semigroup")),
+    # the causal inverse's lag weights w0, w1 and a_m: margins 0.050 and
+    # 0.050
+    ("_js_weights", _scaled_lag_kernel, 1.05, ("inversion", "semigroup")),
+    # the lag weights alpha_m of the slabs from [1, 2] on: margin 0.025
+    # (semigroup reads 0.0057, a composition of two inverses whose errors
+    # partly cancel)
+    ("_lag_weights", _scaled_value, 1.05, ("inversion",)),
+    # the first slab's product-linear weights: margins 0.029 and 0.049
+    ("_linear_weights", _scaled_first_slab, 1.05, ("inversion", "semigroup")),
     # the orthant transforms' inverse matrices: margins 0.041 and 0.041
     ("_dct_pair", _scaled_inverse, 1.02, ("inversion", "semigroup")),
     # the spectral operator's order: margins 0.065, 0.083 and 0.50
@@ -49,10 +71,20 @@ OPERATOR_MUTATIONS = [
 ]
 
 
+@pytest.fixture
+def fresh_js_kernel():
+    """The causal inverse's cached kernel is rebuilt from the (mutated)
+    weights, and dropped again after the test."""
+    kernels._js_kernel.cache_clear()
+    yield
+    kernels._js_kernel.cache_clear()
+
+
 @pytest.mark.parametrize("name,mutate,factor,check_ids", OPERATOR_MUTATIONS,
                          ids=[m[0] for m in OPERATOR_MUTATIONS])
 @pytest.mark.parametrize("mutated", [False, True])
-def test_operator_mutation_trips_its_checks(monkeypatch, name, mutate, factor, check_ids, mutated):
+def test_operator_mutation_trips_its_checks(monkeypatch, fresh_js_kernel, name, mutate, factor, check_ids,
+                                            mutated):
     monkeypatch.setattr(kernels, name, mutate(getattr(kernels, name), factor if mutated else 1.0))
     for cid in check_ids:
         assert run_check(cid, VerifierConfig(seed=0)).passed is not mutated, cid

@@ -204,7 +204,7 @@ def _warm_run_peak_in_fields(full_grid: bool) -> float:
     # the full grid the inverse's parts and its output are fresh arrays
     import tracemalloc
 
-    from hardyheat.kernels import _js_spectrum
+    from hardyheat.kernels import _js_kernel
 
     lat = make_lattice(3, 6.0, 32, 0.0, 8.0, 48)
     lam = 0.5 * lambda_max(3, 0.5)
@@ -212,7 +212,7 @@ def _warm_run_peak_in_fields(full_grid: bool) -> float:
     f = gaussian_bump_forcing(lat, 1.0)
     if full_grid:
         f = f.full_grid()
-    _js_spectrum(lat, spec.s)
+    _js_kernel(lat, spec.s)
     tracemalloc.start()
     try:
         rep = run(spec, f, max_n=3)
@@ -229,6 +229,14 @@ def test_run_peaks_below_4_5_fields():
 
 def test_full_grid_run_peaks_below_4_5_fields():
     assert _warm_run_peak_in_fields(full_grid=True) < 4.5
+
+
+def test_even_full_grid_run_peaks_like_an_orthant_run():
+    # an exactly even full-grid forcing is copied onto the orthant and the
+    # run holds orthant fields: the copy and a stage's w and right-hand
+    # side, 3.5 orthant fields, where holding the stages on the full grid
+    # peaked at 3.63 full-grid fields (29 orthant fields)
+    assert _warm_run_peak_in_fields(full_grid=True) * 2 ** 3 < 4.0
 
 
 def test_orthant_run_peaks_below_2_75_fields():
@@ -260,26 +268,28 @@ def test_stage_reductions_in_blocks_match_whole_arrays(monkeypatch, orthant):
 
 
 def test_cold_run_with_its_lag_table_peaks_below_4_5_fields():
-    # the causal inverse's lag table is built inside the run, one row per
+    # the causal inverse's lag kernel is built inside the run, once, per
     # mode class: the build and a stage's three fields (the forcing, w and
     # the right-hand side the inverse overwrites) stay under 4.5 fields
     import tracemalloc
 
-    from hardyheat.kernels import _js_spectrum
+    from hardyheat.kernels import _js_kernel
 
     lat = make_lattice(3, 6.0, 32, 0.0, 8.0, 48)
     lam = 0.5 * lambda_max(3, 0.5)
     spec = ProblemSpec(3, 0.5, lam, 0.5 * (1.0 + exponents(ProblemSpec(3, 0.5, lam, 2.0)).fujita_F))
     f = gaussian_bump_forcing(lat, 1.0)
-    _js_spectrum.cache_clear()
+    _js_kernel.cache_clear()
     tracemalloc.start()
     try:
         rep = run(spec, f, max_n=3)
         peak = tracemalloc.get_traced_memory()[1]
+        info = _js_kernel.cache_info()
     finally:
         tracemalloc.stop()
-        _js_spectrum.cache_clear()
+        _js_kernel.cache_clear()
     assert rep.n_final == 3
+    assert (info.misses, info.hits) == (1, 3)  # stages 0 to 3 share one kernel
     assert peak < 4.5 * f.values.nbytes
 
 
@@ -348,9 +358,10 @@ def test_dominator_violations_are_counted(lat, spec, monkeypatch):
 
 @pytest.mark.parametrize("dim,M,p", [(2, 32, 2.0), (3, 16, 1.4)])
 def test_orthant_run_matches_the_full_lattice_run(monkeypatch, dim, M, p):
-    # an orthant forcing and dominator run on the orthant; the same fields
-    # expanded to the full lattice give the same report, the violation
-    # count (scaled by 2^N) included
+    # an orthant forcing and dominator run on the orthant, and so do the
+    # same fields stored on the full lattice, exactly even; run on the full
+    # lattice's nodes (the copy onto the orthant switched off) they give
+    # the same report bitwise, the violation count (scaled by 2^N) included
     monkeypatch.setattr(solver, "SUP_TOL", 0.0)
     lat = make_lattice(dim, 6.0, M, 0.0, 6.0, 24)
     spec = ProblemSpec(dim, 0.5, 0.5 * lambda_max(dim, 0.5), p)
@@ -358,21 +369,19 @@ def test_orthant_run_matches_the_full_lattice_run(monkeypatch, dim, M, p):
     w0 = initial_state(f, spec).w
     dominator = w0.with_values(0.5 * w0.values)
     reports, orthant = [], []
-    for g, dom in ((f, dominator), (f.full_grid(), dominator.full_grid())):
+    full = (f.full_grid(), dominator.full_grid())
+    for g, dom, copy in ((f, dominator, True), full + (True,), full + (False,)):
+        if not copy:
+            monkeypatch.setattr(solver, "_on_orthant", lambda fld: fld)
         seen = []
         rep = run(spec, g, max_n=4, dominator=dom,
                   callback=lambda st: seen.append(st.w.orthant))
         reports.append(rep)
         orthant.append(set(seen))
-    assert orthant == [{True}, {False}]
-    a, b = reports
-    assert (a.verdict, a.n_final, a.dominator_violations) == (b.verdict, b.n_final, b.dominator_violations)
+    assert orthant == [{True}, {True}, {False}]
+    a, b, c = reports
     assert a.dominator_violations > 0 and a.dominator_violations % 2 ** dim == 0
-    for name in ("growth_factor", "final_norm", "escape_time", "sup_diff", "dominator_max_excess"):
-        x, y = getattr(a, name), getattr(b, name)
-        assert x == y or abs(x - y) <= 1e-12 * max(abs(x), abs(y)), name
-    ma, mb = np.array(a.m_curve), np.array(b.m_curve)
-    assert np.max(np.abs(ma - mb)) <= 1e-12 * np.max(np.abs(mb))
+    assert a.to_json() == b.to_json() == c.to_json()
 
 
 def _sampled_bump(lat, amplitude):
