@@ -328,22 +328,25 @@ _EXPONENT_BUDGET = 600
 # the largest m n k of one Toeplitz GEMM: half of OpenBLAS's default
 # one-thread limit, 65536 * GEMM_MULTITHREAD_THRESHOLD (4)
 _GEMM_VOLUME = 1 << 17
+# a run of lanes whose memory ends at lag 1 that is shorter than this
+# joins the blocks on either side: on its own it would cost a block's
+# numpy calls, about what the band sums on this many lanes cost
+_SWEEP_RUN = 256
 
 
 @dataclass(frozen=True)
 class _JsKernel:
-    """_js_weights split by memory, read-only. A long class's lags >= 2 are
-    one product with the Toeplitz matrix T = sum_m a_m S^m, as
-    diag(d^k) T diag(d^-k) = sum_m a_m d^m S^m (powers: d^k); a short
-    class's are a band cut by _BAND_CUT. The classes whose memory reaches
-    lag 2, long ones first, have a column of lags: their weights at lags 0
-    to the longest band's end (zero past their own, and from lag 2 on a
-    long class). sweep holds lags 0 and 1 of the others, the identity
-    (1, 0) for these. plans keeps each parity's _lane_plan."""
+    """_js_weights split by memory, read-only. lags holds every class's
+    weights at lags 0 to the longest band's end: w0, w1, then a short
+    class's band cut by _BAND_CUT (zero past its end, from lag 2 on where
+    its memory ends at lag 1, and from lag 2 on a long class). A long
+    class's lags >= 2 are one product with the Toeplitz matrix
+    T = sum_m a_m S^m, as diag(d^k) T diag(d^-k) = sum_m a_m d^m S^m
+    (powers: d^k, one column per class of long, in order). plans keeps
+    each parity's _lane_plan."""
 
-    sweep: np.ndarray     # (2, classes)
-    column: np.ndarray    # (classes,) the column of lags, or -1
-    lags: np.ndarray      # (band, memory classes)
+    lags: np.ndarray      # (band, classes)
+    long: np.ndarray      # (long classes,)
     powers: np.ndarray    # (K, long classes)
     toeplitz: np.ndarray  # (K, K)
     plans: dict = dataclasses.field(default_factory=dict, compare=False, repr=False)
@@ -352,8 +355,8 @@ class _JsKernel:
 # a few entries: the verifier uses three values of s on one lattice
 @lru_cache(maxsize=4)
 def _js_kernel(lat: Lattice, s: float) -> _JsKernel:
-    """The _JsKernel of (lattice, s): 0.2 MB at 32^3 x 48 and 0.35 MB at
-    64^3 x 48, plus 0.1 and 0.35 MB of the even part's lane plan."""
+    """The _JsKernel of (lattice, s): 0.19 MB at 32^3 x 48 and 0.41 MB at
+    64^3 x 48, plus 0.05 and 0.17 MB of the even part's lane plan."""
     d, w0, w1, a = _js_weights(lat, s)
     K = lat.K
     long = d >= 2.0 ** (-_EXPONENT_BUDGET / (K - 1))
@@ -364,14 +367,10 @@ def _js_kernel(lat: Lattice, s: float) -> _JsKernel:
         if not open_.any():
             break
         rows.append(np.where(open_, weight, 0.0))
-    memory = np.concatenate([np.flatnonzero(long), np.flatnonzero(np.any(rows[2:3], axis=0))])
-    column = np.full(d.shape, -1)
-    column[memory] = np.arange(len(memory))
     k = np.arange(K)
     return _JsKernel(
-        sweep=_frozen(np.where(column < 0, [w0, w1], [[1.0], [0.0]])),
-        column=_frozen(column),
-        lags=_frozen(np.array(rows)[:, memory]),
+        lags=_frozen(np.array(rows)),
+        long=_frozen(np.flatnonzero(long)),
         powers=_frozen(np.power(d[long], k[:, None].astype(float))),
         toeplitz=_frozen(a[np.maximum(k[:, None] - k, 0)]),  # a vanishes at lags 0 and 1
     )
@@ -439,86 +438,126 @@ def _spatial_transform(src: np.ndarray, mats: Sequence[np.ndarray], dst: np.ndar
 
 
 def _lane_plan(kernel: _JsKernel, lat: Lattice, odd: tuple) -> tuple:
-    """(cls, memory, column, n_long, G, plain), kept in kernel.plans, for
-    the parity part with odd axes odd. Its lanes are its buffer's columns,
-    one mode each (0..M/2-1 on an even axis, M/2..1 on an odd one), of
-    classes cls. memory holds the lanes whose memory reaches lag 2, column
-    their columns of lags: the long ones first, padded to n_long, a
-    multiple of the GEMMs' chunk of G lanes, with copies of the last.
-    plain: some lane's memory ends at lag 1."""
-    plan = kernel.plans.get(odd)
+    """(cls, blocks, sweep, G), kept in kernel.plans, for the parity part
+    with odd axes odd under the current block budget. Its lanes are its
+    buffer's columns, one mode each (0..M/2-1 on an even axis, M/2..1 on
+    an odd one), of classes cls.
+
+    The runs of lanes whose memory reaches lag 2, joined across gaps of
+    fewer than _SWEEP_RUN other lanes, are split evenly into blocks of at
+    most lattice.block_slices(2 K) lanes: blocks holds (a, b, band, long,
+    n_long, columns) for lanes a..b-1, which need lags 0..band-1; long
+    holds the block's n_long long lanes (indices in the block), padded to a
+    multiple of the GEMMs' chunk of G lanes with copies of the last, and
+    columns their columns of powers. sweep is (lo, hi, inside): lanes
+    lo..hi-1 hold every lane outside the blocks, and inside lists the runs
+    of blocks among them (offsets from lo). Which lanes a block holds does
+    not depend on the budget, only how its runs are cut."""
+    G = max(1, _GEMM_VOLUME // (lat.K * lat.K))
+    width = block_slices(2 * lat.K)
+    plan = kernel.plans.get((odd, width, G))
     if plan is None:
         half = lat.M // 2
-        cls = _js_classes(half + 1, lat.dim)[tuple(slice(half, 0, -1) if o else slice(0, half) for o in odd)].ravel()
-        column = kernel.column[cls]
-        n_classes = kernel.powers.shape[1]
-        G = max(1, _GEMM_VOLUME // (lat.K * lat.K))
-        long = np.flatnonzero((column >= 0) & (column < n_classes))
-        n_long = len(long) + -len(long) % G
-        memory = np.concatenate([long, np.repeat(long[-1:], n_long - len(long)),
-                                 np.flatnonzero(column >= n_classes)])
-        plan = kernel.plans[odd] = (_frozen(cls), _frozen(memory), _frozen(column[memory]), n_long, G,
-                                    bool(np.any(column < 0)))
+        index = _js_classes(half + 1, lat.dim)[tuple(slice(half, 0, -1) if o else slice(0, half) for o in odd)]
+        cls = _frozen(index.astype(np.int32).ravel())  # half an intp's bytes a lane
+        column = np.full(kernel.lags.shape[1], -1)
+        column[kernel.long] = np.arange(len(kernel.long))
+        column = column[cls]
+        band = 2 + np.count_nonzero(kernel.lags[2:], axis=0)[cls]
+        memory = (band > 2) | (column >= 0)
+        edges = np.r_[0, np.flatnonzero(np.diff(memory)) + 1, len(cls)]
+        runs = []
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            if not memory[lo]:
+                continue
+            if runs and lo - runs[-1][1] < _SWEEP_RUN:
+                runs[-1][1] = hi
+            else:
+                runs.append([lo, hi])
+        blocks = []
+        for lo, hi in runs:
+            n = -(-(hi - lo) // width)
+            cuts = lo + (hi - lo) * np.arange(n + 1) // n
+            for a, b in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+                long = np.flatnonzero(column[a:b] >= 0)
+                n_long = len(long)
+                long = np.concatenate([long, np.repeat(long[-1:], -n_long % G)])
+                blocks.append((a, b, int(band[a:b].max()), _frozen(long), n_long, _frozen(column[a + long])))
+        free = np.ones(len(cls), dtype=bool)
+        for lo, hi in runs:
+            free[lo:hi] = False
+        free = np.flatnonzero(free)
+        lo, hi = (int(free[0]), int(free[-1]) + 1) if free.size else (0, 0)
+        sweep = (lo, hi, tuple((a - lo, b - lo) for a, b in runs if lo < a and b < hi))
+        plan = kernel.plans[odd, width, G] = (cls, tuple(blocks), sweep, G)
     return plan
 
 
-def _gathered_lag_sum(lanes: np.ndarray, kernel: _JsKernel, idx: np.ndarray, column: np.ndarray,
-                      n_long: int, G: int) -> None:
-    """The lag sum of lanes idx (of columns column; the first n_long long),
-    in place. Gathered after a zero slice per lag of the band, lags 0 to
+def _block_lag_sum(x: np.ndarray, c: np.ndarray, kernel: _JsKernel, band: int, long: np.ndarray, n_long: int,
+                   columns: np.ndarray, G: int) -> None:
+    """The lag sum of one _lane_plan block x, lanes of classes c, in place.
+    x is copied after a zero slice per lag of its band, and its lags 0 to
     the band's end are one einsum over a sliding window of each lane's
     slices. The long lanes' slice j is divided by d^j (after a power-of-two
     normalisation if their maximum reaches 2^(1000 - _EXPONENT_BUDGET)),
     multiplied by the Toeplitz matrix in one K x K by K x G GEMM a chunk,
     and slice k by d^k: exact scalings, so this is the lag sum to rounding
-    for data of any exponent, and a lane's result depends on its chunk
-    alone."""
-    K, B = lanes.shape[0], len(kernel.lags)
-    padded = np.zeros((K + B - 1, len(idx)))
-    x = padded[B - 1 :]
-    lanes.take(idx, axis=1, out=x)
-    # window[k, lane, j] is slice k + j - (B - 1): lag B - 1 - j
-    window = np.lib.stride_tricks.as_strided(padded, (K, len(idx), B), padded.strides + padded.strides[:1],
-                                             writeable=False)
-    y = np.einsum("knj,jn->kn", window, kernel.lags[::-1].take(column, axis=1))
+    for data of any exponent; it is added to their band sums."""
+    K, n = x.shape
+    padded = np.empty((K + band - 1, n))
+    padded[: band - 1] = 0.0
+    padded[band - 1 :] = x
+    # window[k, lane, j] is slice k + j - (band - 1): lag band - 1 - j
+    window = np.ndarray((K, n, band), float, padded, 0, padded.strides + padded.strides[:1])
+    y = np.einsum("knj,jn->kn", window, kernel.lags[:band].take(c, axis=1)[::-1])
     if n_long:
-        x = x[:, :n_long]  # read no more: it becomes the GEMMs' input
-        expo = max(0, math.frexp(max(x.max(), -x.min()))[1] - (1000 - _EXPONENT_BUDGET))
-        powers = kernel.powers.take(column[:n_long], axis=1)
-        np.divide(np.ldexp(x, -expo, out=x) if expo else x, powers, out=x)
-        t = np.matmul(kernel.toeplitz, x.reshape(K, -1, G), out=np.empty_like(powers).reshape(K, -1, G),
+        z = padded[band - 1 :].take(long, axis=1)
+        del padded, window  # read no more: free them before the GEMMs' arrays
+        expo = max(0, math.frexp(max(z.max(), -z.min()))[1] - (1000 - _EXPONENT_BUDGET))
+        powers = kernel.powers.take(columns, axis=1)
+        np.divide(np.ldexp(z, -expo, out=z) if expo else z, powers, out=z)
+        t = np.matmul(kernel.toeplitz, z.reshape(K, -1, G), out=np.empty_like(powers).reshape(K, -1, G),
                       axes=[(0, 1), (0, 2), (0, 2)]).reshape(powers.shape)
         t *= powers
-        y[:, :n_long] += np.ldexp(t, expo, out=t) if expo else t
-    lanes[:, idx] = y
+        if expo:
+            np.ldexp(t, expo, out=t)
+        long = long[:n_long]
+        sums = y.take(long, axis=1)
+        sums += t[:, :n_long]
+        y[:, long] = sums
+    x[...] = y
 
 
 def _lag_sum(lanes: np.ndarray, kernel: _JsKernel, plan: tuple) -> None:
     """out[k] = sum_(m <= k) weight_m x[k - m] on every lane (column) of
-    lanes, in place. The lanes whose memory reaches lag 2 go first, whole
-    GEMM chunks at a time, about half a lattice.block_slices block
-    (_gathered_lag_sum). Then lags 0 and 1 sweep every lane, those through
-    the identity, in groups of lattice.block_slices slices, latest first,
-    lag 1 read from the slices before the group, not yet overwritten. No
-    lane's result depends on the block budget."""
-    cls, memory, column, n_long, G, plain = plan
+    lanes, in place, along the _lane_plan plan: each block on its own
+    (_block_lag_sum), then lags 0 and 1 sweep the sweep's lanes, the blocks
+    among them through the identity (1, 0). The sweep takes whole rows of
+    those lanes, in groups of lattice.block_slices slices, latest first,
+    lag 1 read from the slices before the group, not yet overwritten: a
+    row is contiguous, while the K slices of a run of lanes lie a row
+    apart, a power-of-two stride at which the cache keeps few of them.
+    No lane's result depends on the block budget."""
+    cls, blocks, (lo, hi, inside), G = plan
     K = lanes.shape[0]
-    step = G * block_slices(2 * K * G)
-    for i in range(0, len(memory), step):
-        n = min(max(n_long - i, 0), step)
-        _gathered_lag_sum(lanes, kernel, memory[i : i + step], column[i : i + step], n, G)
-    if not plain:
+    for a, b, band, long, n_long, columns in blocks:
+        _block_lag_sum(lanes[:, a:b], cls[a:b], kernel, band, long, n_long, columns, G)
+    if lo == hi:
         return
-    w0, w1 = kernel.sweep.take(cls, axis=1)
-    step = block_slices(lanes.shape[1])
-    acc = np.empty((min(step, K), lanes.shape[1]))
+    x = lanes[:, lo:hi]
+    w0, w1 = kernel.lags[:2].take(cls[lo:hi], axis=1)
+    for a, b in inside:
+        w0[a:b] = 1.0
+        w1[a:b] = 0.0
+    step = block_slices(x.shape[1])
+    acc = np.empty((min(step, K), x.shape[1]))
     for top in range(K, 0, -step):
         bottom = max(top - step, 0)
-        first = max(bottom, 1)
-        s = acc[first - bottom : top - bottom]
-        np.multiply(lanes[first - 1 : top - 1], w1, out=s)
-        lanes[bottom:top] *= w0
-        lanes[first:top] += s
+        row = max(bottom, 1)
+        s = acc[row - bottom : top - bottom]
+        np.multiply(x[row - 1 : top - 1], w1, out=s)
+        x[bottom:top] *= w0
+        x[row:top] += s
 
 
 def _js_on_orthant(part: np.ndarray, odd: Sequence[bool], lat: Lattice, kernel: _JsKernel,
@@ -532,10 +571,13 @@ def _js_on_orthant(part: np.ndarray, odd: Sequence[bool], lat: Lattice, kernel: 
     the forward transform reads part without writing it, or with in_place
     part itself (writable and C-contiguous; overwritten). The forward
     transform acts slice by slice, so the slices at t <= 0 are zeroed in
-    the buffer after it, as if in part. Each spatial product is the GEMM a
-    whole-array batch would run, so the output is bitwise the same for any
-    lattice.block_slices budget. A fresh buffer owns its data, so the
-    causal inverse can freeze it without a copy."""
+    the buffer after it, as if in part. On 2-D and 3-D lattices each
+    spatial product is the GEMM a whole-array batch would run, and the lag
+    sum depends on no budget, so the output is bitwise the same for any
+    lattice.block_slices budget; on a 1-D lattice a block of one time
+    slice is a (1, M/2) by (M/2, M/2) product, which numpy hands to another
+    BLAS path, so its last bit can differ. A fresh buffer owns its data,
+    so the causal inverse can freeze it without a copy."""
     half = lat.M // 2
     pairs = [_dct_pair(half, o) for o in odd]
     c = part if in_place else np.empty(part.shape)

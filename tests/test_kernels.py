@@ -511,9 +511,10 @@ def _parity_classes(lat, odd):
 def _memory_lanes(kernel, cls):
     """The counts of a parity part's lanes with long memory, with a band
     past lag 1, and with lags 0 and 1 alone."""
-    column, n_long = kernel.column[cls], kernel.powers.shape[1]
-    return (int(np.count_nonzero((column >= 0) & (column < n_long))),
-            int(np.count_nonzero(column >= n_long)), int(np.count_nonzero(column < 0)))
+    long = np.isin(cls, kernel.long)
+    banded = np.any(kernel.lags[2:3] != 0.0, axis=0)[cls]  # a band starts at lag 2
+    return (int(np.count_nonzero(long)), int(np.count_nonzero(banded)),
+            int(np.count_nonzero(~long & ~banded)))
 
 
 @pytest.mark.parametrize("dim,M,T_neg", [(1, 16, 0.0), (2, 16, 1.0), (3, 16, 0.0), (3, 16, 1.0)])
@@ -547,8 +548,10 @@ def test_js_blocks_bitwise_match_time_first(monkeypatch, dim, M, T_neg, rows):
 @pytest.mark.parametrize("gemm_lanes", [1, 4, 7])
 def test_js_toeplitz_chunks_bitwise_match_any_budget(monkeypatch, gemm_lanes):
     # the long-memory lanes go through the Toeplitz GEMMs in fixed chunks
-    # of gemm_lanes lanes, the last one padded: a lane's output is the
-    # same bits whether a gathered block of lanes holds one chunk or all
+    # of gemm_lanes lanes, a block's last chunk padded with copies: a
+    # lane's output is the same bits whether its block holds every lane
+    # (and chunks of other lanes) or half of gemm_lanes (its chunk then
+    # mostly copies)
     lat = make_lattice(3, 1.5, 16, 1.0, 3.0, 24)
     monkeypatch.setattr(kernels, "_GEMM_VOLUME", gemm_lanes * lat.K ** 2)
     kernel = _js_kernel(lat, 0.4)
@@ -581,6 +584,40 @@ def _transformed_part(lat, odd, rng):
     kernels._spatial_transform(part, [_dct_pair(half, o)[0] for o in odd], c)
     c[~lat.causal_mask()] = 0.0
     return c.reshape(lat.K, -1)
+
+
+@pytest.mark.parametrize("dim,M,L,T,K", [(1, 64, 6.0, 8.0, 48), (2, 16, 1.5, 3.0, 24), (3, 16, 1.5, 3.0, 24)])
+def test_lag_sum_bitwise_independent_of_the_block_budget(monkeypatch, dim, M, L, T, K):
+    # blocks of one lane, of 7 and of every lane give the same bits, on
+    # every parity part of 1-, 2- and 3-D lattices with long, banded and
+    # lag-0/1 lanes: the budget cuts the runs of lanes with memory into
+    # other blocks (and other Toeplitz chunks), but every lane keeps its
+    # path, a block or the sweep
+    lat = make_lattice(dim, L, M, 0.0, T, K)
+    kernel = _js_kernel(lat, 0.4)
+    rng = np.random.default_rng(36)
+    swept = 0
+    for odd in itertools.product((False, True), repeat=dim):
+        assert min(_memory_lanes(kernel, _parity_classes(lat, odd))) > 0
+        lanes = _transformed_part(lat, odd, rng)
+        outs, paths = [], set()
+        for width in (1, 7, lanes.shape[1]):
+            monkeypatch.setattr(lattice, "_BLOCK_BYTES", 16 * lat.K * width)
+            plan = kernels._lane_plan(kernel, lat, odd)
+            cls, blocks, (lo, hi, inside), G = plan
+            assert max(b - a for a, b, *_ in blocks) <= width
+            assert len(blocks) > 1 or width > 1
+            block_lanes = np.zeros(lanes.shape[1], dtype=bool)
+            for a, b, *_ in blocks:
+                block_lanes[a:b] = True
+            paths.add(block_lanes.tobytes())
+            swept += hi - lo
+            out = lanes.copy()
+            kernels._lag_sum(out, kernel, plan)
+            outs.append(out)
+        assert len(paths) == 1
+        assert all(np.array_equal(outs[-1], out) for out in outs[:-1])
+    assert swept > 0  # some lanes took the sweep
 
 
 @pytest.mark.parametrize("dim,M,T_neg", [(1, 64, 0.0), (1, 64, 1.0), (2, 32, 0.0), (2, 32, 1.0),
@@ -627,18 +664,16 @@ def test_js_band_drops_below_2_pow_minus_60_of_w0(dim, M, K):
     d, w0, w1, a = kernels._js_weights(lat, s)
     table = _full_lag_table(lat, s)
     long = d >= 2.0 ** (-600 / (K - 1))
-    n_long = kernel.powers.shape[1]
-    assert np.array_equal(kernel.column < n_long, long | (kernel.column < 0))
-    assert np.array_equal(np.flatnonzero(long), np.flatnonzero((kernel.column >= 0) & (kernel.column < n_long)))
+    assert np.array_equal(kernel.long, np.flatnonzero(long))
     assert np.array_equal(kernel.powers, np.power(d[long], np.arange(K, dtype=float)[:, None]))
-    banded = kernel.column >= n_long
-    short = ~long
-    assert short.any() and long.any() and banded.any()
-    assert np.array_equal(kernel.sweep[:, short & ~banded], table[:2, short & ~banded])
-    assert np.array_equal(kernel.lags[:2], table[:2][:, kernel.column >= 0][:, np.argsort(kernel.column[kernel.column >= 0])])
+    # every class weighs lags 0 and 1 exactly, and a long one no lag >= 2
+    assert np.array_equal(kernel.lags[:2], table[:2])
+    assert not np.any(kernel.lags[2:, long])
     kept = np.zeros((K - 2, len(d)))
-    kept[: len(kernel.lags) - 2, banded] = kernel.lags[2:, kernel.column[banded]]
+    kept[: len(kernel.lags) - 2] = kernel.lags[2:]
     band = kept != 0.0
+    short = ~long
+    assert short.any() and long.any() and band.any() and not band[0].all()
     # the band is a run of lags from 2 on, at the kernel's weights
     assert np.array_equal(band, np.cumprod(band, axis=0).astype(bool))
     assert np.allclose(kept[band], table[2:][band], rtol=1e-15, atol=0.0)
@@ -849,14 +884,13 @@ def test_js_transforms_start_no_blas_worker_thread():
     # batches of small GEMMs: a BLAS library that fanned them out to worker
     # threads would leave those threads spinning on the CPU after each
     # call; three orthant calls at 3-D 64^3 x 48, whose 1626 long-memory
-    # lanes run through 30 Toeplitz GEMMs a call
+    # lanes run through 44 Toeplitz GEMMs a call, in 25 blocks
     body = """
 lat = make_lattice(3, 6.0, 64, 0.0, 8.0, 48)
 g = np.random.default_rng(0).random((lat.K,) + (lat.M // 2,) * lat.dim)
 kernel = kernels._js_kernel(lat, 0.5)  # the kernel build is not the transforms' work
 index = kernels._js_classes(lat.M // 2 + 1, 3)[(slice(0, lat.M // 2),) * 3]
-column = kernel.column[index]
-assert np.count_nonzero((column >= 0) & (column < kernel.powers.shape[1])) == 1626
+assert np.count_nonzero(np.isin(index, kernel.long)) == 1626
 with with_ticks():
     for _ in range(3):
         kernels.apply_Js(Field(lat, g, orthant=True), 0.5)
@@ -997,11 +1031,14 @@ def test_js_spectrum_read_only_and_sized():
         assert table == pytest.approx(table_mb * 1e6, rel=0.05)
         apply_Js(Field(lat, np.ones((lat.K,) + (lat.M // 2,) * 3), orthant=True), 0.5)
         (plan,) = kernel.plans.values()  # the even part's lanes
-        assert np.array_equal(plan[0], _parity_classes(lat, (False,) * 3))
+        cls, blocks = plan[:2]
+        assert np.array_equal(cls, _parity_classes(lat, (False,) * 3))
         arrays = [getattr(kernel, f.name) for f in dataclasses.fields(kernel) if f.name != "plans"]
-        arrays += list(plan[:3])
-        assert sum(a.nbytes for a in arrays) < 0.5 * table
-        assert kernel.sweep.shape == (2, classes) and kernel.column.shape == (classes,)
+        arrays += [cls] + [a for block in blocks for a in block[3::2]]
+        # the kernel and its plan within 0.3 MB at 32^3 and 0.7 MB at 64^3:
+        # no per-lane weights
+        assert sum(a.nbytes for a in arrays) < min(0.5 * table, (0.3e6 if M == 32 else 0.7e6))
+        assert kernel.lags.shape[1] == classes and kernel.powers.shape == (lat.K, len(kernel.long))
         assert kernel.toeplitz.shape == (lat.K, lat.K)
         for a in arrays:
             assert a.dtype.kind in "fi" and not a.flags.writeable

@@ -248,23 +248,30 @@ def test_orthant_run_peaks_below_2_75_fields():
 
 @pytest.mark.parametrize("orthant", [False, True])
 def test_stage_reductions_in_blocks_match_whole_arrays(monkeypatch, orthant):
-    # the step bounds and the weighted norm, 5 slices a block of 12 (a
-    # ragged last block), are bitwise their whole-array formulas
+    # the stage pass's step bounds, weighted norm and dominator check, and
+    # weighted_integral, 5 slices a block of 12 (a ragged last block), are
+    # bitwise their whole-array formulas
     lat = make_lattice(2, 4.0, 16, 0.0, 3.0, 12)
     shape = lattice.Nodes(lat, orthant).shape
     monkeypatch.setattr(lattice, "_BLOCK_BYTES", 5 * 8 * math.prod(shape[1:]))
     rng = np.random.default_rng(30)
     w = Field(lat, rng.random(shape), orthant)
-    w_next = Field(lat, w.values + rng.random(shape) - 0.01, orthant)
-    d = w_next.values - w.values
-    assert solver._step_bounds(w_next, w) == (np.min(d), max(np.max(d), -np.min(d)))
-    prod = w.values ** 1.7 * w.nodes.radius ** -0.4
+    w_next = Field(lat, w.values + rng.random(shape), orthant)
+    dominator = w.values + 0.9 * rng.random(shape)
+    prod = w_next.values ** 1.7 * w.nodes.radius ** -0.4
     if not orthant:
         for ax in (1, 2):
             mirror, pos = lattice.mirror_halves(prod, ax)
             prod = pos + mirror
     want = prod.reshape(lat.K, -1).sum(axis=1) * w.nodes.measure
-    assert np.array_equal(weighted_integral(w, -0.4, 1.7), want)
+    assert np.array_equal(weighted_integral(w_next, -0.4, 1.7), want)
+    d, gap = w_next.values - w.values, w_next.values - dominator
+    tally = solver._Tally(dominator, 0.01, w.nodes.copies)
+    sup_diff, m_curve = solver._stage_pass(w_next, w, 1.7, 0.4, tally)
+    assert sup_diff == max(np.max(d), -np.min(d))
+    assert np.array_equal(m_curve, want)
+    assert tally.violations == w.nodes.copies * np.count_nonzero(gap > 0.01) > 0
+    assert tally.excess == np.max(gap)
 
 
 def test_cold_run_with_its_lag_table_peaks_below_4_5_fields():
@@ -298,19 +305,19 @@ def test_spent_rhs_is_released_before_the_clamp(lat, spec, monkeypatch):
     # array, which is clamped in place and becomes the stage's iterate;
     # the right-hand side's Field is dropped when the operator returns
     seen = {}
-    real_js, real_clamp = solver.apply_Js, solver._clamp_rounding
+    real_js, real_pass = solver.apply_Js, solver._stage_pass
 
     def js(rhs, s, **kw):
         seen["rhs"], seen["values"] = weakref.ref(rhs), rhs.values
         return real_js(rhs, s, **kw)
 
-    def clamp(out):
+    def stage_pass(out, *args):
         seen["alive"] = seen["rhs"]() is not None
         seen["clamped"] = out.values
-        return real_clamp(out)
+        return real_pass(out, *args)
 
     monkeypatch.setattr(solver, "apply_Js", js)
-    monkeypatch.setattr(solver, "_clamp_rounding", clamp)
+    monkeypatch.setattr(solver, "_stage_pass", stage_pass)
     st = initial_state(gaussian_bump_forcing(lat, 0.5), spec)
     assert seen["alive"] is False
     assert seen["clamped"] is seen["values"] and st.w.values is seen["values"]
@@ -342,6 +349,75 @@ def test_negative_operator_output_raises_beyond_slack(lat, spec, monkeypatch):
     monkeypatch.setattr(solver, "apply_Js", _negative_slab(1e-15))
     w0 = initial_state(f, spec).w.values
     assert np.all(w0[lat.K // 2] == 0.0) and np.max(w0) > 0.0
+
+
+@pytest.mark.parametrize("orthant", [True, False])
+def test_planted_negative_or_drop_raises_in_a_late_block(monkeypatch, orthant):
+    # the stage pass checks every block: a negative beyond MONO_SLACK of
+    # the peak planted in the inverse's output, or a drop below the
+    # iterate, in the last block of 5 slices of 12, raises
+    lat = make_lattice(2, 6.0, 16, 0.0, 6.0, 12)
+    spec = ProblemSpec(2, 0.5, 0.5 * lambda_max(2, 0.5), 1.7)
+    f = gaussian_bump_forcing(lat, 0.5)
+    if not orthant:
+        f = f.full_grid()
+        monkeypatch.setattr(solver, "_on_orthant", lambda fld: fld)
+    monkeypatch.setattr(lattice, "_BLOCK_BYTES", 5 * 8 * math.prod(f.values.shape[1:]))
+    st = iterate(initial_state(f, spec), f, spec)
+    real = solver.apply_Js
+
+    def planted(change):
+        def js(g, s, **kw):
+            v = real(g, s, **kw).values.copy()
+            change(v)
+            return Field(g.lattice, v, g.orthant)
+        return js
+
+    def negative(v):
+        v[-2, 1, 1] = -1e-10 * np.max(v)
+
+    def drop(v):
+        v[-2] *= 0.5
+
+    for change, message in ((negative, "output reaches"), (drop, "decreased")):
+        monkeypatch.setattr(solver, "apply_Js", planted(change))
+        with pytest.raises(MonotonicityError, match=message):
+            iterate(st, f, spec)
+    # within the slack the negative is rounding, clamped in its block (at
+    # stage 0, whose step from the zero field cannot drop)
+    monkeypatch.setattr(solver, "apply_Js", planted(lambda v: v.__setitem__((-2, 1, 1), -1e-14 * np.max(v))))
+    w0 = initial_state(f, spec).w.values
+    assert w0[-2, 1, 1] == 0.0 and np.min(w0) == 0.0
+
+
+@pytest.mark.parametrize("orthant", [True, False])
+def test_stage_pass_matches_whole_array_checks_in_a_run(monkeypatch, orthant):
+    # in a dominated run whose stages are 5 slices a block of 12, the
+    # violation count (scaled by 2^N on the orthant) and the excess are
+    # those of a full-size gap per stage, and each stage's m_curve is
+    # bitwise weighted_integral's
+    monkeypatch.setattr(solver, "SUP_TOL", 0.0)
+    lat = make_lattice(2, 6.0, 16, 0.0, 6.0, 12)
+    spec = ProblemSpec(2, 0.5, 0.5 * lambda_max(2, 0.5), 1.7)
+    f = gaussian_bump_forcing(lat, 0.5)
+    if not orthant:
+        f = f.full_grid()
+        monkeypatch.setattr(solver, "_on_orthant", lambda fld: fld)
+    dominator = f.with_values(0.7 * initial_state(f, spec).w.values)
+    monkeypatch.setattr(lattice, "_BLOCK_BYTES", 5 * 8 * math.prod(f.values.shape[1:]))
+    states = []
+    rep = run(spec, f, max_n=4, dominator=dominator, callback=states.append)
+    assert [st.w.orthant for st in states] == [orthant] * 5
+    slack = 1e-9 * np.max(dominator.values)
+    gaps = [st.w.values - dominator.values for st in states]
+    tops = [float(np.max(g)) for g in gaps]
+    counted = sum(int(np.count_nonzero(g > slack)) for g, top in zip(gaps, tops) if top > slack)
+    assert counted > 0 and len({np.count_nonzero(g > slack) for g in gaps}) > 1
+    assert rep.dominator_violations == f.nodes.copies * counted
+    assert rep.dominator_max_excess == max(tops)
+    mu = exponents(spec).mu
+    for st in states:
+        assert np.array_equal(st.m_curve, weighted_integral(st.w, -mu, spec.p))
 
 
 def test_dominator_violations_are_counted(lat, spec, monkeypatch):
