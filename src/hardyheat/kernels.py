@@ -493,23 +493,24 @@ def _lane_plan(kernel: _JsKernel, lat: Lattice, odd: tuple) -> tuple:
     return plan
 
 
-def _block_lag_sum(x: np.ndarray, c: np.ndarray, kernel: _JsKernel, band: int, long: np.ndarray, n_long: int,
-                   columns: np.ndarray, G: int) -> None:
-    """The lag sum of one _lane_plan block x, lanes of classes c, in place.
-    x is copied after a zero slice per lag of its band, and its lags 0 to
-    the band's end are one einsum over a sliding window of each lane's
-    slices. The long lanes' slice j is divided by d^j (after a power-of-two
+def _block_lag_sum(lanes: np.ndarray, cls: np.ndarray, kernel: _JsKernel, block: tuple, G: int) -> None:
+    """The lag sum of one _lane_plan block of lanes (of classes cls), in
+    place. The block is copied after a zero slice per lag of its band, and
+    its lags 0 to the band's end are one einsum over a sliding window of
+    each lane's slices. The long lanes' slice j is divided by d^j (after a power-of-two
     normalisation if their maximum reaches 2^(1000 - _EXPONENT_BUDGET)),
     multiplied by the Toeplitz matrix in one K x K by K x G GEMM a chunk,
     and slice k by d^k: exact scalings, so this is the lag sum to rounding
     for data of any exponent; it is added to their band sums."""
+    a, b, band, long, n_long, columns = block
+    x = lanes[:, a:b]
     K, n = x.shape
     padded = np.empty((K + band - 1, n))
     padded[: band - 1] = 0.0
     padded[band - 1 :] = x
     # window[k, lane, j] is slice k + j - (band - 1): lag band - 1 - j
     window = np.ndarray((K, n, band), float, padded, 0, padded.strides + padded.strides[:1])
-    y = np.einsum("knj,jn->kn", window, kernel.lags[:band].take(c, axis=1)[::-1])
+    y = np.einsum("knj,jn->kn", window, kernel.lags[:band].take(cls[a:b], axis=1)[::-1])
     if n_long:
         z = padded[band - 1 :].take(long, axis=1)
         del padded, window  # read no more: free them before the GEMMs' arrays
@@ -540,8 +541,8 @@ def _lag_sum(lanes: np.ndarray, kernel: _JsKernel, plan: tuple) -> None:
     No lane's result depends on the block budget."""
     cls, blocks, (lo, hi, inside), G = plan
     K = lanes.shape[0]
-    for a, b, band, long, n_long, columns in blocks:
-        _block_lag_sum(lanes[:, a:b], cls[a:b], kernel, band, long, n_long, columns, G)
+    for block in blocks:
+        _block_lag_sum(lanes, cls, kernel, block, G)
     if lo == hi:
         return
     x = lanes[:, lo:hi]

@@ -673,7 +673,7 @@ def test_js_band_drops_below_2_pow_minus_60_of_w0(dim, M, K):
     kept[: len(kernel.lags) - 2] = kernel.lags[2:]
     band = kept != 0.0
     short = ~long
-    assert short.any() and long.any() and band.any() and not band[0].all()
+    assert long.any() and (short & band[0]).any()
     # the band is a run of lags from 2 on, at the kernel's weights
     assert np.array_equal(band, np.cumprod(band, axis=0).astype(bool))
     assert np.allclose(kept[band], table[2:][band], rtol=1e-15, atol=0.0)
