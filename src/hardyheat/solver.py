@@ -85,9 +85,8 @@ def rhs_truncated(w: Field, f: Field, spec: ProblemSpec, n: int) -> Field:
     buffers: max(w, 0) ** spec.p is raised there too, so no power field is
     built or kept. w and f share one node set, and so does the output (see
     lattice.Nodes). It makes no pass that could change no bit: w is
-    clamped at zero only if it dips below, a factor of the cutoff
-    multiplies only where it is not exactly 1, and the forcing term is
-    saturated only on blocks where f is not identically zero.
+    clamped at zero only if it dips below, and a factor of the cutoff
+    multiplies only where it is not exactly 1.
     """
     lat = w.lattice
     if f.lattice != lat:
@@ -121,11 +120,7 @@ def rhs_truncated(w: Field, f: Field, spec: ProblemSpec, n: int) -> Field:
         blk = slice(k, min(k + step, k1))
         o = out[blk]
         m = o.shape[0]
-        forced = f.values[blk].any()
         if n == 0:
-            if not forced:
-                o.fill(0.0)
-                continue
             _saturate(f.values[blk], 1.0, o)
         else:
             a, b = scratch[:, :m]
@@ -133,8 +128,7 @@ def rhs_truncated(w: Field, f: Field, spec: ProblemSpec, n: int) -> Field:
             _saturate(x, n, o)
             o *= hardy
             o += _saturate(np.power(x, spec.p, out=a), n, b)
-            if forced:
-                o += _saturate(f.values[blk], n, b)
+            o += _saturate(f.values[blk], n, b)
         if not sp_one:
             o *= sp
         if not (c0 <= k and k + m <= c1):
@@ -255,19 +249,21 @@ def _step(w: Field, f: Field, spec: ProblemSpec, n: int, tally: Optional[_Tally]
     return IterationState(n=n, w=w_next, m_curve=m_curve, sup_diff=sup_diff)
 
 
-def initial_state(f: Field, spec: ProblemSpec, tally: Optional[_Tally] = None) -> IterationState:
+def initial_state(f: Field, spec: ProblemSpec, *, tally: Optional[_Tally] = None) -> IterationState:
     """Stage 0: the inverse operator applied to the saturated forcing, a step
     from the zero field (so sup_diff is the sup norm of the iterate). The
-    state is stored on f's nodes. run passes its dominator's tally."""
+    state is stored on f's nodes. tally is internal to run, which passes
+    its dominator's; other callers leave it out."""
     zeros = np.zeros(f.values.shape)
     zeros.setflags(write=False)  # adopted without a copy
     zero = f.with_values(zeros)
     return _step(zero, f, spec, 0, tally)
 
 
-def iterate(state: IterationState, f: Field, spec: ProblemSpec, tally: Optional[_Tally] = None) -> IterationState:
-    """The next stage of the scheme from state. run passes its dominator's
-    tally."""
+def iterate(state: IterationState, f: Field, spec: ProblemSpec, *,
+            tally: Optional[_Tally] = None) -> IterationState:
+    """The next stage of the scheme from state. tally is internal to run,
+    which passes its dominator's; other callers leave it out."""
     return _step(state.w, f, spec, state.n + 1, tally)
 
 
@@ -392,7 +388,7 @@ def run(
     tally = None
     if dominator is not None:
         tally = _Tally(dominator.values, 1e-9 * max(float(np.max(dominator.values)), 1e-300), f.nodes.copies)
-    state = initial_state(f, spec, tally)
+    state = initial_state(f, spec, tally=tally)
     if callback:
         callback(state)
     m_first = max(float(np.max(state.m_curve)), 1e-300)
@@ -400,7 +396,7 @@ def run(
     verdict = VERDICT_STALLED
     cap_hit = False
     while state.n < max_n:
-        state = iterate(state, f, spec, tally)
+        state = iterate(state, f, spec, tally=tally)
         if callback:
             callback(state)
         factor, esc = _growth(state.m_curve, lat)

@@ -884,7 +884,7 @@ def test_js_transforms_start_no_blas_worker_thread():
     # batches of small GEMMs: a BLAS library that fanned them out to worker
     # threads would leave those threads spinning on the CPU after each
     # call; three orthant calls at 3-D 64^3 x 48, whose 1626 long-memory
-    # lanes run through 44 Toeplitz GEMMs a call, in 25 blocks
+    # lanes run through 44 Toeplitz GEMMs a call, in 41 blocks
     body = """
 lat = make_lattice(3, 6.0, 64, 0.0, 8.0, 48)
 g = np.random.default_rng(0).random((lat.K,) + (lat.M // 2,) * lat.dim)

@@ -272,6 +272,12 @@ def test_stage_reductions_in_blocks_match_whole_arrays(monkeypatch, orthant):
     assert np.array_equal(m_curve, want)
     assert tally.violations == w.nodes.copies * np.count_nonzero(gap > 0.01) > 0
     assert tally.excess == np.max(gap)
+    # a drop within MONO_SLACK of the peak passes, and sup_diff is its size
+    w_drop = Field(lat, w.values - 0.5e-12 * np.max(w.values) * rng.random(shape), orthant)
+    d = w_drop.values - w.values
+    sup_diff, m_curve = solver._stage_pass(w_drop, w, 1.7, 0.4, None)
+    assert np.max(d) <= 0.0 and sup_diff == -np.min(d) > 0.0
+    assert np.array_equal(m_curve, weighted_integral(w_drop, -0.4, 1.7))
 
 
 def test_cold_run_with_its_lag_table_peaks_below_4_5_fields():
@@ -564,9 +570,9 @@ def test_run_makes_one_inverse_per_stage(lat, spec, monkeypatch):
         calls["apply_Js"] += 1
         return real_js(g, s, **kw)
 
-    def step(*args):
+    def step(*args, **kw):
         calls["iterate"] += 1
-        return real_iterate(*args)
+        return real_iterate(*args, **kw)
 
     monkeypatch.setattr(solver, "apply_Js", js)
     monkeypatch.setattr(solver, "iterate", step)
