@@ -328,13 +328,6 @@ _EXPONENT_BUDGET = 600
 # the largest m n k of one Toeplitz GEMM: half of OpenBLAS's default
 # one-thread limit, 65536 * GEMM_MULTITHREAD_THRESHOLD (4)
 _GEMM_VOLUME = 1 << 17
-# a run of lanes whose memory ends at lag 1 that is shorter than this
-# joins the blocks on either side. The lag sum's time is flat in it from
-# 32 on: at 64^3 x 48 any value from 32 to 32768 (every run joined) took
-# 5.1-5.3 ms, 16 took 6.5 ms and 0 took 12 ms (medians of 40 interleaved
-# calls); at 32^3 and 2-D 32^2 x 48 every value from 16 on gives the same
-# blocks
-_SWEEP_RUN = 256
 
 
 @dataclass(frozen=True)
@@ -441,21 +434,17 @@ def _spatial_transform(src: np.ndarray, mats: Sequence[np.ndarray], dst: np.ndar
 
 
 def _lane_plan(kernel: _JsKernel, lat: Lattice, odd: tuple) -> tuple:
-    """(cls, blocks, sweep, G), kept in kernel.plans, for the parity part
-    with odd axes odd under the current block budget. Its lanes are its
-    buffer's columns, one mode each (0..M/2-1 on an even axis, M/2..1 on
-    an odd one), of classes cls.
+    """(cls, blocks, G), kept in kernel.plans, for the parity part with odd
+    axes odd under the current block budget. Its lanes are its buffer's
+    columns, one mode each (0..M/2-1 on an even axis, M/2..1 on an odd
+    one), of classes cls.
 
-    The runs of lanes whose memory reaches lag 2, joined across gaps of
-    fewer than _SWEEP_RUN other lanes, are split evenly into blocks of at
-    most lattice.block_slices(2 K) lanes: blocks holds (a, b, band, long,
-    n_long, columns) for lanes a..b-1, which need lags 0..band-1; long
-    holds the block's n_long long lanes (indices in the block), padded to a
-    multiple of the GEMMs' chunk of G lanes with copies of the last, and
-    columns their columns of powers. sweep is (lo, hi, inside): lanes
-    lo..hi-1 hold every lane outside the blocks, and inside lists the runs
-    of blocks among them (offsets from lo). Which lanes a block holds does
-    not depend on the budget, only how its runs are cut."""
+    The lanes are split evenly into blocks of at most
+    lattice.block_slices(2 K) lanes: blocks holds (a, b, band, long,
+    n_long, columns) for lanes a..b-1, which need lags 0..band-1 (the
+    longest band among them); long holds the block's n_long long lanes
+    (indices in the block), padded to a multiple of the GEMMs' chunk of G
+    lanes with copies of the last, and columns their columns of powers."""
     G = max(1, _GEMM_VOLUME // (lat.K * lat.K))
     width = block_slices(2 * lat.K)
     plan = kernel.plans.get((odd, width, G))
@@ -467,32 +456,15 @@ def _lane_plan(kernel: _JsKernel, lat: Lattice, odd: tuple) -> tuple:
         column[kernel.long] = np.arange(len(kernel.long))
         column = column[cls]
         band = 2 + np.count_nonzero(kernel.lags[2:], axis=0)[cls]
-        memory = (band > 2) | (column >= 0)
-        edges = np.r_[0, np.flatnonzero(np.diff(memory)) + 1, len(cls)]
-        runs = []
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            if not memory[lo]:
-                continue
-            if runs and lo - runs[-1][1] < _SWEEP_RUN:
-                runs[-1][1] = hi
-            else:
-                runs.append([lo, hi])
+        n = -(-len(cls) // width)
+        cuts = len(cls) * np.arange(n + 1) // n
         blocks = []
-        for lo, hi in runs:
-            n = -(-(hi - lo) // width)
-            cuts = lo + (hi - lo) * np.arange(n + 1) // n
-            for a, b in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
-                long = np.flatnonzero(column[a:b] >= 0)
-                n_long = len(long)
-                long = np.concatenate([long, np.repeat(long[-1:], -n_long % G)])
-                blocks.append((a, b, int(band[a:b].max()), _frozen(long), n_long, _frozen(column[a + long])))
-        free = np.ones(len(cls), dtype=bool)
-        for lo, hi in runs:
-            free[lo:hi] = False
-        free = np.flatnonzero(free)
-        lo, hi = (int(free[0]), int(free[-1]) + 1) if free.size else (0, 0)
-        sweep = (lo, hi, tuple((a - lo, b - lo) for a, b in runs if lo < a and b < hi))
-        plan = kernel.plans[odd, width, G] = (cls, tuple(blocks), sweep, G)
+        for a, b in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+            long = np.flatnonzero(column[a:b] >= 0)
+            n_long = len(long)
+            long = np.concatenate([long, np.repeat(long[-1:], -n_long % G)])
+            blocks.append((a, b, int(band[a:b].max()), _frozen(long), n_long, _frozen(column[a + long])))
+        plan = kernel.plans[odd, width, G] = (cls, tuple(blocks), G)
     return plan
 
 
@@ -535,33 +507,11 @@ def _block_lag_sum(lanes: np.ndarray, cls: np.ndarray, kernel: _JsKernel, block:
 def _lag_sum(lanes: np.ndarray, kernel: _JsKernel, plan: tuple) -> None:
     """out[k] = sum_(m <= k) weight_m x[k - m] on every lane (column) of
     lanes, in place, along the _lane_plan plan: each block on its own
-    (_block_lag_sum), then lags 0 and 1 sweep the sweep's lanes, the blocks
-    among them through the identity (1, 0). The sweep takes whole rows of
-    those lanes, in groups of lattice.block_slices slices, latest first,
-    lag 1 read from the slices before the group, not yet overwritten: a
-    row is contiguous, while the K slices of a run of lanes lie a row
-    apart, a power-of-two stride at which the cache keeps few of them.
-    No lane's result depends on the block budget."""
-    cls, blocks, (lo, hi, inside), G = plan
-    K = lanes.shape[0]
+    (_block_lag_sum). A lane's result depends on no block budget: past its
+    own band's end a lane's weights in its block's band are exact zeros."""
+    cls, blocks, G = plan
     for block in blocks:
         _block_lag_sum(lanes, cls, kernel, block, G)
-    if lo == hi:
-        return
-    x = lanes[:, lo:hi]
-    w0, w1 = kernel.lags[:2].take(cls[lo:hi], axis=1)
-    for a, b in inside:
-        w0[a:b] = 1.0
-        w1[a:b] = 0.0
-    step = block_slices(x.shape[1])
-    acc = np.empty((min(step, K), x.shape[1]))
-    for top in range(K, 0, -step):
-        bottom = max(top - step, 0)
-        row = max(bottom, 1)
-        s = acc[row - bottom : top - bottom]
-        np.multiply(x[row - 1 : top - 1], w1, out=s)
-        x[bottom:top] *= w0
-        x[row:top] += s
 
 
 def _js_on_orthant(part: np.ndarray, odd: Sequence[bool], lat: Lattice, kernel: _JsKernel,
@@ -569,7 +519,8 @@ def _js_on_orthant(part: np.ndarray, odd: Sequence[bool], lat: Lattice, kernel: 
     """The Volterra convolution of one parity part on the positive orthant:
     per spatial axis the forward matrix of _dct_pair (a DCT-II on an even
     axis, on an odd one the DST-II whose position m holds sine mode M/2 - m),
-    the causal lag sum of each mode (_lag_sum), and per axis the inverse.
+    the causal lag sum of each mode, on blocks of adjacent modes (_lag_sum),
+    and per axis the inverse.
 
     It runs in one C-contiguous buffer, time first: a fresh one, into which
     the forward transform reads part without writing it, or with in_place

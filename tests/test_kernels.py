@@ -588,36 +588,46 @@ def _transformed_part(lat, odd, rng):
 
 @pytest.mark.parametrize("dim,M,L,T,K", [(1, 64, 6.0, 8.0, 48), (2, 16, 1.5, 3.0, 24), (3, 16, 1.5, 3.0, 24)])
 def test_lag_sum_bitwise_independent_of_the_block_budget(monkeypatch, dim, M, L, T, K):
-    # blocks of one lane, of 7 and of every lane give the same bits, on
-    # every parity part of 1-, 2- and 3-D lattices with long, banded and
-    # lag-0/1 lanes: the budget cuts the runs of lanes with memory into
-    # other blocks (and other Toeplitz chunks), but every lane keeps its
-    # path, a block or the sweep
+    # blocks of one lane, of 7 and of every lane tile the lanes and give
+    # the same bits, on every parity part of 1-, 2- and 3-D lattices with
+    # long, banded and lag-0/1 lanes: a block runs the longest band among
+    # its lanes, and a lane whose memory ends at lag 1 comes out bitwise
+    # w0 x[k] + w1 x[k - 1] (w0 x[0] at k = 0) in any block
     lat = make_lattice(dim, L, M, 0.0, T, K)
     kernel = _js_kernel(lat, 0.4)
     rng = np.random.default_rng(36)
-    swept = 0
     for odd in itertools.product((False, True), repeat=dim):
-        assert min(_memory_lanes(kernel, _parity_classes(lat, odd))) > 0
+        cls = _parity_classes(lat, odd)
+        assert min(_memory_lanes(kernel, cls)) > 0
+        long = np.isin(cls, kernel.long)
+        nonzero = kernel.lags[2:, cls] != 0.0
+        band = np.where(nonzero.any(axis=0), 2 + len(nonzero) - np.argmax(nonzero[::-1], axis=0), 2)
         lanes = _transformed_part(lat, odd, rng)
-        outs, paths = [], set()
+        outs = []
         for width in (1, 7, lanes.shape[1]):
             monkeypatch.setattr(lattice, "_BLOCK_BYTES", 16 * lat.K * width)
             plan = kernels._lane_plan(kernel, lat, odd)
-            cls, blocks, (lo, hi, inside), G = plan
-            assert max(b - a for a, b, *_ in blocks) <= width
-            assert len(blocks) > 1 or width > 1
-            block_lanes = np.zeros(lanes.shape[1], dtype=bool)
-            for a, b, *_ in blocks:
-                block_lanes[a:b] = True
-            paths.add(block_lanes.tobytes())
-            swept += hi - lo
+            plan_cls, blocks, G = plan
+            assert np.array_equal(plan_cls, cls)
+            assert [a for a, *_ in blocks] == [0] + [b for _, b, *_ in blocks[:-1]]
+            assert blocks[-1][1] == lanes.shape[1]
+            for a, b, block_band, block_long, n_long, _ in blocks:
+                assert 0 < b - a <= width
+                assert block_band == band[a:b].max()
+                assert np.array_equal(block_long[:n_long], np.flatnonzero(long[a:b]))
+                assert len(block_long) % G == 0
             out = lanes.copy()
             kernels._lag_sum(out, kernel, plan)
             outs.append(out)
-        assert len(paths) == 1
         assert all(np.array_equal(outs[-1], out) for out in outs[:-1])
-    assert swept > 0  # some lanes took the sweep
+        # the oracle of a lane whose memory ends at lag 1: lags 0 and 1
+        # alone, whatever band its block runs
+        short = ~long & (band == 2)
+        w0, w1 = kernel.lags[:2, cls[short]]
+        x = lanes[:, short]
+        want = x * w0
+        want[1:] += x[:-1] * w1
+        assert np.array_equal(outs[-1][:, short], want)
 
 
 @pytest.mark.parametrize("dim,M,T_neg", [(1, 64, 0.0), (1, 64, 1.0), (2, 32, 0.0), (2, 32, 1.0),
@@ -884,7 +894,7 @@ def test_js_transforms_start_no_blas_worker_thread():
     # batches of small GEMMs: a BLAS library that fanned them out to worker
     # threads would leave those threads spinning on the CPU after each
     # call; three orthant calls at 3-D 64^3 x 48, whose 1626 long-memory
-    # lanes run through 44 Toeplitz GEMMs a call, in 41 blocks
+    # lanes run through 44 Toeplitz GEMMs a call, in 97 blocks
     body = """
 lat = make_lattice(3, 6.0, 64, 0.0, 8.0, 48)
 g = np.random.default_rng(0).random((lat.K,) + (lat.M // 2,) * lat.dim)
